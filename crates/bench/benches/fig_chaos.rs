@@ -13,6 +13,7 @@ const ALPHA: f64 = 0.19;
 
 fn plans() -> Vec<(&'static str, ChaosPlan)> {
     vec![
+        // The fault-free reference point the other plans are read against.
         ("zero_fault", ChaosPlan::new(42)),
         (
             "lossy_10pct",
@@ -42,19 +43,6 @@ fn plans() -> Vec<(&'static str, ChaosPlan)> {
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig_chaos");
     let problem = paper::ring_problem();
-
-    // The fault-free reference point: the plain round executor.
-    group.bench_function("round_executor_baseline", |b| {
-        b.iter(|| {
-            let r = fap_runtime::DistributedRun::new(&problem, ExchangeScheme::Broadcast, ALPHA)
-                .with_epsilon(paper::EPSILON)
-                .with_max_rounds(100_000)
-                .run(black_box(&paper::START))
-                .expect("run succeeds");
-            assert!(r.converged);
-            r.rounds
-        });
-    });
 
     for (label, plan) in plans() {
         group.bench_function(label, |b| {

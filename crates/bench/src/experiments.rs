@@ -17,7 +17,7 @@ use fap_econ::{
 use fap_net::{topology, AccessPattern};
 use fap_queue::{NetworkSimulation, ServiceDistribution};
 use fap_ring::{RingSolver, VirtualRing};
-use fap_runtime::{DistributedRun, ExchangeScheme, MessageCounting};
+use fap_runtime::{ChaosPlan, ExchangeScheme, MessageCounting, SimRun};
 
 use crate::paper;
 use crate::series::Series;
@@ -462,10 +462,11 @@ pub fn a4_messages(n: usize) -> Vec<A4Row> {
         ("broadcast (p2p)", ExchangeScheme::Broadcast, MessageCounting::PointToPoint),
         ("broadcast (LAN)", ExchangeScheme::Broadcast, MessageCounting::BroadcastMedium),
     ] {
-        let r = DistributedRun::new(&problem, scheme, 0.1)
+        let r = SimRun::new(&problem, scheme, 0.1)
             .with_epsilon(epsilon)
             .with_counting(counting)
             .with_max_rounds(200_000)
+            .with_chaos(ChaosPlan::new(0))
             .run(&start)
             .expect("distributed run");
         assert!(r.converged, "{label} failed to converge");
@@ -688,5 +689,21 @@ mod tests {
         assert!(central.messages_per_round < broadcast.messages_per_round);
         assert!(gossip.messages_per_round < broadcast.messages_per_round);
         assert!(gossip.iterations > broadcast.iterations);
+
+        // The published n = 8 table (EXPERIMENTS.md, A4), exactly.
+        let rows = a4_messages(8);
+        let table: Vec<_> = rows
+            .iter()
+            .map(|r| (r.scheme.as_str(), r.iterations, r.messages_per_round, r.total_messages))
+            .collect();
+        assert_eq!(
+            table,
+            [
+                ("central (p2p)", 68, 14, 966),
+                ("broadcast (p2p)", 68, 56, 3864),
+                ("broadcast (LAN)", 68, 8, 552),
+                ("gossip (ring)", 247, 16, 3968),
+            ]
+        );
     }
 }

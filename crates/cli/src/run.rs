@@ -145,8 +145,8 @@ pub fn simulate(scenario: &Scenario) -> Result<(SolveOutput, SimReport), Scenari
 
 /// Runs the decentralized protocol for a scenario under a seeded
 /// fault-injection plan (`fap sim`). A default [`ChaosPlan`] is
-/// fault-free, in which case the result is bit-identical to the ideal
-/// round executor.
+/// fault-free, in which case the result is bit-identical to the
+/// centralized resource-directed optimizer.
 ///
 /// # Errors
 ///

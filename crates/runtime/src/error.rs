@@ -1,4 +1,4 @@
-//! Error type for the distributed executors.
+//! Error type for the protocol executor and the drift-tracking loop.
 
 use std::fmt;
 
@@ -13,19 +13,6 @@ pub enum RuntimeError {
         /// The agent whose evaluation failed.
         agent: usize,
         /// The underlying reason.
-        reason: String,
-    },
-    /// An agent thread disconnected unexpectedly (threaded executor).
-    ChannelClosed {
-        /// The agent whose channel closed.
-        agent: usize,
-    },
-    /// A chaos simulation became unable to continue (fault-injection
-    /// executor) — e.g. every agent crashed.
-    Chaos {
-        /// The round at which the simulation gave up.
-        round: usize,
-        /// What went wrong.
         reason: String,
     },
     /// A drift-tracking epoch could not be built or solved.
@@ -44,12 +31,6 @@ impl fmt::Display for RuntimeError {
             RuntimeError::Objective { agent, reason } => {
                 write!(f, "objective evaluation failed at agent {agent}: {reason}")
             }
-            RuntimeError::ChannelClosed { agent } => {
-                write!(f, "agent {agent} disconnected unexpectedly")
-            }
-            RuntimeError::Chaos { round, reason } => {
-                write!(f, "chaos simulation stuck at round {round}: {reason}")
-            }
             RuntimeError::Drift { epoch, reason } => {
                 write!(f, "drift tracking failed at epoch {epoch}: {reason}")
             }
@@ -67,7 +48,6 @@ mod tests {
     fn display_is_informative() {
         let e = RuntimeError::Objective { agent: 3, reason: "unstable".into() };
         assert!(e.to_string().contains("agent 3"));
-        assert!(RuntimeError::ChannelClosed { agent: 1 }.to_string().contains("disconnected"));
     }
 
     #[test]

@@ -19,20 +19,17 @@
 //!
 //! * [`LocalObjective`] — the per-agent view of an allocation problem
 //!   (implemented for `fap_core::SingleFileProblem`);
-//! * [`round`] — a deterministic round-based executor with full message
-//!   accounting ([`ExchangeScheme`], [`MessageCounting`]);
-//! * [`threaded`] — the same protocol running as real concurrent agent
-//!   threads over crossbeam channels, bit-identical to the round executor;
-//! * [`failure`] — node-failure injection measuring the §4(a) graceful-
-//!   degradation property and the survivors' recovery re-optimization;
-//! * [`sim`] — a seeded discrete-event simulator running the protocol over
-//!   an unreliable channel (drops, delays, duplication, crash/rejoin) with
-//!   stale-marginal reuse and bounded retransmission, bit-identical to
-//!   [`round`] under a zero-fault [`ChaosPlan`]. [`SimRun::run`] executes
-//!   on the event-driven engine; the lock-step reference survives as
-//!   [`SimRun::run_round_synchronous`];
-//! * [`Reactor`] — the deterministic virtual-clock event loop those
-//!   engines run on, shared with the `fap served` daemon;
+//! * [`sim`] — the one protocol executor, [`SimRun`]: agents react to
+//!   events on a virtual clock, their reports cross a seeded unreliable
+//!   channel (drops, delays, duplication, crash/rejoin per a
+//!   [`ChaosPlan`]) with stale-marginal reuse and bounded retransmission,
+//!   and every round is billed per [`ExchangeScheme`] and
+//!   [`MessageCounting`]. Under a zero-fault plan (`ChaosPlan::new(seed)`)
+//!   it is bit-identical to the centralized
+//!   [`fap_econ::ResourceDirectedOptimizer`]; a crash schedule measures the
+//!   §4(a) graceful-degradation property and the survivors' recovery;
+//! * [`Reactor`] — the deterministic virtual-clock event loop the
+//!   executor runs on, shared with the `fap served` daemon;
 //! * [`drift`] — seeded λ-trajectories (diurnal, flash crowd, step, node
 //!   churn) and the online reallocation control loop: a
 //!   [`fap_econ::TrackingOptimizer`] re-solves each epoch incrementally,
@@ -46,23 +43,18 @@
 
 pub mod drift;
 pub mod error;
-pub mod failure;
 pub mod local;
 pub mod message;
 pub mod reactor;
-pub mod round;
 pub mod scheme;
 pub mod sim;
-pub mod threaded;
 pub mod timing;
 
 pub use drift::{DriftConfig, DriftReport, DriftRun, DriftScenario, EpochRecord};
 pub use error::RuntimeError;
-pub use failure::{FailurePlan, FailureReport};
 pub use local::LocalObjective;
-pub use message::{Message, MessageStats};
+pub use message::MessageStats;
 pub use reactor::Reactor;
-pub use round::{DistributedRun, RunReport};
 pub use scheme::{ExchangeScheme, MessageCounting};
 pub use sim::{ChaosPlan, FaultCounters, LinkDelay, SimReport, SimRun};
 pub use timing::{best_coordinator, estimate_round_timing, RoundTiming};

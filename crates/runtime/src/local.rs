@@ -5,7 +5,7 @@
 //! `i`'s own fragment `x_i` and static constants (`C_i`, `λ`, `μ_i`, `k`)
 //! — no node needs to see another node's allocation to compute its
 //! marginal. [`LocalObjective`] captures exactly that interface, so the
-//! executors in this crate can only access state a real node would have.
+//! executor in this crate can only access state a real node would have.
 
 use fap_core::SingleFileProblem;
 use fap_queue::DelayModel;

@@ -1,41 +1,6 @@
-//! Protocol messages and message accounting.
+//! Protocol message accounting.
 
 use serde::{Deserialize, Serialize};
-
-/// A protocol message, as exchanged in §5.2 step (a): each node sends its
-/// marginal utility *and* its current fragment to the other nodes (or the
-/// central agent), who can then all perform the identical reallocation
-/// computation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum Message {
-    /// A node reports its marginal utility and current fragment.
-    MarginalReport {
-        /// Reporting node.
-        from: usize,
-        /// `∂U/∂x_i` at the node's current fragment.
-        marginal: f64,
-        /// The node's current fragment `x_i`.
-        fragment: f64,
-    },
-    /// The central agent distributes the computed step to one node.
-    StepAssignment {
-        /// Destination node.
-        to: usize,
-        /// The node's `Δx_i` this round.
-        delta: f64,
-        /// Whether the algorithm has terminated.
-        terminate: bool,
-    },
-    /// A receiver that timed out on a peer's report asks for it again
-    /// (chaos simulator, §5.1 exchange over an unreliable channel).
-    RetransmitRequest {
-        /// The node whose report timed out.
-        from: usize,
-        /// Which retry this is (1-based).
-        attempt: u32,
-    },
-}
 
 /// Message/transmission accounting for one protocol run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -70,13 +35,5 @@ mod tests {
         assert_eq!(s.total, 12);
         assert_eq!(s.rounds, 2);
         assert_eq!(s.per_round, 6);
-    }
-
-    #[test]
-    fn messages_are_constructible_and_comparable() {
-        let a = Message::MarginalReport { from: 1, marginal: -2.0, fragment: 0.3 };
-        assert_eq!(a, a);
-        let b = Message::StepAssignment { to: 2, delta: 0.1, terminate: false };
-        assert_ne!(format!("{a:?}"), format!("{b:?}"));
     }
 }

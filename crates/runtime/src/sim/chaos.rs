@@ -48,7 +48,7 @@ impl LinkDelay {
 /// A seeded, deterministic fault-injection schedule.
 ///
 /// The default plan (any seed, everything else zero) injects no faults at
-/// all; the simulator is then bit-identical to the round executor.
+/// all; the simulator is then bit-identical to the centralized optimizer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChaosPlan {
     /// Seed for every probabilistic fault draw.
@@ -67,8 +67,7 @@ pub struct ChaosPlan {
     /// Retransmissions requested after a timed-out report, per agent-round.
     pub max_retries: u32,
     /// `(round, agent)` crash schedule; the agent's fragment is
-    /// redistributed over the survivors, as in
-    /// [`FailurePlan`](crate::FailurePlan).
+    /// redistributed equally over the survivors.
     pub crashes: Vec<(usize, usize)>,
     /// `(round, agent)` rejoin schedule; the agent comes back with an empty
     /// fragment and re-enters the optimization.
@@ -165,7 +164,7 @@ impl ChaosPlan {
     }
 
     /// Whether the plan injects no faults at all — the simulator is then
-    /// required to reproduce the round executor exactly.
+    /// required to reproduce the centralized optimizer exactly.
     pub fn is_zero_fault(&self) -> bool {
         self.drop_prob == 0.0
             && self.duplicate_prob == 0.0

@@ -22,9 +22,9 @@
 //! [`EventQueue`](super::EventQueue)) makes the cascade a pure function
 //! of the schedule, and because [`LossyChannel`] draws every fate from
 //! the transmission's *coordinates* — never from draw order — this engine
-//! is bit-identical to the round-synchronous reference
-//! ([`SimRun::run_round_synchronous`]) under every chaos plan, fault-free
-//! or hostile. The equivalence suite pins exactly that.
+//! is bit-identical to the lock-step test oracle (`lock_step.rs`) under
+//! every chaos plan, fault-free or hostile. The tests below pin exactly
+//! that.
 
 use fap_econ::projection::{compute_step, StepOutcome};
 use fap_econ::trace::IterationRecord;
@@ -32,13 +32,12 @@ use fap_econ::{marginal_spread, Trace};
 use fap_obs::{Recorder, Value};
 
 use super::channel::{LateReport, LossyChannel};
-use super::executor::{SimRun, StaleEntry, DEAD_MARGINAL};
+use super::executor::{boundary_consistent, SimRun, StaleEntry, DEAD_MARGINAL};
 use super::report::{FaultCounters, SimReport};
 use crate::error::RuntimeError;
 use crate::local::LocalObjective;
 use crate::message::MessageStats;
 use crate::reactor::Reactor;
-use crate::round;
 use crate::scheme::ExchangeScheme;
 
 /// One event of the per-round cascade.
@@ -296,7 +295,7 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
 
                     let converged = all_fresh
                         && spread < self.epsilon
-                        && round::boundary_consistent(&x, &g_eff, &outcome.active, self.epsilon);
+                        && boundary_consistent(&x, &g_eff, &outcome.active, self.epsilon);
                     if converged || rounds >= self.max_rounds {
                         recorder.emit(
                             "run_end",
@@ -340,37 +339,79 @@ mod tests {
     use super::super::chaos::ChaosPlan;
     use super::*;
     use fap_core::SingleFileProblem;
+    use fap_econ::{ResourceDirectedOptimizer, StepSize};
     use fap_net::{topology, AccessPattern};
 
+    /// The paper's §6 ring with the Figure-3 configuration.
     fn paper_problem() -> SingleFileProblem {
         let graph = topology::ring(4, 1.0).unwrap();
         let pattern = AccessPattern::uniform(4, 1.0).unwrap();
         SingleFileProblem::mm1(&graph, &pattern, 1.5, 1.0).unwrap()
     }
 
-    /// The two engines agree bit for bit even under a hostile plan — the
-    /// stronger form of the zero-fault equivalence the integration suite
-    /// checks, possible because channel fates are coordinate-keyed.
+    const ALPHA: f64 = 0.19;
+    const X0: [f64; 4] = [0.8, 0.1, 0.1, 0.0];
+
+    fn fig3_run(
+        p: &SingleFileProblem,
+        scheme: ExchangeScheme,
+        plan: ChaosPlan,
+    ) -> SimRun<'_, SingleFileProblem> {
+        SimRun::new(p, scheme, ALPHA).with_epsilon(1e-3).with_max_rounds(10_000).with_chaos(plan)
+    }
+
+    /// A hostile plan: drops, duplicates, delays, a crash and a rejoin.
+    fn hostile_plan(seed: u64) -> ChaosPlan {
+        ChaosPlan::new(seed)
+            .with_drop(0.25)
+            .with_duplication(0.1)
+            .with_delay(0.3, 2)
+            .with_staleness_bound(2)
+            .with_retries(1)
+            .crash(5, 2)
+            .rejoin(15, 2)
+    }
+
+    /// Both schemes; the central coordinator is one the hostile plan never
+    /// crashes.
+    const SCHEMES: [ExchangeScheme; 2] =
+        [ExchangeScheme::Broadcast, ExchangeScheme::Central { coordinator: 3 }];
+
+    /// Zero faults, any seed: the engines agree bit for bit, and both
+    /// reproduce the centralized optimizer's trajectory.
+    #[test]
+    fn engines_agree_without_faults() {
+        let p = paper_problem();
+        let centralized = ResourceDirectedOptimizer::new(StepSize::Fixed(ALPHA))
+            .with_epsilon(1e-3)
+            .run(&p, &X0)
+            .unwrap();
+        for scheme in SCHEMES {
+            for seed in 0..10 {
+                let sim = fig3_run(&p, scheme, ChaosPlan::new(seed));
+                let event_driven = sim.run(&X0).unwrap();
+                let lock_step = sim.run_round_synchronous(&X0).unwrap();
+                assert_eq!(event_driven, lock_step, "scheme {scheme:?}, seed {seed}");
+                assert_eq!(event_driven.allocation, centralized.allocation);
+                assert_eq!(event_driven.rounds, centralized.iterations);
+                assert_eq!(event_driven.trace, centralized.trace);
+            }
+        }
+    }
+
+    /// The engines agree bit for bit even under hostile plans — possible
+    /// because channel fates are coordinate-keyed, so execution order
+    /// cannot leak into the outcome.
     #[test]
     fn engines_agree_under_hostile_chaos() {
         let p = paper_problem();
-        let x0 = [0.8, 0.1, 0.1, 0.0];
-        for seed in [3, 17, 99] {
-            let plan = ChaosPlan::new(seed)
-                .with_drop(0.25)
-                .with_duplication(0.1)
-                .with_delay(0.3, 2)
-                .with_staleness_bound(2)
-                .with_retries(1)
-                .crash(5, 2)
-                .rejoin(15, 2);
-            let sim = SimRun::new(&p, ExchangeScheme::Broadcast, 0.19)
-                .with_epsilon(1e-3)
-                .with_max_rounds(10_000)
-                .with_chaos(plan);
-            let event_driven = sim.run(&x0).unwrap();
-            let lock_step = sim.run_round_synchronous(&x0).unwrap();
-            assert_eq!(event_driven, lock_step, "seed {seed}");
+        for scheme in SCHEMES {
+            for seed in 0..8 {
+                let sim = fig3_run(&p, scheme, hostile_plan(seed));
+                let event_driven = sim.run(&X0).unwrap();
+                let lock_step = sim.run_round_synchronous(&X0).unwrap();
+                assert_eq!(event_driven, lock_step, "scheme {scheme:?}, seed {seed}");
+            }
         }
     }
 
@@ -379,17 +420,18 @@ mod tests {
     #[test]
     fn engines_record_identical_telemetry() {
         let p = paper_problem();
-        let x0 = [0.8, 0.1, 0.1, 0.0];
-        let plan = ChaosPlan::new(7).with_drop(0.2).with_retries(1).with_staleness_bound(2);
-        let sim = SimRun::new(&p, ExchangeScheme::Central { coordinator: 0 }, 0.1)
-            .with_epsilon(1e-6)
-            .with_max_rounds(50_000)
-            .with_chaos(plan);
-        let mut event_tele = fap_obs::Telemetry::manual();
-        let mut lock_tele = fap_obs::Telemetry::manual();
-        let a = sim.run_observed(&x0, &mut event_tele).unwrap();
-        let b = sim.run_round_synchronous_observed(&x0, &mut lock_tele).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(event_tele.to_jsonl(), lock_tele.to_jsonl());
+        let lossy = ChaosPlan::new(7).with_drop(0.2).with_retries(1).with_staleness_bound(2);
+        for (scheme, plan) in [
+            (ExchangeScheme::Central { coordinator: 0 }, lossy),
+            (ExchangeScheme::Broadcast, hostile_plan(11)),
+        ] {
+            let sim = fig3_run(&p, scheme, plan).with_epsilon(1e-6).with_max_rounds(50_000);
+            let mut event_tele = fap_obs::Telemetry::manual();
+            let mut lock_tele = fap_obs::Telemetry::manual();
+            let a = sim.run_observed(&X0, &mut event_tele).unwrap();
+            let b = sim.run_round_synchronous_observed(&X0, &mut lock_tele).unwrap();
+            assert_eq!(a, b);
+            assert_eq!(event_tele.to_jsonl(), lock_tele.to_jsonl());
+        }
     }
 }

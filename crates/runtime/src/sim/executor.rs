@@ -1,9 +1,10 @@
-//! The fault-injecting protocol executor.
+//! The protocol executor.
 //!
-//! [`SimRun`] executes the same §5.2 round structure as
-//! [`DistributedRun`](crate::DistributedRun), but every report crosses the
-//! [`LossyChannel`] and the membership evolves under the
-//! [`ChaosPlan`]'s crash/rejoin schedule. The executor models:
+//! [`SimRun`] executes the §5.2 round structure — local marginals, exchange
+//! per [`ExchangeScheme`], the identical reallocation step at every node —
+//! with every report crossing the [`LossyChannel`] and the membership
+//! evolving under the [`ChaosPlan`]'s crash/rejoin schedule. The executor
+//! models:
 //!
 //! * **timeout + bounded retry** — a receiver that does not get a report on
 //!   time requests retransmission up to the plan's retry budget;
@@ -13,9 +14,10 @@
 //! * **exclusion** — an agent with no usable report is left out of the
 //!   round's reallocation entirely; the transfers among the included agents
 //!   still sum to zero, so feasibility `Σx = 1` survives every fault;
-//! * **crash/rejoin** — a crashed agent's fragment is redistributed over
-//!   the survivors (as in [`FailurePlan`](crate::FailurePlan)); a rejoining
-//!   agent re-enters with an empty fragment.
+//! * **crash/rejoin** — a crashed agent's fragment is re-fetched from a
+//!   backing store and spread equally over the survivors, who re-optimize
+//!   among themselves (the §4(a) graceful-degradation scenario); a
+//!   rejoining agent re-enters with an empty fragment.
 //!
 //! One deliberate abstraction keeps the state canonical: the simulator
 //! maintains a single global view of fragments and of the stale-report
@@ -27,21 +29,16 @@
 //! the paper's §5.2 requirement — even over an unreliable network.
 //!
 //! Under a zero-fault plan the executor performs bit-for-bit the arithmetic
-//! of the round executor: same marginal evaluation order, same step, same
-//! trace, same message accounting.
+//! of the centralized [`fap_econ::ResourceDirectedOptimizer`]: same
+//! marginal evaluation order, same step, same trace.
 //!
-//! Two engines execute this protocol. [`SimRun::run`] drives the
-//! *event-driven* engine (`event_driven.rs`): agents react to
-//! `BeginRound`/`Arrival`/`Wake`/`Deadline` events on a virtual-clock
-//! [`Reactor`](crate::Reactor) — the same reactor that runs the `fap
-//! served` daemon loop. [`SimRun::run_round_synchronous`] keeps the
-//! original lock-step `loop` as the executable specification. Channel
-//! fates are stateless per-coordinate draws, so the two engines are
-//! bit-identical under every chaos plan, which the equivalence suite pins.
+//! [`SimRun::run`] drives the *event-driven* engine (`event_driven.rs`):
+//! agents react to `BeginRound`/`Arrival`/`Wake`/`Deadline` events on a
+//! virtual-clock [`Reactor`](crate::Reactor) — the same reactor that runs
+//! the `fap served` daemon loop. The original lock-step `loop`
+//! (`lock_step.rs`) survives only as the test oracle it is pinned against.
 
-use fap_econ::projection::{compute_step, BoundaryRule, StepOutcome};
-use fap_econ::trace::IterationRecord;
-use fap_econ::{marginal_spread, Trace};
+use fap_econ::projection::BoundaryRule;
 use fap_obs::{MetricsRegistry, NoopRecorder, Recorder, Tee, Value};
 
 use super::chaos::ChaosPlan;
@@ -49,12 +46,10 @@ use super::channel::LossyChannel;
 use super::report::{FaultCounters, SimReport};
 use crate::error::RuntimeError;
 use crate::local::LocalObjective;
-use crate::message::MessageStats;
-use crate::round;
 use crate::scheme::{ExchangeScheme, MessageCounting};
 
-/// Marker marginal for crashed agents, matching the failure executor: bad
-/// enough that no step computation will ever allocate toward them.
+/// Marker marginal for crashed agents: bad enough that no step
+/// computation will ever allocate toward them.
 pub(super) const DEAD_MARGINAL: f64 = -1e30;
 
 /// One entry of the stale-report table.
@@ -62,6 +57,40 @@ pub(super) const DEAD_MARGINAL: f64 = -1e30;
 pub(super) struct StaleEntry {
     pub(super) round: usize,
     pub(super) marginal: f64,
+}
+
+/// Runs `engine` recording into `recorder` and a private registry at once,
+/// then fills the report's [`FaultCounters`] from that registry.
+pub(super) fn summarized(
+    recorder: &mut dyn Recorder,
+    engine: impl FnOnce(&mut dyn Recorder) -> Result<SimReport, RuntimeError>,
+) -> Result<SimReport, RuntimeError> {
+    let mut local = MetricsRegistry::new();
+    let mut report = engine(&mut Tee::new(&mut local, recorder))?;
+    report.faults = FaultCounters::from_registry(&local);
+    Ok(report)
+}
+
+/// Complementary slackness for agents outside the active set: every frozen
+/// agent must sit at the boundary (`x_i ≈ 0`) with a marginal no better than
+/// the active average — the centralized engine's convergence test.
+pub(super) fn boundary_consistent(x: &[f64], g: &[f64], active: &[bool], epsilon: f64) -> bool {
+    if active.iter().all(|a| *a) {
+        return true;
+    }
+    let mut sum = 0.0;
+    let mut count = 0usize;
+    for i in 0..g.len() {
+        if active[i] {
+            sum += g[i];
+            count += 1;
+        }
+    }
+    if count == 0 {
+        return true;
+    }
+    let avg = sum / count as f64;
+    (0..g.len()).all(|i| active[i] || (x[i] <= 1e-6 && g[i] <= avg + epsilon))
 }
 
 /// A configurable fault-injected run of the protocol.
@@ -104,8 +133,7 @@ pub struct SimRun<'a, O> {
 
 impl<'a, O: LocalObjective> SimRun<'a, O> {
     /// Creates a simulated run of `objective` under `scheme` with step size
-    /// `alpha` and a fault-free plan. Defaults match
-    /// [`DistributedRun`](crate::DistributedRun): ε = 10⁻³, clamp-to-zero
+    /// `alpha` and a fault-free plan. Defaults: ε = 10⁻³, clamp-to-zero
     /// boundary, 10 000-round cap, point-to-point counting.
     pub fn new(objective: &'a O, scheme: ExchangeScheme, alpha: f64) -> Self {
         SimRun {
@@ -167,44 +195,6 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
         self.run_observed(initial, &mut NoopRecorder)
     }
 
-    /// Runs the protocol on the *round-synchronous* reference engine: one
-    /// lock-step `loop` iteration per round, exactly as §5.2 writes it.
-    ///
-    /// [`SimRun::run`] executes the event-driven engine instead (agents
-    /// react to `BeginRound`/`Arrival`/`Wake`/`Deadline` events on a
-    /// virtual-clock [`Reactor`](crate::Reactor)); because channel fates
-    /// are stateless per-coordinate draws, both engines are bit-identical
-    /// under *every* chaos plan — a property the equivalence suite pins by
-    /// comparing this method's output with [`SimRun::run`]'s. The lock-step
-    /// engine is kept as the executable specification.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SimRun::run`].
-    pub fn run_round_synchronous(&self, initial: &[f64]) -> Result<SimReport, RuntimeError> {
-        self.run_round_synchronous_observed(initial, &mut NoopRecorder)
-    }
-
-    /// Like [`SimRun::run_round_synchronous`], recording into `recorder`
-    /// exactly as [`SimRun::run_observed`] does.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SimRun::run`].
-    pub fn run_round_synchronous_observed(
-        &self,
-        initial: &[f64],
-        recorder: &mut dyn Recorder,
-    ) -> Result<SimReport, RuntimeError> {
-        let mut local = MetricsRegistry::new();
-        let mut report = {
-            let mut tee = Tee::new(&mut local, recorder);
-            self.run_loop(initial, &mut tee)?
-        };
-        report.faults = FaultCounters::from_registry(&local);
-        Ok(report)
-    }
-
     /// Like [`SimRun::run`], additionally recording the run into
     /// `recorder`: the `sim.*` fault counters, the
     /// `sim.report_latency_rounds` histogram on virtual (round) time, one
@@ -226,257 +216,7 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
         initial: &[f64],
         recorder: &mut dyn Recorder,
     ) -> Result<SimReport, RuntimeError> {
-        let mut local = MetricsRegistry::new();
-        let mut report = {
-            let mut tee = Tee::new(&mut local, recorder);
-            self.run_event_driven(initial, &mut tee)?
-        };
-        report.faults = FaultCounters::from_registry(&local);
-        Ok(report)
-    }
-
-    fn run_loop(
-        &self,
-        initial: &[f64],
-        recorder: &mut dyn Recorder,
-    ) -> Result<SimReport, RuntimeError> {
-        let n = self.objective.agent_count();
-        self.validate(initial, n)?;
-        recorder.register_histogram(
-            "sim.report_latency_rounds",
-            &[0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0],
-        );
-
-        let mut x = initial.to_vec();
-        let weights = vec![1.0; n];
-        let mut alive = vec![true; n];
-        let mut stale: Vec<Option<StaleEntry>> = vec![None; n];
-        let mut channel = LossyChannel::new(&self.plan);
-        let mut messages = MessageStats::default();
-        let mut trace = Trace::new();
-        let mut iterates = vec![x.clone()];
-        let mut fresh_rounds = Vec::new();
-        let mut membership_rounds = Vec::new();
-        let mut rounds = 0usize;
-
-        loop {
-            recorder.set_time(rounds as u64);
-            let mut membership_changed = false;
-            // Membership events fire at the start of the round: crashes
-            // first, then rejoins (as the plan validation replays them).
-            for &(when, agent) in &self.plan.crashes {
-                if when == rounds && alive[agent] {
-                    membership_changed = true;
-                    alive[agent] = false;
-                    stale[agent] = None;
-                    recorder.incr("sim.crashes", 1);
-                    recorder.emit(
-                        "crash",
-                        &[("round", Value::U64(rounds as u64)), ("agent", Value::U64(agent as u64))],
-                    );
-                    let lost = x[agent];
-                    x[agent] = 0.0;
-                    let survivors = alive.iter().filter(|a| **a).count();
-                    let share = lost / survivors as f64;
-                    for i in 0..n {
-                        if alive[i] {
-                            x[i] += share;
-                        }
-                    }
-                }
-            }
-            for &(when, agent) in &self.plan.rejoins {
-                if when == rounds && !alive[agent] {
-                    membership_changed = true;
-                    alive[agent] = true;
-                    stale[agent] = None;
-                    recorder.incr("sim.rejoins", 1);
-                    recorder.emit(
-                        "rejoin",
-                        &[("round", Value::U64(rounds as u64)), ("agent", Value::U64(agent as u64))],
-                    );
-                    x[agent] = 0.0;
-                }
-            }
-            let alive_count = alive.iter().filter(|a| **a).count();
-
-            // Delayed reports completing this round refresh the stale table
-            // — deterministically ordered by the event queue.
-            for late in channel.arrivals(rounds) {
-                if alive[late.from]
-                    && stale[late.from].is_none_or(|e| e.round < late.sent_round)
-                {
-                    stale[late.from] =
-                        Some(StaleEntry { round: late.sent_round, marginal: late.marginal });
-                }
-            }
-
-            // §5.2 step (a): live agents evaluate marginals locally (the
-            // same 0..n order as the round executor).
-            let mut g = vec![0.0; n];
-            let mut utility = 0.0;
-            for i in 0..n {
-                if alive[i] {
-                    g[i] = self.objective.local_marginal(i, x[i])?;
-                    utility += self.objective.local_utility(i, x[i])?;
-                }
-            }
-            messages.record_round(self.scheme.messages_per_round(alive_count, self.counting));
-
-            // Dissemination over the lossy channel. `fresh[i]` means agent
-            // i's round-`rounds` report reached everyone who needed it in
-            // time (after retries).
-            let mut fresh = vec![false; n];
-            for i in 0..n {
-                if !alive[i] {
-                    continue;
-                }
-                let targets = self.report_targets(i, &alive);
-                if targets.is_empty() {
-                    // Nothing to transmit (sole survivor, or the central
-                    // coordinator itself): trivially heard.
-                    fresh[i] = true;
-                    stale[i] = Some(StaleEntry { round: rounds, marginal: g[i] });
-                    continue;
-                }
-                match channel.broadcast_report(rounds, i, &targets, g[i], x[i], recorder) {
-                    Some(done) if done == rounds => {
-                        fresh[i] = true;
-                        stale[i] = Some(StaleEntry { round: rounds, marginal: g[i] });
-                    }
-                    // Late or lost: the stale table is refreshed by
-                    // `arrivals` when (and if) the report completes.
-                    _ => {}
-                }
-            }
-            let all_fresh = (0..n).all(|i| !alive[i] || fresh[i]);
-            fresh_rounds.push(all_fresh);
-            membership_rounds.push(membership_changed);
-
-            // Effective marginals: fresh where heard, stale within the
-            // bound, otherwise the agent is excluded from the step.
-            let mut g_eff = vec![0.0; n];
-            let mut included = vec![false; n];
-            for i in 0..n {
-                if !alive[i] {
-                    g_eff[i] = DEAD_MARGINAL;
-                } else if fresh[i] {
-                    g_eff[i] = g[i];
-                    included[i] = true;
-                } else {
-                    match stale[i] {
-                        Some(entry)
-                            if rounds - entry.round <= self.plan.staleness_bound as usize =>
-                        {
-                            g_eff[i] = entry.marginal;
-                            included[i] = true;
-                            recorder.incr("sim.stale_reuses", 1);
-                            recorder.emit(
-                                "stale",
-                                &[
-                                    ("round", Value::U64(rounds as u64)),
-                                    ("agent", Value::U64(i as u64)),
-                                    ("age", Value::U64((rounds - entry.round) as u64)),
-                                ],
-                            );
-                        }
-                        _ => {
-                            g_eff[i] = g[i];
-                            recorder.incr("sim.excluded_agent_rounds", 1);
-                            recorder.emit(
-                                "excluded",
-                                &[
-                                    ("round", Value::U64(rounds as u64)),
-                                    ("agent", Value::U64(i as u64)),
-                                ],
-                            );
-                        }
-                    }
-                }
-            }
-
-            // §5.2 step (b): the identical reallocation over the included
-            // agents — the full-width path whenever every agent was heard
-            // fresh, bit-identical to the round executor.
-            let outcome = if all_fresh && alive_count == n {
-                compute_step(&x, &g_eff, &weights, self.alpha, self.boundary)
-            } else {
-                let idx: Vec<usize> = (0..n).filter(|&i| included[i]).collect();
-                let sub_x: Vec<f64> = idx.iter().map(|&i| x[i]).collect();
-                let sub_g: Vec<f64> = idx.iter().map(|&i| g_eff[i]).collect();
-                let sub_w = vec![1.0; idx.len()];
-                let sub = compute_step(&sub_x, &sub_g, &sub_w, self.alpha, self.boundary);
-                let mut deltas = vec![0.0; n];
-                let mut active = vec![false; n];
-                for (slot, &i) in idx.iter().enumerate() {
-                    deltas[i] = sub.deltas[slot];
-                    active[i] = sub.active[slot];
-                }
-                StepOutcome { deltas, active, scale: sub.scale }
-            };
-            let spread = marginal_spread(&g_eff, &outcome.active);
-            trace.push(IterationRecord {
-                iteration: rounds,
-                utility,
-                spread,
-                alpha: self.alpha,
-                active_count: outcome.active_count(),
-            });
-            recorder.emit(
-                "round",
-                &[
-                    ("round", Value::U64(rounds as u64)),
-                    ("utility", Value::F64(utility)),
-                    ("spread", Value::F64(spread)),
-                    ("active", Value::U64(outcome.active_count() as u64)),
-                    ("fresh", Value::Bool(all_fresh)),
-                    ("membership", Value::Bool(membership_changed)),
-                ],
-            );
-
-            // The coordinator distributes the step over the same lossy
-            // channel; assignments are acknowledged-and-retried until
-            // applied, so the round commits atomically (counted, not
-            // fate-altering).
-            if let ExchangeScheme::Central { coordinator } = self.scheme {
-                self.account_assignments(rounds, coordinator, &alive, &mut channel, recorder);
-            }
-
-            let converged = all_fresh
-                && spread < self.epsilon
-                && round::boundary_consistent(&x, &g_eff, &outcome.active, self.epsilon);
-            if converged || rounds >= self.max_rounds {
-                recorder.emit(
-                    "run_end",
-                    &[
-                        ("rounds", Value::U64(rounds as u64)),
-                        ("converged", Value::Bool(converged)),
-                        ("final_utility", Value::F64(utility)),
-                    ],
-                );
-                // The caller fills `faults` from the recorded stream — see
-                // `run_observed`.
-                return Ok(SimReport {
-                    allocation: x,
-                    rounds,
-                    converged,
-                    final_utility: utility,
-                    messages,
-                    trace,
-                    faults: FaultCounters::default(),
-                    iterates,
-                    fresh_rounds,
-                    membership_rounds,
-                });
-            }
-
-            // §5.2 step (c): each agent applies its own Δx_i.
-            for (xi, d) in x.iter_mut().zip(&outcome.deltas) {
-                *xi += d;
-            }
-            iterates.push(x.clone());
-            rounds += 1;
-        }
+        summarized(recorder, |tee| self.run_event_driven(initial, tee))
     }
 
     /// Who needs agent `i`'s report: everyone live (broadcast) or the
@@ -598,8 +338,8 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::round::DistributedRun;
     use fap_core::SingleFileProblem;
+    use fap_econ::{ResourceDirectedOptimizer, StepSize};
     use fap_net::{topology, AccessPattern};
 
     fn paper_problem() -> SingleFileProblem {
@@ -609,25 +349,57 @@ mod tests {
     }
 
     #[test]
-    fn zero_fault_sim_is_bit_identical_to_round_executor() {
+    fn zero_fault_run_is_bit_identical_to_centralized_optimizer() {
         let p = paper_problem();
         let x0 = [0.8, 0.1, 0.1, 0.0];
-        for scheme in [ExchangeScheme::Broadcast, ExchangeScheme::Central { coordinator: 1 }] {
+        let centralized = ResourceDirectedOptimizer::new(StepSize::Fixed(0.19))
+            .with_epsilon(1e-6)
+            .run(&p, &x0)
+            .unwrap();
+        assert!(centralized.converged);
+        // Per-round bills on the §6 ring (n = 4): broadcast costs n(n−1)
+        // point-to-point messages, the central scheme 2(n−1), and both
+        // cost n transmissions on a broadcast medium (the §5.1 LAN remark).
+        for (scheme, counting, per_round) in [
+            (ExchangeScheme::Broadcast, MessageCounting::PointToPoint, 12),
+            (ExchangeScheme::Central { coordinator: 1 }, MessageCounting::PointToPoint, 6),
+            (ExchangeScheme::Broadcast, MessageCounting::BroadcastMedium, 4),
+            (ExchangeScheme::Central { coordinator: 1 }, MessageCounting::BroadcastMedium, 4),
+        ] {
             let sim = SimRun::new(&p, scheme, 0.19)
                 .with_epsilon(1e-6)
+                .with_counting(counting)
                 .with_chaos(ChaosPlan::new(1234))
                 .run(&x0)
                 .unwrap();
-            let run = DistributedRun::new(&p, scheme, 0.19).with_epsilon(1e-6).run(&x0).unwrap();
-            assert_eq!(sim.allocation, run.allocation);
-            assert_eq!(sim.rounds, run.rounds);
-            assert_eq!(sim.converged, run.converged);
-            assert_eq!(sim.final_utility, run.final_utility);
-            assert_eq!(sim.messages, run.messages);
-            assert_eq!(sim.trace, run.trace);
+            assert!(sim.converged);
+            assert_eq!(sim.allocation, centralized.allocation);
+            assert_eq!(sim.rounds, centralized.iterations);
+            assert_eq!(sim.trace, centralized.trace);
+            assert_eq!(sim.messages.per_round, per_round, "{scheme:?} / {counting:?}");
+            assert_eq!(sim.messages.rounds as usize, sim.rounds + 1);
+            assert_eq!(sim.messages.total, per_round * sim.messages.rounds);
             assert_eq!(sim.faults.dropped, 0);
             assert_eq!(sim.faults.retries, 0);
         }
+    }
+
+    #[test]
+    fn small_steps_improve_utility_monotonically_and_the_cap_is_honest() {
+        let p = paper_problem();
+        let r = SimRun::new(&p, ExchangeScheme::Broadcast, 0.05)
+            .with_epsilon(1e-7)
+            .run(&[1.0, 0.0, 0.0, 0.0])
+            .unwrap();
+        assert!(r.converged);
+        assert!(r.trace.is_cost_monotone_decreasing(1e-10));
+        let capped = SimRun::new(&p, ExchangeScheme::Broadcast, 1e-6)
+            .with_epsilon(1e-9)
+            .with_max_rounds(5)
+            .run(&[1.0, 0.0, 0.0, 0.0])
+            .unwrap();
+        assert!(!capped.converged);
+        assert_eq!(capped.rounds, 5);
     }
 
     #[test]
@@ -722,19 +494,52 @@ mod tests {
     #[test]
     fn crash_without_rejoin_converges_among_survivors() {
         let p = paper_problem();
-        let r = SimRun::new(&p, ExchangeScheme::Broadcast, 0.05)
-            .with_epsilon(1e-7)
-            .with_max_rounds(100_000)
-            .with_chaos(ChaosPlan::new(0).crash(0, 1))
-            .run(&[0.25; 4])
-            .unwrap();
-        assert!(r.converged);
-        assert_eq!(r.allocation[1], 0.0);
-        for (i, v) in r.allocation.iter().enumerate() {
-            if i != 1 {
-                assert!((v - 1.0 / 3.0).abs() < 1e-2, "{:?}", r.allocation);
+        // One crash, then two in the same round: the symmetric ring's
+        // survivors re-optimize to their own even split.
+        for (plan, dead) in [
+            (ChaosPlan::new(0).crash(0, 1), &[1][..]),
+            (ChaosPlan::new(0).crash(0, 0).crash(0, 2), &[0, 2][..]),
+        ] {
+            let r = SimRun::new(&p, ExchangeScheme::Broadcast, 0.05)
+                .with_epsilon(1e-7)
+                .with_max_rounds(100_000)
+                .with_chaos(plan)
+                .run(&[0.25; 4])
+                .unwrap();
+            assert!(r.converged);
+            assert_eq!(r.faults.crashes, dead.len() as u64);
+            let share = 1.0 / (4 - dead.len()) as f64;
+            for (i, v) in r.allocation.iter().enumerate() {
+                if dead.contains(&i) {
+                    assert_eq!(*v, 0.0);
+                } else {
+                    assert!((v - share).abs() < 1e-2, "{:?}", r.allocation);
+                }
             }
+            let total: f64 = r.allocation.iter().sum();
+            assert!((total - 1.0).abs() < 1e-9);
         }
+    }
+
+    /// §4(a): a crash in round `r` makes `iterates[r][agent]` of the file
+    /// unreachable. Fragmentation keeps three quarters of it available; the
+    /// integral placement loses everything with its one node.
+    #[test]
+    fn crash_availability_favours_fragmented_allocations() {
+        let p = paper_problem();
+        let availability = |start: &[f64], agent: usize| {
+            let r = SimRun::new(&p, ExchangeScheme::Broadcast, 0.1)
+                .with_epsilon(1e-6)
+                .with_max_rounds(5_000)
+                .with_chaos(ChaosPlan::new(0).crash(0, agent))
+                .run(start)
+                .unwrap();
+            assert!(r.converged);
+            assert_eq!(r.allocation[agent], 0.0);
+            1.0 - r.iterates[0][agent]
+        };
+        assert!((availability(&[0.25; 4], 3) - 0.75).abs() < 1e-12);
+        assert_eq!(availability(&[1.0, 0.0, 0.0, 0.0], 0), 0.0);
     }
 
     #[test]
@@ -759,7 +564,21 @@ mod tests {
         let bad_drop = SimRun::new(&p, ExchangeScheme::Broadcast, 0.1)
             .with_chaos(ChaosPlan::new(0).with_drop(2.0));
         assert!(bad_drop.run(&[0.25; 4]).is_err());
-        assert!(SimRun::new(&p, ExchangeScheme::Broadcast, 0.1).run(&[0.5; 4]).is_err());
+        for plan in [
+            ChaosPlan::new(0).crash(0, 9),
+            ChaosPlan::new(0).crash(0, 0).crash(0, 1).crash(0, 2).crash(0, 3),
+        ] {
+            let run = SimRun::new(&p, ExchangeScheme::Broadcast, 0.1).with_chaos(plan);
+            assert!(run.run(&[0.25; 4]).is_err(), "unknown agents and kill-all plans");
+        }
+        let broadcast = |alpha| SimRun::new(&p, ExchangeScheme::Broadcast, alpha);
+        assert!(broadcast(0.0).run(&[0.25; 4]).is_err());
+        assert!(broadcast(f64::NAN).run(&[0.25; 4]).is_err());
+        assert!(broadcast(0.1).with_epsilon(0.0).run(&[0.25; 4]).is_err());
+        assert!(broadcast(0.1).run(&[0.5; 4]).is_err());
+        assert!(broadcast(0.1).run(&[0.5; 2]).is_err());
+        let far_coordinator = SimRun::new(&p, ExchangeScheme::Central { coordinator: 9 }, 0.1);
+        assert!(far_coordinator.run(&[0.25; 4]).is_err());
     }
 
     #[test]

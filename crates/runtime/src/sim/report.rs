@@ -67,10 +67,10 @@ impl FaultCounters {
 
 /// The outcome of a simulated run under a [`ChaosPlan`](super::ChaosPlan).
 ///
-/// Under a zero-fault plan, `allocation`, `rounds`, `converged`,
-/// `final_utility`, `messages` and `trace` are bit-identical to the
-/// [`RunReport`](crate::RunReport) the round executor produces for the same
-/// configuration.
+/// Under a zero-fault plan, `allocation`, `rounds` and `trace` are
+/// bit-identical to the [`fap_econ::Solution`] the centralized
+/// [`fap_econ::ResourceDirectedOptimizer`] produces for the same step size
+/// and ε (`rounds` is its `iterations`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimReport {
     /// The final allocation (agent `i`'s fragment at index `i`; crashed
@@ -90,8 +90,9 @@ pub struct SimReport {
     /// Fault accounting for the whole run.
     pub faults: FaultCounters,
     /// Every allocation the run visited: `iterates[0]` is the initial
-    /// allocation, `iterates[k]` the allocation after round `k−1`'s step
-    /// (plus any crash/rejoin redistribution at the start of round `k`).
+    /// allocation, `iterates[k]` the allocation after round `k−1`'s step.
+    /// A crash or rejoin at the start of round `k` redistributes
+    /// `iterates[k]`; the redistribution first shows in `iterates[k + 1]`.
     pub iterates: Vec<Vec<f64>>,
     /// Per round (length `rounds + 1`): whether every live agent's report
     /// arrived fresh — i.e. the round's step used no stale or missing data.

@@ -9,59 +9,52 @@
 //! ```
 
 use fap::prelude::*;
-use fap::runtime::failure::run_with_failures;
+
+const CRASH_ROUND: usize = 0;
+const CRASHED: usize = 2;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let graph = topology::full_mesh(5, 1.0)?;
     let pattern = AccessPattern::uniform(5, 1.0)?;
     let problem = SingleFileProblem::mm1(&graph, &pattern, 1.5, 1.0)?;
+    // The crashed node's records are re-fetched from a backing store and
+    // spread over the survivors, who then re-optimize among themselves.
+    let run = |start: &[f64]| {
+        SimRun::new(&problem, ExchangeScheme::Broadcast, 0.1)
+            .with_epsilon(1e-6)
+            .with_chaos(ChaosPlan::new(0).crash(CRASH_ROUND, CRASHED))
+            .run(start)
+    };
+    // The fraction of the file still reachable right after the crash.
+    let availability = |report: &SimReport| 1.0 - report.iterates[CRASH_ROUND][CRASHED];
 
-    println!("fragmented allocation, node 2 crashes at round 0:");
-    let plan = FailurePlan::new().crash(0, 2);
-    let fragmented = run_with_failures(
-        &problem,
-        ExchangeScheme::Broadcast,
-        0.1,
-        &[0.2; 5],
-        &plan,
-        10_000,
-        1e-6,
-    )?;
-    for e in &fragmented.events {
-        println!(
-            "  round {}: node {} lost {:.0}% of the file -> availability {:.0}%",
-            e.round,
-            e.agent,
-            100.0 * e.lost_fraction,
-            100.0 * e.availability
-        );
-    }
+    println!("fragmented allocation, node {CRASHED} crashes at round {CRASH_ROUND}:");
+    let fragmented = run(&[0.2; 5])?;
+    let kept = availability(&fragmented);
+    println!(
+        "  node {CRASHED} lost {:.0}% of the file -> availability {:.0}%",
+        100.0 * (1.0 - kept),
+        100.0 * kept
+    );
     println!(
         "  survivors re-optimized (converged={}) to {:?}",
         fragmented.converged,
         rounded(&fragmented.allocation)
     );
 
-    println!("\nintegral allocation (whole file on node 2), same crash:");
-    let integral = run_with_failures(
-        &problem,
-        ExchangeScheme::Broadcast,
-        0.1,
-        &[0.0, 0.0, 1.0, 0.0, 0.0],
-        &plan,
-        10_000,
-        1e-6,
-    )?;
-    let event = &integral.events[0];
+    println!("\nintegral allocation (whole file on node {CRASHED}), same crash:");
+    let integral = run(&[0.0, 0.0, 1.0, 0.0, 0.0])?;
     println!(
         "  availability at the crash: {:.0}% — every record was on the failed node",
-        100.0 * event.availability
+        100.0 * availability(&integral)
     );
 
-    assert!(fragmented.events[0].availability > 0.7);
-    assert!(event.availability < 1e-9);
-    println!("\nfragmentation kept {:.0}% of the file reachable; the integral placement kept 0%.",
-        100.0 * fragmented.events[0].availability);
+    assert!(kept > 0.7);
+    assert!(availability(&integral) < 1e-9);
+    println!(
+        "\nfragmentation kept {:.0}% of the file reachable; the integral placement kept 0%.",
+        100.0 * kept
+    );
     Ok(())
 }
 

@@ -34,10 +34,10 @@
 //!   that rides the landmark oracle past dense-matrix scale;
 //! * [`ring`] — the §7 multi-copy virtual-ring extension with its
 //!   oscillation-aware solver;
-//! * [`runtime`] — the protocol as a message-passing (and multi-threaded)
-//!   distributed system with message accounting, failure injection, a
-//!   seeded chaos simulator running the exchange schemes over an
-//!   unreliable network, and the online-reallocation control loop
+//! * [`runtime`] — the protocol as a message-passing distributed system:
+//!   one event-driven executor with message accounting, running the
+//!   exchange schemes over a seeded unreliable network with crash/rejoin
+//!   injection, and the online-reallocation control loop
 //!   ([`DriftRun`](fap_runtime::DriftRun)) tracking seeded workload-drift
 //!   trajectories with hysteresis and bounded-bandwidth migration;
 //! * [`obs`] — zero-dependency structured telemetry: a metrics registry
@@ -111,8 +111,8 @@ pub mod prelude {
     pub use fap_queue::{DelayModel, Mg1Delay, Mm1Delay, NetworkSimulation, ServiceDistribution};
     pub use fap_ring::{RingSolver, VirtualRing};
     pub use fap_runtime::{
-        ChaosPlan, DistributedRun, DriftConfig, DriftReport, DriftRun, DriftScenario,
-        ExchangeScheme, FailurePlan, MessageCounting, SimReport, SimRun,
+        ChaosPlan, DriftConfig, DriftReport, DriftRun, DriftScenario, ExchangeScheme,
+        MessageCounting, SimReport, SimRun,
     };
     pub use fap_serve::{
         BatchServer, ServeOutput, ServeRequest, ServeResponse, SessionSeeds,

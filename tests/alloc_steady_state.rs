@@ -11,22 +11,36 @@
 //! `unsafe`, which is why this lives in an integration test crate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
 use fap::batch::Parallelism;
 use fap::core::{MultiFileProblem, MultiFileScratch, MultiFileSolution};
 use fap::net::{topology, AccessPattern};
 
-struct CountingAllocator {
-    enabled: AtomicBool,
-    allocations: AtomicU64,
+thread_local! {
+    /// Allocations counted on this thread; `None` while it is not inside
+    /// [`counted`]. Thread-local so the harness's other test threads never
+    /// add to a measurement.
+    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
+fn note_allocation() {
+    // `try_with`: the allocator can run during thread teardown.
+    let _ = ALLOCATIONS.try_with(|count| {
+        if let Some(n) = count.get() {
+            count.set(Some(n + 1));
+        }
+    });
+}
+
+struct CountingAllocator;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counting touches only a
+// thread-local `Cell` with a const initializer, which never allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.allocations.fetch_add(1, Ordering::Relaxed);
-        }
+        note_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -35,25 +49,41 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.allocations.fetch_add(1, Ordering::Relaxed);
-        }
+        note_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator {
-    enabled: AtomicBool::new(false),
-    allocations: AtomicU64::new(0),
-};
+static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Runs `f` and returns the allocations it made on the calling thread.
 fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    ALLOCATOR.allocations.store(0, Ordering::SeqCst);
-    ALLOCATOR.enabled.store(true, Ordering::SeqCst);
+    ALLOCATIONS.with(|count| count.set(Some(0)));
     let value = f();
-    ALLOCATOR.enabled.store(false, Ordering::SeqCst);
-    (ALLOCATOR.allocations.load(Ordering::SeqCst), value)
+    let allocations = ALLOCATIONS.with(|count| count.take()).unwrap_or(0);
+    (allocations, value)
+}
+
+#[test]
+fn counter_sees_only_the_measuring_thread() {
+    let (own, v) = counted(|| Vec::<u64>::with_capacity(8));
+    assert_eq!(own, 1);
+    drop(v);
+    let spawn = |child: fn()| {
+        counted(|| {
+            std::thread::scope(|s| {
+                s.spawn(child);
+            });
+        })
+        .0
+    };
+    // Spawning allocates on this thread (the first spawn also fills
+    // process-wide caches); the child's own allocations must not count.
+    spawn(|| ());
+    let spawn_only = spawn(|| ());
+    let child_allocates = spawn(|| drop(std::hint::black_box(Vec::<u64>::with_capacity(8))));
+    assert_eq!(child_allocates, spawn_only);
 }
 
 fn solve_n(

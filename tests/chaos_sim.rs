@@ -1,9 +1,10 @@
 //! Tier-1 guarantees of the chaos simulator: seeded determinism,
-//! zero-fault equivalence with the other two executors, and a golden-trace
-//! regression for the canonical Figure-3 scenario.
+//! zero-fault equivalence with the centralized optimizer, and a
+//! golden-trace regression for the canonical Figure-3 scenario. The
+//! event-driven engine's bit-identity with the lock-step oracle is pinned
+//! by the unit tests inside `fap-runtime`.
 
 use fap::prelude::*;
-use fap::runtime::threaded::run_threaded;
 use fap::runtime::FaultCounters;
 
 /// The paper's §6 four-node symmetric ring.
@@ -67,18 +68,16 @@ fn different_seeds_diverge() {
     assert_ne!(run(1).faults, run(2).faults);
 }
 
-/// Zero faults ⇒ the three executors (lock-step rounds, real threads,
-/// simulated network) agree bit for bit on the Figure-3 scenario.
+/// Zero faults ⇒ the simulated protocol reproduces the centralized
+/// optimizer bit for bit on the Figure-3 scenario, and records no faults.
 #[test]
-fn executors_agree_without_faults() {
+fn zero_fault_run_matches_the_centralized_optimizer() {
     let p = paper_problem();
 
-    let round = DistributedRun::new(&p, ExchangeScheme::Broadcast, FIG3_ALPHA)
+    let centralized = ResourceDirectedOptimizer::new(StepSize::Fixed(FIG3_ALPHA))
         .with_epsilon(FIG3_EPSILON)
-        .with_max_rounds(10_000)
-        .run(&FIG3_START)
+        .run(&p, &FIG3_START)
         .unwrap();
-    let threaded = run_threaded(&p, FIG3_ALPHA, FIG3_EPSILON, &FIG3_START, 10_000).unwrap();
     let sim = SimRun::new(&p, ExchangeScheme::Broadcast, FIG3_ALPHA)
         .with_epsilon(FIG3_EPSILON)
         .with_max_rounds(10_000)
@@ -86,15 +85,11 @@ fn executors_agree_without_faults() {
         .run(&FIG3_START)
         .unwrap();
 
-    assert!(round.converged && threaded.converged && sim.converged);
-    assert_eq!(round.allocation, threaded.allocation);
-    assert_eq!(round.allocation, sim.allocation);
-    assert_eq!(round.rounds, threaded.rounds);
-    assert_eq!(round.rounds, sim.rounds);
-    assert_eq!(round.final_utility, threaded.final_utility);
-    assert_eq!(round.final_utility, sim.final_utility);
-    assert_eq!(round.trace, sim.trace);
-    assert_eq!(round.messages, sim.messages);
+    assert!(centralized.converged && sim.converged);
+    assert_eq!(centralized.allocation, sim.allocation);
+    assert_eq!(centralized.iterations, sim.rounds);
+    assert_eq!(centralized.final_utility, sim.final_utility);
+    assert_eq!(centralized.trace, sim.trace);
 
     let zero = FaultCounters::default();
     assert_eq!(
@@ -105,61 +100,6 @@ fn executors_agree_without_faults() {
     assert_eq!(sim.faults.sent, sim.faults.delivered);
 }
 
-/// The event-driven engine ([`SimRun::run`]) is bit-identical to the
-/// round-synchronous reference ([`SimRun::run_round_synchronous`]) on
-/// zero-fault plans, across many seeds and both exchange schemes — and on
-/// zero faults both also match the plain lock-step [`DistributedRun`].
-#[test]
-fn event_driven_engine_matches_round_synchronous_without_faults() {
-    let p = paper_problem();
-    let schemes = [ExchangeScheme::Broadcast, ExchangeScheme::Central { coordinator: 0 }];
-    for scheme in schemes {
-        let reference = DistributedRun::new(&p, scheme, FIG3_ALPHA)
-            .with_epsilon(FIG3_EPSILON)
-            .with_max_rounds(10_000)
-            .run(&FIG3_START)
-            .unwrap();
-        for seed in 0..10u64 {
-            let sim = SimRun::new(&p, scheme, FIG3_ALPHA)
-                .with_epsilon(FIG3_EPSILON)
-                .with_max_rounds(10_000)
-                .with_chaos(ChaosPlan::new(seed)); // zero-fault, any seed
-            let event_driven = sim.run(&FIG3_START).unwrap();
-            let lock_step = sim.run_round_synchronous(&FIG3_START).unwrap();
-            assert_eq!(
-                event_driven, lock_step,
-                "engines disagree (scheme {scheme:?}, seed {seed})"
-            );
-            assert_eq!(event_driven.allocation, reference.allocation);
-            assert_eq!(event_driven.rounds, reference.rounds);
-            assert_eq!(event_driven.trace, reference.trace);
-        }
-    }
-}
-
-/// The two engines stay bit-identical even under hostile fault plans:
-/// channel fates are stateless per-coordinate draws, so execution order
-/// cannot leak into the outcome.
-#[test]
-fn event_driven_engine_matches_round_synchronous_under_chaos() {
-    let p = paper_problem();
-    let schemes = [ExchangeScheme::Broadcast, ExchangeScheme::Central { coordinator: 3 }];
-    for scheme in schemes {
-        for seed in 0..8u64 {
-            let sim = SimRun::new(&p, scheme, FIG3_ALPHA)
-                .with_epsilon(FIG3_EPSILON)
-                .with_max_rounds(10_000)
-                .with_chaos(hostile_plan(seed));
-            let event_driven = sim.run(&FIG3_START).unwrap();
-            let lock_step = sim.run_round_synchronous(&FIG3_START).unwrap();
-            assert_eq!(
-                event_driven, lock_step,
-                "engines disagree under chaos (scheme {scheme:?}, seed {seed})"
-            );
-        }
-    }
-}
-
 /// The canonical Figure-3 trace (α = 0.19, ε = 10⁻³, start 0.8/0.1/0.1/0)
 /// is pinned byte-exactly in `tests/golden/fig3_trace.json`. Regenerate
 /// with `UPDATE_GOLDEN=1 cargo test --test chaos_sim` after an intentional
@@ -167,9 +107,10 @@ fn event_driven_engine_matches_round_synchronous_under_chaos() {
 #[test]
 fn golden_fig3_trace_matches() {
     let p = paper_problem();
-    let report = DistributedRun::new(&p, ExchangeScheme::Broadcast, FIG3_ALPHA)
+    let report = SimRun::new(&p, ExchangeScheme::Broadcast, FIG3_ALPHA)
         .with_epsilon(FIG3_EPSILON)
         .with_max_rounds(10_000)
+        .with_chaos(ChaosPlan::new(0))
         .run(&FIG3_START)
         .unwrap();
     assert!(report.converged);

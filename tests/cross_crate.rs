@@ -3,7 +3,6 @@
 //! and the discrete-event simulator must all agree about the same problem.
 
 use fap::prelude::*;
-use fap::runtime::threaded::run_threaded;
 
 fn asymmetric_problem(seed: u64) -> SingleFileProblem {
     let graph = topology::random_connected(6, 0.5, 1.0..3.0, seed).unwrap();
@@ -33,9 +32,10 @@ fn all_solvers_agree_on_the_optimum() {
         .unwrap();
     assert!(second_order.converged);
 
-    let distributed = DistributedRun::new(&p, ExchangeScheme::Broadcast, 0.05)
+    let distributed = SimRun::new(&p, ExchangeScheme::Broadcast, 0.05)
         .with_epsilon(1e-8)
         .with_max_rounds(200_000)
+        .with_chaos(ChaosPlan::new(0))
         .run(&x0)
         .unwrap();
     assert!(distributed.converged);
@@ -51,22 +51,6 @@ fn all_solvers_agree_on_the_optimum() {
         assert!((distributed.allocation[i] - reference_x).abs() < 1e-3, "distributed node {i}");
         assert!((price.allocation[i] - reference_x).abs() < 1e-3, "price node {i}");
     }
-}
-
-/// The threaded executor (real threads, real channels) agrees with the
-/// deterministic round-based executor bit for bit.
-#[test]
-fn threaded_protocol_is_bit_identical_to_round_based() {
-    let p = asymmetric_problem(9);
-    let x0 = vec![1.0 / 6.0; 6];
-    let threaded = run_threaded(&p, 0.1, 1e-6, &x0, 100_000).unwrap();
-    let round = DistributedRun::new(&p, ExchangeScheme::Central { coordinator: 0 }, 0.1)
-        .with_epsilon(1e-6)
-        .with_max_rounds(100_000)
-        .run(&x0)
-        .unwrap();
-    assert_eq!(threaded.allocation, round.allocation);
-    assert_eq!(threaded.rounds, round.rounds);
 }
 
 /// The gossip (neighbors-only) variant reaches the same optimum as global

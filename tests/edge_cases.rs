@@ -52,14 +52,15 @@ fn timing_guided_coordinator_placement() {
     let pattern = AccessPattern::uniform(6, 1.0).unwrap();
     let problem = SingleFileProblem::mm1(&graph, &pattern, 1.5, 1.0).unwrap();
     let x0 = vec![1.0 / 6.0; 6];
-    let central = DistributedRun::new(&problem, ExchangeScheme::Central { coordinator: best }, 0.1)
-        .with_epsilon(1e-6)
-        .run(&x0)
-        .unwrap();
-    let broadcast = DistributedRun::new(&problem, ExchangeScheme::Broadcast, 0.1)
-        .with_epsilon(1e-6)
-        .run(&x0)
-        .unwrap();
+    let run = |scheme| {
+        SimRun::new(&problem, scheme, 0.1)
+            .with_epsilon(1e-6)
+            .with_chaos(ChaosPlan::new(0))
+            .run(&x0)
+            .unwrap()
+    };
+    let central = run(ExchangeScheme::Central { coordinator: best });
+    let broadcast = run(ExchangeScheme::Broadcast);
     assert_eq!(central.allocation, broadcast.allocation);
 }
 

@@ -64,14 +64,21 @@ proptest! {
     }
 
     /// The distributed protocol (message passing, local marginals only)
-    /// reproduces the centralized trajectory exactly on random problems.
+    /// reproduces the centralized trajectory exactly on random problems,
+    /// under either exchange scheme.
     #[test]
     fn protocol_equals_centralized(seed in 0u64..200, n in 3usize..8) {
         let p = random_problem(seed, n, 1.0);
         let x0 = random_start(seed, n);
-        let a = DistributedRun::new(&p, ExchangeScheme::Broadcast, 0.05)
+        let scheme = if seed % 2 == 0 {
+            ExchangeScheme::Broadcast
+        } else {
+            ExchangeScheme::Central { coordinator: seed as usize % n }
+        };
+        let a = SimRun::new(&p, scheme, 0.05)
             .with_epsilon(1e-6)
             .with_max_rounds(100_000)
+            .with_chaos(ChaosPlan::new(seed))
             .run(&x0)
             .unwrap();
         let b = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
