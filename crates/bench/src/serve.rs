@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use fap_batch::Parallelism;
-use fap_cache::CostMatrixCache;
+use fap_cache::{CostBackend, SubstrateCache};
 use fap_core::{MultiFileProblem, SingleFileProblem};
 use fap_net::{topology, AccessPattern, Graph};
 use fap_ring::VirtualRing;
@@ -56,7 +56,7 @@ pub struct CachePoint {
     /// Wall clock to build every request's cost matrix from scratch, ms.
     pub build_cold_ms: f64,
     /// Wall clock resolving the same matrices through a
-    /// [`CostMatrixCache`], ms.
+    /// [`SubstrateCache`], ms.
     pub build_cached_ms: f64,
     /// `build_cold_ms / build_cached_ms`.
     pub speedup: f64,
@@ -180,7 +180,7 @@ pub fn serve_workload(count: usize) -> Vec<ServeRequest> {
 
 /// The graphs backing [`serve_workload`]'s requests, in request order
 /// (ring requests carry no graph). Both graph kinds repeat, so a
-/// [`CostMatrixCache`] sees one miss per kind and hits everywhere else.
+/// [`SubstrateCache`] sees one miss per kind and hits everywhere else.
 pub fn workload_graphs(count: usize) -> Vec<Graph> {
     (0..count)
         .filter(|i| i % 3 != 2)
@@ -233,17 +233,21 @@ fn bench_cache(count: usize) -> CachePoint {
             .map(|g| g.shortest_path_matrix().expect("valid graph"))
             .collect::<Vec<_>>()
     });
-    let mut cache = CostMatrixCache::new();
+    let mut cache = SubstrateCache::new();
+    let mut row = Vec::new();
     let (build_cached_ms, ()) = time_ms(|| {
         for (graph, fresh) in graphs.iter().zip(&cold) {
             let cached = cache
-                .get_or_compute(graph, Parallelism::Sequential)
+                .get_or_build(graph, CostBackend::Dense, &mut fap_obs::NoopRecorder)
                 .expect("valid graph");
-            assert_eq!(
-                cached.as_matrix(),
-                fresh.as_matrix(),
-                "a cached matrix must be bit-identical to a fresh computation"
-            );
+            row.resize(fresh.node_count(), 0.0);
+            for u in graph.nodes() {
+                cached.row_into(u, &mut row);
+                assert!(
+                    row.iter().zip(fresh.row(u)).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "a cached matrix must be bit-identical to a fresh computation"
+                );
+            }
         }
     });
     CachePoint {

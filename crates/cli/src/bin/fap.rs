@@ -106,7 +106,10 @@ solve, run, sim and serve also accept cost-substrate flags:
 
 serve and served also accept --oracle-update: repair cached landmark
 oracles across small topology edits (edge re-price, node join/leave)
-instead of rebuilding them";
+instead of rebuilding them
+
+served --cache-bytes <n> bounds the whole substrate cache, dense matrices
+and landmark oracles together, evicting the oldest entries first";
 
 /// Telemetry flags shared by `solve`/`run`/`sim`/`serve`.
 #[derive(Debug, Default)]
@@ -401,7 +404,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     }
                 }
                 let mut sink = metrics.sink()?;
-                let output = fap_cli::serve::serve_specs_configured(
+                let output = fap_cli::serve::serve_specs(
                     &specs,
                     shards,
                     warm_start,

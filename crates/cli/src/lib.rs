@@ -44,7 +44,7 @@ pub mod track;
 pub use report::{render, render_diff, render_json, summarize, ReportSummary};
 pub use run::{chaos_sim, chaos_sim_observed, simulate, solve, solve_observed, sweep_k, SolveOutput};
 pub use scenario::{Scenario, ScenarioError, Topology};
-pub use serve::{load_specs, serve_specs, serve_specs_with, ServeSpec};
-pub use served::{run_daemon, spec_daemon, spec_parser};
+pub use serve::{load_specs, serve_specs, ServeSpec};
+pub use served::{run_daemon, spec_daemon, spec_parser_with};
 pub use trace::{analyze as analyze_trace, TraceReport, TraceTree};
 pub use track::{parse_track_args, render_track, run_track, TrackOptions};

@@ -38,27 +38,22 @@ pub(crate) fn net_error(e: fap_net::NetError) -> ScenarioError {
 }
 
 /// Builds the single-file problem a scenario describes, through the
-/// scenario's configured cost backend (dense matrix or landmark oracle).
+/// scenario's configured cost backend (dense matrix or landmark oracle),
+/// resolved by a one-shot [`SubstrateCache`](fap_cache::SubstrateCache).
 pub(crate) fn problem_of(scenario: &Scenario) -> Result<SingleFileProblem, ScenarioError> {
     let graph = scenario.topology.build()?;
-    match scenario.cost_backend {
-        fap_cache::CostBackend::Dense => {
-            let costs = graph.shortest_path_matrix().map_err(net_error)?;
-            problem_of_with_costs(scenario, &costs)
-        }
-        fap_cache::CostBackend::Landmark { landmarks, seed } => {
-            let oracle =
-                fap_net::LandmarkOracle::build(&graph, landmarks, seed).map_err(net_error)?;
-            problem_of_with_costs(scenario, &oracle)
-        }
-    }
+    let mut cache = fap_cache::SubstrateCache::new();
+    let costs = cache
+        .get_or_build(&graph, scenario.cost_backend, &mut NoopRecorder)
+        .map_err(net_error)?;
+    problem_of_with_costs(scenario, costs)
 }
 
 /// Builds the single-file problem a scenario describes from an
-/// already-built cost provider (the cache-backed serve path).
+/// already-built cost provider.
 pub(crate) fn problem_of_with_costs(
     scenario: &Scenario,
-    costs: &(impl fap_net::CostProvider + ?Sized),
+    costs: &dyn fap_net::CostProvider,
 ) -> Result<SingleFileProblem, ScenarioError> {
     let pattern = scenario.pattern()?;
     SingleFileProblem::mm1_heterogeneous_with_provider(

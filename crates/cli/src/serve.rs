@@ -17,7 +17,7 @@ use fap_obs::Recorder;
 use fap_ring::VirtualRing;
 use fap_serve::{BatchServer, ServeOutput, ServeRequest};
 
-use crate::run::{problem_of, problem_of_with_costs};
+use crate::run::problem_of_with_costs;
 use crate::scenario::{Scenario, ScenarioError, Topology};
 
 fn default_alpha() -> f64 {
@@ -34,15 +34,6 @@ fn default_ring_tolerance() -> f64 {
 
 fn default_max_iterations() -> usize {
     1_000_000
-}
-
-/// The canonical fingerprint of a spec topology, computed off the built
-/// graph so structurally identical topologies written differently (e.g. a
-/// `ring` shape vs the same ring as an explicit link list) still share
-/// warm-start chains — and a changed topology rotates the requests' warm
-/// keys, invalidating session seeds from the old network.
-fn fingerprint_of(topology: &Topology) -> Result<u64, ScenarioError> {
-    Ok(fap_cache::topology_fingerprint(&topology.build()?))
 }
 
 /// One request in a `fap serve` scenario list.
@@ -152,92 +143,24 @@ impl ServeSpec {
         }
     }
 
-    /// Builds the solver-level request this spec describes.
+    /// Builds the solver-level request this spec describes, resolving its
+    /// cost substrate through `cache`: specs sharing a topology fingerprint
+    /// (and, for landmark backends, a `(K, seed)` pair) build their
+    /// substrate once per distinct key (hits and misses are recorded as
+    /// `cache.*` metrics in `recorder`). A cached substrate is the same
+    /// bits a rebuild would produce, so the request does not depend on
+    /// what the cache held.
+    ///
+    /// With `oracle_update` on (`--oracle-update`), landmark substrates go
+    /// through [`SubstrateCache::get_or_update`], so a cached oracle
+    /// survives a small topology edit (edge re-price, node join/leave) as
+    /// a dirty-frontier repair instead of a cold rebuild — which is what
+    /// keeps a `WarmMode::Session` daemon warm across drift.
     ///
     /// # Errors
     ///
     /// Returns [`ScenarioError::Invalid`] when the spec is not a valid
     /// system.
-    pub fn to_request(&self) -> Result<ServeRequest, ScenarioError> {
-        match self {
-            ServeSpec::SingleFile { scenario } => {
-                let problem = problem_of(scenario)?;
-                let n = scenario.topology.node_count();
-                let initial =
-                    scenario.initial.clone().unwrap_or_else(|| vec![1.0 / n as f64; n]);
-                Ok(ServeRequest::SingleFile {
-                    problem,
-                    initial,
-                    alpha: scenario.alpha,
-                    epsilon: scenario.epsilon,
-                    max_iterations: 1_000_000,
-                    topology: Some(fingerprint_of(&scenario.topology)?),
-                })
-            }
-            ServeSpec::MultiFile { topology, cost_backend, .. } => {
-                let graph = topology.build()?;
-                match cost_backend {
-                    CostBackend::Dense => {
-                        let costs =
-                            graph.shortest_path_matrix().map_err(crate::run::net_error)?;
-                        self.multi_file_request(&costs)
-                    }
-                    CostBackend::Landmark { landmarks, seed } => {
-                        let oracle = fap_net::LandmarkOracle::build(&graph, *landmarks, *seed)
-                            .map_err(crate::run::net_error)?;
-                        self.multi_file_request(&oracle)
-                    }
-                }
-            }
-            ServeSpec::Ring { topology: Some(topology), cost_backend, .. } => {
-                let graph = topology.build()?;
-                match cost_backend {
-                    CostBackend::Dense => {
-                        let costs =
-                            graph.shortest_path_matrix().map_err(crate::run::net_error)?;
-                        self.ring_request_from(&costs)
-                    }
-                    CostBackend::Landmark { landmarks, seed } => {
-                        let oracle = fap_net::LandmarkOracle::build(&graph, *landmarks, *seed)
-                            .map_err(crate::run::net_error)?;
-                        self.ring_request_from(&oracle)
-                    }
-                }
-            }
-            ServeSpec::Ring { .. } => self.ring_request(),
-        }
-    }
-
-    /// Like [`to_request`](Self::to_request), but resolving each spec's
-    /// cost substrate through `cache`: specs sharing a topology fingerprint
-    /// (and, for landmark backends, a `(K, seed)` pair) build their
-    /// substrate once per distinct key per batch (hits and misses are
-    /// recorded as `cache.*` metrics in `recorder`). The requests — and
-    /// therefore the responses — are bit-identical to the uncached path,
-    /// because a cached substrate is the same bits a rebuild would produce.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`to_request`](Self::to_request).
-    pub fn to_request_cached(
-        &self,
-        cache: &mut SubstrateCache,
-        recorder: &mut dyn Recorder,
-    ) -> Result<ServeRequest, ScenarioError> {
-        self.to_request_cached_with(cache, false, recorder)
-    }
-
-    /// [`to_request_cached`](Self::to_request_cached) with the cache's
-    /// incremental oracle path switchable (`--oracle-update`): when on,
-    /// landmark substrates go through
-    /// [`SubstrateCache::get_or_update_observed`], so a cached oracle
-    /// survives a small topology edit (edge re-price, node join/leave)
-    /// as a dirty-frontier repair instead of a cold rebuild — which is
-    /// what keeps a `WarmMode::Session` daemon warm across drift.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`to_request`](Self::to_request).
     pub fn to_request_cached_with(
         &self,
         cache: &mut SubstrateCache,
@@ -254,11 +177,16 @@ impl ServeSpec {
         };
         let graph = topology.build()?;
         let costs = if oracle_update {
-            cache.get_or_update_observed(&graph, backend, Parallelism::Sequential, recorder)
+            cache.get_or_update(&graph, backend, recorder)
         } else {
-            cache.get_or_build_observed(&graph, backend, Parallelism::Sequential, recorder)
+            cache.get_or_build(&graph, backend, recorder)
         }
         .map_err(crate::run::net_error)?;
+        // Warm-start keys come off the built graph, so structurally
+        // identical topologies written differently (a `ring` shape vs the
+        // same ring as a link list) share chains, and a changed topology
+        // rotates the keys, invalidating session seeds from the old network.
+        let fingerprint = fap_cache::topology_fingerprint(&graph);
         match self {
             ServeSpec::SingleFile { scenario } => {
                 let problem = problem_of_with_costs(scenario, costs)?;
@@ -271,17 +199,18 @@ impl ServeSpec {
                     alpha: scenario.alpha,
                     epsilon: scenario.epsilon,
                     max_iterations: 1_000_000,
-                    topology: Some(fap_cache::topology_fingerprint(&graph)),
+                    topology: Some(fingerprint),
                 })
             }
-            ServeSpec::MultiFile { .. } => self.multi_file_request(costs),
+            ServeSpec::MultiFile { .. } => self.multi_file_request(costs, fingerprint),
             ServeSpec::Ring { .. } => self.ring_request_from(costs),
         }
     }
 
     fn multi_file_request(
         &self,
-        costs: &(impl fap_net::CostProvider + ?Sized),
+        costs: &dyn fap_net::CostProvider,
+        fingerprint: u64,
     ) -> Result<ServeRequest, ScenarioError> {
         let ServeSpec::MultiFile {
             topology, lambdas, mus, k, alpha, epsilon, max_iterations, ..
@@ -306,7 +235,7 @@ impl ServeSpec {
             alpha: *alpha,
             epsilon: *epsilon,
             max_iterations: *max_iterations,
-            topology: Some(fingerprint_of(topology)?),
+            topology: Some(fingerprint),
         })
     }
 
@@ -325,7 +254,7 @@ impl ServeSpec {
     /// whichever backend — dense or landmark — resolved `costs`.
     fn ring_request_from(
         &self,
-        costs: &(impl fap_net::CostProvider + ?Sized),
+        costs: &dyn fap_net::CostProvider,
     ) -> Result<ServeRequest, ScenarioError> {
         let ServeSpec::Ring { link_costs, lambdas, mus, copies, k, .. } = self else {
             unreachable!("ring_request_from called on a non-ring spec");
@@ -424,8 +353,14 @@ pub fn example_specs_json() -> String {
 /// `recorder`. Cost substrates are resolved through a per-batch
 /// [`SubstrateCache`], so specs sharing a topology (and backend key) build
 /// their substrate once (visible as `cache.hit`/`cache.miss`/`cache.bytes`
-/// — or `cache.landmark_*` for sparse backends — in `recorder`); the
-/// responses are bit-identical to building every substrate from scratch.
+/// — or `cache.landmark_*` for sparse backends — in `recorder`).
+///
+/// `warm_start` (`fap serve --warm-start`) chains requests of the same
+/// family, shape and solver parameters so they seed each other's solves:
+/// iteration counts drop, the optima stay. `oracle_update`
+/// (`fap serve --oracle-update`) lets successive specs whose topologies
+/// differ by a small edit repair the cached landmark oracle in place
+/// (see [`ServeSpec::to_request_cached_with`]).
 ///
 /// # Errors
 ///
@@ -433,41 +368,6 @@ pub fn example_specs_json() -> String {
 /// failures on well-formed specs are reported per-request in the output
 /// instead).
 pub fn serve_specs(
-    specs: &[ServeSpec],
-    shards: Parallelism,
-    recorder: &mut dyn Recorder,
-) -> Result<ServeOutput, ScenarioError> {
-    serve_specs_with(specs, shards, false, recorder)
-}
-
-/// [`serve_specs`] with the server's warm-start chaining switchable
-/// (`fap serve --warm-start`): requests of the same family, shape and
-/// solver parameters seed each other's solves. Warm responses can differ
-/// in their iteration counts (that is the point) but reach the same
-/// optima; cold mode is bit-identical to [`serve_specs`].
-///
-/// # Errors
-///
-/// Same conditions as [`serve_specs`].
-pub fn serve_specs_with(
-    specs: &[ServeSpec],
-    shards: Parallelism,
-    warm_start: bool,
-    recorder: &mut dyn Recorder,
-) -> Result<ServeOutput, ScenarioError> {
-    serve_specs_configured(specs, shards, warm_start, false, recorder)
-}
-
-/// [`serve_specs_with`] plus the cache's incremental oracle path
-/// (`fap serve --oracle-update`): successive specs whose topologies
-/// differ by a small edit (edge re-price, node join/leave) repair the
-/// cached landmark oracle in place instead of rebuilding it, visible as
-/// `cache.landmark_incremental` in `recorder`.
-///
-/// # Errors
-///
-/// Same conditions as [`serve_specs`].
-pub fn serve_specs_configured(
     specs: &[ServeSpec],
     shards: Parallelism,
     warm_start: bool,
@@ -524,13 +424,23 @@ pub fn render_output(specs: &[ServeSpec], output: &ServeOutput) -> String {
 mod tests {
     use super::*;
 
+    /// Serves `specs` without warm starts or oracle repairs.
+    fn serve_cold(specs: &[ServeSpec], shards: Parallelism) -> Result<ServeOutput, ScenarioError> {
+        serve_specs(specs, shards, false, false, &mut fap_obs::NoopRecorder)
+    }
+
+    /// The request a spec resolves to through a cache of its own, so
+    /// every lookup is a miss.
+    fn fresh_request(spec: &ServeSpec) -> Result<ServeRequest, ScenarioError> {
+        spec.to_request_cached_with(&mut SubstrateCache::new(), false, &mut fap_obs::NoopRecorder)
+    }
+
     #[test]
     fn example_list_round_trips_and_serves() {
         let json = example_specs_json();
         let specs = specs_from_json(&json).unwrap();
         assert_eq!(specs, example_specs());
-        let output =
-            serve_specs(&specs, Parallelism::Fixed(2), &mut fap_obs::NoopRecorder).unwrap();
+        let output = serve_cold(&specs, Parallelism::Fixed(2)).unwrap();
         assert_eq!(output.ok_count(), 3);
         assert_eq!(output.aggregate.counter("serve.requests"), 3);
         let rendered = render_output(&specs, &output);
@@ -543,12 +453,9 @@ mod tests {
     fn sharded_serving_matches_sequential_through_the_spec_layer() {
         let mut specs = example_specs();
         specs.extend(example_specs());
-        let sequential =
-            serve_specs(&specs, Parallelism::Sequential, &mut fap_obs::NoopRecorder).unwrap();
+        let sequential = serve_cold(&specs, Parallelism::Sequential).unwrap();
         for shards in [2, 8] {
-            let sharded =
-                serve_specs(&specs, Parallelism::Fixed(shards), &mut fap_obs::NoopRecorder)
-                    .unwrap();
+            let sharded = serve_cold(&specs, Parallelism::Fixed(shards)).unwrap();
             assert_eq!(sequential.responses, sharded.responses);
         }
     }
@@ -558,8 +465,7 @@ mod tests {
         let scenario = Scenario::example();
         let solve = crate::run::solve(&scenario).unwrap();
         let specs = [ServeSpec::SingleFile { scenario }];
-        let output =
-            serve_specs(&specs, Parallelism::Sequential, &mut fap_obs::NoopRecorder).unwrap();
+        let output = serve_cold(&specs, Parallelism::Sequential).unwrap();
         match output.responses[0].as_ref().unwrap() {
             fap_serve::ServeResponse::SingleFile(s) => {
                 assert_eq!(s.allocation, solve.allocation);
@@ -575,8 +481,7 @@ mod tests {
         if let ServeSpec::Ring { link_costs, .. } = &mut specs[2] {
             link_costs.truncate(2); // a ring needs ≥ 3 links
         }
-        let err = serve_specs(&specs, Parallelism::Sequential, &mut fap_obs::NoopRecorder)
-            .unwrap_err();
+        let err = serve_cold(&specs, Parallelism::Sequential).unwrap_err();
         assert!(err.to_string().contains("request 2"), "{err}");
     }
 
@@ -586,7 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_topologies_hit_the_cost_matrix_cache() {
+    fn repeated_topologies_hit_the_substrate_cache() {
         // Three copies of the example list: 6 graph-backed specs (the ring
         // spec needs no matrix), but the single- and multi-file examples
         // share one topology — Dijkstra runs once for the whole batch.
@@ -594,7 +499,8 @@ mod tests {
         specs.extend(example_specs());
         specs.extend(example_specs());
         let mut telemetry = fap_obs::Telemetry::manual();
-        let output = serve_specs(&specs, Parallelism::Sequential, &mut telemetry).unwrap();
+        let output =
+            serve_specs(&specs, Parallelism::Sequential, false, false, &mut telemetry).unwrap();
         assert_eq!(output.err_count(), 0);
         let registry = telemetry.registry();
         assert_eq!(registry.counter("cache.miss"), 1, "one distinct topology");
@@ -606,11 +512,9 @@ mod tests {
     fn cached_serving_is_bit_identical_to_uncached_requests() {
         let mut specs = example_specs();
         specs.extend(example_specs());
-        let direct: Vec<ServeRequest> =
-            specs.iter().map(|s| s.to_request().unwrap()).collect();
+        let direct: Vec<ServeRequest> = specs.iter().map(|s| fresh_request(s).unwrap()).collect();
         let uncached = BatchServer::new(Parallelism::Sequential).serve(&direct);
-        let cached =
-            serve_specs(&specs, Parallelism::Sequential, &mut fap_obs::NoopRecorder).unwrap();
+        let cached = serve_cold(&specs, Parallelism::Sequential).unwrap();
         assert_eq!(uncached.responses, cached.responses);
     }
 
@@ -624,7 +528,8 @@ mod tests {
             ServeSpec::SingleFile { scenario: Scenario::example() },
         ];
         let mut telemetry = fap_obs::Telemetry::manual();
-        let output = serve_specs(&specs, Parallelism::Sequential, &mut telemetry).unwrap();
+        let output =
+            serve_specs(&specs, Parallelism::Sequential, false, false, &mut telemetry).unwrap();
         assert_eq!(output.err_count(), 0);
         let registry = telemetry.registry();
         assert_eq!(registry.counter("cache.landmark_miss"), 1, "one oracle build");
@@ -659,15 +564,18 @@ mod tests {
         );
         let specs = vec![base.clone(), sparse];
         let mut telemetry = fap_obs::Telemetry::manual();
-        let output = serve_specs(&specs, Parallelism::Sequential, &mut telemetry).unwrap();
+        let output =
+            serve_specs(&specs, Parallelism::Sequential, false, false, &mut telemetry).unwrap();
         assert_eq!(output.err_count(), 0);
         assert_eq!(telemetry.registry().counter("cache.miss"), 1, "dense ring substrate");
         assert_eq!(telemetry.registry().counter("cache.landmark_miss"), 1, "sparse one");
-        // The cached path and the direct path agree bit for bit.
-        let direct = base.to_request().unwrap();
+        // A cache hit and a fresh build agree bit for bit.
+        let direct = fresh_request(&base).unwrap();
         let mut cache = SubstrateCache::new();
-        let cached =
-            base.to_request_cached(&mut cache, &mut fap_obs::NoopRecorder).unwrap();
+        let mut noop = fap_obs::NoopRecorder;
+        base.to_request_cached_with(&mut cache, false, &mut noop).unwrap();
+        let cached = base.to_request_cached_with(&mut cache, false, &mut noop).unwrap();
+        assert_eq!(cache.hits(), 1, "the second lookup is a hit");
         match (&direct, &cached) {
             (ServeRequest::Ring { ring: a, .. }, ServeRequest::Ring { ring: b, .. }) => {
                 assert_eq!(a, b);
@@ -685,7 +593,7 @@ mod tests {
         if let ServeSpec::Ring { link_costs, .. } = &mut both {
             *link_costs = vec![1.0; 6];
         }
-        assert!(both.to_request().unwrap_err().to_string().contains("pick one"));
+        assert!(fresh_request(&both).unwrap_err().to_string().contains("pick one"));
     }
 
     #[test]
@@ -707,14 +615,9 @@ mod tests {
         let specs: Vec<ServeSpec> = (0..4)
             .map(|_| ServeSpec::SingleFile { scenario: Scenario::example() })
             .collect();
-        let cold =
-            serve_specs(&specs, Parallelism::Sequential, &mut fap_obs::NoopRecorder).unwrap();
-        let warm = serve_specs_with(
-            &specs,
-            Parallelism::Sequential,
-            true,
-            &mut fap_obs::NoopRecorder,
-        )
+        let cold = serve_cold(&specs, Parallelism::Sequential).unwrap();
+        let warm =
+            serve_specs(&specs, Parallelism::Sequential, true, false, &mut fap_obs::NoopRecorder)
         .unwrap();
         assert_eq!(warm.err_count(), 0);
         assert_eq!(warm.aggregate.counter("serve.warm_starts"), 3);
@@ -727,12 +630,8 @@ mod tests {
             assert!(w.iterations() <= c.iterations());
         }
         // And warm sharded serving still matches warm sequential.
-        let warm_sharded = serve_specs_with(
-            &specs,
-            Parallelism::Fixed(4),
-            true,
-            &mut fap_obs::NoopRecorder,
-        )
+        let warm_sharded =
+            serve_specs(&specs, Parallelism::Fixed(4), true, false, &mut fap_obs::NoopRecorder)
         .unwrap();
         assert_eq!(warm.responses, warm_sharded.responses);
     }

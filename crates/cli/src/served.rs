@@ -4,7 +4,7 @@
 //! This module binds the wire-format-agnostic [`Daemon`] from `fap-served`
 //! to the same scenario-list syntax `fap serve` reads: each input
 //! envelope's `batch` field is a JSON array of [`ServeSpec`]s. The daemon
-//! keeps its cost-matrix cache, warm-start seeds and worker pool alive
+//! keeps its substrate cache, warm-start seeds and worker pool alive
 //! across batches, so a long session amortizes work a one-shot `fap serve`
 //! pays per invocation.
 //!
@@ -35,13 +35,9 @@ use crate::track::drift_command_line;
 /// The CLI's batch parser: an envelope's `batch` field is a JSON array of
 /// [`ServeSpec`]s, resolved through the daemon's persistent substrate
 /// cache (hits and misses land in the session's `cache.*` metrics).
-pub fn spec_parser() -> impl BatchParser {
-    spec_parser_with(false)
-}
-
-/// [`spec_parser`] with the incremental oracle path switchable
-/// (`--oracle-update`): when on, landmark substrates resolve through
-/// [`SubstrateCache::get_or_update_observed`], so a cached oracle
+///
+/// With `oracle_update` on (`--oracle-update`), landmark substrates
+/// resolve through [`SubstrateCache::get_or_update`], so a cached oracle
 /// survives a small topology edit between batches as a dirty-frontier
 /// repair instead of a cold rebuild.
 pub fn spec_parser_with(oracle_update: bool) -> impl BatchParser {
@@ -200,13 +196,9 @@ mod tests {
         // `fap served` in the default (batch) warm mode must embed exactly
         // the responses one-shot `fap serve --warm-start` produces.
         let specs = crate::serve::example_specs();
-        let oneshot = crate::serve::serve_specs_with(
-            &specs,
-            Parallelism::Auto,
-            true,
-            &mut NoopRecorder,
-        )
-        .unwrap();
+        let oneshot =
+            crate::serve::serve_specs(&specs, Parallelism::Auto, true, false, &mut NoopRecorder)
+                .unwrap();
         let rendered: Vec<Value> = oneshot
             .responses
             .iter()

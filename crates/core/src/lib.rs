@@ -10,7 +10,7 @@
 //!   curvatures, generic over the per-node delay model (M/M/1 as in the
 //!   paper, or the §5.4 M/G/1 extension) and supporting heterogeneous
 //!   service rates;
-//! * [`reference`] — a centralized closed-form solver (KKT water-filling)
+//! * [`reference`](mod@reference) — a centralized closed-form solver (KKT water-filling)
 //!   used as ground truth for the decentralized algorithm;
 //! * [`baseline`] — the integral (whole-file) allocations of the classical
 //!   FAP literature, against which Figure 4 argues for fragmentation;

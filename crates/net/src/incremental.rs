@@ -19,7 +19,7 @@
 //!   the new node from its links (join) or treat the departure as an
 //!   increase on every incident link (leave).
 //!
-//! **Bit-identity.** [`crate::shortest_path::dijkstra_into`]'s final
+//! **Bit-identity.** `shortest_path::dijkstra_into`'s final
 //! distances satisfy `d[v] = min_u (d[u] + w(u,v))` *exactly in `f64`*
 //! (every settled node relaxes its neighbors at its final value, and each
 //! final value is the minimum of the candidates), and with non-negative

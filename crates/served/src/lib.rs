@@ -1,6 +1,6 @@
 //! # fap-served — the persistent serving daemon
 //!
-//! `fap serve` is one-shot: it builds a cost-matrix cache, serves one
+//! `fap serve` is one-shot: it builds a substrate cache, serves one
 //! batch, and exits — every batch pays the warm-up again. This crate is
 //! the long-lived counterpart: a [`Daemon`] that accepts newline-delimited
 //! JSON envelopes on any line source, keeps the expensive state alive
@@ -8,13 +8,13 @@
 //!
 //! * the [`SubstrateCache`] persists, so a topology seen in batch 1 is a
 //!   `cache.hit` (dense matrix) or `cache.landmark_hit` (landmark oracle)
-//!   in every later batch (the dense side bounded by an optional byte
-//!   budget with FIFO eviction);
+//!   in every later batch (both kinds bounded together by an optional
+//!   byte budget, oldest entries evicted first);
 //! * warm-start state persists per [`WarmMode`]: `batch` (the default)
 //!   chains within each batch exactly like one-shot
 //!   `fap serve --warm-start`, `session` additionally carries each chain's
 //!   converged allocation across batches through
-//!   [`SessionSeeds`](fap_serve::SessionSeeds), and `off` serves cold;
+//!   [`SessionSeeds`], and `off` serves cold;
 //! * the work-stealing [`BatchServer`] is constructed once and reused.
 //!
 //! ## The virtual clock and admission control
@@ -138,8 +138,8 @@ impl WarmMode {
 /// Turns one envelope's `batch` value into solver-level requests. The
 /// daemon resolves batch *syntax* through this trait so the wire format
 /// stays a caller decision; the cache handed in is the daemon's persistent
-/// [`SubstrateCache`] (dense cost matrices and landmark oracles side by
-/// side), and hits/misses are recorded into `recorder`.
+/// [`SubstrateCache`] (dense cost matrices and landmark oracles under one
+/// byte budget), and hits/misses are recorded into `recorder`.
 pub trait BatchParser {
     /// Parses `batch` (the envelope's `batch` field) into requests.
     ///
@@ -187,8 +187,8 @@ pub struct DaemonConfig {
     /// recent samples kept; the model forgets a workload shift after this
     /// many observations).
     pub admission_window: usize,
-    /// Byte budget for the persistent cost-matrix cache (`None` =
-    /// unbounded).
+    /// Byte budget for the whole substrate cache, dense and landmark
+    /// together (`None` = unbounded).
     pub cache_bytes: Option<u64>,
     /// Use wall-clock milliseconds instead of scripted `at` ticks.
     pub wall_clock: bool,
@@ -738,10 +738,10 @@ impl<P: BatchParser> Daemon<P> {
             ("completed", Value::UInt(self.completed)),
             ("shed", Value::UInt(self.shed)),
             ("seeds", uint(self.seeds.len())),
-            ("cache_entries", uint(self.cache.dense().len() + self.cache.landmarks().len())),
-            ("cache_hits", Value::UInt(self.cache.dense().hits() + self.cache.landmarks().hits())),
-            ("cache_misses", Value::UInt(self.cache.dense().misses() + self.cache.landmarks().misses())),
-            ("cache_bytes", Value::UInt(self.cache.dense().bytes() + self.cache.landmarks().bytes())),
+            ("cache_entries", uint(self.cache.len())),
+            ("cache_hits", Value::UInt(self.cache.hits())),
+            ("cache_misses", Value::UInt(self.cache.misses())),
+            ("cache_bytes", Value::UInt(self.cache.bytes())),
             ("predicted_wait", predicted),
         ])
     }
@@ -827,6 +827,7 @@ fn render(fields: &[(&str, Value)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fap_cache::CostBackend;
     use fap_core::SingleFileProblem;
     use fap_net::{topology, AccessPattern};
     use fap_obs::MetricsRegistry;
@@ -843,8 +844,7 @@ mod tests {
             };
             let graph = topology::ring(5, 1.0).map_err(|e| e.to_string())?;
             let costs = cache
-                .dense_mut()
-                .get_or_compute_observed(&graph, Parallelism::Sequential, recorder)
+                .get_or_build(&graph, CostBackend::Dense, recorder)
                 .map_err(|e| e.to_string())?;
             items
                 .iter()
@@ -852,11 +852,39 @@ mod tests {
                     let seed = as_tick(item).ok_or("seeds must be integers")? as u64;
                     let pattern =
                         AccessPattern::random(5, 0.2..0.6, seed).map_err(|e| e.to_string())?;
-                    let problem = SingleFileProblem::mm1_with_costs(costs, &pattern, 4.0, 1.0)
+                    let problem = SingleFileProblem::mm1_with_provider(costs, &pattern, 4.0, 1.0)
                         .map_err(|e| e.to_string())?;
                     Ok(ServeRequest::SingleFile {
                         problem,
                         initial: vec![0.2; 5],
+                        alpha: 0.1,
+                        epsilon: 1e-6,
+                        max_iterations: 100_000,
+                        topology: None,
+                    })
+                })
+                .collect()
+        }
+    }
+
+    /// A test parser mixing both substrate kinds: every batch is one dense
+    /// and one landmark single-file request over the same 16-ring.
+    fn mixed_parser(
+    ) -> impl FnMut(&Value, &mut SubstrateCache, &mut dyn Recorder) -> Result<Vec<ServeRequest>, String>
+    {
+        |_batch, cache, recorder| {
+            let graph = topology::ring(16, 1.0).map_err(|e| e.to_string())?;
+            let pattern = AccessPattern::uniform(16, 0.05).map_err(|e| e.to_string())?;
+            [CostBackend::Dense, CostBackend::Landmark { landmarks: 4, seed: 1 }]
+                .into_iter()
+                .map(|backend| {
+                    let costs =
+                        cache.get_or_build(&graph, backend, recorder).map_err(|e| e.to_string())?;
+                    let problem = SingleFileProblem::mm1_with_provider(costs, &pattern, 4.0, 1.0)
+                        .map_err(|e| e.to_string())?;
+                    Ok(ServeRequest::SingleFile {
+                        problem,
+                        initial: vec![1.0 / 16.0; 16],
                         alpha: 0.1,
                         epsilon: 1e-6,
                         max_iterations: 100_000,
@@ -1185,6 +1213,27 @@ mod tests {
         // Steals depend on thread timing, so no response line renders them.
         assert!(!status.contains("steals"), "{status}");
         assert!(status.contains("\"shed\":0"), "{status}");
+    }
+
+    #[test]
+    fn one_cache_budget_bounds_dense_and_landmark_entries_together() {
+        // ring(16): the dense matrix is 16·16·8 = 2048 bytes, a K = 4
+        // oracle 4·16·8 + 16·12 = 704. A 2500-byte budget fits either
+        // alone but not both.
+        let config = DaemonConfig { cache_bytes: Some(2500), ..DaemonConfig::default() };
+        let mut d = Daemon::new(mixed_parser(), &config).unwrap();
+        let (out, registry) =
+            drive(&mut d, &["{\"at\":0,\"batch\":[0]}", "{\"cmd\":\"shutdown\"}"]);
+        let status = out.lines().find(|l| l.contains("\"kind\":\"status\"")).unwrap();
+        let bytes: u64 = status
+            .split("\"cache_bytes\":")
+            .nth(1)
+            .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+            .and_then(|digits| digits.parse().ok())
+            .unwrap();
+        assert!(bytes <= 2500, "cache_bytes {bytes} over the 2500-byte budget: {status}");
+        assert!(status.contains("\"cache_entries\":1"), "{status}");
+        assert_eq!(registry.counter("cache.evictions"), 1);
     }
 
     #[test]

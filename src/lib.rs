@@ -15,12 +15,10 @@
 //!   workloads, and the [`CostProvider`](fap_net::CostProvider) substrate:
 //!   the exact dense matrix or the sparse
 //!   [`LandmarkOracle`](fap_net::LandmarkOracle);
-//! * [`cache`] — content-addressed warm-path caches: FNV-1a topology
-//!   fingerprints, a [`CostMatrixCache`](fap_cache::CostMatrixCache) that
-//!   runs all-pairs Dijkstra once per distinct graph, and the
-//!   [`SubstrateCache`](fap_cache::SubstrateCache) that keys dense
-//!   matrices and landmark oracles by
-//!   [`CostBackend`](fap_cache::CostBackend);
+//! * [`cache`] — the content-addressed warm-path cache: FNV-1a topology
+//!   fingerprints and the [`SubstrateCache`](fap_cache::SubstrateCache)
+//!   that builds each distinct dense matrix or landmark oracle once, keyed
+//!   by fingerprint and [`CostBackend`](fap_cache::CostBackend);
 //! * [`queue`] — analytic M/M/1 and M/G/1 delay models and a discrete-event
 //!   simulator for empirical validation;
 //! * [`econ`] — the resource-directed (Heal) optimizer with the paper's
@@ -56,7 +54,7 @@
 //! * [`served`] — the persistent serving daemon: a newline-delimited JSON
 //!   protocol over a deterministic virtual clock, M/M/c admission control
 //!   fitted from measured rates with 429-style load shedding, and warm
-//!   state (cost-matrix cache, session seeds) kept alive across batches.
+//!   state (substrate cache, session seeds) kept alive across batches.
 //!
 //! # Quickstart
 //!
@@ -96,7 +94,7 @@ pub use fap_served as served;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use fap_batch::{Matrix, Parallelism};
-    pub use fap_cache::{topology_fingerprint, CostBackend, CostMatrixCache, SubstrateCache};
+    pub use fap_cache::{topology_fingerprint, CostBackend, SubstrateCache};
     pub use fap_core::{
         baseline, reference, AdaptiveAllocator, HierarchicalConfig, HierarchicalSolution,
         HostingMarket, MultiFileProblem, MultiFileScratch, SingleFileProblem,

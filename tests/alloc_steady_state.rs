@@ -170,30 +170,41 @@ fn warm_started_solve_allocates_no_more_than_a_cold_one() {
 
 #[test]
 fn cache_hits_are_allocation_free() {
-    // The warm path of `CostMatrixCache::get_or_compute` — fingerprint the
-    // graph, probe the map, return the stored matrix — must never touch the
-    // allocator: serving keys every request's topology through this lookup.
-    use fap::cache::CostMatrixCache;
+    // The warm path of `SubstrateCache::get_or_build` — fingerprint the
+    // graph, probe the map, return the stored substrate — must never touch
+    // the allocator: serving keys every request's topology through this
+    // lookup.
+    use fap::cache::{CostBackend, SubstrateCache};
+    use fap::net::{CostProvider, NodeId};
+    use fap::obs::NoopRecorder;
 
     let graph = topology::torus(3, 4, 1.0).expect("valid torus");
-    let mut cache = CostMatrixCache::new();
+    let n = graph.node_count();
+    let mut cache = SubstrateCache::new();
     let fresh = graph.shortest_path_matrix().expect("connected");
-    cache.get_or_compute(&graph, Parallelism::Sequential).expect("connected");
+    let same_bits = |cached: &dyn CostProvider| {
+        (0..n).all(|u| {
+            (0..n).all(|v| {
+                let (u, v) = (NodeId::new(u), NodeId::new(v));
+                cached.cost(u, v).to_bits() == fresh.cost(u, v).to_bits()
+            })
+        })
+    };
+    cache.get_or_build(&graph, CostBackend::Dense, &mut NoopRecorder).expect("connected");
 
     let (hit_allocs, ()) = counted(|| {
         for _ in 0..100 {
-            let cached = cache.get_or_compute(&graph, Parallelism::Sequential).expect("cached");
-            assert!(cached.as_matrix() == fresh.as_matrix());
+            let cached =
+                cache.get_or_build(&graph, CostBackend::Dense, &mut NoopRecorder).expect("cached");
+            assert!(same_bits(cached));
         }
     });
     assert_eq!(cache.hits(), 100);
     assert_eq!(hit_allocs, 0, "cache hits allocated {hit_allocs} times over 100 lookups");
-    assert_eq!(
-        cache
-            .get_or_compute(&graph, Parallelism::Sequential)
-            .expect("cached")
-            .as_matrix(),
-        fresh.as_matrix(),
+    assert!(
+        same_bits(
+            cache.get_or_build(&graph, CostBackend::Dense, &mut NoopRecorder).expect("cached")
+        ),
         "hits must return the bits a fresh computation produces"
     );
 }

@@ -186,7 +186,7 @@ fn warm_state_persists_across_batches() {
 fn daemon_responses_are_bit_identical_to_one_shot_serve() {
     let specs = example_specs();
     let oneshot =
-        fap_cli::serve_specs_with(&specs, Parallelism::Sequential, true, &mut NoopRecorder)
+        fap_cli::serve_specs(&specs, Parallelism::Sequential, true, false, &mut NoopRecorder)
             .unwrap();
     let rendered: Vec<serde::Value> =
         oneshot.responses.iter().map(|r| r.as_ref().unwrap().serialize_value()).collect();

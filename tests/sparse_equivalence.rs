@@ -66,7 +66,7 @@ fn substrate_cache_dense_backend_returns_the_exact_matrix() {
     let mut cache = SubstrateCache::new();
     let matrix = graph.shortest_path_matrix().unwrap();
     let provider = cache
-        .get_or_build(&graph, CostBackend::Dense, Parallelism::Sequential)
+        .get_or_build(&graph, CostBackend::Dense, &mut NoopRecorder)
         .unwrap();
     assert_eq!(provider.node_count(), 16);
     let mut row = vec![0.0; 16];

@@ -30,11 +30,15 @@ proptest! {
     ) {
         let graph = topology::random_connected(n, 0.4, 0.5..5.0, seed).unwrap();
         let fresh = graph.shortest_path_matrix().unwrap();
-        let mut cache = CostMatrixCache::new();
+        let mut cache = SubstrateCache::new();
         // Miss, then hit: both lookups must return the fresh bits.
         for _ in 0..2 {
-            let cached = cache.get_or_compute(&graph, Parallelism::Sequential).unwrap();
-            prop_assert_eq!(cached.as_matrix(), fresh.as_matrix());
+            let cached = cache.get_or_build(&graph, CostBackend::Dense, &mut NoopRecorder).unwrap();
+            for u in graph.nodes() {
+                for v in graph.nodes() {
+                    prop_assert_eq!(cached.cost(u, v).to_bits(), fresh.cost(u, v).to_bits());
+                }
+            }
         }
         prop_assert_eq!(cache.hits(), 1);
         prop_assert_eq!(cache.misses(), 1);
