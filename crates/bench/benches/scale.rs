@@ -9,6 +9,7 @@ use std::hint::black_box;
 use fap_batch::Parallelism;
 use fap_bench::scale::{scale_graph, scale_problem};
 use fap_core::MultiFileScratch;
+use fap_obs::NoopRecorder;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale");
@@ -21,7 +22,7 @@ fn bench(c: &mut Criterion) {
         group.bench_function(format!("all_pairs_par_n{n}"), |b| {
             b.iter(|| {
                 black_box(&graph)
-                    .shortest_path_matrix_parallel(Parallelism::Auto)
+                    .shortest_path_matrix_observed(Parallelism::Auto, &mut NoopRecorder)
                     .expect("connected")
             });
         });

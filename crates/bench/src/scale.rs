@@ -26,6 +26,7 @@ use fap_core::{
 use fap_net::{
     topology, AccessPattern, CostMatrix, CostProvider, Graph, GraphDelta, LandmarkOracle,
 };
+use fap_obs::NoopRecorder;
 use serde::{Deserialize, Serialize};
 
 /// Largest `N` at which the sparse sweep still builds the dense reference
@@ -454,7 +455,11 @@ pub fn bench_scale_configured(
         let graph = scale_graph(n);
         let (sequential_ms, seq) = time_ms(|| graph.shortest_path_matrix().expect("connected"));
         let (parallel_ms, par) =
-            time_ms(|| graph.shortest_path_matrix_parallel(parallelism).expect("connected"));
+            time_ms(|| {
+                graph
+                    .shortest_path_matrix_observed(parallelism, &mut NoopRecorder)
+                    .expect("connected")
+            });
         assert_eq!(seq, par, "all-pairs parallel result diverged at N = {n}");
         points.push(ScalePoint {
             kind: "all_pairs".into(),

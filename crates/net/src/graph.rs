@@ -276,28 +276,19 @@ impl Graph {
     /// # Errors
     ///
     /// Returns [`NetError::Disconnected`] when some pair of nodes has no
-    /// connecting path.
+    /// connecting path, and [`NetError::TooLarge`] when `n·n` exceeds
+    /// [`shortest_path::DEFAULT_DENSE_ELEMENT_BUDGET`].
     pub fn shortest_path_matrix(&self) -> Result<CostMatrix, NetError> {
-        shortest_path::all_pairs_dijkstra(self)
+        let sequential = fap_batch::Parallelism::Sequential;
+        shortest_path::all_pairs(self, sequential, &mut fap_obs::NoopRecorder)
     }
 
     /// Like [`Graph::shortest_path_matrix`], fanning the independent
-    /// single-source runs out over scoped threads. Bit-identical to the
-    /// sequential computation for every [`fap_batch::Parallelism`] setting.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Graph::shortest_path_matrix`].
-    pub fn shortest_path_matrix_parallel(
-        &self,
-        parallelism: fap_batch::Parallelism,
-    ) -> Result<CostMatrix, NetError> {
-        shortest_path::all_pairs_dijkstra_parallel(self, parallelism)
-    }
-
-    /// Like [`Graph::shortest_path_matrix_parallel`], recording per-chunk
-    /// task timings and the fan-out width into `recorder` (see
-    /// [`shortest_path::all_pairs_dijkstra_observed`]).
+    /// single-source runs out over scoped threads — bit-identical for every
+    /// [`fap_batch::Parallelism`] setting — and recording into `recorder`
+    /// the `net.fanout_threads` gauge (the number of worker chunks run) and
+    /// one `net.dijkstra_chunk_ns` wall-time observation per chunk. With a
+    /// disabled recorder no clock is read.
     ///
     /// # Errors
     ///
@@ -307,7 +298,7 @@ impl Graph {
         parallelism: fap_batch::Parallelism,
         recorder: &mut dyn fap_obs::Recorder,
     ) -> Result<CostMatrix, NetError> {
-        shortest_path::all_pairs_dijkstra_observed(self, parallelism, recorder)
+        shortest_path::all_pairs(self, parallelism, recorder)
     }
 }
 

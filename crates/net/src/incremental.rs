@@ -1,9 +1,10 @@
 //! Incremental landmark-oracle updates on topology deltas.
 //!
 //! A fresh [`LandmarkOracle`] build costs `K` single-source Dijkstra runs
-//! — ~`K·N` heap settles. A small topology edit (one link re-priced, one
-//! node joining or leaving) rarely moves more than a sliver of the `K × N`
-//! distance table, so this module repairs the table in place instead:
+//! — exactly `K·N` node settles on a connected graph. A small topology
+//! edit (one link re-priced, one node joining or leaving) rarely moves
+//! more than a sliver of the `K × N` distance table, so this module
+//! repairs the table in place instead:
 //!
 //! * **weight decrease** — relax the cheaper link at both endpoints and
 //!   propagate improvements outward with a partial Dijkstra seeded from
@@ -19,10 +20,14 @@
 //!   the new node from its links (join) or treat the departure as an
 //!   increase on every incident link (leave).
 //!
-//! **Bit-identity.** `shortest_path::dijkstra_into`'s final
-//! distances satisfy `d[v] = min_u (d[u] + w(u,v))` *exactly in `f64`*
-//! (every settled node relaxes its neighbors at its final value, and each
-//! final value is the minimum of the candidates), and with non-negative
+//! Every repair settles through the same kernel as a full build
+//! (`shortest_path`'s one `Frontier::settle` loop), seeded from its own
+//! frontier instead of a single source.
+//!
+//! **Bit-identity.** That kernel's final distances satisfy
+//! `d[v] = min_u (d[u] + w(u,v))` *exactly in `f64`* (every settled node
+//! relaxes its neighbors at its final value, and each final value is the
+//! minimum of the candidates), and with non-negative
 //! weights that min-plus fixed point is unique. Every repair above
 //! re-establishes the same fixed point on the new topology, so the updated
 //! table is bit-identical to a fresh
@@ -34,10 +39,10 @@
 //! directions and [`GraphDelta::NodeJoin`] adds undirected links.
 //!
 //! Work is metered in [`UpdateStats`] as machine-independent *virtual
-//! work* — heap settles plus frontier visits — so benches can hard-gate
-//! "incremental ≤ 10 % of a rebuild" without trusting wall clocks.
+//! work* — node settles plus frontier visits — so benches can hard-gate
+//! "incremental ≤ 10 % of a rebuild" without trusting wall clocks: a
+//! repair's settles and a rebuild's `K·N` count the same unit.
 
-use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
@@ -45,7 +50,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::NetError;
 use crate::graph::{Graph, NodeId};
 use crate::landmark::LandmarkOracle;
-use crate::shortest_path::HeapEntry;
+use crate::shortest_path::Frontier;
 
 /// One topology edit, applied to the graph and the oracle in lock step by
 /// [`LandmarkOracle::apply_deltas`].
@@ -84,7 +89,9 @@ pub struct UpdateStats {
     /// check.
     pub landmarks_repaired: usize,
     /// Nodes settled by the partial Dijkstra repairs, summed over
-    /// landmarks — the unit a fresh build pays `K·N` of.
+    /// landmarks. The settles are counted by the same kernel loop a fresh
+    /// build runs, which settles exactly `K·N` of them on a connected
+    /// graph.
     pub heap_pops: u64,
     /// Nodes visited while marking affected supersets (phase 1).
     pub frontier_visits: u64,
@@ -98,8 +105,9 @@ pub struct UpdateStats {
 }
 
 impl UpdateStats {
-    /// Total virtual work of the update: heap settles plus frontier
-    /// visits. Compare against [`LandmarkOracle::full_rebuild_work`].
+    /// Total virtual work of the update: node settles plus frontier
+    /// visits. Compare against [`LandmarkOracle::full_rebuild_work`],
+    /// which counts a rebuild's settles in the same unit.
     pub fn virtual_work(&self) -> u64 {
         self.heap_pops + self.frontier_visits
     }
@@ -118,7 +126,9 @@ impl UpdateStats {
 
 impl LandmarkOracle {
     /// Virtual work of a fresh build with this oracle's dimensions: `K`
-    /// single-source runs settling `N` nodes each.
+    /// single-source runs settling `N` nodes each — exactly what a build
+    /// on a connected graph settles, since the kernel settles each node
+    /// once per run (pinned by a unit test in `shortest_path`).
     pub fn full_rebuild_work(&self) -> u64 {
         (self.landmarks.len() as u64) * (self.n as u64)
     }
@@ -193,24 +203,24 @@ impl LandmarkOracle {
         let k = self.landmarks.len();
         let (u, v) = (from.index(), to.index());
         if cost < old {
-            let mut heap = BinaryHeap::new();
+            let mut frontier = Frontier::default();
             for b in 0..k {
                 let d = self.dist.row_mut(b);
-                heap.clear();
                 // At most one endpoint improves (both would need 2·cost < 0).
                 let through_v = d[u] + cost;
                 if through_v < d[v] {
                     d[v] = through_v;
-                    heap.push(HeapEntry { cost: through_v, node: to });
+                    frontier.push(to, through_v);
                 }
                 let through_u = d[v] + cost;
                 if through_u < d[u] {
                     d[u] = through_u;
-                    heap.push(HeapEntry { cost: through_u, node: from });
+                    frontier.push(from, through_u);
                 }
-                if !heap.is_empty() {
+                // A seeded endpoint always settles, so an empty frontier
+                // settles nothing and this landmark needs no repair.
+                if propagate_decrease(graph, d, &mut frontier, dirty, stats) > 0 {
                     stats.landmarks_repaired += 1;
-                    propagate_decrease(graph, d, &mut heap, dirty, stats);
                 }
             }
         } else {
@@ -250,7 +260,7 @@ impl LandmarkOracle {
         dirty.resize(self.n, false);
         dirty[x.index()] = true;
         let k = self.landmarks.len();
-        let mut heap = BinaryHeap::new();
+        let mut frontier = Frontier::default();
         for b in 0..k {
             let d = self.dist.row_mut(b);
             // Seed the new node from its links, then propagate: the join
@@ -269,10 +279,9 @@ impl LandmarkOracle {
                 });
             }
             d[x.index()] = best;
-            heap.clear();
-            heap.push(HeapEntry { cost: best, node: x });
+            frontier.push(x, best);
             stats.landmarks_repaired += 1;
-            propagate_decrease(graph, d, &mut heap, dirty, stats);
+            propagate_decrease(graph, d, &mut frontier, dirty, stats);
         }
         Ok(())
     }
@@ -320,29 +329,19 @@ impl LandmarkOracle {
     }
 }
 
-/// Propagates a distance decrease outward from the seeded heap entries —
-/// the easy Ramalingam–Reps direction. Settled nodes are marked dirty.
+/// Propagates a distance decrease outward from the seeded frontier — the
+/// easy Ramalingam–Reps direction. Settled nodes are marked dirty and
+/// counted into `heap_pops`; returns the number settled.
 fn propagate_decrease(
     graph: &Graph,
     d: &mut [f64],
-    heap: &mut BinaryHeap<HeapEntry>,
+    frontier: &mut Frontier,
     dirty: &mut [bool],
     stats: &mut UpdateStats,
-) {
-    while let Some(HeapEntry { cost, node }) = heap.pop() {
-        if cost > d[node.index()] {
-            continue; // stale entry
-        }
-        stats.heap_pops += 1;
-        dirty[node.index()] = true;
-        for &(next, w) in graph.neighbors(node) {
-            let candidate = cost + w;
-            if candidate < d[next.index()] {
-                d[next.index()] = candidate;
-                heap.push(HeapEntry { cost: candidate, node: next });
-            }
-        }
-    }
+) -> u64 {
+    let settled = frontier.settle(graph, d, None, |node| dirty[node.index()] = true);
+    stats.heap_pops += settled;
+    settled
 }
 
 /// Alternative-predecessor short-circuit for an edge increase: `far`
@@ -398,7 +397,7 @@ fn repair_increase(
             }
         }
     }
-    let mut heap = BinaryHeap::new();
+    let mut frontier = Frontier::default();
     for (node, flag) in affected.iter().enumerate() {
         if *flag {
             d[node] = f64::INFINITY;
@@ -419,22 +418,10 @@ fn repair_increase(
         }
         if best < d[node] {
             d[node] = best;
-            heap.push(HeapEntry { cost: best, node: NodeId::new(node) });
+            frontier.push(NodeId::new(node), best);
         }
     }
-    while let Some(HeapEntry { cost, node }) = heap.pop() {
-        if cost > d[node.index()] {
-            continue;
-        }
-        stats.heap_pops += 1;
-        for &(next, w) in graph.neighbors(node) {
-            let candidate = cost + w;
-            if candidate < d[next.index()] {
-                d[next.index()] = candidate;
-                heap.push(HeapEntry { cost: candidate, node: next });
-            }
-        }
-    }
+    stats.heap_pops += frontier.settle(graph, d, None, |_| {});
     for (node, flag) in affected.iter().enumerate() {
         if *flag {
             if d[node].is_infinite() {

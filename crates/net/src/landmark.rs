@@ -38,7 +38,7 @@ use fap_obs::Recorder;
 use crate::error::NetError;
 use crate::graph::{Graph, NodeId};
 use crate::provider::CostProvider;
-use crate::shortest_path::dijkstra_into;
+use crate::shortest_path::fill_rows;
 use crate::workload::AccessPattern;
 
 /// Default byte budget for the LRU of materialized upper-bound rows.
@@ -118,12 +118,13 @@ pub struct LandmarkOracle {
 
 impl LandmarkOracle {
     /// Builds the oracle on `graph` with `k` landmarks chosen by
-    /// farthest-point seeding from `seed`.
+    /// farthest-point seeding from `seed`: each landmark is the node
+    /// farthest from every one chosen before it.
     ///
-    /// `k` is clamped to `1..=n`. The selection chain is data-dependent
-    /// (each landmark depends on the distances of the previous ones), so
-    /// it runs sequentially; the `K` Dijkstra runs it performs double as
-    /// the oracle's distance rows. Deterministic: the same `(graph, k,
+    /// `k` is clamped to `1..=n`. The chain is data-dependent, so it runs
+    /// one landmark at a time — [`LandmarkOracle::build_parallel`] with
+    /// `batch = 1`, sequentially; the `K` Dijkstra runs it performs double
+    /// as the oracle's distance rows. Deterministic: the same `(graph, k,
     /// seed)` always yields the same landmarks and table.
     ///
     /// # Errors
@@ -132,51 +133,7 @@ impl LandmarkOracle {
     /// [`NetError::Disconnected`] if any node is unreachable from a
     /// landmark.
     pub fn build(graph: &Graph, k: usize, seed: u64) -> Result<Self, NetError> {
-        let n = graph.node_count();
-        if n == 0 {
-            return Err(NetError::TooFewNodes { requested: 0, minimum: 1 });
-        }
-        let k = k.clamp(1, n);
-        let first = ((seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % n;
-
-        let mut dist = Matrix::zeros(k, n);
-        let mut landmarks = Vec::with_capacity(k);
-        let mut heap = BinaryHeap::new();
-        // min over chosen landmarks of d(L, v); drives farthest-point picks.
-        let mut min_dist = vec![f64::INFINITY; n];
-
-        let mut next = NodeId::new(first);
-        for round in 0..k {
-            landmarks.push(next);
-            let row = dist.row_mut(round);
-            dijkstra_into(graph, next, row, None, &mut heap);
-            if let Some(bad) = row.iter().position(|d| d.is_infinite()) {
-                return Err(NetError::Disconnected { from: next.index(), to: bad });
-            }
-            for (m, &d) in min_dist.iter_mut().zip(row.iter()) {
-                if d < *m {
-                    *m = d;
-                }
-            }
-            if round + 1 == k {
-                break;
-            }
-            // Farthest node from every chosen landmark; ties go to the
-            // lowest index, so selection is deterministic per seed.
-            let (farthest, &gap) = min_dist
-                .iter()
-                .enumerate()
-                .max_by(|&(i, a), &(j, b)| a.total_cmp(b).then(j.cmp(&i)))
-                .expect("non-empty graph");
-            if gap == 0.0 {
-                break; // every node already coincides with a landmark
-            }
-            next = NodeId::new(farthest);
-        }
-        if landmarks.len() < k {
-            dist = resize_rows(&dist, landmarks.len(), n);
-        }
-        Ok(Self::from_table(n, landmarks, dist))
+        Self::build_parallel(graph, k, seed, 1, Parallelism::Sequential)
     }
 
     /// Builds the oracle with the farthest-point chain batched into rounds
@@ -191,8 +148,8 @@ impl LandmarkOracle {
     /// exposing `batch`-way parallelism inside the otherwise serial chain.
     /// Rows are folded into `min_dist` in ascending landmark order after
     /// the join, so the result is **deterministic per `(graph, k, seed,
-    /// batch)`** at every [`Parallelism`] setting, and `batch = 1` is
-    /// bit-identical to [`LandmarkOracle::build`].
+    /// batch)`** at every [`Parallelism`] setting; `batch = 1` is the
+    /// one-at-a-time chain of [`LandmarkOracle::build`].
     ///
     /// Larger batches trade a little selection quality (the nodes of one
     /// round are mutually blind) for build speed; the optimality-gap
@@ -222,43 +179,18 @@ impl LandmarkOracle {
         let mut round_sources = vec![NodeId::new(first)];
         while !round_sources.is_empty() {
             let start = landmarks.len();
-            let width = round_sources.len();
-            landmarks.extend_from_slice(&round_sources);
-            let block = &mut dist.as_mut_slice()[start * n..(start + width) * n];
-            let threads = parallelism.threads_for(width);
-            if threads <= 1 {
-                let mut heap = BinaryHeap::new();
-                for (row, &source) in block.chunks_mut(n).zip(&round_sources) {
-                    dijkstra_into(graph, source, row, None, &mut heap);
-                }
-            } else {
-                let rows_per_chunk = width.div_ceil(threads);
-                std::thread::scope(|scope| {
-                    for (index, chunk) in block.chunks_mut(rows_per_chunk * n).enumerate() {
-                        let sources = &round_sources[index * rows_per_chunk..];
-                        scope.spawn(move || {
-                            let mut heap = BinaryHeap::new();
-                            for (row, &source) in chunk.chunks_mut(n).zip(sources) {
-                                dijkstra_into(graph, source, row, None, &mut heap);
-                            }
-                        });
-                    }
-                });
-            }
-            // Disconnection checks and the min_dist fold run in ascending
-            // landmark order after the join — bit-identical at every
-            // thread count.
-            for (round, &source) in round_sources.iter().enumerate() {
-                let row = dist.row(start + round);
-                if let Some(bad) = row.iter().position(|d| d.is_infinite()) {
-                    return Err(NetError::Disconnected { from: source.index(), to: bad });
-                }
-                for (m, &d) in min_dist.iter_mut().zip(row.iter()) {
+            let block = &mut dist.as_mut_slice()[start * n..(start + round_sources.len()) * n];
+            fill_rows(graph, &round_sources, block, parallelism, false)?;
+            // The min_dist fold runs in ascending landmark order after the
+            // join — bit-identical at every thread count.
+            for row in block.chunks(n) {
+                for (m, &d) in min_dist.iter_mut().zip(row) {
                     if d < *m {
                         *m = d;
                     }
                 }
             }
+            landmarks.extend_from_slice(&round_sources);
             round_sources = select_farthest(&min_dist, batch.min(k - landmarks.len()));
         }
         if landmarks.len() < k {
@@ -299,37 +231,8 @@ impl LandmarkOracle {
                 )));
             }
         }
-        let k = landmarks.len();
-        let mut dist = Matrix::zeros(k, n);
-        let threads = parallelism.threads_for(k);
-        if threads <= 1 {
-            let mut heap = BinaryHeap::new();
-            for (round, &l) in landmarks.iter().enumerate() {
-                dijkstra_into(graph, l, dist.row_mut(round), None, &mut heap);
-            }
-        } else {
-            let rows_per_chunk = k.div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (index, chunk) in
-                    dist.as_mut_slice().chunks_mut(rows_per_chunk * n).enumerate()
-                {
-                    let sources = &landmarks[index * rows_per_chunk..];
-                    scope.spawn(move || {
-                        let mut heap = BinaryHeap::new();
-                        for (row, &source) in chunk.chunks_mut(n).zip(sources) {
-                            dijkstra_into(graph, source, row, None, &mut heap);
-                        }
-                    });
-                }
-            });
-        }
-        // Disconnection is reported in landmark order, matching the
-        // sequential sweep.
-        for (round, &l) in landmarks.iter().enumerate() {
-            if let Some(bad) = dist.row(round).iter().position(|d| d.is_infinite()) {
-                return Err(NetError::Disconnected { from: l.index(), to: bad });
-            }
-        }
+        let mut dist = Matrix::zeros(landmarks.len(), n);
+        fill_rows(graph, landmarks, dist.as_mut_slice(), parallelism, false)?;
         Ok(Self::from_table(n, landmarks.to_vec(), dist))
     }
 
@@ -744,8 +647,51 @@ impl CostProvider for LandmarkOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shortest_path::{all_pairs_dijkstra, dijkstra};
+    use crate::shortest_path::dijkstra;
     use crate::topology;
+
+    /// The farthest-point chain one landmark at a time, written out
+    /// directly: the oracle [`LandmarkOracle::build`] (`build_parallel`
+    /// at `batch = 1`) must match bit for bit.
+    fn chain_build(graph: &Graph, k: usize, seed: u64) -> LandmarkOracle {
+        let n = graph.node_count();
+        let k = k.clamp(1, n);
+        let first = ((seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % n;
+        let mut dist = Matrix::zeros(k, n);
+        let mut landmarks = Vec::with_capacity(k);
+        // min over chosen landmarks of d(L, v); drives farthest-point picks.
+        let mut min_dist = vec![f64::INFINITY; n];
+        let mut next = NodeId::new(first);
+        for round in 0..k {
+            landmarks.push(next);
+            let row = dijkstra(graph, next).unwrap();
+            assert!(row.iter().all(|d| d.is_finite()), "connected test graph");
+            dist.row_mut(round).copy_from_slice(&row);
+            for (m, &d) in min_dist.iter_mut().zip(&row) {
+                if d < *m {
+                    *m = d;
+                }
+            }
+            if round + 1 == k {
+                break;
+            }
+            // Farthest node from every chosen landmark; ties go to the
+            // lowest index.
+            let (farthest, &gap) = min_dist
+                .iter()
+                .enumerate()
+                .max_by(|&(i, a), &(j, b)| a.total_cmp(b).then(j.cmp(&i)))
+                .expect("non-empty graph");
+            if gap == 0.0 {
+                break; // every node already coincides with a landmark
+            }
+            next = NodeId::new(farthest);
+        }
+        if landmarks.len() < k {
+            dist = resize_rows(&dist, landmarks.len(), n);
+        }
+        LandmarkOracle::from_table(n, landmarks, dist)
+    }
 
     #[test]
     fn build_is_deterministic_per_seed() {
@@ -763,7 +709,7 @@ mod tests {
     #[test]
     fn bounds_bracket_true_distance_on_a_ring() {
         let g = topology::ring(12, 1.0).unwrap();
-        let exact = all_pairs_dijkstra(&g).unwrap();
+        let exact = g.shortest_path_matrix().unwrap();
         let oracle = LandmarkOracle::build(&g, 4, 7).unwrap();
         for u in g.nodes() {
             for v in g.nodes() {
@@ -863,16 +809,20 @@ mod tests {
 
     #[test]
     fn batched_build_with_batch_one_is_bit_identical_to_the_chain() {
-        for (n, seed) in [(40, 3), (33, 11), (12, 0)] {
+        // k = 64 on the 12-node graph runs the chain to its early stop.
+        for (n, seed, k) in [(40, 3, 7), (33, 11, 7), (12, 0, 7), (12, 5, 64)] {
             let g = topology::random_connected(n, 0.2, 1.0..5.0, seed).unwrap();
-            let a = LandmarkOracle::build(&g, 7, seed).unwrap();
-            for threads in [1, 3] {
-                let b =
-                    LandmarkOracle::build_parallel(&g, 7, seed, 1, Parallelism::Fixed(threads))
-                        .unwrap();
-                assert_eq!(a.landmarks(), b.landmarks(), "threads={threads}");
+            let a = chain_build(&g, k, seed);
+            let built = LandmarkOracle::build(&g, k, seed).unwrap();
+            let parallel = [1, 3].map(|threads| {
+                LandmarkOracle::build_parallel(&g, k, seed, 1, Parallelism::Fixed(threads))
+                    .unwrap()
+            });
+            for b in std::iter::once(&built).chain(&parallel) {
+                assert_eq!(a.landmarks(), b.landmarks(), "n={n}");
+                assert_eq!(a.dist.rows(), b.dist.rows(), "n={n}");
                 for (x, y) in a.dist.as_slice().iter().zip(b.dist.as_slice()) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "threads={threads}");
+                    assert_eq!(x.to_bits(), y.to_bits(), "n={n}");
                 }
                 assert_eq!(a.home, b.home);
             }
@@ -966,7 +916,7 @@ mod tests {
     #[test]
     fn k_larger_than_n_is_exact() {
         let g = topology::random_connected(9, 0.4, 1.0..3.0, 2).unwrap();
-        let exact = all_pairs_dijkstra(&g).unwrap();
+        let exact = g.shortest_path_matrix().unwrap();
         let oracle = LandmarkOracle::build(&g, 64, 5).unwrap();
         // With every node a landmark the upper bound is the true distance.
         assert_eq!(oracle.landmark_count(), 9);

@@ -9,9 +9,11 @@
 //! * [`topology`] — generators for the network shapes used in the paper's
 //!   evaluation (rings, full meshes) and for richer scenarios (stars, lines,
 //!   grids, random Erdős–Rényi graphs);
-//! * [`shortest_path`] — Dijkstra and Floyd–Warshall all-pairs routing,
-//!   producing a [`CostMatrix`] of cheapest-path costs `c_ij` (the paper
-//!   routes every access "along the shortest (least expensive) path");
+//! * [`shortest_path`] — the one Dijkstra kernel behind all-pairs routing
+//!   and the landmark oracle, producing a [`CostMatrix`] of cheapest-path
+//!   costs `c_ij` (the paper routes every access "along the shortest
+//!   (least expensive) path"; Floyd–Warshall remains only as a test
+//!   oracle);
 //! * [`workload`] — access-rate vectors `λ_i` (Poisson intensities per node)
 //!   with uniform, hotspot, Zipf-skewed and randomized generators.
 //!

@@ -1,25 +1,27 @@
-//! Cheapest-path routing.
+//! Cheapest-path routing: the crate's one Dijkstra kernel.
 //!
 //! The paper routes every file access "along the shortest (least expensive)
 //! path" between the requesting node and the node storing the accessed
-//! portion of the file (§6). This module provides two classic all-pairs
-//! algorithms over [`Graph`]:
+//! portion of the file (§6). Every such sweep in this crate runs through
+//! this module:
 //!
-//! * [`all_pairs_dijkstra`] — one Dijkstra run per source, `O(N·E log N)`;
-//!   [`all_pairs_dijkstra_parallel`] fans the independent sources out over
-//!   scoped threads with **bit-identical** results (each source writes one
-//!   disjoint row of the flat matrix; errors are reported in source order);
-//! * [`floyd_warshall`] — the `O(N³)` dynamic program, used in tests as an
-//!   independent oracle for Dijkstra.
+//! * one settle loop — a private lazy-deletion `Frontier` — shared by
+//!   [`dijkstra`], [`dijkstra_with_predecessors`], the dense all-pairs
+//!   matrix behind [`Graph::shortest_path_matrix`], the landmark oracle's
+//!   distance rows and both of its incremental repairs;
+//! * one row fan-out, `fill_rows`, which splits a batch of sources into
+//!   contiguous chunks over scoped threads with **bit-identical** results
+//!   (each worker writes only its own rows; errors are reported in source
+//!   order after the join).
 //!
-//! Both produce a [`CostMatrix`] with `c_ii = 0`.
+//! Floyd–Warshall survives only as a test oracle for Dijkstra.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use fap_batch::{Matrix, Parallelism};
-use fap_obs::{NoopRecorder, Recorder};
+use fap_obs::Recorder;
 
 use crate::cost::CostMatrix;
 use crate::error::NetError;
@@ -27,9 +29,9 @@ use crate::graph::{Graph, NodeId};
 
 /// A heap entry ordered by *minimum* cost (reversed for `BinaryHeap`).
 #[derive(Debug, PartialEq)]
-pub(crate) struct HeapEntry {
-    pub(crate) cost: f64,
-    pub(crate) node: NodeId,
+struct HeapEntry {
+    cost: f64,
+    node: NodeId,
 }
 
 impl Eq for HeapEntry {}
@@ -51,6 +53,65 @@ impl PartialOrd for HeapEntry {
     }
 }
 
+/// The priority queue every sweep in the crate settles through. A caller
+/// writes a node's tentative distance into its `dist` slice, [`push`]es
+/// the node, and [`settle`]s; reusing one frontier across sweeps reuses
+/// its heap allocation.
+///
+/// [`push`]: Frontier::push
+/// [`settle`]: Frontier::settle
+#[derive(Debug, Default)]
+pub(crate) struct Frontier {
+    heap: BinaryHeap<HeapEntry>,
+}
+
+impl Frontier {
+    /// Queues `node` at tentative distance `cost`.
+    pub(crate) fn push(&mut self, node: NodeId, cost: f64) {
+        self.heap.push(HeapEntry { cost, node });
+    }
+
+    /// Drops every queued entry.
+    pub(crate) fn clear(&mut self) {
+        self.heap.clear();
+    }
+
+    /// Runs Dijkstra from the queued entries until the queue is empty,
+    /// lowering `dist` (and, when given, recording predecessors in `pred`)
+    /// on strict improvement only, so ties keep their first winner.
+    /// `on_settle` sees each node as it settles. Returns the number of
+    /// nodes settled: a node is pushed only on a strict improvement, so
+    /// only its last entry survives the stale check, and a full
+    /// single-source sweep settles exactly the nodes it reaches.
+    pub(crate) fn settle(
+        &mut self,
+        graph: &Graph,
+        dist: &mut [f64],
+        mut pred: Option<&mut [Option<NodeId>]>,
+        mut on_settle: impl FnMut(NodeId),
+    ) -> u64 {
+        let mut settled = 0;
+        while let Some(HeapEntry { cost, node }) = self.heap.pop() {
+            if cost > dist[node.index()] {
+                continue; // stale entry
+            }
+            settled += 1;
+            on_settle(node);
+            for &(next, link_cost) in graph.neighbors(node) {
+                let candidate = cost + link_cost;
+                if candidate < dist[next.index()] {
+                    dist[next.index()] = candidate;
+                    if let Some(p) = pred.as_deref_mut() {
+                        p[next.index()] = Some(node);
+                    }
+                    self.heap.push(HeapEntry { cost: candidate, node: next });
+                }
+            }
+        }
+        settled
+    }
+}
+
 /// Default element budget for dense all-pairs computations: `n·n` beyond
 /// this (64 Mi elements ≈ 512 MiB of `f64`, i.e. N > 8192) returns
 /// [`NetError::TooLarge`] instead of attempting the allocation. The
@@ -68,40 +129,23 @@ fn check_dense_budget(n: usize, budget: u64) -> Result<(), NetError> {
     Ok(())
 }
 
-/// The one Dijkstra inner loop shared by every public entry point: writes
-/// distances into `dist` (and, when given, predecessors into `pred`),
-/// reusing the caller's heap so batch sweeps allocate nothing per source.
-pub(crate) fn dijkstra_into(
+/// One single-source run into caller-owned buffers: reset `dist` (and
+/// `pred`), seed `source`, settle. Returns the nodes settled.
+fn dijkstra_into(
     graph: &Graph,
     source: NodeId,
     dist: &mut [f64],
     mut pred: Option<&mut [Option<NodeId>]>,
-    heap: &mut BinaryHeap<HeapEntry>,
-) {
+    frontier: &mut Frontier,
+) -> u64 {
     dist.fill(f64::INFINITY);
     if let Some(p) = pred.as_deref_mut() {
         p.fill(None);
     }
     dist[source.index()] = 0.0;
-    heap.clear();
-    heap.push(HeapEntry { cost: 0.0, node: source });
-
-    while let Some(HeapEntry { cost, node }) = heap.pop() {
-        if cost > dist[node.index()] {
-            continue; // stale entry
-        }
-        for &(next, link_cost) in graph.neighbors(node) {
-            let candidate = cost + link_cost;
-            // Strict improvement keeps the first (deterministic) tie winner.
-            if candidate < dist[next.index()] {
-                dist[next.index()] = candidate;
-                if let Some(p) = pred.as_deref_mut() {
-                    p[next.index()] = Some(node);
-                }
-                heap.push(HeapEntry { cost: candidate, node: next });
-            }
-        }
-    }
+    frontier.clear();
+    frontier.push(source, 0.0);
+    frontier.settle(graph, dist, pred, |_| {})
 }
 
 /// Computes cheapest-path costs from `source` to every node.
@@ -114,7 +158,7 @@ pub(crate) fn dijkstra_into(
 pub fn dijkstra(graph: &Graph, source: NodeId) -> Result<Vec<f64>, NetError> {
     graph.check_node(source)?;
     let mut dist = vec![f64::INFINITY; graph.node_count()];
-    dijkstra_into(graph, source, &mut dist, None, &mut BinaryHeap::new());
+    dijkstra_into(graph, source, &mut dist, None, &mut Frontier::default());
     Ok(dist)
 }
 
@@ -134,216 +178,170 @@ pub fn dijkstra_with_predecessors(
     let n = graph.node_count();
     let mut dist = vec![f64::INFINITY; n];
     let mut pred: Vec<Option<NodeId>> = vec![None; n];
-    dijkstra_into(graph, source, &mut dist, Some(&mut pred), &mut BinaryHeap::new());
+    dijkstra_into(graph, source, &mut dist, Some(&mut pred), &mut Frontier::default());
     Ok((dist, pred))
 }
 
-/// Runs Dijkstra for the consecutive sources starting at `first`, writing
-/// each result into the corresponding row of `chunk` (a flat block of
-/// `len/n` rows). Returns the first disconnected pair, in source order.
-fn dijkstra_rows(graph: &Graph, first: usize, chunk: &mut [f64]) -> Result<(), NetError> {
+/// What one [`fill_rows`] call did.
+#[derive(Debug, Default)]
+pub(crate) struct RowWork {
+    /// Wall-clock nanoseconds of each chunk in source order (zero when
+    /// untimed); its length is the number of chunks actually run.
+    pub(crate) chunk_ns: Vec<u64>,
+    /// Nodes settled over every row.
+    pub(crate) settled: u64,
+}
+
+/// Fills `block` — one row of `graph.node_count()` distances per source,
+/// in order — with single-source Dijkstra distances. The sources are split
+/// into contiguous chunks over scoped threads, one [`Frontier`] per
+/// worker; each worker writes only its own rows with the sequential
+/// arithmetic, so the block is bit-identical at every [`Parallelism`].
+/// One chunk runs on the calling thread. With `timed`, each chunk's wall
+/// time is measured; otherwise no clock is read.
+///
+/// # Errors
+///
+/// Returns [`NetError::Disconnected`] for the first source, in source
+/// order, that does not reach every node: chunk results are examined in
+/// order after the join, so the error matches the sequential sweep.
+pub(crate) fn fill_rows(
+    graph: &Graph,
+    sources: &[NodeId],
+    block: &mut [f64],
+    parallelism: Parallelism,
+    timed: bool,
+) -> Result<RowWork, NetError> {
     let n = graph.node_count();
-    let mut heap = BinaryHeap::new();
-    for (offset, row) in chunk.chunks_mut(n).enumerate() {
-        let source = NodeId::new(first + offset);
-        dijkstra_into(graph, source, row, None, &mut heap);
+    debug_assert_eq!(block.len(), sources.len() * n, "one row per source");
+    if sources.is_empty() {
+        return Ok(RowWork::default());
+    }
+    let rows_per_chunk = sources.len().div_ceil(parallelism.threads_for(sources.len()));
+    let chunks = if rows_per_chunk == sources.len() {
+        vec![fill_chunk(graph, sources, block, timed)]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = sources
+                .chunks(rows_per_chunk)
+                .zip(block.chunks_mut(rows_per_chunk * n))
+                .map(|(sources, rows)| scope.spawn(move || fill_chunk(graph, sources, rows, timed)))
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("dijkstra worker panicked")).collect()
+        })
+    };
+    let mut work = RowWork::default();
+    for chunk in chunks {
+        let (ns, settled) = chunk?;
+        work.chunk_ns.push(ns);
+        work.settled += settled;
+    }
+    Ok(work)
+}
+
+/// One [`fill_rows`] chunk: its rows in order, stopping at the first
+/// disconnected one. Returns the chunk's wall time and settle count.
+fn fill_chunk(
+    graph: &Graph,
+    sources: &[NodeId],
+    rows: &mut [f64],
+    timed: bool,
+) -> Result<(u64, u64), NetError> {
+    let start = timed.then(Instant::now);
+    let mut frontier = Frontier::default();
+    let mut settled = 0;
+    for (row, &source) in rows.chunks_mut(graph.node_count()).zip(sources) {
+        settled += dijkstra_into(graph, source, row, None, &mut frontier);
         if let Some(bad) = row.iter().position(|d| d.is_infinite()) {
             return Err(NetError::Disconnected { from: source.index(), to: bad });
         }
     }
-    Ok(())
+    let ns = start.map_or(0, |s| s.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
+    Ok((ns, settled))
 }
 
-/// Computes the all-pairs cheapest-path [`CostMatrix`] via repeated Dijkstra.
-///
-/// Equivalent to [`all_pairs_dijkstra_parallel`] with
-/// [`Parallelism::Sequential`].
-///
-/// # Errors
-///
-/// Returns [`NetError::Disconnected`] if any ordered pair of distinct nodes
-/// has no connecting path — the paper's model assumes the network is
-/// logically fully connected — and [`NetError::TooLarge`] if `n·n` exceeds
-/// [`DEFAULT_DENSE_ELEMENT_BUDGET`].
-pub fn all_pairs_dijkstra(graph: &Graph) -> Result<CostMatrix, NetError> {
-    all_pairs_dijkstra_parallel(graph, Parallelism::Sequential)
-}
-
-/// Like [`all_pairs_dijkstra_parallel`] with an explicit element budget in
-/// place of [`DEFAULT_DENSE_ELEMENT_BUDGET`] — benches that deliberately
-/// run oversized dense baselines raise it; admission layers lower it.
-///
-/// # Errors
-///
-/// Same conditions as [`all_pairs_dijkstra`], with `budget` as the
-/// [`NetError::TooLarge`] threshold.
-pub fn all_pairs_dijkstra_budgeted(
-    graph: &Graph,
-    parallelism: Parallelism,
-    budget: u64,
-) -> Result<CostMatrix, NetError> {
-    check_dense_budget(graph.node_count(), budget)?;
-    all_pairs_dijkstra_unbudgeted(graph, parallelism, &mut NoopRecorder)
-}
-
-/// Computes the all-pairs cheapest-path [`CostMatrix`], fanning the
-/// independent single-source runs out over scoped threads.
-///
-/// The result is **bit-identical** to [`all_pairs_dijkstra`] for every
-/// [`Parallelism`] setting: the sources are split into contiguous chunks,
-/// each worker writes only its own disjoint rows of the flat matrix, and
-/// chunk results are examined in source order after the join — so even the
-/// reported error for a disconnected graph is the one the sequential sweep
-/// would hit first.
-///
-/// # Errors
-///
-/// Same conditions as [`all_pairs_dijkstra`].
-pub fn all_pairs_dijkstra_parallel(
-    graph: &Graph,
-    parallelism: Parallelism,
-) -> Result<CostMatrix, NetError> {
-    all_pairs_dijkstra_observed(graph, parallelism, &mut NoopRecorder)
-}
-
-/// Like [`all_pairs_dijkstra_parallel`], recording the fan-out into
-/// `recorder`: the `net.fanout_threads` gauge and one
-/// `net.dijkstra_chunk_ns` observation per worker chunk (wall-clock, in
-/// chunk order). With a disabled recorder no timing is measured at all, and
-/// the computed matrix is bit-identical either way.
-///
-/// # Errors
-///
-/// Same conditions as [`all_pairs_dijkstra`].
-pub fn all_pairs_dijkstra_observed(
-    graph: &Graph,
-    parallelism: Parallelism,
-    recorder: &mut dyn Recorder,
-) -> Result<CostMatrix, NetError> {
-    check_dense_budget(graph.node_count(), DEFAULT_DENSE_ELEMENT_BUDGET)?;
-    all_pairs_dijkstra_unbudgeted(graph, parallelism, recorder)
-}
-
-/// The shared fan-out body, past the budget gate.
-fn all_pairs_dijkstra_unbudgeted(
+/// The dense all-pairs matrix behind [`Graph::shortest_path_matrix`] and
+/// [`Graph::shortest_path_matrix_observed`]: the element budget is checked
+/// before any allocation, then one [`fill_rows`] covers every source. An
+/// enabled `recorder` gets the `net.fanout_threads` gauge (the number of
+/// chunks run) and one `net.dijkstra_chunk_ns` observation per chunk, in
+/// chunk order.
+pub(crate) fn all_pairs(
     graph: &Graph,
     parallelism: Parallelism,
     recorder: &mut dyn Recorder,
 ) -> Result<CostMatrix, NetError> {
     let n = graph.node_count();
-    if n == 0 {
-        return CostMatrix::from_matrix(Matrix::zeros(0, 0));
-    }
+    check_dense_budget(n, DEFAULT_DENSE_ELEMENT_BUDGET)?;
     let mut matrix = Matrix::zeros(n, n);
-    let threads = parallelism.threads_for(n);
-    let enabled = recorder.is_enabled();
-    if enabled {
-        recorder.gauge("net.fanout_threads", threads as f64);
-    }
-    if threads <= 1 {
-        let start = enabled.then(Instant::now);
-        dijkstra_rows(graph, 0, matrix.as_mut_slice())?;
-        if let Some(start) = start {
-            recorder.observe("net.dijkstra_chunk_ns", start.elapsed().as_nanos() as f64);
-        }
-    } else {
-        let rows_per_chunk = n.div_ceil(threads);
-        let results: Vec<(Result<(), NetError>, u64)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = matrix
-                .as_mut_slice()
-                .chunks_mut(rows_per_chunk * n)
-                .enumerate()
-                .map(|(index, chunk)| {
-                    scope.spawn(move || {
-                        let start = enabled.then(Instant::now);
-                        let result = dijkstra_rows(graph, index * rows_per_chunk, chunk);
-                        let elapsed =
-                            start.map_or(0, |s| s.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-                        (result, elapsed)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("dijkstra worker panicked")).collect()
-        });
-        // Chunk results are examined in source order, so the error reported
-        // for a disconnected graph matches the sequential sweep.
-        for (result, elapsed) in results {
-            if enabled {
-                recorder.observe("net.dijkstra_chunk_ns", elapsed as f64);
-            }
-            result?;
+    let sources: Vec<NodeId> = graph.nodes().collect();
+    let timed = recorder.is_enabled();
+    let work = fill_rows(graph, &sources, matrix.as_mut_slice(), parallelism, timed)?;
+    if timed {
+        recorder.gauge("net.fanout_threads", work.chunk_ns.len() as f64);
+        for ns in work.chunk_ns {
+            recorder.observe("net.dijkstra_chunk_ns", ns as f64);
         }
     }
     CostMatrix::from_matrix(matrix)
 }
 
-/// Computes the all-pairs cheapest-path [`CostMatrix`] via Floyd–Warshall.
-///
-/// Functionally identical to [`all_pairs_dijkstra`]; provided as an
-/// independent oracle and for dense graphs where `O(N³)` is competitive.
-///
-/// # Errors
-///
-/// Returns [`NetError::Disconnected`] if any pair of nodes has no connecting
-/// path, and [`NetError::TooLarge`] if `n·n` exceeds
-/// [`DEFAULT_DENSE_ELEMENT_BUDGET`].
-pub fn floyd_warshall(graph: &Graph) -> Result<CostMatrix, NetError> {
-    floyd_warshall_budgeted(graph, DEFAULT_DENSE_ELEMENT_BUDGET)
-}
-
-/// [`floyd_warshall`] with an explicit element budget.
-///
-/// # Errors
-///
-/// Same conditions as [`floyd_warshall`], with `budget` as the
-/// [`NetError::TooLarge`] threshold.
-pub fn floyd_warshall_budgeted(graph: &Graph, budget: u64) -> Result<CostMatrix, NetError> {
-    check_dense_budget(graph.node_count(), budget)?;
-    let n = graph.node_count();
-    let mut dist = Matrix::filled(n, n, f64::INFINITY);
-    for i in 0..n {
-        dist.set(i, i, 0.0);
-    }
-    for i in graph.nodes() {
-        for &(j, cost) in graph.neighbors(i) {
-            if cost < dist.get(i.index(), j.index()) {
-                dist.set(i.index(), j.index(), cost);
-            }
-        }
-    }
-    // Snapshot row k into a buffer reused across all k: with non-negative
-    // costs dist[k][·] cannot improve through k itself, so the snapshot
-    // equals the in-place update.
-    let mut row_k = vec![0.0; n];
-    for k in 0..n {
-        row_k.copy_from_slice(dist.row(k));
-        for i in 0..n {
-            let row_i = dist.row_mut(i);
-            let dik = row_i[k];
-            if dik.is_infinite() {
-                continue;
-            }
-            for (entry, &dkj) in row_i.iter_mut().zip(&row_k) {
-                let through = dik + dkj;
-                if through < *entry {
-                    *entry = through;
-                }
-            }
-        }
-    }
-    for i in 0..n {
-        if let Some(j) = dist.row(i).iter().position(|d| d.is_infinite()) {
-            return Err(NetError::Disconnected { from: i, to: j });
-        }
-    }
-    CostMatrix::from_matrix(dist)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::landmark::LandmarkOracle;
     use crate::topology;
+    use fap_obs::NoopRecorder;
     use proptest::prelude::*;
+
+    /// The `O(N³)` Floyd–Warshall dynamic program: an independent oracle
+    /// for the Dijkstra kernel, under the same dense element budget.
+    fn floyd_warshall(graph: &Graph) -> Result<CostMatrix, NetError> {
+        check_dense_budget(graph.node_count(), DEFAULT_DENSE_ELEMENT_BUDGET)?;
+        let n = graph.node_count();
+        let mut dist = Matrix::filled(n, n, f64::INFINITY);
+        for i in 0..n {
+            dist.set(i, i, 0.0);
+        }
+        for i in graph.nodes() {
+            for &(j, cost) in graph.neighbors(i) {
+                if cost < dist.get(i.index(), j.index()) {
+                    dist.set(i.index(), j.index(), cost);
+                }
+            }
+        }
+        // Snapshot row k into a buffer reused across all k: with
+        // non-negative costs dist[k][·] cannot improve through k itself, so
+        // the snapshot equals the in-place update.
+        let mut row_k = vec![0.0; n];
+        for k in 0..n {
+            row_k.copy_from_slice(dist.row(k));
+            for i in 0..n {
+                let row_i = dist.row_mut(i);
+                let dik = row_i[k];
+                if dik.is_infinite() {
+                    continue;
+                }
+                for (entry, &dkj) in row_i.iter_mut().zip(&row_k) {
+                    let through = dik + dkj;
+                    if through < *entry {
+                        *entry = through;
+                    }
+                }
+            }
+        }
+        for i in 0..n {
+            if let Some(j) = dist.row(i).iter().position(|d| d.is_infinite()) {
+                return Err(NetError::Disconnected { from: i, to: j });
+            }
+        }
+        CostMatrix::from_matrix(dist)
+    }
+
+    /// The dense matrix at an explicit fan-out width.
+    fn parallel_matrix(graph: &Graph, threads: usize) -> Result<CostMatrix, NetError> {
+        graph.shortest_path_matrix_observed(Parallelism::Fixed(threads), &mut NoopRecorder)
+    }
 
     fn line3() -> Graph {
         let mut g = Graph::new(3);
@@ -406,10 +404,56 @@ mod tests {
     }
 
     #[test]
+    fn settle_counts_each_reachable_node_exactly_once() {
+        let graphs = [
+            topology::ring(17, 1.0).unwrap(),
+            topology::torus(5, 7, 1.0).unwrap(),
+            topology::random_connected(40, 0.15, 1.0..5.0, 13).unwrap(),
+            topology::random_connected(64, 0.05, 0.5..3.0, 29).unwrap(),
+        ];
+        let mut frontier = Frontier::default();
+        for g in &graphs {
+            let n = g.node_count();
+            let mut dist = vec![0.0; n];
+            for source in g.nodes() {
+                let settled = dijkstra_into(g, source, &mut dist, None, &mut frontier);
+                assert_eq!(settled, n as u64, "source {} of {n}", source.index());
+            }
+        }
+        // On a disconnected graph a sweep settles exactly what it reaches.
+        let mut dist = vec![0.0; 3];
+        let mut g = Graph::new(3);
+        g.add_link(NodeId::new(0), NodeId::new(1), 1.0).unwrap();
+        assert_eq!(dijkstra_into(&g, NodeId::new(0), &mut dist, None, &mut frontier), 2);
+    }
+
+    #[test]
+    fn with_landmarks_settles_exactly_the_full_rebuild_work() {
+        let graphs = [
+            topology::ring(24, 1.0).unwrap(),
+            topology::torus(6, 6, 1.0).unwrap(),
+            topology::random_connected(50, 0.1, 1.0..4.0, 7).unwrap(),
+        ];
+        for g in &graphs {
+            let landmarks: Vec<NodeId> = [0, 5, 11, 17].map(NodeId::new).into();
+            for threads in [1, 3] {
+                let parallelism = Parallelism::Fixed(threads);
+                let oracle = LandmarkOracle::with_landmarks(g, &landmarks, parallelism).unwrap();
+                let mut block = vec![0.0; landmarks.len() * g.node_count()];
+                let work = fill_rows(g, &landmarks, &mut block, parallelism, false).unwrap();
+                assert_eq!(work.settled, oracle.full_rebuild_work());
+                for (a, b) in block.iter().zip(oracle.dist.as_slice()) {
+                    assert_eq!(a.to_bits(), b.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn all_pairs_rejects_disconnected_graph() {
         let mut g = Graph::new(3);
         g.add_link(NodeId::new(0), NodeId::new(1), 1.0).unwrap();
-        let err = all_pairs_dijkstra(&g).unwrap_err();
+        let err = g.shortest_path_matrix().unwrap_err();
         assert!(matches!(err, NetError::Disconnected { .. }));
         let err = floyd_warshall(&g).unwrap_err();
         assert!(matches!(err, NetError::Disconnected { .. }));
@@ -423,41 +467,48 @@ mod tests {
         for i in 0..4 {
             g.add_link(NodeId::new(i), NodeId::new(i + 1), 1.0).unwrap();
         }
-        let expected = all_pairs_dijkstra(&g).unwrap_err();
+        let expected = g.shortest_path_matrix().unwrap_err();
         for threads in [1, 2, 3, 4, 8] {
-            let err =
-                all_pairs_dijkstra_parallel(&g, Parallelism::Fixed(threads)).unwrap_err();
+            let err = parallel_matrix(&g, threads).unwrap_err();
             assert_eq!(format!("{err:?}"), format!("{expected:?}"), "threads={threads}");
         }
     }
 
     #[test]
     fn observed_fanout_records_chunk_timings_and_matches_sequential() {
-        let g = topology::random_connected(24, 0.4, 1.0..4.0, 19).unwrap();
-        let seq = all_pairs_dijkstra(&g).unwrap();
-        let mut registry = fap_obs::MetricsRegistry::new();
-        let par =
-            all_pairs_dijkstra_observed(&g, Parallelism::Fixed(4), &mut registry).unwrap();
-        for (a, b) in seq.as_matrix().as_slice().iter().zip(par.as_matrix().as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        // (nodes, threads, chunks): 9 sources over 4 threads is 3 rows per
+        // chunk, so only 3 chunks run and the gauge must say so.
+        for (n, threads, chunks) in [(24, 4, 4), (9, 4, 3)] {
+            let g = topology::random_connected(n, 0.4, 1.0..4.0, 19).unwrap();
+            let seq = g.shortest_path_matrix().unwrap();
+            let mut registry = fap_obs::MetricsRegistry::new();
+            let parallelism = Parallelism::Fixed(threads);
+            let par = g.shortest_path_matrix_observed(parallelism, &mut registry).unwrap();
+            for (a, b) in seq.as_matrix().as_slice().iter().zip(par.as_matrix().as_slice()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+            assert_eq!(registry.gauge_value("net.fanout_threads"), Some(chunks as f64), "n={n}");
+            // One timing observation per chunk.
+            let observed = registry.histogram("net.dijkstra_chunk_ns").unwrap().count();
+            assert_eq!(observed, chunks as u64, "n={n}");
         }
-        assert_eq!(registry.gauge_value("net.fanout_threads"), Some(4.0));
-        // 24 sources over 4 threads: one timing observation per chunk.
-        assert_eq!(registry.histogram("net.dijkstra_chunk_ns").unwrap().count(), 4);
     }
 
     #[test]
     fn too_large_is_reported_before_any_allocation() {
-        let g = topology::ring(64, 1.0).unwrap();
-        let err =
-            all_pairs_dijkstra_budgeted(&g, Parallelism::Sequential, 100).unwrap_err();
-        assert!(matches!(err, NetError::TooLarge { nodes: 64, elements: 4096, budget: 100 }));
-        let err = floyd_warshall_budgeted(&g, 100).unwrap_err();
-        assert!(matches!(err, NetError::TooLarge { .. }));
+        // 8193² elements is one row past the default budget; the guard
+        // fires before the 537 MB matrix (or any Dijkstra) is attempted.
+        let g = Graph::new(8193);
+        let err = g.shortest_path_matrix().unwrap_err();
+        let budget = DEFAULT_DENSE_ELEMENT_BUDGET;
+        assert!(matches!(
+            err,
+            NetError::TooLarge { nodes: 8193, elements: 67_125_249, budget: b } if b == budget
+        ));
+        assert_eq!(8193u128 * 8193, 67_125_249);
         assert!(err.to_string().contains("landmark"));
-        // Under the budget both still run.
-        assert!(all_pairs_dijkstra_budgeted(&g, Parallelism::Sequential, 4096).is_ok());
-        assert!(floyd_warshall_budgeted(&g, 4096).is_ok());
+        let err = floyd_warshall(&g).unwrap_err();
+        assert!(matches!(err, NetError::TooLarge { nodes: 8193, .. }));
     }
 
     #[test]
@@ -477,7 +528,7 @@ mod tests {
     #[test]
     fn ring_of_four_has_expected_distances() {
         let g = topology::ring(4, 1.0).unwrap();
-        let m = all_pairs_dijkstra(&g).unwrap();
+        let m = g.shortest_path_matrix().unwrap();
         assert_eq!(m.cost(NodeId::new(0), NodeId::new(1)), 1.0);
         assert_eq!(m.cost(NodeId::new(0), NodeId::new(2)), 2.0);
         assert_eq!(m.cost(NodeId::new(0), NodeId::new(3)), 1.0);
@@ -491,7 +542,7 @@ mod tests {
         g.add_directed_link(NodeId::new(0), NodeId::new(1), 1.0).unwrap();
         g.add_directed_link(NodeId::new(1), NodeId::new(2), 1.0).unwrap();
         g.add_directed_link(NodeId::new(2), NodeId::new(0), 1.0).unwrap();
-        let m = all_pairs_dijkstra(&g).unwrap();
+        let m = g.shortest_path_matrix().unwrap();
         assert_eq!(m.cost(NodeId::new(0), NodeId::new(2)), 2.0);
         assert_eq!(m.cost(NodeId::new(2), NodeId::new(0)), 1.0);
     }
@@ -499,7 +550,7 @@ mod tests {
     #[test]
     fn floyd_warshall_matches_dijkstra_on_fixed_graphs() {
         for g in [line3(), topology::ring(6, 2.5).unwrap(), topology::full_mesh(5, 1.0).unwrap()] {
-            let a = all_pairs_dijkstra(&g).unwrap();
+            let a = g.shortest_path_matrix().unwrap();
             let b = floyd_warshall(&g).unwrap();
             for i in g.nodes() {
                 for j in g.nodes() {
@@ -516,7 +567,7 @@ mod tests {
         #[test]
         fn shortest_paths_form_a_metric(seed in 0u64..64, n in 2usize..12, p in 0.2f64..1.0) {
             let g = topology::random_connected(n, p, 1.0..5.0, seed).unwrap();
-            let a = all_pairs_dijkstra(&g).unwrap();
+            let a = g.shortest_path_matrix().unwrap();
             let b = floyd_warshall(&g).unwrap();
             for i in g.nodes() {
                 prop_assert!(a.cost(i, i) == 0.0);
@@ -535,9 +586,9 @@ mod tests {
         #[test]
         fn parallel_all_pairs_is_bit_identical(seed in 0u64..32, n in 2usize..14, p in 0.2f64..1.0) {
             let g = topology::random_connected(n, p, 1.0..5.0, seed).unwrap();
-            let seq = all_pairs_dijkstra(&g).unwrap();
+            let seq = g.shortest_path_matrix().unwrap();
             for threads in [1usize, 2, 3, 5] {
-                let par = all_pairs_dijkstra_parallel(&g, Parallelism::Fixed(threads)).unwrap();
+                let par = parallel_matrix(&g, threads).unwrap();
                 for (a, b) in seq.as_matrix().as_slice().iter().zip(par.as_matrix().as_slice()) {
                     prop_assert_eq!(a.to_bits(), b.to_bits());
                 }

@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut kernel_telemetry = Telemetry::wall();
     let matrix = big.shortest_path_matrix_observed(Parallelism::Auto, &mut kernel_telemetry)?;
     println!(
-        "kernel: {}×{} cost matrix over {:?} threads",
+        "kernel: {}×{} cost matrix over {:?} worker chunks",
         big.node_count(),
         big.node_count(),
         kernel_telemetry.registry().gauge_value("net.fanout_threads").unwrap_or(1.0)

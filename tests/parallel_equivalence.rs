@@ -12,7 +12,8 @@
 
 use fap::batch::Parallelism;
 use fap::core::{MultiFileProblem, MultiFileScratch};
-use fap::net::{topology, AccessPattern, Graph};
+use fap::net::{topology, AccessPattern, CostMatrix, Graph, NetError};
+use fap::obs::NoopRecorder;
 
 const THREADS: [usize; 5] = [1, 2, 3, 5, 8];
 
@@ -26,6 +27,11 @@ fn topologies() -> Vec<(&'static str, Graph)> {
     ]
 }
 
+/// The dense all-pairs matrix at an explicit fan-out setting.
+fn matrix_at(graph: &Graph, parallelism: Parallelism) -> Result<CostMatrix, NetError> {
+    graph.shortest_path_matrix_observed(parallelism, &mut NoopRecorder)
+}
+
 fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
@@ -35,15 +41,14 @@ fn all_pairs_parallel_is_bit_identical() {
     for (label, graph) in topologies() {
         let sequential = graph.shortest_path_matrix().unwrap();
         for threads in THREADS {
-            let parallel =
-                graph.shortest_path_matrix_parallel(Parallelism::Fixed(threads)).unwrap();
+            let parallel = matrix_at(&graph, Parallelism::Fixed(threads)).unwrap();
             assert_eq!(
                 bits(sequential.as_matrix().as_slice()),
                 bits(parallel.as_matrix().as_slice()),
                 "{label} with {threads} threads"
             );
         }
-        let auto = graph.shortest_path_matrix_parallel(Parallelism::Auto).unwrap();
+        let auto = matrix_at(&graph, Parallelism::Auto).unwrap();
         assert_eq!(
             bits(sequential.as_matrix().as_slice()),
             bits(auto.as_matrix().as_slice()),
@@ -183,8 +188,7 @@ fn parallel_error_reporting_matches_sequential() {
     }
     let sequential = graph.shortest_path_matrix().unwrap_err();
     for threads in THREADS {
-        let parallel =
-            graph.shortest_path_matrix_parallel(Parallelism::Fixed(threads)).unwrap_err();
+        let parallel = matrix_at(&graph, Parallelism::Fixed(threads)).unwrap_err();
         assert_eq!(
             format!("{sequential:?}"),
             format!("{parallel:?}"),
