@@ -91,7 +91,7 @@ use std::collections::VecDeque;
 use std::io::{self, BufRead, Write};
 use std::time::Instant;
 
-use serde::{Serialize, Value};
+use serde::{Serialize, Sink, Value};
 
 use fap_batch::Parallelism;
 use fap_cache::SubstrateCache;
@@ -103,7 +103,7 @@ use fap_queue::{
     AdmissionController, QueueError, DEFAULT_ADMISSION_WARMUP, DEFAULT_ADMISSION_WINDOW,
 };
 use fap_runtime::Reactor;
-use fap_serve::{BatchServer, ServeRequest, SessionSeeds};
+use fap_serve::{BatchServer, ServeError, ServeRequest, ServeResponse, SessionSeeds};
 
 /// How warm-start state behaves across the daemon's lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -464,12 +464,12 @@ impl<P: BatchParser> Daemon<P> {
                 emit_span(recorder, "served.shed", root.child(first + 1), at as u64, at as u64);
                 emit_span_end(recorder, "served.request", root, at as u64, 0);
                 let line = render(&[
-                    ("id", Value::UInt(id)),
-                    ("kind", Value::Str("shed".into())),
-                    ("status", Value::Int(429)),
-                    ("arrived", uint(at)),
-                    ("predicted_wait", finite_or_inf(w)),
-                    ("bound", Value::Float(bound)),
+                    ("id", &id),
+                    ("kind", &"shed"),
+                    ("status", &429),
+                    ("arrived", &at),
+                    ("predicted_wait", &finite_or_inf(w)),
+                    ("bound", &bound),
                 ]);
                 writeln!(out, "{line}")?;
                 return Ok(DaemonStatus::Continue);
@@ -632,12 +632,12 @@ impl<P: BatchParser> Daemon<P> {
                     completed as u64,
                 );
                 let line = render(&[
-                    ("id", Value::UInt(id)),
-                    ("kind", Value::Str("work".into())),
-                    ("arrived", uint(arrived)),
-                    ("started", uint(started)),
-                    ("completed", uint(completed)),
-                    ("wait", uint(wait)),
+                    ("id", &id),
+                    ("kind", &"work"),
+                    ("arrived", &arrived),
+                    ("started", &started),
+                    ("completed", &completed),
+                    ("wait", &wait),
                 ]);
                 (ticks, line)
             }
@@ -662,27 +662,16 @@ impl<P: BatchParser> Daemon<P> {
                     .sum();
                 let duration = iterations.max(1);
                 let completed = started + duration;
-                let responses: Vec<Value> = output
-                    .responses
-                    .iter()
-                    .map(|r| match r {
-                        Ok(response) => response.serialize_value(),
-                        Err(e) => Value::Map(vec![(
-                            "error".into(),
-                            Value::Str(e.message().into()),
-                        )]),
-                    })
-                    .collect();
                 let line = render(&[
-                    ("id", Value::UInt(id)),
-                    ("kind", Value::Str("batch".into())),
-                    ("arrived", uint(arrived)),
-                    ("started", uint(started)),
-                    ("completed", uint(completed)),
-                    ("wait", uint(wait)),
-                    ("ok", Value::UInt(output.ok_count() as u64)),
-                    ("err", Value::UInt(output.err_count() as u64)),
-                    ("responses", Value::Array(responses)),
+                    ("id", &id),
+                    ("kind", &"batch"),
+                    ("arrived", &arrived),
+                    ("started", &started),
+                    ("completed", &completed),
+                    ("wait", &wait),
+                    ("ok", &output.ok_count()),
+                    ("err", &output.err_count()),
+                    ("responses", &Responses(&output.responses)),
                 ]);
                 (duration, line)
             }
@@ -731,18 +720,18 @@ impl<P: BatchParser> Daemon<P> {
             None => Value::Null,
         };
         render(&[
-            ("kind", Value::Str("status".into())),
-            ("now", uint(self.now())),
-            ("busy", Value::UInt(u64::from(self.busy))),
-            ("backlog", uint(self.backlog.len())),
-            ("completed", Value::UInt(self.completed)),
-            ("shed", Value::UInt(self.shed)),
-            ("seeds", uint(self.seeds.len())),
-            ("cache_entries", uint(self.cache.len())),
-            ("cache_hits", Value::UInt(self.cache.hits())),
-            ("cache_misses", Value::UInt(self.cache.misses())),
-            ("cache_bytes", Value::UInt(self.cache.bytes())),
-            ("predicted_wait", predicted),
+            ("kind", &"status"),
+            ("now", &self.now()),
+            ("busy", &self.busy),
+            ("backlog", &self.backlog.len()),
+            ("completed", &self.completed),
+            ("shed", &self.shed),
+            ("seeds", &self.seeds.len()),
+            ("cache_entries", &self.cache.len()),
+            ("cache_hits", &self.cache.hits()),
+            ("cache_misses", &self.cache.misses()),
+            ("cache_bytes", &self.cache.bytes()),
+            ("predicted_wait", &predicted),
         ])
     }
 
@@ -761,16 +750,16 @@ impl<P: BatchParser> Daemon<P> {
             .map(|(layer, ticks)| (layer.to_string(), Value::UInt(ticks)))
             .collect();
         render(&[
-            ("kind", Value::Str("metrics".into())),
-            ("now", uint(self.now())),
-            ("completed", Value::UInt(self.completed)),
-            ("shed", Value::UInt(self.shed)),
-            ("wait_p50", Value::Float(p50)),
-            ("wait_p90", Value::Float(p90)),
-            ("wait_p99", Value::Float(p99)),
-            ("self_ticks", Value::Map(layers)),
-            ("traces", Value::UInt(flight.completed_traces())),
-            ("spans_dropped", Value::UInt(flight.dropped_spans())),
+            ("kind", &"metrics"),
+            ("now", &self.now()),
+            ("completed", &self.completed),
+            ("shed", &self.shed),
+            ("wait_p50", &p50),
+            ("wait_p90", &p90),
+            ("wait_p99", &p99),
+            ("self_ticks", &Value::Map(layers)),
+            ("traces", &flight.completed_traces()),
+            ("spans_dropped", &flight.dropped_spans()),
         ])
     }
 
@@ -782,19 +771,15 @@ impl<P: BatchParser> Daemon<P> {
         message: &str,
     ) -> io::Result<DaemonStatus> {
         recorder.incr("served.errors", 1);
-        let mut fields = vec![("kind", Value::Str("error".into()))];
-        if let Some(id) = id {
-            fields.push(("id", Value::UInt(id)));
+        let mut fields: Vec<(&str, &dyn Serialize)> = vec![("kind", &"error")];
+        if let Some(id) = &id {
+            fields.push(("id", id));
         }
-        fields.push(("message", Value::Str(message.into())));
+        fields.push(("message", &message));
         let line = render(&fields);
         writeln!(out, "{line}")?;
         Ok(DaemonStatus::Continue)
     }
-}
-
-fn uint(n: usize) -> Value {
-    Value::UInt(n as u64)
 }
 
 /// JSON has no infinity literal: an unbounded predicted wait renders as
@@ -816,12 +801,45 @@ fn as_tick(value: &Value) -> Option<usize> {
     }
 }
 
-/// Renders an insertion-ordered field list as one JSON object line.
-fn render(fields: &[(&str, Value)]) -> String {
-    let map = Value::Map(
-        fields.iter().map(|(k, v)| ((*k).to_string(), v.clone())).collect(),
-    );
-    serde_json::to_string(&map).expect("value trees always serialize")
+/// Streams an insertion-ordered field list into one JSON object line.
+fn render(fields: &[(&str, &dyn Serialize)]) -> String {
+    serde_json::to_string(&Fields(fields)).expect("daemon lines hold only finite floats")
+}
+
+/// A field list serialized as one JSON object.
+struct Fields<'a>(&'a [(&'a str, &'a dyn Serialize)]);
+
+impl Serialize for Fields<'_> {
+    fn serialize(&self, sink: &mut dyn Sink) {
+        sink.begin_map();
+        for (key, value) in self.0 {
+            sink.key(key);
+            value.serialize(sink);
+        }
+        sink.end_map();
+    }
+}
+
+/// A batch's responses in submission order; a failed request renders as
+/// `{"error": message}`.
+struct Responses<'a>(&'a [Result<ServeResponse, ServeError>]);
+
+impl Serialize for Responses<'_> {
+    fn serialize(&self, sink: &mut dyn Sink) {
+        sink.begin_seq();
+        for response in self.0 {
+            match response {
+                Ok(response) => response.serialize(sink),
+                Err(e) => {
+                    sink.begin_map();
+                    sink.key("error");
+                    sink.str(e.message());
+                    sink.end_map();
+                }
+            }
+        }
+        sink.end_seq();
+    }
 }
 
 #[cfg(test)]
@@ -1018,6 +1036,25 @@ mod tests {
         // The good batch still served.
         assert_eq!(registry.counter("served.batches"), 1);
         assert!(out.contains("\"kind\":\"batch\""));
+    }
+
+    #[test]
+    fn a_deeply_nested_line_is_an_error_not_a_stack_overflow() {
+        let depth = 200_000;
+        let deep = format!("{{\"at\":0,\"batch\":{}{}}}", "[".repeat(depth), "]".repeat(depth));
+        let mut d = daemon(&DaemonConfig::default());
+        let (out, registry) = drive(&mut d, &[&deep, "{\"cmd\":\"status\"}"]);
+        // The error line, the status line, then the end-of-input status.
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 3, "{out}");
+        assert!(
+            lines[0].contains("\"kind\":\"error\"")
+                && lines[0].contains("bad JSON: recursion limit exceeded"),
+            "{}",
+            lines[0]
+        );
+        assert!(lines[1].contains("\"kind\":\"status\""), "{}", lines[1]);
+        assert_eq!(registry.counter("served.errors"), 1);
     }
 
     #[test]

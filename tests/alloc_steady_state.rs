@@ -289,3 +289,56 @@ fn recording_solve_only_grows_preallocated_buffers() {
         "recording added per-iteration allocations: 600 iters cost {long_allocs} allocs, 60 iters cost {short_allocs}"
     );
 }
+
+#[test]
+fn rendering_a_response_allocates_nothing_per_iteration_record() {
+    // `serde_json::to_string` streams a response's events straight into
+    // the output text: the only allocations are that `String`'s own
+    // doublings, so a 600-record convergence profile costs at most a few
+    // more allocations than a 60-record one — never one per record.
+    use fap::core::SingleFileProblem;
+    use fap::serve::{BatchServer, ServeRequest};
+
+    let graph = topology::ring(6, 1.0).expect("valid ring");
+    let pattern = AccessPattern::random(6, 0.1..0.5, 3).expect("valid pattern");
+    let problem = SingleFileProblem::mm1(&graph, &pattern, 5.0, 1.0).expect("valid");
+    let respond = |max_iterations: usize| {
+        let request = ServeRequest::SingleFile {
+            problem: problem.clone(),
+            initial: vec![1.0 / 6.0; 6],
+            alpha: 0.08,
+            // ε far below attainability: the solve always pays every step.
+            epsilon: 1e-300,
+            max_iterations,
+            topology: None,
+        };
+        let mut output = BatchServer::new(Parallelism::Sequential).serve(&[request]);
+        let response = output.responses.pop().expect("one response").expect("stable solve");
+        assert_eq!(response.iterations(), max_iterations);
+        response
+    };
+    let (short, long) = (respond(60), respond(600));
+    serde_json::to_string(&long).expect("finite response");
+
+    let (short_allocs, short_text) = counted(|| serde_json::to_string(&short).expect("finite"));
+    let (long_allocs, long_text) = counted(|| serde_json::to_string(&long).expect("finite"));
+
+    assert!(long_text.len() > 9 * short_text.len(), "the long trace renders ~10x the text");
+    // A `String` grown by doubling from empty to `len` bytes reallocates
+    // at most ⌊log2 len⌋ + 1 times.
+    let doublings = |text: &str| u64::from(usize::BITS - text.len().leading_zeros());
+    assert!(
+        short_allocs <= doublings(&short_text) && long_allocs <= doublings(&long_text),
+        "rendering allocated beyond the output's growth: 60 iters cost {short_allocs} allocs \
+         for {} bytes, 600 iters cost {long_allocs} allocs for {} bytes",
+        short_text.len(),
+        long_text.len()
+    );
+    // Ten times the text is a few more doublings, not ~5 allocations per
+    // record as when a `Value` tree was built and re-walked.
+    let extra_doublings = doublings(&long_text) - doublings(&short_text);
+    assert!(
+        long_allocs <= short_allocs + extra_doublings,
+        "per-record allocations: 600 iters cost {long_allocs} allocs, 60 iters cost {short_allocs}"
+    );
+}
