@@ -86,13 +86,28 @@ pub enum Topology {
     },
 }
 
+/// Largest adjacency a topology may build, in bytes: the scale bench's
+/// 1 GiB substrate ceiling.
+const GRAPH_BYTE_LIMIT: usize = 1 << 30;
+
 impl Topology {
     /// Builds the graph this topology describes.
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::Invalid`] for malformed shapes.
+    /// Returns [`ScenarioError::Invalid`] for malformed shapes, and for a
+    /// shape whose adjacency lists would exceed 1 GiB (refused before
+    /// anything is allocated).
     pub fn build(&self) -> Result<Graph, ScenarioError> {
+        let bytes = self.graph_bytes();
+        if bytes.is_none_or(|b| b > GRAPH_BYTE_LIMIT) {
+            let need = bytes.map_or_else(|| "an overflowing number of".into(), |b| b.to_string());
+            return Err(ScenarioError::Invalid(format!(
+                "a topology of {} nodes needs {need} adjacency bytes, over the \
+                 {GRAPH_BYTE_LIMIT}-byte limit",
+                self.node_count()
+            )));
+        }
         let graph = match self {
             Topology::Ring { n, link_cost } => topology::ring(*n, *link_cost),
             Topology::FullMesh { n, link_cost } => topology::full_mesh(*n, *link_cost),
@@ -107,6 +122,20 @@ impl Topology {
             }
         };
         graph.map_err(|e| ScenarioError::Invalid(e.to_string()))
+    }
+
+    /// Bytes the built graph's adjacency lists hold, from the spec fields
+    /// alone: one `(NodeId, f64)` entry per directed link and one list per
+    /// node. `None` when the count overflows `usize`.
+    fn graph_bytes(&self) -> Option<usize> {
+        let (n, entries) = match self {
+            Topology::Ring { n, .. } => (*n, n.checked_mul(2)?),
+            Topology::FullMesh { n, .. } => (*n, n.checked_mul(n.saturating_sub(1))?),
+            Topology::Star { n, .. } => (*n, n.saturating_sub(1).checked_mul(2)?),
+            Topology::Links { n, links } => (*n, links.len().checked_mul(2)?),
+        };
+        let lists = n.checked_mul(std::mem::size_of::<Vec<(NodeId, f64)>>())?;
+        entries.checked_mul(std::mem::size_of::<(NodeId, f64)>())?.checked_add(lists)
     }
 
     /// Number of nodes this topology describes.
@@ -266,6 +295,23 @@ mod tests {
         let example = Scenario::example();
         let parsed = Scenario::from_json(&example.to_json()).unwrap();
         assert_eq!(example, parsed);
+    }
+
+    #[test]
+    fn oversized_topologies_are_refused_before_building() {
+        // 200000·199999 directed links of 16 bytes plus 200000 lists of 24.
+        let mesh = Topology::FullMesh { n: 200_000, link_cost: 1.0 };
+        let err = mesh.build().unwrap_err().to_string();
+        assert!(err.contains("needs 640001600000 adjacency bytes"), "{err}");
+        for huge in [
+            Topology::Ring { n: usize::MAX, link_cost: 1.0 },
+            Topology::FullMesh { n: 1 << 40, link_cost: 1.0 },
+            Topology::Links { n: usize::MAX / 8, links: vec![] },
+        ] {
+            let err = huge.build().unwrap_err().to_string();
+            assert!(err.contains("an overflowing number of adjacency bytes"), "{err}");
+        }
+        assert!(Topology::Star { n: 1000, link_cost: 1.0 }.build().is_ok());
     }
 
     #[test]

@@ -318,6 +318,25 @@ mod tests {
         assert_eq!(out.matches("\"kind\":\"error\"").count(), 2);
     }
 
+    #[test]
+    fn an_oversized_topology_is_an_error_line_and_the_session_goes_on() {
+        let lines = vec![
+            "{\"at\":0,\"batch\":[{\"type\":\"multi_file\",\"topology\":{\"type\":\"full_mesh\",\
+             \"n\":200000,\"link_cost\":1.0},\"lambdas\":[[0.1]],\"mus\":[8.0],\"k\":1.0,\
+             \"alpha\":0.05,\"epsilon\":1e-6,\"max_iterations\":10}]}"
+                .to_string(),
+            "{\"cmd\":\"status\"}".to_string(),
+        ];
+        let (out, registry) = session(&DaemonConfig::default(), &lines);
+        // The error line, the status line, then the end-of-input status.
+        let replies: Vec<&str> = out.lines().collect();
+        assert_eq!(replies.len(), 3, "{out}");
+        assert!(replies[0].contains("\"kind\":\"error\""), "{}", replies[0]);
+        assert!(replies[0].contains("adjacency bytes"), "{}", replies[0]);
+        assert!(replies[1].contains("\"kind\":\"status\""), "{}", replies[1]);
+        assert_eq!(registry.counter("served.errors"), 1);
+    }
+
     #[cfg(unix)]
     #[test]
     fn socket_sessions_share_one_daemon() {

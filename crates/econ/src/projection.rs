@@ -22,8 +22,9 @@
 //!   order (steps (i)–(v) of the paper).
 //! * [`BoundaryRule::ClampToZero`] — violators land exactly on `x = 0` and
 //!   release their mass to the free agents (the default). Under uniform
-//!   weights a sorted prefix sweep predicts the whole pinned set, so a step
-//!   costs O(n log n) however many agents it pins.
+//!   weights Michelot's threshold rounds predict the whole pinned set
+//!   without a sort, so a step costs O(n) per round (a handful of rounds in
+//!   practice, O(n log n) at worst) however many agents it pins.
 //! * [`BoundaryRule::ScaleStep`] — shrink the whole step uniformly until no
 //!   agent goes negative (preserves the step direction).
 //! * [`BoundaryRule::Unconstrained`] — no boundary handling; allocations may
@@ -51,11 +52,15 @@ pub enum BoundaryRule {
     /// deadlocks on step overshoot; the default.
     ///
     /// Pinning cascades: each pin raises the free agents' shares. Under
-    /// uniform weights the whole pinned set is predicted by one sort of the
-    /// keys `x_i + α·w·g_i` and a prefix sweep, and the one-pin-per-pass
-    /// loop then only checks the prediction and settles fp near-ties, so a
-    /// step costs O(n log n) rather than one O(n) pass per pinned agent.
-    /// The result is bit-identical to the loop alone.
+    /// uniform weights the whole pinned set is predicted from the keys
+    /// `x_i + α·w·g_i` by Michelot's threshold rounds: each round drops
+    /// every free key below the threshold of the free set, until a round
+    /// drops no one. After 32 rounds the survivors are sorted and a prefix
+    /// sweep finishes the set. The one-pin-per-pass loop then only checks
+    /// the prediction and settles fp near-ties, each pass in two O(n)
+    /// sweeps, so a step costs a few O(n) sweeps (O(n log n) at worst)
+    /// rather than one O(n) pass per pinned agent. The result is
+    /// bit-identical to the loop alone.
     #[default]
     ClampToZero,
     /// Uniformly scale the step back until all allocations stay
@@ -84,6 +89,10 @@ impl StepOutcome {
     }
 }
 
+/// Threshold rounds a clamp-to-zero prediction runs before it sorts the
+/// agents still free (see [`pin_predicted`]).
+const MAX_ROUNDS: usize = 32;
+
 /// Reusable buffers for [`compute_step_into`]: the hot-loop variant of
 /// [`compute_step`] that allocates nothing once the workspace has been
 /// warmed to the problem dimension.
@@ -92,9 +101,15 @@ pub struct StepWorkspace {
     deltas: Vec<f64>,
     active: Vec<bool>,
     scale: f64,
-    /// Agent indices sorted by clamp key (the clamp-to-zero prediction).
+    /// Clamp keys `x_i + α·w·g_i` of the clamp-to-zero prediction.
+    keys: Vec<f64>,
+    /// The prediction's free list: agents still free in front, agents
+    /// dropped by a threshold round behind them.
     order: Vec<usize>,
     passes: usize,
+    /// Threshold rounds the last step's prediction ran.
+    #[cfg(test)]
+    rounds: usize,
 }
 
 impl StepWorkspace {
@@ -139,7 +154,8 @@ impl StepWorkspace {
 
     /// Resizes the buffers for `n` agents: all deltas zero, all agents
     /// active, scale 1, no passes. Allocation-free once capacity covers
-    /// `n`; the sort buffer grows on the first step that pins an agent.
+    /// `n`; the key and free-list buffers grow on the first step that
+    /// predicts a clamp cascade.
     fn reset(&mut self, n: usize) {
         self.deltas.clear();
         self.deltas.resize(n, 0.0);
@@ -147,6 +163,10 @@ impl StepWorkspace {
         self.active.resize(n, true);
         self.scale = 1.0;
         self.passes = 0;
+        #[cfg(test)]
+        {
+            self.rounds = 0;
+        }
     }
 }
 
@@ -252,7 +272,7 @@ pub fn compute_step_into(
     );
 
     workspace.reset(n);
-    let StepWorkspace { deltas, active, scale, order, passes } = workspace;
+    let StepWorkspace { deltas, active, scale, keys, order, passes, .. } = workspace;
     match rule {
         BoundaryRule::Unconstrained => {
             raw_deltas_into(marginals, weights, active, alpha, deltas);
@@ -277,7 +297,13 @@ pub fn compute_step_into(
             freeze_active_set_into(x, marginals, weights, alpha, deltas, active);
         }
         BoundaryRule::ClampToZero => {
-            *passes = clamp_to_zero_into(x, marginals, weights, alpha, deltas, active, Some(order));
+            let (clamp_passes, _rounds) =
+                clamp_to_zero_into(x, marginals, weights, alpha, deltas, active, keys, order);
+            *passes = clamp_passes;
+            #[cfg(test)]
+            {
+                workspace.rounds = _rounds;
+            }
         }
     }
 }
@@ -285,28 +311,33 @@ pub fn compute_step_into(
 /// Violators are pinned exactly to zero (`Δx_v = −x_v`), releasing their
 /// mass; the free agents share the released mass equally on top of their
 /// zero-sum raw step. `active` enters all-true and tracks the not-yet-pinned
-/// set; the return value is the number of passes.
+/// set; the return value is the number of passes and the number of
+/// threshold rounds the prediction ran (0 without one).
 ///
-/// The loop pins one violator per pass (the lowest marginal) and recomputes
-/// every delta, so on its own a step that pins `p` agents costs `p + 1`
-/// O(n) passes. With uniform weights (every first-order solve) the final
-/// pinned set is known up front: with `c = α·w` and key `k_i = x_i + c·g_i`,
+/// Each pass pins one violator (the lowest marginal, the first of equals)
+/// and recomputes every delta in two sweeps: one accumulates the free
+/// count, `Σ w·g` and `Σ w` over the free set and the released `Σ x` over
+/// the pinned set, the other writes the deltas and finds the violators. On
+/// its own the loop takes `p + 1` O(n) passes for a step that pins `p`
+/// agents. With uniform weights (every first-order solve) the final pinned
+/// set is known up front: with `c = α·w` and key `k_i = x_i + c·g_i`,
 /// agent `i` violates over active set `A` exactly when
 /// `k_i < θ_A = (c·Σ_A g − Σ_{j∉A} x_j)/|A|`, and each pin raises `θ_A`.
-/// Violators therefore stay violators until pinned, and the final pinned set
-/// is a prefix of the agents sorted by key whatever the pin order.
+/// Violators therefore stay violators until pinned: the step is the
+/// Euclidean projection of the keys onto the simplex, and the final pinned
+/// set is `{i : k_i < θ}` at its final threshold, whatever the pin order.
 ///
-/// Given an `order` buffer, the first pass that shows the cascade pins more
-/// than one agent (it finds two violators, or a violator after a pin) hands
-/// over to [`pin_predicted_prefix`]: one sort and one prefix sweep pin every
-/// agent whose key is clearly below the final threshold. The loop then runs
+/// The first pass that shows the cascade pins more than one agent (it finds
+/// two violators, or a violator after a pin) hands over to
+/// [`pin_predicted`], which pins every agent whose key is clearly below the
+/// final threshold in O(n) per threshold round. The loop then runs
 /// unchanged from that set: its next pass checks the prediction, pins any
 /// near-tie agent left over one per pass, and writes the deltas. Since the
-/// deltas are a function of the final active set alone, the step is
-/// bit-identical to the loop's own and costs O(n log n) instead of
-/// O(n·p). Without an `order` buffer (or with unequal weights, where the
-/// prefix property fails) the loop does all the pinning: it is the oracle
-/// the prediction is tested against.
+/// deltas are a function of the final active set alone (each sum keeps its
+/// index order and start value), the step is bit-identical to the loop's
+/// own. With unequal weights, where the keys do not order the pins, the
+/// loop does all the pinning.
+#[allow(clippy::too_many_arguments)]
 fn clamp_to_zero_into(
     x: &[f64],
     marginals: &[f64],
@@ -314,88 +345,149 @@ fn clamp_to_zero_into(
     alpha: f64,
     deltas: &mut [f64],
     active: &mut [bool],
-    mut order: Option<&mut Vec<usize>>,
-) -> usize {
+    keys: &mut Vec<f64>,
+    order: &mut Vec<usize>,
+) -> (usize, usize) {
     let n = x.len();
-    let mut passes = 0;
+    let (mut passes, mut rounds, mut predicted) = (0, 0, false);
     loop {
         passes += 1;
-        let free_count = active.iter().filter(|a| **a).count();
-        if free_count == 0 {
-            deltas.fill(0.0);
-            return passes;
-        }
-        raw_deltas_into(marginals, weights, active, alpha, deltas);
-        let released: f64 = (0..n).filter(|&i| !active[i]).map(|i| x[i]).sum();
-        let share = released / free_count as f64;
+        // `-0.0` is where `Iterator::sum::<f64>` starts.
+        let (mut free_count, mut num, mut den, mut released) = (0usize, 0.0, 0.0, -0.0);
         for i in 0..n {
             if active[i] {
-                deltas[i] += share;
+                free_count += 1;
+                num += weights[i] * marginals[i];
+                den += weights[i];
+            } else {
+                released += x[i];
+            }
+        }
+        if free_count == 0 {
+            deltas.fill(0.0);
+            return (passes, rounds);
+        }
+        let avg = if den == 0.0 { 0.0 } else { num / den };
+        let share = released / free_count as f64;
+        let (mut violators, mut violator) = (0, None::<usize>);
+        for i in 0..n {
+            if active[i] {
+                deltas[i] = alpha * weights[i] * (marginals[i] - avg) + share;
+                if x[i] + deltas[i] < 0.0 {
+                    violators += 1;
+                    if violator.is_none_or(|v| marginals[i].total_cmp(&marginals[v]).is_lt()) {
+                        violator = Some(i);
+                    }
+                }
             } else {
                 deltas[i] = -x[i];
             }
         }
-        let mut violators = 0;
-        let violator = (0..n)
-            .filter(|&i| active[i] && x[i] + deltas[i] < 0.0)
-            .inspect(|_| violators += 1)
-            .min_by(|&a, &b| marginals[a].total_cmp(&marginals[b]));
-        match violator {
-            Some(v) => {
-                active[v] = false;
-                // The sort pays off once the cascade is known to pin a
-                // second agent; a single pin is settled by the next pass.
-                let cascading = violators > 1 || passes > 1;
-                if let Some(order) = order.take_if(|_| cascading) {
-                    if weights.iter().all(|w| *w == weights[0]) {
-                        pin_predicted_prefix(x, marginals, alpha * weights[0], active, order);
-                    }
-                }
+        let Some(v) = violator else { return (passes, rounds) };
+        active[v] = false;
+        // The prediction pays off once the cascade is known to pin a
+        // second agent; a single pin is settled by the next pass.
+        if !predicted && (violators > 1 || passes > 1) {
+            predicted = true;
+            if weights.iter().all(|w| *w == weights[0]) {
+                let c = alpha * weights[0];
+                rounds = pin_predicted(x, marginals, c, active, keys, order, MAX_ROUNDS);
             }
-            None => return passes,
         }
     }
 }
 
 /// Pins the agents whose key `x_i + c·g_i` lies clearly below the final
-/// clamp threshold of a uniform-weight step (see [`clamp_to_zero_into`]).
+/// clamp threshold of a uniform-weight step (see [`clamp_to_zero_into`]),
+/// and returns the threshold rounds it ran.
 ///
-/// A sweep over the keys in ascending order pins the lowest key while it
-/// violates the threshold of the agents above it. The threshold at the
-/// stopping point is then recomputed from direct sums (the sweep's running
-/// differences cancel), and only keys below it by a relative margin far
-/// above the loop's rounding error are pinned, so fp near-ties are left to
-/// the loop and the prediction never pins an agent the loop would keep. The
-/// highest key is never pinned here either.
-fn pin_predicted_prefix(
+/// Michelot's rounds (J. Optim. Theory Appl. 50, 1986) find the pinned set
+/// without sorting: starting with every agent free, each round computes the
+/// threshold `θ = (c·Σ_free g − Σ_pinned x)/|free|` and drops every free
+/// agent whose key is below it, until a round drops no one. `θ` only rises
+/// from round to round, so every dropped agent is a true violator. `order`
+/// is the shrinking free list and each round one sweep over it. After
+/// `max_rounds` rounds that still drop agents, the survivors are sorted by
+/// key and a prefix sweep pins the lowest key while it violates the
+/// threshold of the keys above it, so the worst case stays O(n log n).
+///
+/// The threshold of the final free set is then recomputed from direct
+/// sums, and only keys below it by a relative margin far above the loop's
+/// rounding error are pinned, so fp near-ties are left to the loop and the
+/// prediction never pins an agent the loop would keep. The highest key is
+/// never pinned either.
+fn pin_predicted(
     x: &[f64],
     marginals: &[f64],
     c: f64,
     active: &mut [bool],
+    keys: &mut Vec<f64>,
     order: &mut Vec<usize>,
-) {
+    max_rounds: usize,
+) -> usize {
     let n = x.len();
-    let key = |i: usize| x[i] + c * marginals[i];
+    keys.clear();
     order.clear();
     order.extend(0..n);
-    order.sort_unstable_by(|&a, &b| key(a).total_cmp(&key(b)).then(a.cmp(&b)));
-
-    let (mut free_g, mut pinned_x) = (marginals.iter().sum::<f64>(), 0.0);
-    let mut m = 0;
-    while m + 1 < n && key(order[m]) < (c * free_g - pinned_x) / (n - m) as f64 {
-        free_g -= marginals[order[m]];
-        pinned_x += x[order[m]];
-        m += 1;
+    let (mut free_g, mut abs_x, mut g_max) = (0.0, 0.0, 0.0f64);
+    for (xi, gi) in x.iter().zip(marginals) {
+        keys.push(xi + c * gi);
+        free_g += gi;
+        abs_x += xi.abs();
+        g_max = g_max.max(gi.abs());
     }
 
-    let free_g: f64 = order[m..].iter().map(|&i| marginals[i]).sum();
-    let pinned_x: f64 = order[..m].iter().map(|&i| x[i]).sum();
-    let theta = (c * free_g - pinned_x) / (n - m) as f64;
-    let g_max = marginals.iter().fold(0.0f64, |acc, g| acc.max(g.abs()));
-    let margin = 1e-9 * (x.iter().map(|v| v.abs()).sum::<f64>() + c * g_max);
-    for &i in order[..m].iter().take_while(|&&i| key(i) < theta - margin) {
-        active[i] = false;
+    let (mut free, mut pinned_x, mut rounds) = (n, 0.0, 0);
+    let mut settled = false;
+    while rounds < max_rounds && !settled {
+        rounds += 1;
+        let theta = (c * free_g - pinned_x) / free as f64;
+        let (mut kept, mut kept_g) = (0, 0.0);
+        for j in 0..free {
+            let i = order[j];
+            if keys[i] < theta {
+                pinned_x += x[i];
+            } else {
+                kept_g += marginals[i];
+                order.swap(kept, j);
+                kept += 1;
+            }
+        }
+        settled = kept == free;
+        if kept == 0 {
+            // Every key fell below the threshold (a non-positive total):
+            // keep the highest one free.
+            let top = (0..free).max_by(|&a, &b| keys[order[a]].total_cmp(&keys[order[b]]));
+            order.swap(0, top.expect("a round starts with a free agent"));
+            kept = 1;
+            settled = true;
+        }
+        (free, free_g) = (kept, kept_g);
     }
+    if !settled {
+        let survivors = &mut order[..free];
+        survivors.sort_unstable_by(|&a, &b| keys[a].total_cmp(&keys[b]).then(a.cmp(&b)));
+        let mut m = 0;
+        while m + 1 < free && keys[survivors[m]] < (c * free_g - pinned_x) / (free - m) as f64 {
+            free_g -= marginals[survivors[m]];
+            pinned_x += x[survivors[m]];
+            m += 1;
+        }
+        survivors.rotate_left(m);
+        free -= m;
+    }
+
+    let (free_set, pinned) = order.split_at(free);
+    let free_g: f64 = free_set.iter().map(|&i| marginals[i]).sum();
+    let pinned_x: f64 = pinned.iter().map(|&i| x[i]).sum();
+    let theta = (c * free_g - pinned_x) / free as f64;
+    let margin = 1e-9 * (abs_x + c * g_max);
+    for &i in pinned {
+        if keys[i] < theta - margin {
+            active[i] = false;
+        }
+    }
+    rounds
 }
 
 /// Raw step over the given active set: `Δx_i = α w_i (g_i − avg_w)` for
@@ -615,12 +707,65 @@ mod tests {
         }
     }
 
+    /// The clamp loop as six separate sweeps per pass: count the free
+    /// agents, the weighted average, the raw deltas, the released sum, the
+    /// share and the violator search. Given key and order buffers, it hands
+    /// a cascade to the prediction with no threshold rounds, so the sorted
+    /// prefix sweep runs over every agent.
+    fn clamp_loop(
+        x: &[f64],
+        marginals: &[f64],
+        weights: &[f64],
+        alpha: f64,
+        deltas: &mut [f64],
+        active: &mut [bool],
+        mut sorted: Option<(&mut Vec<f64>, &mut Vec<usize>)>,
+    ) -> usize {
+        let n = x.len();
+        let mut passes = 0;
+        loop {
+            passes += 1;
+            let free_count = active.iter().filter(|a| **a).count();
+            if free_count == 0 {
+                deltas.fill(0.0);
+                return passes;
+            }
+            raw_deltas_into(marginals, weights, active, alpha, deltas);
+            let released: f64 = (0..n).filter(|&i| !active[i]).map(|i| x[i]).sum();
+            let share = released / free_count as f64;
+            for i in 0..n {
+                if active[i] {
+                    deltas[i] += share;
+                } else {
+                    deltas[i] = -x[i];
+                }
+            }
+            let mut violators = 0;
+            let violator = (0..n)
+                .filter(|&i| active[i] && x[i] + deltas[i] < 0.0)
+                .inspect(|_| violators += 1)
+                .min_by(|&a, &b| marginals[a].total_cmp(&marginals[b]));
+            match violator {
+                Some(v) => {
+                    active[v] = false;
+                    let cascading = violators > 1 || passes > 1;
+                    if let Some((keys, order)) = sorted.take_if(|_| cascading) {
+                        if weights.iter().all(|w| *w == weights[0]) {
+                            pin_predicted(x, marginals, alpha * weights[0], active, keys, order, 0);
+                        }
+                    }
+                }
+                None => return passes,
+            }
+        }
+    }
+
     /// The clamp loop alone from all-active: the oracle for the predicted
     /// step. Returns its deltas, active set and pass count.
     fn clamp_oracle(x: &[f64], g: &[f64], w: &[f64], alpha: f64) -> (Vec<f64>, Vec<bool>, usize) {
         let mut deltas = vec![0.0; x.len()];
         let mut active = vec![true; x.len()];
-        let passes = clamp_to_zero_into(x, g, w, alpha, &mut deltas, &mut active, None);
+        let passes = clamp_loop(x, g, w, alpha, &mut deltas, &mut active, None);
         (deltas, active, passes)
     }
 
@@ -666,6 +811,66 @@ mod tests {
         let (_, _, oracle_passes) = clamp_oracle(&x, &g, &w, 1.0);
         assert!(oracle_passes > 200, "the loop alone takes {oracle_passes} passes");
         check_against_oracle(&x, &g, &w, 1.0, &mut ws).unwrap();
+    }
+
+    #[test]
+    fn threshold_rounds_pin_a_wide_cascade_in_two_passes() {
+        // 100 000 agents with marginals on a grid of 2001 levels: about
+        // 68 % end up pinned, and no key sits near the final threshold.
+        let n = 100_000;
+        let x = vec![1.0 / n as f64; n];
+        let g: Vec<f64> = (0..n as u64)
+            .map(|i| {
+                let u = (i * 2_654_435_761 % (1 << 32)) as f64 / (1u64 << 32) as f64;
+                ((2.0 * u - 1.0) * 1000.0).round() / 1000.0
+            })
+            .collect();
+        let w = vec![1.0; n];
+        let alpha = 1e-4;
+        let mut ws = StepWorkspace::new();
+        compute_step_into(&x, &g, &w, alpha, BoundaryRule::ClampToZero, &mut ws);
+        let pinned = n - ws.active_count();
+        assert!((65_000..72_000).contains(&pinned), "{pinned} agents pinned");
+        assert!(ws.rounds <= 8, "{} rounds", ws.rounds);
+        assert!(ws.passes() <= 2, "{} passes", ws.passes());
+        // The loop alone would take one pass per pin: compare with the loop
+        // whose prediction sorts every key instead.
+        let (mut deltas, mut active) = (vec![0.0; n], vec![true; n]);
+        let (mut keys, mut order) = (Vec::new(), Vec::new());
+        clamp_loop(&x, &g, &w, alpha, &mut deltas, &mut active, Some((&mut keys, &mut order)));
+        let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert!(bits(ws.deltas()) == bits(&deltas), "deltas differ from the sorted prediction");
+        assert!(ws.active() == &active[..], "active set differs from the sorted prediction");
+    }
+
+    #[test]
+    fn threshold_rounds_fall_back_to_the_sorted_sweep_at_the_cap() {
+        // Agent 0 holds the whole budget at key 1 (c = 1, so the other
+        // keys are their marginals). Each key below is placed under the
+        // threshold of the keys above it, and low enough that the
+        // threshold with it included stays at or under the next key up, so
+        // every round drops the lowest free key alone.
+        let low = MAX_ROUNDS + 2;
+        let mut g = vec![0.0];
+        let (mut sum, mut min) = (1.0, 1.0);
+        for s in 1..=low {
+            let theta = (sum - 1.0) / s as f64;
+            let highest = (s + 1) as f64 * min - sum + 1.0;
+            let bound = theta.min(highest);
+            min = bound - 0.5 * (bound.abs() + 1.0);
+            sum += min;
+            g.push(min);
+        }
+        let n = g.len();
+        let mut x = vec![0.0; n];
+        x[0] = 1.0;
+        let w = vec![1.0; n];
+        let mut ws = StepWorkspace::new();
+        check_against_oracle(&x, &g, &w, 1.0, &mut ws).unwrap();
+        assert_eq!(ws.rounds, MAX_ROUNDS);
+        let (_, active, oracle_passes) = clamp_oracle(&x, &g, &w, 1.0);
+        assert_eq!(active.iter().filter(|a| !**a).count(), low);
+        assert!(ws.passes() < oracle_passes, "{} passes, {oracle_passes} without", ws.passes());
     }
 
     #[test]
