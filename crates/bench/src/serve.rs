@@ -19,6 +19,7 @@ use fap_batch::Parallelism;
 use fap_cache::{CostBackend, SubstrateCache};
 use fap_core::{MultiFileProblem, SingleFileProblem};
 use fap_net::{topology, AccessPattern, Graph};
+use fap_obs::NoopRecorder;
 use fap_ring::VirtualRing;
 use fap_serve::{BatchServer, ServeOutput, ServeRequest, ServeResponse};
 use serde::{Deserialize, Serialize};
@@ -238,7 +239,7 @@ fn bench_cache(count: usize) -> CachePoint {
     let (build_cached_ms, ()) = time_ms(|| {
         for (graph, fresh) in graphs.iter().zip(&cold) {
             let cached = cache
-                .get_or_build(graph, CostBackend::Dense, &mut fap_obs::NoopRecorder)
+                .get_or_build(graph, CostBackend::Dense, &mut NoopRecorder)
                 .expect("valid graph");
             row.resize(fresh.node_count(), 0.0);
             for u in graph.nodes() {
@@ -265,14 +266,15 @@ fn bench_cache(count: usize) -> CachePoint {
 /// warm sharding stays bit-identical to warm sequential.
 fn bench_warm(count: usize, shard_counts: &[usize]) -> WarmPoint {
     let requests = perturbed_workload(count);
-    let cold = BatchServer::new(Parallelism::Sequential).serve(&requests);
+    let cold = BatchServer::new(Parallelism::Sequential).serve(&requests, None, &mut NoopRecorder);
     assert_eq!(cold.err_count(), 0, "the perturbed workload must solve cleanly");
-    let warm =
-        BatchServer::new(Parallelism::Sequential).with_warm_start(true).serve(&requests);
+    let warm = BatchServer::new(Parallelism::Sequential)
+        .with_warm_start(true)
+        .serve(&requests, None, &mut NoopRecorder);
     for &shards in shard_counts {
         let sharded = BatchServer::new(Parallelism::Fixed(shards))
             .with_warm_start(true)
-            .serve(&requests);
+            .serve(&requests, None, &mut NoopRecorder);
         assert_eq!(
             warm.responses, sharded.responses,
             "warm sharded serving diverged at requests = {count}, shards = {shards}"
@@ -334,12 +336,17 @@ pub fn bench_serve(batch_sizes: &[usize], shard_counts: &[usize]) -> ServeReport
     for &count in batch_sizes {
         let requests = serve_workload(count);
         let (sequential_ms, sequential) =
-            time_ms(|| BatchServer::new(Parallelism::Sequential).serve(&requests));
+            time_ms(|| {
+                BatchServer::new(Parallelism::Sequential).serve(&requests, None, &mut NoopRecorder)
+            });
         assert_eq!(sequential.err_count(), 0, "the benchmark workload must solve cleanly");
         let checksum = checksum_output(&sequential);
         for &shards in shard_counts {
             let (sharded_ms, sharded) =
-                time_ms(|| BatchServer::new(Parallelism::Fixed(shards)).serve(&requests));
+                time_ms(|| {
+                    BatchServer::new(Parallelism::Fixed(shards))
+                        .serve(&requests, None, &mut NoopRecorder)
+                });
             assert_eq!(
                 sequential.responses, sharded.responses,
                 "sharded serving diverged at requests = {count}, shards = {shards}"

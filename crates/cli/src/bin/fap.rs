@@ -6,7 +6,8 @@
 //! fap simulate <scenario.json>           solve, then measure with the DES
 //! fap sim <scenario.json> [chaos.json]   run the protocol under faults
 //! fap serve <requests.json> [--shards N] [--warm-start] [--oracle-update]
-//!                                        batch-solve a request list, sharded
+//!                                        serve a request list as one daemon
+//!                                        batch; print its JSON batch line
 //! fap served [--servers C] [--warm MODE] [--admission-bound W] ...
 //!                                        persistent daemon (JSONL on stdin,
 //!                                        or --socket <path> on Unix; a
@@ -36,19 +37,19 @@
 //! `solve`, `run`, `sim`, `serve`, `served` and `track` accept
 //! `--metrics-out <path.jsonl>`
 //! to export the run's telemetry and `--metrics-summary` to print the
-//! metrics table. By default the export is buffered in memory and written
-//! at the end; `--metrics-flush-every <N>` streams it instead, flushing to
-//! the file every `N` events (bounded memory on long runs, byte-identical
-//! output). Telemetry runs on virtual time (iterations/rounds), so two
+//! metrics table. Every such command records through one streaming
+//! `JsonlSink`: each event is written as it happens (to the file, or
+//! discarded when no file is given), so memory stays flat however long
+//! the run. Telemetry runs on virtual time (iterations/rounds), so two
 //! runs of the same seeded scenario export byte-identical JSONL.
 
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
 use fap_cli::{chaos_sim_observed, simulate, solve_observed, summarize, sweep_k, Scenario};
-use fap_obs::{JsonlSink, Recorder, Telemetry};
+use fap_obs::JsonlSink;
 use fap_runtime::ChaosPlan;
 
 fn main() -> ExitCode {
@@ -94,8 +95,11 @@ const USAGE: &str = "usage:
   fap example
   fap chaos-example
 
-metrics flags also accept --metrics-flush-every <n> to stream the export
-(requires --metrics-out; flushes every n events instead of buffering)
+metrics flags: --metrics-out <path.jsonl> streams the run's telemetry to a
+file as it happens; --metrics-summary prints the metrics table
+
+serve runs the list as one batch through the daemon that served runs and
+prints its JSON batch line
 
 solve, run, sim and serve also accept cost-substrate flags:
   --cost-backend dense|landmark   exact n^2 matrix (default) or the sparse
@@ -111,75 +115,44 @@ instead of rebuilding them
 served --cache-bytes <n> bounds the whole substrate cache, dense matrices
 and landmark oracles together, evicting the oldest entries first";
 
-/// Telemetry flags shared by `solve`/`run`/`sim`/`serve`.
+/// Telemetry flags shared by `solve`/`run`/`sim`/`serve`/`served`/`track`.
 #[derive(Debug, Default)]
 struct MetricsOptions {
     out: Option<String>,
     summary: bool,
-    flush_every: Option<usize>,
 }
 
-/// The recorder a command writes into: buffered [`Telemetry`] by default,
-/// or a streaming [`JsonlSink`] under `--metrics-flush-every`.
-enum MetricsSink {
-    Buffered(Telemetry),
-    Streaming(JsonlSink<BufWriter<File>>),
-}
-
-impl MetricsSink {
-    fn recorder(&mut self) -> &mut dyn Recorder {
-        match self {
-            MetricsSink::Buffered(telemetry) => telemetry,
-            MetricsSink::Streaming(sink) => sink,
-        }
-    }
-}
+/// The sink every command records through: the `--metrics-out` file, or
+/// nowhere when no file is given.
+type MetricsSink = JsonlSink<Box<dyn Write>>;
 
 impl MetricsOptions {
     fn requested(&self) -> bool {
-        self.out.is_some() || self.summary || self.flush_every.is_some()
+        self.out.is_some() || self.summary
     }
 
-    /// Opens the recorder the flags ask for. The streaming sink opens its
-    /// output file up front, so a bad path fails before the run starts.
+    /// Opens the sink. The output file is created up front, so a bad path
+    /// fails before the run starts.
     fn sink(&self) -> Result<MetricsSink, String> {
-        match self.flush_every {
-            Some(n) => {
-                let path = self
-                    .out
-                    .as_ref()
-                    .ok_or("--metrics-flush-every requires --metrics-out")?;
-                let file =
-                    File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
-                Ok(MetricsSink::Streaming(JsonlSink::new(BufWriter::new(file), n)))
+        let writer: Box<dyn Write> = match &self.out {
+            Some(path) => {
+                let file = File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
+                Box::new(BufWriter::new(file))
             }
-            None => Ok(MetricsSink::Buffered(Telemetry::manual())),
-        }
+            None => Box::new(io::sink()),
+        };
+        Ok(JsonlSink::new(writer))
     }
 
-    /// Exports and/or prints the recorded telemetry as the flags
-    /// requested. Both paths produce byte-identical JSONL; the streaming
-    /// one has already written its event lines and only appends the
-    /// registry trailer here.
+    /// Prints the summary if asked, then appends the registry trailer and
+    /// flushes the export (reporting any write error deferred during the
+    /// run).
     fn finish(&self, sink: MetricsSink) -> Result<(), String> {
-        match sink {
-            MetricsSink::Buffered(telemetry) => {
-                if let Some(path) = &self.out {
-                    std::fs::write(path, telemetry.to_jsonl())
-                        .map_err(|e| format!("writing {path}: {e}"))?;
-                }
-                if self.summary {
-                    print!("{}", telemetry.summary());
-                }
-            }
-            MetricsSink::Streaming(streaming) => {
-                if self.summary {
-                    print!("{}", streaming.summary());
-                }
-                let path = self.out.as_deref().unwrap_or_default();
-                streaming.finish().map_err(|e| format!("writing {path}: {e}"))?;
-            }
+        if self.summary {
+            print!("{}", sink.summary());
         }
+        let path = self.out.as_deref().unwrap_or_default();
+        sink.finish().map_err(|e| format!("writing {path}: {e}"))?;
         Ok(())
     }
 }
@@ -239,9 +212,8 @@ fn extract_backend_flags(
     Ok((positional, backend))
 }
 
-/// Splits `--metrics-out <path>` / `--metrics-summary` /
-/// `--metrics-flush-every <n>` out of the raw argument list, leaving the
-/// positional arguments.
+/// Splits `--metrics-out <path>` / `--metrics-summary` out of the raw
+/// argument list, leaving the positional arguments.
 fn extract_metrics_flags(args: &[String]) -> Result<(Vec<String>, MetricsOptions), String> {
     let mut positional = Vec::new();
     let mut options = MetricsOptions::default();
@@ -253,13 +225,6 @@ fn extract_metrics_flags(args: &[String]) -> Result<(Vec<String>, MetricsOptions
                 options.out = Some(path.clone());
             }
             "--metrics-summary" => options.summary = true,
-            "--metrics-flush-every" => {
-                let n = iter.next().ok_or("--metrics-flush-every requires a count")?;
-                let n: usize = n
-                    .parse()
-                    .map_err(|e| format!("bad flush interval '{n}': {e}"))?;
-                options.flush_every = Some(n);
-            }
             _ => positional.push(arg.clone()),
         }
     }
@@ -275,7 +240,7 @@ fn run(args: &[String]) -> Result<(), String> {
         )
     {
         return Err(
-            "--metrics-out/--metrics-summary/--metrics-flush-every only apply to solve, run, sim, serve, served and track"
+            "--metrics-out/--metrics-summary only apply to solve, run, sim, serve, served and track"
                 .into(),
         );
     }
@@ -305,7 +270,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 }
                 let mut sink = metrics.sink()?;
                 let output =
-                    solve_observed(&scenario, sink.recorder()).map_err(|e| e.to_string())?;
+                    solve_observed(&scenario, &mut sink).map_err(|e| e.to_string())?;
                 metrics.finish(sink)?;
                 println!("converged:  {} ({} iterations)", output.converged, output.iterations);
                 println!("cost:       {:.6}", output.cost);
@@ -363,7 +328,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     _ => ChaosPlan::new(0),
                 };
                 let mut sink = metrics.sink()?;
-                let report = chaos_sim_observed(&scenario, plan, sink.recorder())
+                let report = chaos_sim_observed(&scenario, plan, &mut sink)
                     .map_err(|e| e.to_string())?;
                 metrics.finish(sink)?;
                 let json = serde_json::to_string_pretty(&report)
@@ -404,15 +369,9 @@ fn run(args: &[String]) -> Result<(), String> {
                     }
                 }
                 let mut sink = metrics.sink()?;
-                let output = fap_cli::serve::serve_specs(
-                    &specs,
-                    shards,
-                    warm_start,
-                    oracle_update,
-                    sink.recorder(),
-                )
-                .map_err(|e| e.to_string())?;
-                print!("{}", fap_cli::serve::render_output(&specs, &output));
+                let line =
+                    fap_cli::serve_once(&specs, shards, warm_start, oracle_update, &mut sink)?;
+                println!("{line}");
                 metrics.finish(sink)?;
                 Ok(())
             }
@@ -494,7 +453,7 @@ fn run(args: &[String]) -> Result<(), String> {
                             fap_cli::served::run_socket(
                                 Path::new(&path),
                                 &config,
-                                sink.recorder(),
+                                &mut sink,
                             )?;
                         }
                         #[cfg(not(unix))]
@@ -511,9 +470,8 @@ fn run(args: &[String]) -> Result<(), String> {
                             stdin.lock(),
                             &mut out,
                             &config,
-                            sink.recorder(),
+                            &mut sink,
                         )?;
-                        use std::io::Write as _;
                         out.flush().map_err(|e| e.to_string())?;
                     }
                 }
@@ -523,7 +481,7 @@ fn run(args: &[String]) -> Result<(), String> {
             ("track", rest) => {
                 let options = fap_cli::parse_track_args(rest)?;
                 let mut sink = metrics.sink()?;
-                let report = fap_cli::run_track(&options, sink.recorder())?;
+                let report = fap_cli::run_track(&options, &mut sink)?;
                 if options.json {
                     let json =
                         serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;

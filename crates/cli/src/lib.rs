@@ -10,7 +10,7 @@
 //! fap solve scenario.json            # optimal allocation + cost
 //! fap simulate scenario.json        # measure the optimum empirically
 //! fap sim scenario.json chaos.json  # run the protocol under injected faults
-//! fap serve requests.json --shards 4 # batch-solve a scenario list, sharded
+//! fap serve requests.json --shards 4 # one daemon batch: a scenario list, sharded
 //! fap served                         # persistent daemon (JSONL on stdin)
 //! fap track --drift-scenario diurnal # online reallocation under drift
 //! fap bench-drift                    # the regret/determinism benchmark
@@ -22,8 +22,14 @@
 //! fap chaos-example                  # print a template fault plan
 //! ```
 //!
-//! `solve`/`run` and `sim` take `--metrics-out <path.jsonl>` and
-//! `--metrics-summary` to export structured telemetry (see `fap-obs`); the
+//! `fap serve` is a [`served`] daemon session of one envelope
+//! ([`serve_once`]), so both serving commands run one path and print the
+//! same JSON batch line.
+//!
+//! `solve`/`run`, `sim`, `serve`, `served` and `track` take
+//! `--metrics-out <path.jsonl>` and `--metrics-summary` to export
+//! structured telemetry (see `fap-obs`): every command records through one
+//! streaming `JsonlSink`, so memory stays flat on long sessions. The
 //! export runs on virtual time, so seeded runs reproduce byte-for-byte.
 //!
 //! `serde_json` is a dependency of this crate only (justification in
@@ -44,7 +50,7 @@ pub mod track;
 pub use report::{render, render_diff, render_json, summarize, ReportSummary};
 pub use run::{chaos_sim, chaos_sim_observed, simulate, solve, solve_observed, sweep_k, SolveOutput};
 pub use scenario::{Scenario, ScenarioError, Topology};
-pub use serve::{load_specs, serve_specs, ServeSpec};
-pub use served::{run_daemon, spec_daemon, spec_parser_with};
+pub use serve::{load_specs, ServeSpec};
+pub use served::{run_daemon, serve_once, spec_daemon, spec_parser_with};
 pub use trace::{analyze as analyze_trace, TraceReport, TraceTree};
 pub use track::{parse_track_args, render_track, run_track, TrackOptions};

@@ -41,7 +41,7 @@ pub(crate) fn net_error(e: fap_net::NetError) -> ScenarioError {
 /// scenario's configured cost backend (dense matrix or landmark oracle),
 /// resolved by a one-shot [`SubstrateCache`](fap_cache::SubstrateCache).
 pub(crate) fn problem_of(scenario: &Scenario) -> Result<SingleFileProblem, ScenarioError> {
-    let graph = scenario.topology.build()?;
+    let graph = scenario.topology.build(scenario.cost_backend)?;
     let mut cache = fap_cache::SubstrateCache::new();
     let costs = cache
         .get_or_build(&graph, scenario.cost_backend, &mut NoopRecorder)
@@ -116,7 +116,7 @@ pub fn solve_observed(
 /// simulated.
 pub fn simulate(scenario: &Scenario) -> Result<(SolveOutput, SimReport), ScenarioError> {
     let output = solve(scenario)?;
-    let graph = scenario.topology.build()?;
+    let graph = scenario.topology.build(fap_cache::CostBackend::Dense)?;
     let costs = graph.shortest_path_matrix().map_err(net_error)?;
     let services: Vec<ServiceDistribution> = scenario
         .service_rates()
@@ -195,7 +195,7 @@ pub fn sweep_k(
             "sweep-k requires a uniform service rate".into(),
         ));
     }
-    let graph = scenario.topology.build()?;
+    let graph = scenario.topology.build(fap_cache::CostBackend::Dense)?;
     let costs = graph.shortest_path_matrix().map_err(net_error)?;
     tuning::k_sweep(&costs, &scenario.pattern()?, mu, candidates)
         .map_err(|e| ScenarioError::Invalid(e.to_string()))

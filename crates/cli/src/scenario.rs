@@ -5,7 +5,10 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use fap_cache::CostBackend;
-use fap_net::{topology, AccessPattern, Graph, NodeId};
+use fap_net::shortest_path::DEFAULT_DENSE_ELEMENT_BUDGET;
+use fap_net::{topology, AccessPattern, Graph, NetError, NodeId};
+
+use crate::run::net_error;
 
 /// Errors while loading or validating a scenario.
 #[derive(Debug)]
@@ -86,27 +89,44 @@ pub enum Topology {
     },
 }
 
-/// Largest adjacency a topology may build, in bytes: the scale bench's
-/// 1 GiB substrate ceiling.
-const GRAPH_BYTE_LIMIT: usize = 1 << 30;
+/// Largest adjacency a topology may build, and largest landmark table a
+/// spec may ask for, in bytes: the scale bench's 1 GiB substrate ceiling.
+const SUBSTRATE_BYTE_LIMIT: usize = 1 << 30;
 
 impl Topology {
-    /// Builds the graph this topology describes.
+    /// Builds the graph a solve on `backend` runs over, after pricing both
+    /// the graph and the cost substrate `backend` will build on it from
+    /// the spec fields alone: the adjacency lists against 1 GiB, then the
+    /// dense matrix's `n²` elements against [`DEFAULT_DENSE_ELEMENT_BUDGET`]
+    /// or the landmark oracle's `min(max(K, 1), n) × n` table of `f64`
+    /// against 1 GiB. Every scenario and serve spec builds through here.
     ///
     /// # Errors
     ///
     /// Returns [`ScenarioError::Invalid`] for malformed shapes, and for a
-    /// shape whose adjacency lists would exceed 1 GiB (refused before
-    /// anything is allocated).
-    pub fn build(&self) -> Result<Graph, ScenarioError> {
-        let bytes = self.graph_bytes();
-        if bytes.is_none_or(|b| b > GRAPH_BYTE_LIMIT) {
-            let need = bytes.map_or_else(|| "an overflowing number of".into(), |b| b.to_string());
-            return Err(ScenarioError::Invalid(format!(
-                "a topology of {} nodes needs {need} adjacency bytes, over the \
-                 {GRAPH_BYTE_LIMIT}-byte limit",
-                self.node_count()
-            )));
+    /// graph or substrate over its limit (refused before anything is
+    /// allocated).
+    pub fn build(&self, backend: CostBackend) -> Result<Graph, ScenarioError> {
+        within_byte_limit(self.graph_bytes(), "adjacency bytes", || {
+            format!("a topology of {} nodes", self.node_count())
+        })?;
+        let n = self.node_count();
+        match backend {
+            CostBackend::Dense => {
+                let elements = (n as u128) * (n as u128);
+                if elements > u128::from(DEFAULT_DENSE_ELEMENT_BUDGET) {
+                    let budget = DEFAULT_DENSE_ELEMENT_BUDGET;
+                    return Err(net_error(NetError::TooLarge { nodes: n, elements, budget }));
+                }
+            }
+            CostBackend::Landmark { landmarks, .. } => {
+                let rows = landmarks.max(1).min(n);
+                let bytes =
+                    rows.checked_mul(n).and_then(|e| e.checked_mul(std::mem::size_of::<f64>()));
+                within_byte_limit(bytes, "bytes", || {
+                    format!("a landmark table of {rows} x {n} distances")
+                })?;
+            }
         }
         let graph = match self {
             Topology::Ring { n, link_cost } => topology::ring(*n, *link_cost),
@@ -145,6 +165,25 @@ impl Topology {
             | Topology::FullMesh { n, .. }
             | Topology::Star { n, .. }
             | Topology::Links { n, .. } => *n,
+        }
+    }
+}
+
+/// Refuses `bytes` (`None` when the count overflowed) over
+/// [`SUBSTRATE_BYTE_LIMIT`], naming what needs them.
+fn within_byte_limit(
+    bytes: Option<usize>,
+    unit: &str,
+    subject: impl FnOnce() -> String,
+) -> Result<(), ScenarioError> {
+    match bytes {
+        Some(b) if b <= SUBSTRATE_BYTE_LIMIT => Ok(()),
+        _ => {
+            let need = bytes.map_or_else(|| "an overflowing number of".into(), |b| b.to_string());
+            Err(ScenarioError::Invalid(format!(
+                "{} needs {need} {unit}, over the {SUBSTRATE_BYTE_LIMIT}-byte limit",
+                subject()
+            )))
         }
     }
 }
@@ -301,17 +340,36 @@ mod tests {
     fn oversized_topologies_are_refused_before_building() {
         // 200000·199999 directed links of 16 bytes plus 200000 lists of 24.
         let mesh = Topology::FullMesh { n: 200_000, link_cost: 1.0 };
-        let err = mesh.build().unwrap_err().to_string();
+        let err = mesh.build(CostBackend::Dense).unwrap_err().to_string();
         assert!(err.contains("needs 640001600000 adjacency bytes"), "{err}");
         for huge in [
             Topology::Ring { n: usize::MAX, link_cost: 1.0 },
             Topology::FullMesh { n: 1 << 40, link_cost: 1.0 },
             Topology::Links { n: usize::MAX / 8, links: vec![] },
         ] {
-            let err = huge.build().unwrap_err().to_string();
+            let err = huge.build(CostBackend::Dense).unwrap_err().to_string();
             assert!(err.contains("an overflowing number of adjacency bytes"), "{err}");
         }
-        assert!(Topology::Star { n: 1000, link_cost: 1.0 }.build().is_ok());
+        assert!(Topology::Star { n: 1000, link_cost: 1.0 }.build(CostBackend::Dense).is_ok());
+    }
+
+    #[test]
+    fn oversized_substrates_are_refused_before_building() {
+        let ring = Topology::Ring { n: 200_000, link_cost: 1.0 };
+        let landmarks = |k| CostBackend::Landmark { landmarks: k, seed: 1 };
+        let err = ring.build(landmarks(200_000)).unwrap_err().to_string();
+        assert!(
+            err.contains("a landmark table of 200000 x 200000 distances needs 320000000000 bytes"),
+            "{err}"
+        );
+        // K = 0 prices one row, and K beyond n prices n rows.
+        assert!(ring.build(landmarks(0)).is_ok());
+        let small = Topology::Ring { n: 1000, link_cost: 1.0 };
+        assert!(small.build(landmarks(usize::MAX)).is_ok());
+        // The dense matrix keeps its element budget and its hint.
+        let err = ring.build(CostBackend::Dense).unwrap_err().to_string();
+        assert!(err.contains("200000x200000") && err.contains("--cost-backend landmark"), "{err}");
+        assert!(Topology::Ring { n: 8192, link_cost: 1.0 }.build(CostBackend::Dense).is_ok());
     }
 
     #[test]
@@ -326,7 +384,7 @@ mod tests {
         assert_eq!(s.topology.node_count(), 5);
         assert_eq!(s.alpha, 0.1, "default alpha");
         assert_eq!(s.service_rates(), vec![1.5; 5]);
-        assert!(s.topology.build().is_ok());
+        assert!(s.topology.build(CostBackend::Dense).is_ok());
     }
 
     #[test]
@@ -339,7 +397,7 @@ mod tests {
             "k": 0.5
         }"#;
         let s = Scenario::from_json(json).unwrap();
-        let g = s.topology.build().unwrap();
+        let g = s.topology.build(CostBackend::Dense).unwrap();
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.direct_cost(NodeId::new(1), NodeId::new(2)), Some(2.0));
     }

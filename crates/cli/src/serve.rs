@@ -1,21 +1,21 @@
-//! `fap serve`: batch-serving many scenarios through `fap-serve`.
+//! `fap serve` request lists: the CLI's batch syntax for both serving
+//! commands.
 //!
 //! The input is a *scenario list*: a JSON array of tagged specs, one per
 //! request. Three kinds are supported — `single_file` (wrapping the same
-//! scenario format `fap solve` takes), `multi_file`, and `ring`. The specs
-//! are converted to [`ServeRequest`]s and handed to a [`BatchServer`];
-//! responses come back in submission order, bit-identical to solving the
-//! list sequentially for every `--shards` value.
+//! scenario format `fap solve` takes), `multi_file`, and `ring`. Each spec
+//! is converted to a [`ServeRequest`] through a [`SubstrateCache`]; the
+//! daemon in [`crate::served`] serves the requests, for a whole
+//! `fap served` session or for the one envelope of `fap serve`.
 
 use serde::{Deserialize, Serialize};
 
-use fap_batch::Parallelism;
 use fap_cache::{CostBackend, SubstrateCache};
 use fap_core::MultiFileProblem;
 use fap_net::AccessPattern;
 use fap_obs::Recorder;
 use fap_ring::VirtualRing;
-use fap_serve::{BatchServer, ServeOutput, ServeRequest};
+use fap_serve::ServeRequest;
 
 use crate::run::problem_of_with_costs;
 use crate::scenario::{Scenario, ScenarioError, Topology};
@@ -112,15 +112,6 @@ pub enum ServeSpec {
 }
 
 impl ServeSpec {
-    /// A short label for rendering (`single_file` / `multi_file` / `ring`).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ServeSpec::SingleFile { .. } => "single_file",
-            ServeSpec::MultiFile { .. } => "multi_file",
-            ServeSpec::Ring { .. } => "ring",
-        }
-    }
-
     /// The spec's cost backend (`None` for specs that need no substrate —
     /// explicit-link ring specs; topology-derived rings report theirs).
     pub fn cost_backend(&self) -> Option<CostBackend> {
@@ -175,7 +166,7 @@ impl ServeSpec {
             }
             ServeSpec::Ring { .. } => return self.ring_request(),
         };
-        let graph = topology.build()?;
+        let graph = topology.build(backend)?;
         let costs = if oracle_update {
             cache.get_or_update(&graph, backend, recorder)
         } else {
@@ -348,91 +339,52 @@ pub fn example_specs_json() -> String {
     serde_json::to_string_pretty(&example_specs()).expect("spec serialization cannot fail")
 }
 
-/// Converts every spec and serves the batch across `shards` workers,
-/// fanning per-shard metrics into the output's aggregate registry and
-/// `recorder`. Cost substrates are resolved through a per-batch
-/// [`SubstrateCache`], so specs sharing a topology (and backend key) build
-/// their substrate once (visible as `cache.hit`/`cache.miss`/`cache.bytes`
-/// — or `cache.landmark_*` for sparse backends — in `recorder`).
-///
-/// `warm_start` (`fap serve --warm-start`) chains requests of the same
-/// family, shape and solver parameters so they seed each other's solves:
-/// iteration counts drop, the optima stay. `oracle_update`
-/// (`fap serve --oracle-update`) lets successive specs whose topologies
-/// differ by a small edit repair the cached landmark oracle in place
-/// (see [`ServeSpec::to_request_cached_with`]).
-///
-/// # Errors
-///
-/// Returns [`ScenarioError::Invalid`] if any spec cannot be built (solver
-/// failures on well-formed specs are reported per-request in the output
-/// instead).
-pub fn serve_specs(
-    specs: &[ServeSpec],
-    shards: Parallelism,
-    warm_start: bool,
-    oracle_update: bool,
-    recorder: &mut dyn Recorder,
-) -> Result<ServeOutput, ScenarioError> {
-    let mut cache = SubstrateCache::new();
-    let requests: Vec<ServeRequest> = specs
-        .iter()
-        .enumerate()
-        .map(|(index, spec)| {
-            spec.to_request_cached_with(&mut cache, oracle_update, recorder)
-                .map_err(|e| ScenarioError::Invalid(format!("request {index}: {e}")))
-        })
-        .collect::<Result<_, _>>()?;
-    Ok(BatchServer::new(shards)
-        .with_warm_start(warm_start)
-        .serve_observed(&requests, recorder))
-}
-
-/// Renders a serve output the way `fap serve` prints it.
-pub fn render_output(specs: &[ServeSpec], output: &ServeOutput) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for (index, (spec, response)) in specs.iter().zip(&output.responses).enumerate() {
-        match response {
-            Ok(r) => {
-                let _ = writeln!(
-                    out,
-                    "request {index:>3}  {:<11}  {}  {} iterations",
-                    spec.kind(),
-                    if r.converged() { "converged" } else { "stopped  " },
-                    r.iterations(),
-                );
-            }
-            Err(e) => {
-                let _ = writeln!(out, "request {index:>3}  {:<11}  error: {e}", spec.kind());
-            }
-        }
-    }
-    let shards = output.shard_metrics.len();
-    let _ = writeln!(
-        out,
-        "served {} requests ({} ok, {} failed) across {shards} shard{}",
-        output.responses.len(),
-        output.ok_count(),
-        output.err_count(),
-        if shards == 1 { "" } else { "s" },
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fap_batch::Parallelism;
+    use fap_obs::{NoopRecorder, Telemetry};
+    use fap_serve::{BatchServer, ServeOutput};
 
-    /// Serves `specs` without warm starts or oracle repairs.
-    fn serve_cold(specs: &[ServeSpec], shards: Parallelism) -> Result<ServeOutput, ScenarioError> {
-        serve_specs(specs, shards, false, false, &mut fap_obs::NoopRecorder)
-    }
+    use crate::served::serve_once;
 
     /// The request a spec resolves to through a cache of its own, so
     /// every lookup is a miss.
     fn fresh_request(spec: &ServeSpec) -> Result<ServeRequest, ScenarioError> {
-        spec.to_request_cached_with(&mut SubstrateCache::new(), false, &mut fap_obs::NoopRecorder)
+        spec.to_request_cached_with(&mut SubstrateCache::new(), false, &mut NoopRecorder)
+    }
+
+    /// The reference both serving commands are pinned to: every spec
+    /// built through one cache and served by [`BatchServer::serve`] with
+    /// no seed store.
+    fn reference(specs: &[ServeSpec], warm_start: bool) -> ServeOutput {
+        let mut cache = SubstrateCache::new();
+        let requests: Vec<ServeRequest> = specs
+            .iter()
+            .map(|spec| spec.to_request_cached_with(&mut cache, false, &mut NoopRecorder).unwrap())
+            .collect();
+        BatchServer::new(Parallelism::Sequential)
+            .with_warm_start(warm_start)
+            .serve(&requests, None, &mut NoopRecorder)
+    }
+
+    /// The `"responses":[...]` fragment a batch line embeds for `output`.
+    fn responses_fragment(output: &ServeOutput) -> String {
+        let rendered: Vec<serde::Value> =
+            output.responses.iter().map(|r| r.as_ref().unwrap().serialize_value()).collect();
+        format!("\"responses\":{}", serde_json::to_string(&serde::Value::Array(rendered)).unwrap())
+    }
+
+    /// `fap serve`'s batch line for `specs`, with everything the session
+    /// recorded.
+    fn serve_line(
+        specs: &[ServeSpec],
+        shards: Parallelism,
+        warm_start: bool,
+    ) -> (String, Telemetry) {
+        let mut telemetry = Telemetry::manual();
+        let line = serve_once(specs, shards, warm_start, false, &mut telemetry).unwrap();
+        (line, telemetry)
     }
 
     #[test]
@@ -440,23 +392,22 @@ mod tests {
         let json = example_specs_json();
         let specs = specs_from_json(&json).unwrap();
         assert_eq!(specs, example_specs());
-        let output = serve_cold(&specs, Parallelism::Fixed(2)).unwrap();
-        assert_eq!(output.ok_count(), 3);
-        assert_eq!(output.aggregate.counter("serve.requests"), 3);
-        let rendered = render_output(&specs, &output);
-        assert!(rendered.contains("single_file"));
-        assert!(rendered.contains("ring"));
-        assert!(rendered.contains("3 ok, 0 failed"));
+        let (line, telemetry) = serve_line(&specs, Parallelism::Fixed(2), false);
+        assert!(line.starts_with("{\"id\":0,\"kind\":\"batch\""), "{line}");
+        assert!(line.contains("\"ok\":3,\"err\":0"), "{line}");
+        assert!(line.contains(&responses_fragment(&reference(&specs, false))), "{line}");
+        assert_eq!(telemetry.registry().counter("serve.requests"), 3);
+        assert_eq!(telemetry.registry().counter("served.batches"), 1);
     }
 
     #[test]
     fn sharded_serving_matches_sequential_through_the_spec_layer() {
         let mut specs = example_specs();
         specs.extend(example_specs());
-        let sequential = serve_cold(&specs, Parallelism::Sequential).unwrap();
+        let (sequential, _) = serve_line(&specs, Parallelism::Sequential, false);
         for shards in [2, 8] {
-            let sharded = serve_cold(&specs, Parallelism::Fixed(shards)).unwrap();
-            assert_eq!(sequential.responses, sharded.responses);
+            let (sharded, _) = serve_line(&specs, Parallelism::Fixed(shards), false);
+            assert_eq!(sequential, sharded);
         }
     }
 
@@ -464,8 +415,7 @@ mod tests {
     fn single_file_spec_matches_fap_solve() {
         let scenario = Scenario::example();
         let solve = crate::run::solve(&scenario).unwrap();
-        let specs = [ServeSpec::SingleFile { scenario }];
-        let output = serve_cold(&specs, Parallelism::Sequential).unwrap();
+        let output = reference(&[ServeSpec::SingleFile { scenario }], false);
         match output.responses[0].as_ref().unwrap() {
             fap_serve::ServeResponse::SingleFile(s) => {
                 assert_eq!(s.allocation, solve.allocation);
@@ -481,8 +431,9 @@ mod tests {
         if let ServeSpec::Ring { link_costs, .. } = &mut specs[2] {
             link_costs.truncate(2); // a ring needs ≥ 3 links
         }
-        let err = serve_cold(&specs, Parallelism::Sequential).unwrap_err();
-        assert!(err.to_string().contains("request 2"), "{err}");
+        let err = serve_once(&specs, Parallelism::Sequential, false, false, &mut NoopRecorder)
+            .unwrap_err();
+        assert!(err.starts_with("request 2: "), "{err}");
     }
 
     #[test]
@@ -498,10 +449,8 @@ mod tests {
         let mut specs = example_specs();
         specs.extend(example_specs());
         specs.extend(example_specs());
-        let mut telemetry = fap_obs::Telemetry::manual();
-        let output =
-            serve_specs(&specs, Parallelism::Sequential, false, false, &mut telemetry).unwrap();
-        assert_eq!(output.err_count(), 0);
+        let (line, telemetry) = serve_line(&specs, Parallelism::Sequential, false);
+        assert!(line.contains("\"ok\":9,\"err\":0"), "{line}");
         let registry = telemetry.registry();
         assert_eq!(registry.counter("cache.miss"), 1, "one distinct topology");
         assert_eq!(registry.counter("cache.hit"), 5, "repeats are hits");
@@ -513,9 +462,10 @@ mod tests {
         let mut specs = example_specs();
         specs.extend(example_specs());
         let direct: Vec<ServeRequest> = specs.iter().map(|s| fresh_request(s).unwrap()).collect();
-        let uncached = BatchServer::new(Parallelism::Sequential).serve(&direct);
-        let cached = serve_cold(&specs, Parallelism::Sequential).unwrap();
-        assert_eq!(uncached.responses, cached.responses);
+        let uncached =
+            BatchServer::new(Parallelism::Sequential).serve(&direct, None, &mut NoopRecorder);
+        let (cached, _) = serve_line(&specs, Parallelism::Sequential, false);
+        assert!(cached.contains(&responses_fragment(&uncached)), "{cached}");
     }
 
     #[test]
@@ -527,10 +477,8 @@ mod tests {
             ServeSpec::SingleFile { scenario: sparse_scenario },
             ServeSpec::SingleFile { scenario: Scenario::example() },
         ];
-        let mut telemetry = fap_obs::Telemetry::manual();
-        let output =
-            serve_specs(&specs, Parallelism::Sequential, false, false, &mut telemetry).unwrap();
-        assert_eq!(output.err_count(), 0);
+        let (line, telemetry) = serve_line(&specs, Parallelism::Sequential, false);
+        assert!(line.contains("\"ok\":3,\"err\":0"), "{line}");
         let registry = telemetry.registry();
         assert_eq!(registry.counter("cache.landmark_miss"), 1, "one oracle build");
         assert_eq!(registry.counter("cache.landmark_hit"), 1, "repeat spec hits");
@@ -563,16 +511,14 @@ mod tests {
             "topology-derived rings expose and accept a backend"
         );
         let specs = vec![base.clone(), sparse];
-        let mut telemetry = fap_obs::Telemetry::manual();
-        let output =
-            serve_specs(&specs, Parallelism::Sequential, false, false, &mut telemetry).unwrap();
-        assert_eq!(output.err_count(), 0);
+        let (line, telemetry) = serve_line(&specs, Parallelism::Sequential, false);
+        assert!(line.contains("\"ok\":2,\"err\":0"), "{line}");
         assert_eq!(telemetry.registry().counter("cache.miss"), 1, "dense ring substrate");
         assert_eq!(telemetry.registry().counter("cache.landmark_miss"), 1, "sparse one");
         // A cache hit and a fresh build agree bit for bit.
         let direct = fresh_request(&base).unwrap();
         let mut cache = SubstrateCache::new();
-        let mut noop = fap_obs::NoopRecorder;
+        let mut noop = NoopRecorder;
         base.to_request_cached_with(&mut cache, false, &mut noop).unwrap();
         let cached = base.to_request_cached_with(&mut cache, false, &mut noop).unwrap();
         assert_eq!(cache.hits(), 1, "the second lookup is a hit");
@@ -615,24 +561,26 @@ mod tests {
         let specs: Vec<ServeSpec> = (0..4)
             .map(|_| ServeSpec::SingleFile { scenario: Scenario::example() })
             .collect();
-        let cold = serve_cold(&specs, Parallelism::Sequential).unwrap();
-        let warm =
-            serve_specs(&specs, Parallelism::Sequential, true, false, &mut fap_obs::NoopRecorder)
-        .unwrap();
-        assert_eq!(warm.err_count(), 0);
-        assert_eq!(warm.aggregate.counter("serve.warm_starts"), 3);
+        let (cold, cold_telemetry) = serve_line(&specs, Parallelism::Sequential, false);
+        let (warm, warm_telemetry) = serve_line(&specs, Parallelism::Sequential, true);
+        assert!(warm.contains("\"ok\":4,\"err\":0"), "{warm}");
+        let (cold_registry, warm_registry) =
+            (cold_telemetry.registry(), warm_telemetry.registry());
+        assert_eq!(warm_registry.counter("serve.warm_starts"), 3);
         assert!(
-            warm.aggregate.counter("econ.iterations") < cold.aggregate.counter("econ.iterations")
+            warm_registry.counter("econ.iterations") < cold_registry.counter("econ.iterations")
         );
-        for (w, c) in warm.responses.iter().zip(&cold.responses) {
+        // The lines embed the reference responses of each warm setting.
+        let (cold_output, warm_output) = (reference(&specs, false), reference(&specs, true));
+        assert!(cold.contains(&responses_fragment(&cold_output)), "{cold}");
+        assert!(warm.contains(&responses_fragment(&warm_output)), "{warm}");
+        for (w, c) in warm_output.responses.iter().zip(&cold_output.responses) {
             let (w, c) = (w.as_ref().unwrap(), c.as_ref().unwrap());
             assert!(w.converged());
             assert!(w.iterations() <= c.iterations());
         }
         // And warm sharded serving still matches warm sequential.
-        let warm_sharded =
-            serve_specs(&specs, Parallelism::Fixed(4), true, false, &mut fap_obs::NoopRecorder)
-        .unwrap();
-        assert_eq!(warm.responses, warm_sharded.responses);
+        let (warm_sharded, _) = serve_line(&specs, Parallelism::Fixed(4), true);
+        assert_eq!(warm, warm_sharded);
     }
 }

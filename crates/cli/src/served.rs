@@ -2,11 +2,12 @@
 //! format.
 //!
 //! This module binds the wire-format-agnostic [`Daemon`] from `fap-served`
-//! to the same scenario-list syntax `fap serve` reads: each input
-//! envelope's `batch` field is a JSON array of [`ServeSpec`]s. The daemon
-//! keeps its substrate cache, warm-start seeds and worker pool alive
-//! across batches, so a long session amortizes work a one-shot `fap serve`
-//! pays per invocation.
+//! to the CLI's scenario-list syntax: each input envelope's `batch` field
+//! is a JSON array of [`ServeSpec`]s. The daemon keeps its substrate
+//! cache, warm-start seeds and worker pool alive across batches, so a long
+//! session amortizes work a one-shot `fap serve` pays per invocation.
+//! One-shot `fap serve` is itself a daemon session of one envelope
+//! ([`serve_once`]), so both commands serve through the same path.
 //!
 //! Two transports are offered: stdin/stdout (the default, scriptable), and
 //! on Unix a socket (`--socket <path>`), where sequential client
@@ -24,10 +25,11 @@ use std::io::{BufRead, Write};
 
 use serde::{Deserialize, Value};
 
+use fap_batch::Parallelism;
 use fap_cache::SubstrateCache;
 use fap_obs::Recorder;
 use fap_serve::ServeRequest;
-use fap_served::{BatchParser, Daemon, DaemonConfig, DaemonStatus};
+use fap_served::{BatchParser, Daemon, DaemonConfig, DaemonStatus, WarmMode};
 
 use crate::serve::ServeSpec;
 use crate::track::drift_command_line;
@@ -65,6 +67,55 @@ pub fn spec_parser_with(oracle_update: bool) -> impl BatchParser {
 /// Returns a message for an invalid configuration (zero servers).
 pub fn spec_daemon(config: &DaemonConfig) -> Result<Daemon<impl BatchParser>, String> {
     Daemon::new(spec_parser_with(config.oracle_update), config).map_err(|e| e.to_string())
+}
+
+/// One-shot serving (`fap serve`): a daemon session of the single
+/// envelope `{"at":0,"batch":specs}`, returning the daemon's batch line.
+///
+/// `warm_start` selects [`WarmMode::Batch`] (chain requests of the same
+/// family and shape within the batch) over [`WarmMode::Off`];
+/// `oracle_update` lets specs whose topologies differ by a small edit
+/// repair a cached landmark oracle in place. Everything the session
+/// records — `cache.*`, `serve.*`, `served.*` metrics and the request's
+/// span tree — goes to `recorder`.
+///
+/// # Errors
+///
+/// Returns the daemon's error message (`request <i>: …` for the first
+/// spec that cannot be built) when the envelope is rejected, and a
+/// message for configuration or I/O failures.
+pub fn serve_once(
+    specs: &[ServeSpec],
+    shards: Parallelism,
+    warm_start: bool,
+    oracle_update: bool,
+    recorder: &mut dyn Recorder,
+) -> Result<String, String> {
+    let config = DaemonConfig {
+        shards,
+        warm: if warm_start { WarmMode::Batch } else { WarmMode::Off },
+        oracle_update,
+        ..DaemonConfig::default()
+    };
+    let batch = serde_json::to_string(specs).map_err(|e| e.to_string())?;
+    let mut daemon = spec_daemon(&config)?;
+    let mut out = Vec::new();
+    daemon
+        .handle_line(&format!("{{\"at\":0,\"batch\":{batch}}}"), &mut out, recorder)
+        .map_err(|e| e.to_string())?;
+    daemon.finish(&mut out, recorder).map_err(|e| e.to_string())?;
+    // The session's first line is the envelope's outcome (its batch line,
+    // or the error line that rejected it); the last is the final status.
+    let out = String::from_utf8(out).map_err(|e| e.to_string())?;
+    let first = out.lines().next().unwrap_or_default();
+    if daemon.session_metrics().counter("served.errors") > 0 {
+        let line = serde_json::parse_value(first).ok();
+        return Err(match line.as_ref().and_then(|l| l.get("message")) {
+            Some(Value::Str(message)) => message.clone(),
+            _ => first.to_string(),
+        });
+    }
+    Ok(first.to_string())
 }
 
 /// Runs a whole daemon session over any line source and sink (`fap served`
@@ -158,9 +209,8 @@ pub fn run_socket(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fap_batch::Parallelism;
     use fap_obs::{MetricsRegistry, NoopRecorder};
-    use fap_served::WarmMode;
+    use fap_serve::BatchServer;
     use serde::Serialize as _;
 
     fn batch_line(at: usize) -> String {
@@ -194,11 +244,16 @@ mod tests {
     #[test]
     fn daemon_batch_responses_match_one_shot_serve() {
         // `fap served` in the default (batch) warm mode must embed exactly
-        // the responses one-shot `fap serve --warm-start` produces.
-        let specs = crate::serve::example_specs();
-        let oneshot =
-            crate::serve::serve_specs(&specs, Parallelism::Auto, true, false, &mut NoopRecorder)
-                .unwrap();
+        // the responses a warm `BatchServer::serve` with no seed store
+        // produces for the same specs.
+        let mut cache = SubstrateCache::new();
+        let requests: Vec<ServeRequest> = crate::serve::example_specs()
+            .iter()
+            .map(|spec| spec.to_request_cached_with(&mut cache, false, &mut NoopRecorder).unwrap())
+            .collect();
+        let oneshot = BatchServer::new(Parallelism::Auto)
+            .with_warm_start(true)
+            .serve(&requests, None, &mut NoopRecorder);
         let rendered: Vec<Value> = oneshot
             .responses
             .iter()
@@ -212,6 +267,16 @@ mod tests {
         let (out, _) = session(&DaemonConfig::default(), &lines);
         let batch = out.lines().find(|l| l.contains("\"kind\":\"batch\"")).unwrap();
         assert!(batch.contains(&expected), "daemon must match the one-shot serve path");
+        // `fap serve --warm-start` is that same session, cut to its batch line.
+        let once = serve_once(
+            &crate::serve::example_specs(),
+            Parallelism::Auto,
+            true,
+            false,
+            &mut NoopRecorder,
+        )
+        .unwrap();
+        assert_eq!(once, batch);
     }
 
     #[test]
@@ -335,6 +400,31 @@ mod tests {
         assert!(replies[0].contains("adjacency bytes"), "{}", replies[0]);
         assert!(replies[1].contains("\"kind\":\"status\""), "{}", replies[1]);
         assert_eq!(registry.counter("served.errors"), 1);
+    }
+
+    #[test]
+    fn an_oversized_landmark_table_is_an_error_line_and_the_session_goes_on() {
+        // K = n = 200000 landmarks: a 320 GB distance table, refused from
+        // the spec fields before the ring is built.
+        let lines = vec![
+            "{\"at\":0,\"batch\":[{\"type\":\"multi_file\",\"topology\":{\"type\":\"ring\",\
+             \"n\":200000,\"link_cost\":1.0},\"cost_backend\":{\"kind\":\"landmark\",\
+             \"landmarks\":200000,\"seed\":1},\"lambdas\":[[0.1]],\"mus\":[8.0],\"k\":1.0,\
+             \"alpha\":0.05,\"epsilon\":1e-6,\"max_iterations\":10}]}"
+                .to_string(),
+            batch_line(5),
+        ];
+        let (out, registry) = session(&DaemonConfig::default(), &lines);
+        // The error line, the next envelope's batch line, then the
+        // end-of-input status.
+        let replies: Vec<&str> = out.lines().collect();
+        assert_eq!(replies.len(), 3, "{out}");
+        assert!(replies[0].contains("\"kind\":\"error\""), "{}", replies[0]);
+        assert!(replies[0].contains("landmark table"), "{}", replies[0]);
+        assert!(replies[1].contains("\"kind\":\"batch\""), "{}", replies[1]);
+        assert!(replies[1].contains("\"ok\":3,\"err\":0"), "{}", replies[1]);
+        assert_eq!(registry.counter("served.errors"), 1);
+        assert_eq!(registry.counter("served.batches"), 1);
     }
 
     #[cfg(unix)]

@@ -24,13 +24,14 @@
 //!   skip even the measurement arithmetic); [`Tee`] fans one instrument
 //!   stream out to two recorders.
 //! * [`EventRecord`] — a structured event with a fixed-capacity inline
-//!   field buffer (`Copy`, no per-event heap), collected by the in-memory
-//!   sink inside [`Telemetry`] and rendered to JSONL by
-//!   [`Telemetry::to_jsonl`]. [`jsonl`] also parses the format back, so
-//!   `fap report` can replay a recorded run offline. [`JsonlSink`] is the
-//!   streaming counterpart for long runs: events flush to any
-//!   `io::Write` every N events with bounded memory, byte-identical to
-//!   the buffered export.
+//!   field buffer (`Copy`, no per-event heap). [`JsonlSink`] renders each
+//!   event to JSONL as it is emitted and hands it to any `io::Write`, with
+//!   memory that stays flat however long the run: it is the sink every
+//!   `fap` command records through. [`Telemetry`] keeps the events in
+//!   memory instead and renders the same bytes with
+//!   [`Telemetry::to_jsonl`]; it is the recorder tests inspect. [`jsonl`]
+//!   also parses the format back, so `fap report` can replay a recorded
+//!   run offline.
 //! * [`TraceContext`] / [`SpanGuard`] / [`FlightRecorder`] — the causal
 //!   tracing plane: deterministic
 //!   `trace/span/parent` id triples from a per-sink counter, span

@@ -1,22 +1,19 @@
-//! The incremental JSONL sink: bounded-memory event export for long runs.
+//! The JSONL sink: bounded-memory event export, the one product path for
+//! telemetry.
 //!
-//! [`Telemetry`](crate::Telemetry) keeps every [`EventRecord`] in memory
-//! until the run ends, which is the right trade for short seeded runs
-//! (byte-identity is trivially checkable against the in-memory stream) but
-//! grows without bound on long serving runs. [`JsonlSink`] is the
-//! streaming counterpart: events are rendered to JSONL as they are
-//! emitted, buffered in a reusable `String`, and flushed to the underlying
-//! [`io::Write`] every `flush_every` events. Metrics still accumulate in a
+//! [`JsonlSink`] renders each event to JSONL as it is emitted, into one
+//! reusable `String`, and hands the line straight to the underlying
+//! [`io::Write`] (wrap a file in a `BufWriter` to batch the writes; use
+//! [`io::sink`] to discard them). Metrics accumulate in a
 //! [`MetricsRegistry`] (they are tiny), and [`JsonlSink::finish`] appends
-//! the registry snapshot after the last event — exactly the layout
-//! [`Telemetry::to_jsonl`](crate::Telemetry::to_jsonl) produces.
+//! the registry snapshot after the last event. Memory stays flat however
+//! long the run: once the line buffer has grown to the longest line, a
+//! steady stream of events allocates nothing.
 //!
-//! **Byte-identity contract:** for the same recorded stream, the bytes a
-//! `JsonlSink` writes are identical to the buffered export, for every
-//! `flush_every` — flushing only moves *when* bytes reach the writer,
-//! never what they are. Seeded runs therefore stay byte-reproducible
-//! through the streaming path (pinned by the tests below and by
-//! `tests/telemetry.rs`).
+//! The layout is exactly what [`Telemetry::to_jsonl`](crate::Telemetry::to_jsonl)
+//! renders for the same recorded stream; that in-memory recorder is the
+//! test oracle the sink's bytes are pinned against (the tests below and
+//! `tests/telemetry.rs`), so seeded runs stay byte-reproducible.
 
 use std::io::{self, Write};
 
@@ -27,8 +24,8 @@ use crate::recorder::Recorder;
 use crate::sketch::QuantileSketch;
 use crate::trace::TraceContext;
 
-/// A [`Recorder`] that streams events to an [`io::Write`] as JSONL,
-/// flushing every `flush_every` events, while metrics accumulate in an
+/// A [`Recorder`] that streams events to an [`io::Write`] as JSONL, one
+/// line per event as it is emitted, while metrics accumulate in an
 /// internal [`MetricsRegistry`].
 ///
 /// Timestamps are virtual ([`Recorder::set_time`]-driven, monotone), the
@@ -40,8 +37,6 @@ pub struct JsonlSink<W: Write> {
     writer: W,
     registry: MetricsRegistry,
     buffer: String,
-    buffered_events: usize,
-    flush_every: usize,
     tick: u64,
     events: u64,
     error: Option<io::Error>,
@@ -51,15 +46,12 @@ pub struct JsonlSink<W: Write> {
 }
 
 impl<W: Write> JsonlSink<W> {
-    /// A sink flushing to `writer` every `flush_every` events
-    /// (`0` is treated as `1` — flush on every event).
-    pub fn new(writer: W, flush_every: usize) -> Self {
+    /// A sink writing to `writer`.
+    pub fn new(writer: W) -> Self {
         JsonlSink {
             writer,
             registry: MetricsRegistry::new(),
             buffer: String::new(),
-            buffered_events: 0,
-            flush_every: flush_every.max(1),
             tick: 0,
             events: 0,
             error: None,
@@ -82,14 +74,9 @@ impl<W: Write> JsonlSink<W> {
         &self.registry
     }
 
-    /// Total events emitted so far (flushed or still buffered).
+    /// Total events emitted so far.
     pub fn events_recorded(&self) -> u64 {
         self.events
-    }
-
-    /// Events rendered but not yet handed to the writer.
-    pub fn events_buffered(&self) -> usize {
-        self.buffered_events
     }
 
     /// A human-readable end-of-run summary: the registry table plus the
@@ -100,21 +87,19 @@ impl<W: Write> JsonlSink<W> {
         out
     }
 
+    /// Hands the rendered buffer to the writer (unless an earlier write
+    /// failed) and clears it for reuse.
     fn write_out(&mut self) {
-        if self.error.is_some() {
-            self.buffer.clear();
-            self.buffered_events = 0;
-            return;
-        }
-        if let Err(e) = self.writer.write_all(self.buffer.as_bytes()) {
-            self.error = Some(e);
+        if self.error.is_none() {
+            if let Err(e) = self.writer.write_all(self.buffer.as_bytes()) {
+                self.error = Some(e);
+            }
         }
         self.buffer.clear();
-        self.buffered_events = 0;
     }
 
-    /// Flushes any buffered events, appends the registry snapshot (one
-    /// line per metric, the same trailer [`Telemetry::to_jsonl`](crate::Telemetry::to_jsonl)
+    /// Appends the registry snapshot (one line per metric, the same
+    /// trailer [`Telemetry::to_jsonl`](crate::Telemetry::to_jsonl)
     /// renders), flushes the writer and returns it.
     ///
     /// # Errors
@@ -185,10 +170,7 @@ impl<W: Write> Recorder for JsonlSink<W> {
         let record = EventRecord::new(t, name, fields);
         jsonl::write_event(&mut self.buffer, &record);
         self.events += 1;
-        self.buffered_events += 1;
-        if self.buffered_events >= self.flush_every {
-            self.write_out();
-        }
+        self.write_out();
     }
 
     fn trace_enabled(&self) -> bool {
@@ -231,38 +213,30 @@ mod tests {
     }
 
     #[test]
-    fn streamed_bytes_equal_the_buffered_export_for_every_flush_interval() {
+    fn streamed_bytes_equal_the_in_memory_export() {
         let mut buffered = Telemetry::manual();
         record_stream(&mut buffered, 100);
-        let expected = buffered.to_jsonl();
-        for flush_every in [0, 1, 3, 64, 10_000] {
-            let mut sink = JsonlSink::new(Vec::new(), flush_every);
-            record_stream(&mut sink, 100);
-            let bytes = sink.finish().unwrap();
-            assert_eq!(
-                String::from_utf8(bytes).unwrap(),
-                expected,
-                "flush_every = {flush_every} must not change the bytes"
-            );
-        }
+        let mut sink = JsonlSink::new(Vec::new());
+        record_stream(&mut sink, 100);
+        let bytes = sink.finish().unwrap();
+        assert_eq!(String::from_utf8(bytes).unwrap(), buffered.to_jsonl());
     }
 
     #[test]
-    fn buffer_is_bounded_by_the_flush_interval() {
-        let mut sink = JsonlSink::new(Vec::new(), 8);
+    fn each_event_reaches_the_writer_when_emitted() {
+        let mut sink = JsonlSink::new(Vec::new());
         for i in 0..1000u64 {
             sink.set_time(i);
             sink.emit("tick", &[("i", Value::U64(i))]);
-            assert!(sink.events_buffered() < 8, "buffer must drain every 8 events");
+            assert!(sink.buffer.is_empty(), "the line buffer drains on every event");
+            assert!(sink.writer.ends_with(format!("\"i\":{i}}}\n").as_bytes()));
         }
         assert_eq!(sink.events_recorded(), 1000);
-        // Everything but the in-flight remainder has already reached the writer.
-        assert!(sink.events_buffered() < 8);
     }
 
     #[test]
     fn finish_appends_the_registry_snapshot() {
-        let mut sink = JsonlSink::new(Vec::new(), 4);
+        let mut sink = JsonlSink::new(Vec::new());
         record_stream(&mut sink, 10);
         let text = String::from_utf8(sink.finish().unwrap()).unwrap();
         assert!(text.contains("{\"counter\":\"demo.steps\",\"value\":10}"));
@@ -285,7 +259,7 @@ mod tests {
                 Ok(())
             }
         }
-        let mut sink = JsonlSink::new(Failing, 1);
+        let mut sink = JsonlSink::new(Failing);
         sink.emit("tick", &[]);
         sink.emit("tick", &[]); // recording after the error is still safe
         let err = sink.finish().unwrap_err();
@@ -293,9 +267,9 @@ mod tests {
     }
 
     #[test]
-    fn summary_matches_the_buffered_sink() {
+    fn summary_matches_the_in_memory_recorder() {
         let mut buffered = Telemetry::manual();
-        let mut streamed = JsonlSink::new(Vec::new(), 16);
+        let mut streamed = JsonlSink::new(Vec::new());
         record_stream(&mut buffered, 20);
         record_stream(&mut streamed, 20);
         assert_eq!(buffered.summary(), streamed.summary());

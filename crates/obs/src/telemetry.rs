@@ -1,4 +1,4 @@
-//! The all-in-one recording sink: registry + in-memory event stream.
+//! The in-memory recorder: registry + event stream, for tests and examples.
 
 use crate::clock::{Clock, WallClock};
 use crate::event::{EventRecord, Value};
@@ -22,6 +22,11 @@ enum TimeSource {
 /// A [`Recorder`] that keeps everything: metrics in a
 /// [`MetricsRegistry`], events in an in-memory `Vec` sink, rendered to
 /// JSONL on demand.
+///
+/// Memory grows with every event, so no command records through it: the
+/// product path is the streaming [`JsonlSink`](crate::JsonlSink), whose
+/// bytes match [`Telemetry::to_jsonl`] for the same stream. Tests and
+/// examples use this recorder to inspect what was recorded.
 ///
 /// With [`Telemetry::manual`] all timestamps are virtual (driven by
 /// [`Recorder::set_time`]) and the JSONL output of two identical seeded

@@ -27,12 +27,12 @@
 //!   warm responses are bit-identical to a warm sequential run. Savings
 //!   are visible as `serve.warm_starts` and `econ.warm_start_iters_saved`
 //!   (iterations below the chain's cold baseline).
-//! * **Session seeds.** [`BatchServer::serve_session_observed`] extends
-//!   warm-start chains *across batches*: a [`SessionSeeds`] store keeps
-//!   each chain's last converged allocation and arms the matching chain
-//!   head in the next batch — the warm state the `fap served` daemon keeps
-//!   alive between requests. An empty store is bit-identical to the plain
-//!   warm path.
+//! * **Session seeds.** A [`SessionSeeds`] store handed to
+//!   [`BatchServer::serve`] extends warm-start chains *across batches*: it
+//!   keeps each chain's last converged allocation and arms the matching
+//!   chain head in the next batch — the warm state the `fap served`
+//!   daemon keeps alive between requests. An empty store is
+//!   bit-identical to the plain warm path.
 //! * **Allocation-free steady state.** Each worker owns one
 //!   [`OptimizerScratch`] and one [`MultiFileScratch`] reused across every
 //!   task it executes, the same scratch discipline the batch engine
@@ -63,8 +63,8 @@ use fap_econ::{
     AllocationProblem, OptimizerScratch, ResourceDirectedOptimizer, Solution, StepSize,
 };
 use fap_obs::{
-    emit_span, emit_span_end, emit_span_start, MetricsRegistry, NoopRecorder, Recorder,
-    Tee, TraceContext,
+    emit_span, emit_span_end, emit_span_start, MetricsRegistry, Recorder, Tee,
+    TraceContext,
 };
 use fap_ring::{RingSolver, RingSolution, VirtualRing};
 
@@ -205,7 +205,7 @@ pub enum SessionSeed {
 }
 
 /// Warm-start seeds that outlive a single batch, keyed by the same
-/// structural chain key [`BatchServer::serve_session_observed`] groups
+/// structural chain key [`BatchServer::serve`] groups
 /// requests by. An empty seed store makes a session batch behave exactly
 /// like a plain warm batch; afterwards the store holds each chain's last
 /// converged allocation, so the *next* batch's chain heads start seeded
@@ -267,6 +267,7 @@ impl ServeOutput {
 ///
 /// ```
 /// use fap_batch::Parallelism;
+/// use fap_obs::NoopRecorder;
 /// use fap_serve::{BatchServer, ServeRequest};
 /// use fap_ring::VirtualRing;
 ///
@@ -280,7 +281,7 @@ impl ServeOutput {
 ///         max_iterations: 3_000,
 ///     })
 ///     .collect();
-/// let output = BatchServer::new(Parallelism::Fixed(2)).serve(&requests);
+/// let output = BatchServer::new(Parallelism::Fixed(2)).serve(&requests, None, &mut NoopRecorder);
 /// assert_eq!(output.ok_count(), 6);
 /// assert_eq!(output.aggregate.counter("serve.requests"), 6);
 /// # Ok::<(), fap_ring::RingError>(())
@@ -330,13 +331,6 @@ impl BatchServer {
         self.parallelism.threads_for(requests)
     }
 
-    /// Solves every request and fans the shard registries into the
-    /// aggregate. Equivalent to [`BatchServer::serve_observed`] with a
-    /// [`NoopRecorder`].
-    pub fn serve(&self, requests: &[ServeRequest]) -> ServeOutput {
-        self.serve_observed(requests, &mut NoopRecorder)
-    }
-
     /// Solves every request across the work-stealing shard pool.
     ///
     /// Responses come back in submission order and are bit-identical to
@@ -344,46 +338,18 @@ impl BatchServer {
     /// setting), whatever the shard count. Each shard records into its own
     /// [`MetricsRegistry`]; afterwards the registries are replayed in
     /// shard order through a [`Tee`] into both the aggregate snapshot and
-    /// `recorder`, so a caller-side [`Telemetry`](fap_obs::Telemetry) (or
-    /// streaming sink) sees the same merged metrics the aggregate holds.
-    pub fn serve_observed(
-        &self,
-        requests: &[ServeRequest],
-        recorder: &mut dyn Recorder,
-    ) -> ServeOutput {
-        self.serve_inner(requests, None, recorder)
-    }
-
-    /// Like [`BatchServer::serve_observed`], but with warm state that
-    /// *persists across batches*: chain heads are seeded from `seeds` (the
-    /// previous batches' converged allocations) and each chain's last
-    /// converged answer is written back after the join. Requires warm-start
-    /// chaining to be enabled; with it disabled the seeds are ignored and
-    /// this is exactly `serve_observed`.
+    /// `recorder` (pass [`NoopRecorder`](fap_obs::NoopRecorder) to keep
+    /// only the aggregate), so a caller-side sink sees the same merged
+    /// metrics the aggregate holds.
     ///
-    /// Responses are bit-identical across shard counts for a fixed seed
-    /// store, and a run with an empty store is bit-identical to
-    /// [`BatchServer::serve_observed`] — the daemon's `warm=batch` mode
-    /// relies on that.
-    pub fn serve_session_observed(
-        &self,
-        requests: &[ServeRequest],
-        seeds: &mut SessionSeeds,
-        recorder: &mut dyn Recorder,
-    ) -> ServeOutput {
-        self.serve_inner(requests, Some(seeds), recorder)
-    }
-
-    /// [`BatchServer::serve_session_observed`] with a [`NoopRecorder`].
-    pub fn serve_session(
-        &self,
-        requests: &[ServeRequest],
-        seeds: &mut SessionSeeds,
-    ) -> ServeOutput {
-        self.serve_session_observed(requests, seeds, &mut NoopRecorder)
-    }
-
-    fn serve_inner(
+    /// `seeds` carries warm state *across batches*: with warm-start
+    /// chaining enabled, chain heads are seeded from the store (the
+    /// previous batches' converged allocations) and each chain's last
+    /// converged answer is written back after the join. With chaining
+    /// disabled the store is ignored. Responses are bit-identical across
+    /// shard counts for a fixed store, and a run with an empty store is
+    /// bit-identical to a run with `None`.
+    pub fn serve(
         &self,
         requests: &[ServeRequest],
         seeds: Option<&mut SessionSeeds>,
@@ -837,7 +803,7 @@ impl ShardWorker {
 mod tests {
     use super::*;
     use fap_net::{topology, AccessPattern};
-    use fap_obs::{Value, SPAN_START};
+    use fap_obs::{NoopRecorder, Value, SPAN_START};
 
     fn single_file_request(seed: u64) -> ServeRequest {
         let graph = topology::ring(5, 1.0).unwrap();
@@ -893,10 +859,12 @@ mod tests {
     #[test]
     fn every_shard_count_matches_the_sequential_solve() {
         let requests = mixed_batch();
-        let sequential = BatchServer::new(Parallelism::Sequential).serve(&requests);
+        let sequential =
+            BatchServer::new(Parallelism::Sequential).serve(&requests, None, &mut NoopRecorder);
         assert_eq!(sequential.err_count(), 0);
         for shards in [2, 3, 8, 64] {
-            let sharded = BatchServer::new(Parallelism::Fixed(shards)).serve(&requests);
+            let sharded = BatchServer::new(Parallelism::Fixed(shards))
+                .serve(&requests, None, &mut NoopRecorder);
             assert_eq!(
                 sequential.responses, sharded.responses,
                 "{shards} shards must be bit-identical to sequential"
@@ -909,15 +877,17 @@ mod tests {
         let server = BatchServer::new(Parallelism::Fixed(64));
         assert_eq!(server.shards_for(3), 3);
         assert_eq!(server.shards_for(0), 1);
-        let output = server.serve(&[ring_request(), ring_request()]);
+        let output = server.serve(&[ring_request(), ring_request()], None, &mut NoopRecorder);
         assert_eq!(output.shard_metrics.len(), 2);
     }
 
     #[test]
     fn aggregate_counters_are_shard_count_independent() {
         let requests = mixed_batch();
-        let sequential = BatchServer::new(Parallelism::Sequential).serve(&requests);
-        let sharded = BatchServer::new(Parallelism::Fixed(4)).serve(&requests);
+        let sequential =
+            BatchServer::new(Parallelism::Sequential).serve(&requests, None, &mut NoopRecorder);
+        let sharded =
+            BatchServer::new(Parallelism::Fixed(4)).serve(&requests, None, &mut NoopRecorder);
         for counter in
             ["serve.requests", "econ.iterations", "core.iterations", "ring.iterations"]
         {
@@ -938,7 +908,8 @@ mod tests {
     #[test]
     fn aggregate_is_the_sum_of_the_shards() {
         let requests = mixed_batch();
-        let output = BatchServer::new(Parallelism::Fixed(3)).serve(&requests);
+        let output =
+            BatchServer::new(Parallelism::Fixed(3)).serve(&requests, None, &mut NoopRecorder);
         assert_eq!(output.shard_metrics.len(), 3);
         let shard_sum: u64 =
             output.shard_metrics.iter().map(|r| r.counter("serve.requests")).sum();
@@ -951,7 +922,7 @@ mod tests {
     fn caller_recorder_sees_the_merged_metrics() {
         let requests = mixed_batch();
         let mut tele = fap_obs::Telemetry::manual();
-        let output = BatchServer::new(Parallelism::Fixed(2)).serve_observed(&requests, &mut tele);
+        let output = BatchServer::new(Parallelism::Fixed(2)).serve(&requests, None, &mut tele);
         assert_eq!(
             tele.registry().counter("serve.requests"),
             output.aggregate.counter("serve.requests")
@@ -972,19 +943,21 @@ mod tests {
         } else {
             panic!("expected a single-file request at index 3");
         }
-        let output = BatchServer::new(Parallelism::Fixed(3)).serve(&requests);
+        let output =
+            BatchServer::new(Parallelism::Fixed(3)).serve(&requests, None, &mut NoopRecorder);
         assert_eq!(output.err_count(), 1);
         assert!(output.responses[3].is_err());
         assert_eq!(output.aggregate.counter("serve.errors"), 1);
         // And the rest still match an all-good sequential solve of the
         // same (mutated) batch.
-        let sequential = BatchServer::new(Parallelism::Sequential).serve(&requests);
+        let sequential =
+            BatchServer::new(Parallelism::Sequential).serve(&requests, None, &mut NoopRecorder);
         assert_eq!(sequential.responses, output.responses);
     }
 
     #[test]
     fn empty_batch_is_fine() {
-        let output = BatchServer::new(Parallelism::Auto).serve(&[]);
+        let output = BatchServer::new(Parallelism::Auto).serve(&[], None, &mut NoopRecorder);
         assert!(output.responses.is_empty());
         assert_eq!(output.shard_metrics.len(), 1);
         assert_eq!(output.aggregate.counter("serve.requests"), 0);
@@ -1054,13 +1027,14 @@ mod tests {
     #[test]
     fn warm_responses_are_bit_identical_across_every_shard_count() {
         let requests = mixed_batch();
-        let warm_sequential =
-            BatchServer::new(Parallelism::Sequential).with_warm_start(true).serve(&requests);
+        let warm_sequential = BatchServer::new(Parallelism::Sequential)
+            .with_warm_start(true)
+            .serve(&requests, None, &mut NoopRecorder);
         assert_eq!(warm_sequential.err_count(), 0);
         for shards in [1, 2, 4, 8] {
             let sharded = BatchServer::new(Parallelism::Fixed(shards))
                 .with_warm_start(true)
-                .serve(&requests);
+                .serve(&requests, None, &mut NoopRecorder);
             assert_eq!(
                 warm_sequential.responses, sharded.responses,
                 "{shards} warm shards must be bit-identical to a warm sequential run"
@@ -1091,9 +1065,11 @@ mod tests {
                 }
             })
             .collect();
-        let cold = BatchServer::new(Parallelism::Sequential).serve(&requests);
-        let warm =
-            BatchServer::new(Parallelism::Sequential).with_warm_start(true).serve(&requests);
+        let cold =
+            BatchServer::new(Parallelism::Sequential).serve(&requests, None, &mut NoopRecorder);
+        let warm = BatchServer::new(Parallelism::Sequential)
+            .with_warm_start(true)
+            .serve(&requests, None, &mut NoopRecorder);
         assert_eq!(warm.err_count(), 0);
         // Every request after the chain head runs seeded.
         assert_eq!(warm.aggregate.counter("serve.warm_starts"), requests.len() as u64 - 1);
@@ -1130,12 +1106,14 @@ mod tests {
     #[test]
     fn the_first_request_in_a_chain_is_never_seeded() {
         let requests = vec![single_file_request(42)];
-        let warm =
-            BatchServer::new(Parallelism::Sequential).with_warm_start(true).serve(&requests);
+        let warm = BatchServer::new(Parallelism::Sequential)
+            .with_warm_start(true)
+            .serve(&requests, None, &mut NoopRecorder);
         assert_eq!(warm.aggregate.counter("serve.warm_starts"), 0);
         assert_eq!(warm.aggregate.counter("econ.warm_starts"), 0);
         // And a singleton chain matches the cold server bit for bit.
-        let cold = BatchServer::new(Parallelism::Sequential).serve(&requests);
+        let cold =
+            BatchServer::new(Parallelism::Sequential).serve(&requests, None, &mut NoopRecorder);
         assert_eq!(warm.responses, cold.responses);
     }
 
@@ -1166,9 +1144,9 @@ mod tests {
     fn an_empty_seed_store_matches_the_plain_warm_path_and_fills_up() {
         let requests = perturbed_stream(0);
         let server = BatchServer::new(Parallelism::Sequential).with_warm_start(true);
-        let plain = server.serve(&requests);
+        let plain = server.serve(&requests, None, &mut NoopRecorder);
         let mut seeds = SessionSeeds::new();
-        let session = server.serve_session(&requests, &mut seeds);
+        let session = server.serve(&requests, Some(&mut seeds), &mut NoopRecorder);
         assert_eq!(plain.responses, session.responses);
         assert_eq!(seeds.len(), 1, "one single-file chain converged into one seed");
     }
@@ -1177,15 +1155,16 @@ mod tests {
     fn session_seeds_warm_the_next_batch_including_its_chain_head() {
         let server = BatchServer::new(Parallelism::Sequential).with_warm_start(true);
         let mut seeds = SessionSeeds::new();
-        let first = server.serve_session(&perturbed_stream(0), &mut seeds);
+        let first = server.serve(&perturbed_stream(0), Some(&mut seeds), &mut NoopRecorder);
         // Batch 1: the chain head is cold, the other three are seeded.
         assert_eq!(first.aggregate.counter("serve.warm_starts"), 3);
         let second_requests = perturbed_stream(1);
-        let second = server.serve_session(&second_requests, &mut seeds);
+        let second = server.serve(&second_requests, Some(&mut seeds), &mut NoopRecorder);
         // Batch 2: even the head starts from batch 1's converged tail.
         assert_eq!(second.aggregate.counter("serve.warm_starts"), 4);
         // Seeding changed iterates, never optima: compare against cold.
-        let cold = BatchServer::new(Parallelism::Sequential).serve(&second_requests);
+        let cold = BatchServer::new(Parallelism::Sequential)
+            .serve(&second_requests, None, &mut NoopRecorder);
         assert!(
             second.aggregate.counter("econ.iterations")
                 < cold.aggregate.counter("econ.iterations"),
@@ -1266,11 +1245,13 @@ mod tests {
         let (ring_fp, mesh_fp) = (1, 2);
 
         let mut seeds = SessionSeeds::new();
-        let first = server.serve_session(&fingerprinted_stream(0, &ring, ring_fp), &mut seeds);
+        let batch = fingerprinted_stream(0, &ring, ring_fp);
+        let first = server.serve(&batch, Some(&mut seeds), &mut NoopRecorder);
         assert_eq!(first.aggregate.counter("serve.warm_starts"), 3, "cold head");
         // λ-only drift on the same topology: the next batch's head is
         // seeded from the previous batch's tail.
-        let second = server.serve_session(&fingerprinted_stream(1, &ring, ring_fp), &mut seeds);
+        let batch = fingerprinted_stream(1, &ring, ring_fp);
+        let second = server.serve(&batch, Some(&mut seeds), &mut NoopRecorder);
         assert_eq!(
             second.aggregate.counter("serve.warm_starts"),
             4,
@@ -1279,7 +1260,8 @@ mod tests {
         // A topology change — same dimension and solver parameters, so
         // the old structural key would have collided — must run its head
         // cold instead of starting from the ring's optimum.
-        let third = server.serve_session(&fingerprinted_stream(2, &mesh, mesh_fp), &mut seeds);
+        let batch = fingerprinted_stream(2, &mesh, mesh_fp);
+        let third = server.serve(&batch, Some(&mut seeds), &mut NoopRecorder);
         assert_eq!(
             third.aggregate.counter("serve.warm_starts"),
             3,
@@ -1288,8 +1270,8 @@ mod tests {
         // And the mesh responses equal a fresh no-seed serve: the ring
         // seeds were never consulted.
         let mut fresh = SessionSeeds::new();
-        let fresh_third =
-            server.serve_session(&fingerprinted_stream(2, &mesh, mesh_fp), &mut fresh);
+        let batch = fingerprinted_stream(2, &mesh, mesh_fp);
+        let fresh_third = server.serve(&batch, Some(&mut fresh), &mut NoopRecorder);
         assert_eq!(third.responses, fresh_third.responses);
     }
 
@@ -1302,7 +1284,7 @@ mod tests {
             .map(|batch| {
                 BatchServer::new(Parallelism::Sequential)
                     .with_warm_start(true)
-                    .serve_session(batch, &mut reference_seeds)
+                    .serve(batch, Some(&mut reference_seeds), &mut NoopRecorder)
                     .responses
             })
             .collect();
@@ -1310,7 +1292,7 @@ mod tests {
             let server = BatchServer::new(Parallelism::Fixed(shards)).with_warm_start(true);
             let mut seeds = SessionSeeds::new();
             for (batch, expected) in batches.iter().zip(&reference) {
-                let output = server.serve_session(batch, &mut seeds);
+                let output = server.serve(batch, Some(&mut seeds), &mut NoopRecorder);
                 assert_eq!(
                     expected, &output.responses,
                     "{shards}-shard session must match the sequential session"
@@ -1324,8 +1306,8 @@ mod tests {
         let requests = perturbed_stream(0);
         let server = BatchServer::new(Parallelism::Sequential); // cold
         let mut seeds = SessionSeeds::new();
-        let session = server.serve_session(&requests, &mut seeds);
-        let plain = server.serve(&requests);
+        let session = server.serve(&requests, Some(&mut seeds), &mut NoopRecorder);
+        let plain = server.serve(&requests, None, &mut NoopRecorder);
         assert_eq!(plain.responses, session.responses);
         assert!(seeds.is_empty(), "a cold server must never write seeds");
         assert_eq!(session.aggregate.counter("serve.warm_starts"), 0);
@@ -1344,12 +1326,13 @@ mod tests {
     #[test]
     fn tracing_changes_no_response_bits_at_any_shard_count() {
         let requests = mixed_batch();
-        let plain = BatchServer::new(Parallelism::Sequential).serve(&requests);
+        let plain =
+            BatchServer::new(Parallelism::Sequential).serve(&requests, None, &mut NoopRecorder);
         let mut reference_spans: Option<String> = None;
         for shards in [1, 2, 3, 4, 8, 64] {
             let mut traced = fap_obs::Telemetry::manual().with_tracing(true);
             let output = BatchServer::new(Parallelism::Fixed(shards))
-                .serve_observed(&requests, &mut traced);
+                .serve(&requests, None, &mut traced);
             assert_eq!(
                 plain.responses, output.responses,
                 "tracing at {shards} shards must not change the solved bits"
@@ -1377,7 +1360,7 @@ mod tests {
             let mut traced = fap_obs::Telemetry::manual().with_tracing(true);
             BatchServer::new(Parallelism::Fixed(shards))
                 .with_warm_start(true)
-                .serve_observed(&requests, &mut traced);
+                .serve(&requests, None, &mut traced);
             let spans = events_jsonl(&traced);
             match &reference {
                 None => reference = Some(spans),
@@ -1391,7 +1374,7 @@ mod tests {
         let mut tele = fap_obs::Telemetry::manual().with_tracing(true);
         BatchServer::new(Parallelism::Sequential)
             .with_warm_start(true)
-            .serve_observed(&requests, &mut Tee::new(&mut tele, &mut fr));
+            .serve(&requests, None, &mut Tee::new(&mut tele, &mut fr));
         assert_eq!(fr.completed_traces(), 1, "one batch, one root trace");
         let root = fr.recent().next().unwrap();
         assert_eq!(root.name, "serve.batch");
@@ -1412,7 +1395,7 @@ mod tests {
         let root_id = tele.reserve_span_ids(1);
         let root = TraceContext::root(root_id);
         tele.set_current_trace(Some(root));
-        BatchServer::new(Parallelism::Sequential).serve_observed(&requests, &mut tele);
+        BatchServer::new(Parallelism::Sequential).serve(&requests, None, &mut tele);
         let batch_start = tele
             .events()
             .iter()
@@ -1433,14 +1416,15 @@ mod tests {
         if let ServeRequest::SingleFile { initial, .. } = &mut requests[1] {
             *initial = vec![0.9; 5]; // infeasible: validation rejects it
         }
-        let warm_sequential =
-            BatchServer::new(Parallelism::Sequential).with_warm_start(true).serve(&requests);
+        let warm_sequential = BatchServer::new(Parallelism::Sequential)
+            .with_warm_start(true)
+            .serve(&requests, None, &mut NoopRecorder);
         assert_eq!(warm_sequential.err_count(), 1);
         assert!(warm_sequential.responses[1].is_err());
         for shards in [2, 4] {
             let sharded = BatchServer::new(Parallelism::Fixed(shards))
                 .with_warm_start(true)
-                .serve(&requests);
+                .serve(&requests, None, &mut NoopRecorder);
             assert_eq!(warm_sequential.responses, sharded.responses);
         }
     }

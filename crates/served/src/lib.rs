@@ -1,20 +1,20 @@
 //! # fap-served — the persistent serving daemon
 //!
-//! `fap serve` is one-shot: it builds a substrate cache, serves one
-//! batch, and exits — every batch pays the warm-up again. This crate is
-//! the long-lived counterpart: a [`Daemon`] that accepts newline-delimited
-//! JSON envelopes on any line source, keeps the expensive state alive
-//! *between* batches, and streams one JSON line per outcome:
+//! This crate is the one serving path: a [`Daemon`] that accepts
+//! newline-delimited JSON envelopes on any line source, keeps the
+//! expensive state alive *between* batches, and streams one JSON line per
+//! outcome. `fap served` runs it for a whole session; one-shot
+//! `fap serve` runs it for a session of one envelope,
+//! `{"at":0,"batch":[...]}`, and prints the batch line. Across batches:
 //!
 //! * the [`SubstrateCache`] persists, so a topology seen in batch 1 is a
 //!   `cache.hit` (dense matrix) or `cache.landmark_hit` (landmark oracle)
 //!   in every later batch (both kinds bounded together by an optional
 //!   byte budget, oldest entries evicted first);
 //! * warm-start state persists per [`WarmMode`]: `batch` (the default)
-//!   chains within each batch exactly like one-shot
-//!   `fap serve --warm-start`, `session` additionally carries each chain's
-//!   converged allocation across batches through
-//!   [`SessionSeeds`], and `off` serves cold;
+//!   chains within each batch only (what `fap serve --warm-start` runs),
+//!   `session` additionally carries each chain's converged allocation
+//!   across batches through [`SessionSeeds`], and `off` serves cold;
 //! * the work-stealing [`BatchServer`] is constructed once and reused.
 //!
 //! ## The virtual clock and admission control
@@ -58,10 +58,10 @@
 //! {"kind":"error","message":"..."}
 //! ```
 //!
-//! The *content* of a batch line's `responses` is bit-identical to the
-//! one-shot `fap serve` path with the same warm flag: a cached cost matrix
-//! is the same bits Dijkstra would recompute, and `batch` warm mode arms
-//! no cross-batch seeds.
+//! The *content* of a batch line's `responses` is bit-identical to a
+//! [`BatchServer::serve`] call on the same requests with no seed store and
+//! the same warm flag: a cached cost matrix is the same bits Dijkstra
+//! would recompute, and `batch` warm mode arms no cross-batch seeds.
 //!
 //! Batch syntax is pluggable through [`BatchParser`], so this crate stays
 //! independent of the CLI's scenario format (the CLI supplies a parser
@@ -110,8 +110,8 @@ use fap_serve::{BatchServer, ServeError, ServeRequest, ServeResponse, SessionSee
 pub enum WarmMode {
     /// Serve every batch cold (no chaining at all).
     Off,
-    /// Chain within each batch only — bit-identical to one-shot
-    /// `fap serve --warm-start` per batch. The default.
+    /// Chain within each batch only (`fap serve --warm-start`). The
+    /// default.
     #[default]
     Batch,
     /// Chain within batches *and* seed each chain's head from the previous
@@ -648,12 +648,8 @@ impl<P: BatchParser> Daemon<P> {
                 // the recorder's current tick.
                 recorder.set_time(started as u64);
                 recorder.set_current_trace(Some(trace));
-                let output = match self.warm {
-                    WarmMode::Session => {
-                        self.server.serve_session_observed(&requests, &mut self.seeds, recorder)
-                    }
-                    _ => self.server.serve_observed(&requests, recorder),
-                };
+                let seeds = (self.warm == WarmMode::Session).then_some(&mut self.seeds);
+                let output = self.server.serve(&requests, seeds, recorder);
                 recorder.set_current_trace(None);
                 let iterations: usize = output
                     .responses
@@ -1109,7 +1105,7 @@ mod tests {
                 .unwrap();
         let oneshot = BatchServer::new(Parallelism::Auto)
             .with_warm_start(true)
-            .serve(&requests);
+            .serve(&requests, None, &mut fap_obs::NoopRecorder);
         let expected: Vec<Value> =
             oneshot.responses.iter().map(|r| r.as_ref().unwrap().serialize_value()).collect();
         let expected_json =

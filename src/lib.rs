@@ -40,8 +40,9 @@
 //!   trajectories with hysteresis and bounded-bandwidth migration;
 //! * [`obs`] — zero-dependency structured telemetry: a metrics registry
 //!   (counters, gauges, histograms), span timing on wall or virtual
-//!   clocks, and buffered ([`Telemetry`](fap_obs::Telemetry)) or streaming
-//!   ([`JsonlSink`](fap_obs::JsonlSink)) JSONL event export, wired through
+//!   clocks, and streaming ([`JsonlSink`](fap_obs::JsonlSink)) JSONL event
+//!   export with an in-memory twin ([`Telemetry`](fap_obs::Telemetry))
+//!   for tests, wired through
 //!   the solvers, the chaos simulator and the parallel kernels via the
 //!   [`Recorder`](fap_obs::Recorder) trait (the no-op recorder preserves
 //!   the zero-allocation and bit-identity guarantees);

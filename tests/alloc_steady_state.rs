@@ -236,6 +236,46 @@ fn disabled_tracing_span_path_allocates_nothing() {
 }
 
 #[test]
+fn streaming_sink_records_without_allocating() {
+    // Every `fap` command records through a `JsonlSink`, so a long
+    // `fap served` session keeps flat memory only if a steady event
+    // stream stops touching the allocator once the sink's line buffer has
+    // grown: events are rendered into that one reused buffer and handed
+    // straight to the writer, and metric updates hit names already
+    // registered.
+    use fap::obs::{JsonlSink, Recorder, Value};
+
+    let mut sink = JsonlSink::new(std::io::sink());
+    let record = |sink: &mut JsonlSink<std::io::Sink>, i: u64| {
+        sink.set_time(100_000 + i);
+        sink.incr("demo.steps", 1);
+        sink.gauge("demo.spread", 1.0 / (i + 1) as f64);
+        sink.observe("demo.latency_rounds", (i % 5) as f64);
+        sink.emit(
+            "round",
+            &[
+                ("round", Value::U64(i)),
+                ("utility", Value::F64(i as f64 / 8.0)),
+                ("fresh", Value::Bool(i % 2 == 0)),
+                ("scheme", Value::Str("broadcast")),
+            ],
+        );
+    };
+    // The first event registers the metrics and, being as long as any
+    // later line, sizes the line buffer.
+    record(&mut sink, 99_999);
+    let (allocs, ()) = counted(|| {
+        for i in 0..10_000 {
+            record(&mut sink, i);
+        }
+    });
+    assert_eq!(allocs, 0, "10 000 streamed events allocated {allocs} times");
+    assert_eq!(sink.events_recorded(), 10_001);
+    assert_eq!(sink.registry().counter("demo.steps"), 10_001);
+    sink.finish().expect("io::sink never fails");
+}
+
+#[test]
 fn recording_solve_only_grows_preallocated_buffers() {
     // The observed solve with a live recording sink must also be
     // allocation-free per iteration: every event lands in the telemetry's
@@ -297,6 +337,7 @@ fn rendering_a_response_allocates_nothing_per_iteration_record() {
     // doublings, so a 600-record convergence profile costs at most a few
     // more allocations than a 60-record one — never one per record.
     use fap::core::SingleFileProblem;
+    use fap::obs::NoopRecorder;
     use fap::serve::{BatchServer, ServeRequest};
 
     let graph = topology::ring(6, 1.0).expect("valid ring");
@@ -312,7 +353,8 @@ fn rendering_a_response_allocates_nothing_per_iteration_record() {
             max_iterations,
             topology: None,
         };
-        let mut output = BatchServer::new(Parallelism::Sequential).serve(&[request]);
+        let mut output =
+            BatchServer::new(Parallelism::Sequential).serve(&[request], None, &mut NoopRecorder);
         let response = output.responses.pop().expect("one response").expect("stable solve");
         assert_eq!(response.iterations(), max_iterations);
         response

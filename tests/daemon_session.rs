@@ -5,8 +5,10 @@
 //! daemon's own measured waits on the virtual clock.
 
 use fap::batch::Parallelism;
+use fap::cache::SubstrateCache;
 use fap::obs::{MetricsRegistry, NoopRecorder, Telemetry};
 use fap::queue::MmcDelay;
+use fap::serve::{BatchServer, ServeRequest};
 use fap::served::{DaemonConfig, WarmMode};
 use fap_cli::serve::example_specs;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -180,14 +182,20 @@ fn warm_state_persists_across_batches() {
     );
 }
 
-/// The daemon's batch responses embed exactly what the one-shot
-/// `fap serve --warm-start` path produces for the same specs.
+/// The daemon's batch responses embed exactly what one warm
+/// `BatchServer::serve` call with no seed store produces for the same
+/// specs, and `fap serve --warm-start` prints that same batch line.
 #[test]
 fn daemon_responses_are_bit_identical_to_one_shot_serve() {
     let specs = example_specs();
-    let oneshot =
-        fap_cli::serve_specs(&specs, Parallelism::Sequential, true, false, &mut NoopRecorder)
-            .unwrap();
+    let mut cache = SubstrateCache::new();
+    let requests: Vec<ServeRequest> = specs
+        .iter()
+        .map(|spec| spec.to_request_cached_with(&mut cache, false, &mut NoopRecorder).unwrap())
+        .collect();
+    let oneshot = BatchServer::new(Parallelism::Sequential)
+        .with_warm_start(true)
+        .serve(&requests, None, &mut NoopRecorder);
     let rendered: Vec<serde::Value> =
         oneshot.responses.iter().map(|r| r.as_ref().unwrap().serialize_value()).collect();
     let expected = format!(
@@ -206,6 +214,10 @@ fn daemon_responses_are_bit_identical_to_one_shot_serve() {
         batch_line.contains(&expected),
         "daemon responses must be bit-identical to the one-shot serve path"
     );
+    let once =
+        fap_cli::serve_once(&specs, Parallelism::Sequential, true, false, &mut NoopRecorder)
+            .unwrap();
+    assert_eq!(once, batch_line);
 }
 
 /// Validation of the admission model on the daemon's own virtual clock:

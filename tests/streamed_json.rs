@@ -8,10 +8,11 @@
 //! tree — so streaming changed no output byte.
 
 use fap::batch::Parallelism;
+use fap::cache::SubstrateCache;
 use fap::obs::NoopRecorder;
 use fap::runtime::ChaosPlan;
-use fap::serve::ServeResponse;
-use fap_cli::serve::{example_specs, serve_specs};
+use fap::serve::{BatchServer, ServeRequest, ServeResponse};
+use fap_cli::serve::example_specs;
 use fap_cli::{chaos_sim, Scenario};
 use serde::Serialize;
 
@@ -35,8 +36,15 @@ fn specs_and_scenarios_stream_as_their_trees() {
 
 #[test]
 fn every_serve_response_family_streams_as_its_tree() {
-    let output = serve_specs(&example_specs(), Parallelism::Sequential, true, false, &mut NoopRecorder)
-        .expect("example specs serve");
+    let mut cache = SubstrateCache::new();
+    let requests: Vec<ServeRequest> = example_specs()
+        .iter()
+        .map(|spec| spec.to_request_cached_with(&mut cache, false, &mut NoopRecorder))
+        .collect::<Result<_, _>>()
+        .expect("example specs build");
+    let output = BatchServer::new(Parallelism::Sequential)
+        .with_warm_start(true)
+        .serve(&requests, None, &mut NoopRecorder);
     let responses: Vec<ServeResponse> =
         output.responses.into_iter().map(|r| r.expect("example specs solve")).collect();
     assert!(matches!(

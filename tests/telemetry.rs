@@ -90,19 +90,14 @@ fn every_exported_line_parses_and_the_summary_agrees() {
 
 #[test]
 fn streaming_export_is_byte_identical_to_the_buffered_one() {
-    // The incremental sink is the bounded-memory path for long runs; the
-    // flush interval must only decide *when* bytes reach the writer, never
-    // what they are — so a seeded sim exports the same file either way.
+    // The streaming sink is what every command exports through; the
+    // in-memory recorder is its oracle — a seeded sim exports the same
+    // file either way.
     let buffered = sim_jsonl(11);
-    for flush_every in [1usize, 7, 4096] {
-        let mut sink = JsonlSink::new(Vec::new(), flush_every);
-        chaos_sim_observed(&Scenario::example(), chaos_plan(11), &mut sink).unwrap();
-        let streamed = String::from_utf8(sink.finish().unwrap()).unwrap();
-        assert_eq!(
-            streamed, buffered,
-            "flush_every = {flush_every} must not change the exported bytes"
-        );
-    }
+    let mut sink = JsonlSink::new(Vec::new());
+    chaos_sim_observed(&Scenario::example(), chaos_plan(11), &mut sink).unwrap();
+    let streamed = String::from_utf8(sink.finish().unwrap()).unwrap();
+    assert_eq!(streamed, buffered);
 }
 
 #[test]

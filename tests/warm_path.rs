@@ -120,13 +120,15 @@ fn cached_warm_sharded_serving_matches_sequential() {
             }
         })
         .collect();
-    let warm_sequential =
-        BatchServer::new(Parallelism::Sequential).with_warm_start(true).serve(&requests);
+    let warm_sequential = BatchServer::new(Parallelism::Sequential)
+        .with_warm_start(true)
+        .serve(&requests, None, &mut NoopRecorder);
     assert_eq!(warm_sequential.err_count(), 0);
     assert!(warm_sequential.aggregate.counter("serve.warm_starts") > 0);
     for shards in [1usize, 2, 4, 8] {
-        let sharded =
-            BatchServer::new(Parallelism::Fixed(shards)).with_warm_start(true).serve(&requests);
+        let sharded = BatchServer::new(Parallelism::Fixed(shards))
+            .with_warm_start(true)
+            .serve(&requests, None, &mut NoopRecorder);
         assert_eq!(
             warm_sequential.responses, sharded.responses,
             "{shards} warm shards must match warm sequential bit for bit"
