@@ -7,6 +7,7 @@ use std::hint::black_box;
 
 use fap_bench::paper;
 use fap_econ::{BoundaryRule, ResourceDirectedOptimizer, StepSize};
+use fap_obs::NoopRecorder;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig6_scaling");
@@ -18,7 +19,7 @@ fn bench(c: &mut Criterion) {
                 let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.4))
                     .with_boundary(BoundaryRule::Unconstrained)
                     .with_epsilon(paper::EPSILON)
-                    .run(black_box(&problem), black_box(&start))
+                    .run(black_box(&problem), black_box(&start), &mut NoopRecorder)
                     .expect("run succeeds");
                 assert!(s.converged);
                 s.iterations

@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use fap_bench::experiments::fig8_ring;
+use fap_obs::NoopRecorder;
 use fap_ring::RingSolver;
 
 fn bench(c: &mut Criterion) {
@@ -20,7 +21,7 @@ fn bench(c: &mut Criterion) {
                 RingSolver::new(0.1)
                     .without_adaptation()
                     .with_max_iterations(120)
-                    .solve(black_box(&ring), black_box(&[2.0, 0.0, 0.0, 0.0]))
+                    .solve(black_box(&ring), black_box(&[2.0, 0.0, 0.0, 0.0]), &mut NoopRecorder)
                     .expect("solve runs")
                     .best_cost
             });

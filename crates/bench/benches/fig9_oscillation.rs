@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use fap_bench::experiments::fig8_ring;
+use fap_obs::NoopRecorder;
 use fap_ring::RingSolver;
 
 fn bench(c: &mut Criterion) {
@@ -18,7 +19,7 @@ fn bench(c: &mut Criterion) {
                 RingSolver::new(alpha)
                     .without_adaptation()
                     .with_max_iterations(160)
-                    .solve(black_box(&ring), black_box(&[2.0, 0.0, 0.0, 0.0]))
+                    .solve(black_box(&ring), black_box(&[2.0, 0.0, 0.0, 0.0]), &mut NoopRecorder)
                     .expect("solve runs")
                     .oscillation_amplitude()
             });
@@ -28,7 +29,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             RingSolver::new(0.1)
                 .with_max_iterations(3_000)
-                .solve(black_box(&ring), black_box(&[2.0, 0.0, 0.0, 0.0]))
+                .solve(black_box(&ring), black_box(&[2.0, 0.0, 0.0, 0.0]), &mut NoopRecorder)
                 .expect("solve runs")
                 .converged
         });

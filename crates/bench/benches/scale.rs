@@ -42,6 +42,7 @@ fn bench(c: &mut Criterion) {
                             10,
                             Parallelism::Sequential,
                             &mut seq_scratch,
+                            &mut NoopRecorder,
                         )
                         .expect("stable solve")
                 });
@@ -56,6 +57,7 @@ fn bench(c: &mut Criterion) {
                             10,
                             Parallelism::Auto,
                             &mut par_scratch,
+                            &mut NoopRecorder,
                         )
                         .expect("stable solve")
                 });

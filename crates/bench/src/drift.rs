@@ -15,6 +15,7 @@ use std::time::Instant;
 
 use fap_batch::Parallelism;
 use fap_net::topology;
+use fap_obs::NoopRecorder;
 use fap_runtime::{DriftConfig, DriftReport, DriftRun, DriftScenario};
 use serde::{Deserialize, Serialize};
 
@@ -120,11 +121,12 @@ pub fn bench_drift(
     for label in scenarios {
         let run = DriftRun::new(&graph, drift_config(label, epochs, seed))
             .expect("valid drift config");
-        let (run_ms, sequential) = time_ms(|| run.run(Parallelism::Sequential));
+        let (run_ms, sequential) = time_ms(|| run.run(Parallelism::Sequential, &mut NoopRecorder));
         let sequential = sequential.expect("the benchmark trajectory must solve cleanly");
         for &threads in thread_grid {
-            let parallel =
-                run.run(Parallelism::Fixed(threads)).expect("threaded run must succeed");
+            let parallel = run
+                .run(Parallelism::Fixed(threads), &mut NoopRecorder)
+                .expect("threaded run must succeed");
             assert_eq!(
                 sequential, parallel,
                 "drift report diverged at scenario = {label}, threads = {threads}"

@@ -15,6 +15,7 @@ use fap_econ::{
     ResourceDirectedOptimizer, SecondOrderOptimizer, StepSize,
 };
 use fap_net::{topology, AccessPattern};
+use fap_obs::NoopRecorder;
 use fap_queue::{NetworkSimulation, ServiceDistribution};
 use fap_ring::{RingSolver, VirtualRing};
 use fap_runtime::{ChaosPlan, ExchangeScheme, MessageCounting, SimRun};
@@ -54,7 +55,7 @@ pub fn fig3() -> Vec<Fig3Curve> {
             let s = ResourceDirectedOptimizer::new(StepSize::Fixed(alpha))
                 .with_boundary(BoundaryRule::Unconstrained)
                 .with_epsilon(paper::EPSILON)
-                .run(&problem, &paper::START)
+                .run(&problem, &paper::START, &mut NoopRecorder)
                 .expect("paper parameters evaluate");
             Fig3Curve {
                 alpha,
@@ -98,7 +99,7 @@ pub fn fig4() -> Fig4Result {
     let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.3))
         .with_boundary(BoundaryRule::Unconstrained)
         .with_epsilon(paper::EPSILON)
-        .run(&problem, &[0.0, 0.0, 0.0, 1.0])
+        .run(&problem, &[0.0, 0.0, 0.0, 1.0], &mut NoopRecorder)
         .expect("paper parameters evaluate");
     Fig4Result {
         integral_cost: integral.cost,
@@ -122,7 +123,7 @@ pub fn fig5(alphas: &[f64], cap: usize) -> Vec<(f64, Option<usize>)> {
                 .with_boundary(BoundaryRule::Unconstrained)
                 .with_epsilon(paper::EPSILON)
                 .with_max_iterations(cap)
-                .run(&problem, &paper::START);
+                .run(&problem, &paper::START, &mut NoopRecorder);
             let iterations = match result {
                 Ok(s) if s.converged => Some(s.iterations),
                 _ => None, // diverged (model error) or hit the cap
@@ -180,7 +181,7 @@ pub fn fig6(ns: impl IntoIterator<Item = usize>) -> Vec<Fig6Point> {
                     .with_boundary(BoundaryRule::Unconstrained)
                     .with_epsilon(paper::EPSILON)
                     .with_max_iterations(5_000)
-                    .run_with_scratch(&problem, &start, &mut scratch);
+                    .run_with_scratch(&problem, &start, &mut scratch, &mut NoopRecorder);
                 if let Ok(s) = result {
                     if s.converged
                         && best.as_ref().is_none_or(|&(_, it, _)| s.iterations < it)
@@ -231,7 +232,7 @@ fn ring_profile(label: &str, ring: &VirtualRing, alpha: f64, iterations: usize) 
     let s = RingSolver::new(alpha)
         .without_adaptation()
         .with_max_iterations(iterations)
-        .solve(ring, &[2.0, 0.0, 0.0, 0.0])
+        .solve(ring, &[2.0, 0.0, 0.0, 0.0], &mut NoopRecorder)
         .expect("ring parameters evaluate");
     RingProfile {
         label: label.to_string(),
@@ -288,7 +289,7 @@ pub fn a1_alpha_bound() -> A1Result {
             .with_boundary(BoundaryRule::Unconstrained)
             .with_epsilon(paper::EPSILON)
             .with_max_iterations(2_000)
-            .run(&problem, &paper::START)
+            .run(&problem, &paper::START, &mut NoopRecorder)
             .map(|s| s.converged)
             .unwrap_or(false)
     };
@@ -346,7 +347,7 @@ pub fn a2_second_derivative(scale: f64) -> A2Result {
         ResourceDirectedOptimizer::new(StepSize::Fixed(0.15))
             .with_epsilon(1e-5)
             .with_max_iterations(20_000)
-            .run(p, &[0.25; 4])
+            .run(p, &[0.25; 4], &mut NoopRecorder)
             .ok()
             .filter(|s| s.converged)
             .map(|s| s.iterations)
@@ -355,7 +356,7 @@ pub fn a2_second_derivative(scale: f64) -> A2Result {
         SecondOrderOptimizer::new(StepSize::Fixed(0.5))
             .with_epsilon(1e-5)
             .with_max_iterations(20_000)
-            .run(p, &[0.25; 4])
+            .run(p, &[0.25; 4], &mut NoopRecorder)
             .ok()
             .filter(|s| s.converged)
             .map(|s| s.iterations)
@@ -400,7 +401,7 @@ pub fn a3_price_vs_resource() -> A3Result {
         .with_epsilon(1e-7)
         .with_recorded_allocations()
         .with_max_iterations(100_000)
-        .run(&problem, &[0.2; 5])
+        .run(&problem, &[0.2; 5], &mut NoopRecorder)
         .expect("resource run");
     let resource_max_infeasibility = resource
         .trace
@@ -467,7 +468,7 @@ pub fn a4_messages(n: usize) -> Vec<A4Row> {
             .with_counting(counting)
             .with_max_rounds(200_000)
             .with_chaos(ChaosPlan::new(0))
-            .run(&start)
+            .run(&start, &mut NoopRecorder)
             .expect("distributed run");
         assert!(r.converged, "{label} failed to converge");
         rows.push(A4Row {
@@ -483,7 +484,7 @@ pub fn a4_messages(n: usize) -> Vec<A4Row> {
     let gossip = GossipOptimizer::new(neighborhood, 0.05)
         .with_epsilon(epsilon)
         .with_max_iterations(500_000)
-        .run(&problem, &start)
+        .run(&problem, &start, &mut NoopRecorder)
         .expect("gossip run");
     assert!(gossip.converged, "gossip failed to converge");
     rows.push(A4Row {

@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use fap_batch::Parallelism;
 use fap_core::{
-    hierarchical::{solve_hierarchical_multilevel, HierarchicalConfig},
+    hierarchical::{solve_hierarchical, HierarchicalConfig},
     reference, MultiFileProblem, MultiFileScratch, MultiFileSolution, SingleFileProblem,
 };
 use fap_net::{
@@ -322,7 +322,7 @@ pub fn bench_sparse_with(ns: &[usize], levels_override: Option<usize>) -> Vec<Sp
         }
         let config = sparse_hierarchical_config(&pattern);
         let (solve_ms, solution) = time_ms(|| {
-            solve_hierarchical_multilevel(&oracle, &pattern, &mus, 1.0, &config, levels)
+            solve_hierarchical(&oracle, &pattern, &mus, 1.0, &config, levels, &mut NoopRecorder)
                 .expect("stable solve")
         });
         let provider_bytes = oracle.substrate_bytes();
@@ -487,6 +487,7 @@ pub fn bench_scale_configured(
                         iterations,
                         Parallelism::Sequential,
                         &mut seq_scratch,
+                        &mut NoopRecorder,
                     )
                     .expect("stable solve")
             });
@@ -499,6 +500,7 @@ pub fn bench_scale_configured(
                         iterations,
                         parallelism,
                         &mut par_scratch,
+                        &mut NoopRecorder,
                     )
                     .expect("stable solve")
             });

@@ -48,7 +48,7 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
-use fap_cli::{chaos_sim_observed, simulate, solve_observed, summarize, sweep_k, Scenario};
+use fap_cli::{chaos_sim, simulate, solve, summarize, sweep_k, Scenario};
 use fap_obs::JsonlSink;
 use fap_runtime::ChaosPlan;
 
@@ -269,8 +269,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     scenario.cost_backend = backend;
                 }
                 let mut sink = metrics.sink()?;
-                let output =
-                    solve_observed(&scenario, &mut sink).map_err(|e| e.to_string())?;
+                let output = solve(&scenario, &mut sink).map_err(|e| e.to_string())?;
                 metrics.finish(sink)?;
                 println!("converged:  {} ({} iterations)", output.converged, output.iterations);
                 println!("cost:       {:.6}", output.cost);
@@ -328,7 +327,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     _ => ChaosPlan::new(0),
                 };
                 let mut sink = metrics.sink()?;
-                let report = chaos_sim_observed(&scenario, plan, &mut sink)
+                let report = chaos_sim(&scenario, plan, &mut sink)
                     .map_err(|e| e.to_string())?;
                 metrics.finish(sink)?;
                 let json = serde_json::to_string_pretty(&report)

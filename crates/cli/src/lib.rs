@@ -48,7 +48,7 @@ pub mod trace;
 pub mod track;
 
 pub use report::{render, render_diff, render_json, summarize, ReportSummary};
-pub use run::{chaos_sim, chaos_sim_observed, simulate, solve, solve_observed, sweep_k, SolveOutput};
+pub use run::{chaos_sim, simulate, solve, sweep_k, SolveOutput};
 pub use scenario::{Scenario, ScenarioError, Topology};
 pub use serve::{load_specs, ServeSpec};
 pub use served::{run_daemon, serve_once, spec_daemon, spec_parser_with};

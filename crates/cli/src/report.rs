@@ -68,8 +68,7 @@ pub fn summarize(text: &str) -> Result<ReportSummary, String> {
             continue;
         }
         summary.lines += 1;
-        let fields =
-            parse_line(line).ok_or_else(|| format!("line {}: malformed JSONL", number + 1))?;
+        let fields = parse_line(line).map_err(|e| format!("line {}, {e}", number + 1))?;
         if let Some(Scalar::Str(event)) = field(&fields, "event") {
             summary.events += 1;
             match event.as_str() {
@@ -393,7 +392,7 @@ pub fn render_json(summary: &ReportSummary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::chaos_sim_observed;
+    use crate::run::chaos_sim;
     use crate::Scenario;
     use fap_obs::Telemetry;
     use fap_runtime::ChaosPlan;
@@ -406,7 +405,7 @@ mod tests {
             .with_staleness_bound(2)
             .with_retries(1);
         let mut telemetry = Telemetry::manual();
-        chaos_sim_observed(&scenario, plan, &mut telemetry).unwrap();
+        chaos_sim(&scenario, plan, &mut telemetry).unwrap();
         telemetry.to_jsonl()
     }
 
@@ -450,9 +449,11 @@ mod tests {
     }
 
     #[test]
-    fn rejects_malformed_lines_with_a_line_number() {
+    fn rejects_malformed_lines_with_a_line_number_byte_and_reason() {
         let err = summarize("{\"counter\":\"sim.sent\",\"value\":1}\nnot json\n").unwrap_err();
-        assert!(err.contains("line 2"), "{err}");
+        assert_eq!(err, "line 2, byte 0: expected '{'");
+        let err = summarize("{\"counter\":\"sim.sent\",\"value\":[1]}\n").unwrap_err();
+        assert_eq!(err, "line 1, byte 30: nested arrays and objects are not allowed");
     }
 
     #[test]
@@ -501,7 +502,7 @@ mod tests {
         let mut telemetry = Telemetry::manual();
         let solution = fap_ring::RingSolver::new(0.1)
             .with_max_iterations(3_000)
-            .solve_observed(&ring, &[2.0, 0.0, 0.0, 0.0], &mut telemetry)
+            .solve(&ring, &[2.0, 0.0, 0.0, 0.0], &mut telemetry)
             .unwrap();
         assert!(solution.iterations > 0);
         let summary = summarize(&telemetry.to_jsonl()).unwrap();
@@ -520,8 +521,7 @@ mod tests {
         };
         let run = fap_runtime::DriftRun::new(&graph, config).unwrap();
         let mut telemetry = Telemetry::manual();
-        let report =
-            run.run_observed(fap_batch::Parallelism::Sequential, &mut telemetry).unwrap();
+        let report = run.run(fap_batch::Parallelism::Sequential, &mut telemetry).unwrap();
         let summary = summarize(&telemetry.to_jsonl()).unwrap();
         assert!(summary
             .counters

@@ -414,7 +414,7 @@ mod tests {
     #[test]
     fn single_file_spec_matches_fap_solve() {
         let scenario = Scenario::example();
-        let solve = crate::run::solve(&scenario).unwrap();
+        let solve = crate::run::solve(&scenario, &mut NoopRecorder).unwrap();
         let output = reference(&[ServeSpec::SingleFile { scenario }], false);
         match output.responses[0].as_ref().unwrap() {
             fap_serve::ServeResponse::SingleFile(s) => {

@@ -179,8 +179,7 @@ pub fn analyze(text: &str) -> Result<TraceReport, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let pairs = parse_line(line)
-            .ok_or_else(|| format!("line {}: malformed JSONL", number + 1))?;
+        let pairs = parse_line(line).map_err(|e| format!("line {}, {e}", number + 1))?;
         let field = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
         let Some(event) = field("event").and_then(Scalar::as_str) else { continue };
         if event != SPAN_START && event != SPAN_END {
@@ -546,7 +545,9 @@ mod tests {
         let err = analyze("{\"t\":1,\"event\":\"span_start\"}\n").unwrap_err();
         assert!(err.contains("line 1"), "{err}");
         let err = analyze("not json\n").unwrap_err();
-        assert!(err.contains("line 1: malformed JSONL"), "{err}");
+        assert_eq!(err, "line 1, byte 0: expected '{'");
+        let err = analyze("{\"t\":1,\"event\":\"span_start\" \"x\":2}\n").unwrap_err();
+        assert_eq!(err, "line 1, byte 28: expected ',' or '}'");
     }
 
     /// The acceptance criterion: a real traced daemon session

@@ -138,7 +138,7 @@ pub fn run_track(
 ) -> Result<DriftReport, String> {
     let graph = topology::ring(options.nodes, 1.0).map_err(|e| e.to_string())?;
     let run = DriftRun::new(&graph, options.config.clone()).map_err(|e| e.to_string())?;
-    run.run_observed(options.parallelism, recorder).map_err(|e| e.to_string())
+    run.run(options.parallelism, recorder).map_err(|e| e.to_string())
 }
 
 /// Renders the per-epoch table and regret summary `fap track` prints.

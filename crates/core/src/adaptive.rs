@@ -15,6 +15,7 @@
 
 use fap_econ::{ResourceDirectedOptimizer, Solution, StepSize};
 use fap_net::{AccessPattern, CostMatrix, Graph};
+use fap_obs::NoopRecorder;
 
 use crate::error::CoreError;
 use crate::single::SingleFileProblem;
@@ -129,7 +130,7 @@ impl AdaptiveAllocator {
         let solution = ResourceDirectedOptimizer::new(self.step.clone())
             .with_epsilon(self.epsilon)
             .with_max_iterations(iteration_budget)
-            .run(&problem, &self.allocation)?;
+            .run(&problem, &self.allocation, &mut NoopRecorder)?;
         self.allocation.clone_from(&solution.allocation);
         self.epochs += 1;
         Ok(solution)

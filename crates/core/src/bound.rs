@@ -97,6 +97,7 @@ mod tests {
     use super::*;
     use fap_econ::{ResourceDirectedOptimizer, StepSize};
     use fap_net::{topology, AccessPattern};
+    use fap_obs::NoopRecorder;
 
     fn paper_problem() -> SingleFileProblem<Mm1Delay> {
         let graph = topology::ring(4, 1.0).unwrap();
@@ -141,7 +142,7 @@ mod tests {
         let s = ResourceDirectedOptimizer::new(StepSize::Fixed(alpha))
             .with_epsilon(0.1)
             .with_max_iterations(2_000_000)
-            .run(&p, &[0.8, 0.1, 0.1, 0.0])
+            .run(&p, &[0.8, 0.1, 0.1, 0.0], &mut NoopRecorder)
             .unwrap();
         assert!(s.converged, "bound α = {alpha} did not converge");
         assert!(s.trace.is_cost_monotone_decreasing(1e-12));

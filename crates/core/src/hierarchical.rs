@@ -31,7 +31,7 @@
 //!
 //! At `N = 10⁶` under the substrate byte ceiling, `K` is forced down to
 //! ~10² and a "cluster" grows to ~10⁴ members — too large for one flat
-//! inner solve. [`solve_hierarchical_multilevel`] therefore splits any
+//! inner solve. [`solve_hierarchical`] therefore splits any
 //! oversized cluster into a deterministic **cluster-of-clusters tree**:
 //! members sort by `(home distance, index)`, split into near-even
 //! contiguous chunks with the branching factor chosen so leaves stay
@@ -121,79 +121,26 @@ fn default_levels() -> usize {
     1
 }
 
-/// Solves the single-file problem hierarchically on `oracle`.
-///
-/// Equivalent to [`solve_hierarchical_observed`] with a [`NoopRecorder`].
-///
-/// # Errors
-///
-/// Same conditions as [`solve_hierarchical_observed`].
-pub fn solve_hierarchical(
-    oracle: &LandmarkOracle,
-    pattern: &AccessPattern,
-    mus: &[f64],
-    k: f64,
-    config: &HierarchicalConfig,
-) -> Result<HierarchicalSolution, CoreError> {
-    solve_hierarchical_observed(oracle, pattern, mus, k, config, &mut NoopRecorder)
-}
-
-/// Solves the single-file problem hierarchically, recording the
+/// Solves the single-file problem hierarchically on `oracle`, recording the
 /// `hier.refine_rounds` counter (one increment per refinement round) and
 /// the oracle's row-cache counters into `recorder`.
 ///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidParameter`] for mismatched dimensions or
-/// invalid config values, [`CoreError::InsufficientCapacity`] when
-/// `Σ μ_i ≤ λ`, and any solver error from the aggregate or per-cluster
-/// stages.
-pub fn solve_hierarchical_observed(
-    oracle: &LandmarkOracle,
-    pattern: &AccessPattern,
-    mus: &[f64],
-    k: f64,
-    config: &HierarchicalConfig,
-    recorder: &mut dyn Recorder,
-) -> Result<HierarchicalSolution, CoreError> {
-    solve_hierarchical_impl(oracle, pattern, mus, k, config, 1, recorder)
-}
-
-/// Solves the single-file problem on a multi-level cluster tree.
-///
-/// `levels` bounds the depth of the tree: `1` is exactly the flat
-/// [`solve_hierarchical`] pipeline (bit-identical output), while deeper
-/// settings let any cluster larger than ~256 members split recursively
-/// into near-even chunks of its `(home distance, index)`-sorted members,
-/// each chunk solved through the same aggregate/inner/refine pass. Use
-/// more levels when the substrate byte ceiling forces `K` far below
-/// `N / 256` — at `N = 10⁶` with `K ≈ 10²`, `levels = 3` keeps every
-/// inner solve a few hundred variables wide.
-///
-/// Equivalent to [`solve_hierarchical_multilevel_observed`] with a
-/// [`NoopRecorder`].
+/// `levels` bounds the depth of the cluster tree: `1` is the flat
+/// cluster-solve-refine pipeline, while deeper settings let any cluster
+/// larger than ~256 members split recursively into near-even chunks of its
+/// `(home distance, index)`-sorted members, each chunk solved through the
+/// same aggregate/inner/refine pass. Use more levels when the substrate
+/// byte ceiling forces `K` far below `N / 256` — at `N = 10⁶` with
+/// `K ≈ 10²`, `levels = 3` keeps every inner solve a few hundred variables
+/// wide.
 ///
 /// # Errors
 ///
-/// Same conditions as [`solve_hierarchical_observed`], plus
-/// [`CoreError::InvalidParameter`] when `levels` is zero.
-pub fn solve_hierarchical_multilevel(
-    oracle: &LandmarkOracle,
-    pattern: &AccessPattern,
-    mus: &[f64],
-    k: f64,
-    config: &HierarchicalConfig,
-    levels: usize,
-) -> Result<HierarchicalSolution, CoreError> {
-    solve_hierarchical_multilevel_observed(oracle, pattern, mus, k, config, levels, &mut NoopRecorder)
-}
-
-/// Observed variant of [`solve_hierarchical_multilevel`].
-///
-/// # Errors
-///
-/// Same conditions as [`solve_hierarchical_multilevel`].
-pub fn solve_hierarchical_multilevel_observed(
+/// Returns [`CoreError::InvalidParameter`] for mismatched dimensions,
+/// invalid config values or `levels == 0`,
+/// [`CoreError::InsufficientCapacity`] when `Σ μ_i ≤ λ`, and any solver
+/// error from the aggregate or per-cluster stages.
+pub fn solve_hierarchical(
     oracle: &LandmarkOracle,
     pattern: &AccessPattern,
     mus: &[f64],
@@ -203,11 +150,28 @@ pub fn solve_hierarchical_multilevel_observed(
     recorder: &mut dyn Recorder,
 ) -> Result<HierarchicalSolution, CoreError> {
     if levels == 0 {
-        return Err(CoreError::InvalidParameter(
-            "hierarchy depth must be at least 1 level".into(),
-        ));
+        return Err(CoreError::InvalidParameter("hierarchy depth must be at least 1 level".into()));
     }
     solve_hierarchical_impl(oracle, pattern, mus, k, config, levels, recorder)
+}
+
+/// [`solve_hierarchical`] under the name `perfbench/src/adapter.rs`
+/// binds; delete it once the adapter calls [`solve_hierarchical`].
+///
+/// # Errors
+///
+/// Same conditions as [`solve_hierarchical`].
+#[doc(hidden)]
+pub fn solve_hierarchical_multilevel_observed(
+    oracle: &LandmarkOracle,
+    pattern: &AccessPattern,
+    mus: &[f64],
+    k: f64,
+    config: &HierarchicalConfig,
+    levels: usize,
+    recorder: &mut dyn Recorder,
+) -> Result<HierarchicalSolution, CoreError> {
+    solve_hierarchical(oracle, pattern, mus, k, config, levels, recorder)
 }
 
 fn solve_hierarchical_impl(
@@ -311,7 +275,7 @@ fn solve_hierarchical_impl(
     )?;
     let total_mu: f64 = pooled_mu.iter().sum();
     let y0: Vec<f64> = pooled_mu.iter().map(|&mu_a| mu_a / total_mu).collect();
-    let agg_solution = solver.run_with_scratch(&aggregate, &y0, &mut scratch)?;
+    let agg_solution = solver.run_with_scratch(&aggregate, &y0, &mut scratch, &mut NoopRecorder)?;
     let aggregate_iterations = agg_solution.iterations;
     if let Some(root) = root_ctx {
         let id = recorder.reserve_span_ids(1);
@@ -493,7 +457,8 @@ fn solve_clusters(
         if warm {
             scratch.start_from(&splits[a]);
         }
-        let solution = solver.run_with_scratch(&inner, &splits[a].clone(), scratch)?;
+        let solution =
+            solver.run_with_scratch(&inner, &splits[a].clone(), scratch, &mut NoopRecorder)?;
         *inner_iterations += solution.iterations;
         if let Some(ctx) = parent {
             let id = recorder.reserve_span_ids(1);
@@ -565,7 +530,7 @@ fn solve_member_tree(
         if warm {
             scratch.start_from(z);
         }
-        let solution = solver.run_with_scratch(&inner, &z.clone(), scratch)?;
+        let solution = solver.run_with_scratch(&inner, &z.clone(), scratch, &mut NoopRecorder)?;
         *inner_iterations += solution.iterations;
         if let Some(ctx) = parent {
             let id = recorder.reserve_span_ids(1);
@@ -617,7 +582,7 @@ fn solve_member_tree(
     if warm {
         scratch.start_from(&shares);
     }
-    let agg = solver.run_with_scratch(&aggregate, &shares.clone(), scratch)?;
+    let agg = solver.run_with_scratch(&aggregate, &shares.clone(), scratch, &mut NoopRecorder)?;
     *inner_iterations += agg.iterations;
     if let Some(ctx) = parent {
         let id = recorder.reserve_span_ids(1);
@@ -851,11 +816,13 @@ mod tests {
     fn allocation_is_feasible_and_deterministic() {
         let (oracle, pattern, mus) = mesh_setup(36, 5);
         let cfg = HierarchicalConfig::default();
-        let a = solve_hierarchical(&oracle, &pattern, &mus, 1.0, &cfg).unwrap();
+        let a =
+            solve_hierarchical(&oracle, &pattern, &mus, 1.0, &cfg, 1, &mut NoopRecorder).unwrap();
         let total: f64 = a.allocation.iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "sums to {total}");
         assert!(a.allocation.iter().all(|&x| x >= 0.0));
-        let b = solve_hierarchical(&oracle, &pattern, &mus, 1.0, &cfg).unwrap();
+        let b =
+            solve_hierarchical(&oracle, &pattern, &mus, 1.0, &cfg, 1, &mut NoopRecorder).unwrap();
         for (p, q) in a.allocation.iter().zip(&b.allocation) {
             assert_eq!(p.to_bits(), q.to_bits());
         }
@@ -866,19 +833,42 @@ mod tests {
         let (oracle, pattern, mus) = mesh_setup(30, 9);
         let no_refine =
             HierarchicalConfig { max_refine_rounds: 0, ..HierarchicalConfig::default() };
-        let base = solve_hierarchical(&oracle, &pattern, &mus, 1.0, &no_refine).unwrap();
-        let refined =
-            solve_hierarchical(&oracle, &pattern, &mus, 1.0, &HierarchicalConfig::default())
-                .unwrap();
+        let base = solve_hierarchical(
+            &oracle,
+            &pattern,
+            &mus,
+            1.0,
+            &no_refine,
+            1,
+            &mut NoopRecorder,
+        )
+        .unwrap();
+        let refined = solve_hierarchical(
+            &oracle,
+            &pattern,
+            &mus,
+            1.0,
+            &HierarchicalConfig::default(),
+            1,
+            &mut NoopRecorder,
+        )
+        .unwrap();
         assert!(refined.estimated_cost <= base.estimated_cost + 1e-12);
     }
 
     #[test]
     fn close_to_exact_on_a_small_mesh() {
         let (oracle, pattern, mus) = mesh_setup(24, 3);
-        let refined =
-            solve_hierarchical(&oracle, &pattern, &mus, 1.0, &HierarchicalConfig::default())
-                .unwrap();
+        let refined = solve_hierarchical(
+            &oracle,
+            &pattern,
+            &mus,
+            1.0,
+            &HierarchicalConfig::default(),
+            1,
+            &mut NoopRecorder,
+        )
+        .unwrap();
         // Exact optimum of the *estimated* problem bounds what the
         // hierarchical pipeline can achieve on it.
         let est = SingleFileProblem::from_parts(
@@ -902,8 +892,8 @@ mod tests {
         let (oracle, pattern, mus) = mesh_setup(30, 7);
         let mut registry = fap_obs::MetricsRegistry::new();
         let cfg = HierarchicalConfig { epsilon: 1e-12, ..HierarchicalConfig::default() };
-        let sol = solve_hierarchical_observed(
-            &oracle, &pattern, &mus, 1.0, &cfg, &mut registry,
+        let sol = solve_hierarchical(
+            &oracle, &pattern, &mus, 1.0, &cfg, 1, &mut registry,
         )
         .unwrap();
         assert_eq!(registry.counter("hier.refine_rounds"), sol.refine_rounds as u64);
@@ -916,7 +906,7 @@ mod tests {
         let cfg = HierarchicalConfig { epsilon: 1e-12, ..HierarchicalConfig::default() };
         let mut fr = fap_obs::FlightRecorder::default();
         let sol =
-            solve_hierarchical_observed(&oracle, &pattern, &mus, 1.0, &cfg, &mut fr)
+            solve_hierarchical(&oracle, &pattern, &mus, 1.0, &cfg, 1, &mut fr)
                 .unwrap();
         assert_eq!(fr.completed_traces(), 1);
         let root = *fr.recent().next().unwrap();
@@ -935,29 +925,23 @@ mod tests {
         assert_eq!(fr.layer_self_time("net"), 0, "access costs are zero-width");
         assert_eq!(fr.dropped_spans(), 0);
         // Tracing never perturbs the solution.
-        let untraced = solve_hierarchical(&oracle, &pattern, &mus, 1.0, &cfg).unwrap();
+        let untraced =
+            solve_hierarchical(&oracle, &pattern, &mus, 1.0, &cfg, 1, &mut NoopRecorder).unwrap();
         assert_eq!(sol, untraced);
-    }
-
-    #[test]
-    fn multilevel_depth_one_is_bit_identical_to_flat() {
-        let (oracle, pattern, mus) = mesh_setup(40, 13);
-        let cfg = HierarchicalConfig::default();
-        let flat = solve_hierarchical(&oracle, &pattern, &mus, 1.0, &cfg).unwrap();
-        let deep =
-            solve_hierarchical_multilevel(&oracle, &pattern, &mus, 1.0, &cfg, 1).unwrap();
-        assert_eq!(flat, deep);
-        for (p, q) in flat.allocation.iter().zip(&deep.allocation) {
-            assert_eq!(p.to_bits(), q.to_bits());
-        }
     }
 
     #[test]
     fn multilevel_rejects_zero_levels() {
         let (oracle, pattern, mus) = mesh_setup(20, 2);
         assert!(matches!(
-            solve_hierarchical_multilevel(
-                &oracle, &pattern, &mus, 1.0, &HierarchicalConfig::default(), 0,
+            solve_hierarchical(
+                &oracle,
+                &pattern,
+                &mus,
+                1.0,
+                &HierarchicalConfig::default(),
+                0,
+                &mut NoopRecorder,
             ),
             Err(CoreError::InvalidParameter(_))
         ));
@@ -983,19 +967,20 @@ mod tests {
             ..HierarchicalConfig::default()
         };
         let deep =
-            solve_hierarchical_multilevel(&oracle, &pattern, &mus, 1.0, &cfg, 3).unwrap();
+            solve_hierarchical(&oracle, &pattern, &mus, 1.0, &cfg, 3, &mut NoopRecorder).unwrap();
         assert_eq!(deep.levels, 3);
         let total: f64 = deep.allocation.iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "sums to {total}");
         assert!(deep.allocation.iter().all(|&x| x >= 0.0));
         let again =
-            solve_hierarchical_multilevel(&oracle, &pattern, &mus, 1.0, &cfg, 3).unwrap();
+            solve_hierarchical(&oracle, &pattern, &mus, 1.0, &cfg, 3, &mut NoopRecorder).unwrap();
         for (p, q) in deep.allocation.iter().zip(&again.allocation) {
             assert_eq!(p.to_bits(), q.to_bits());
         }
         // The tree is an approximation of the flat solve, not a free
         // lunch — but it must stay in the same cost neighbourhood.
-        let flat = solve_hierarchical(&oracle, &pattern, &mus, 1.0, &cfg).unwrap();
+        let flat =
+            solve_hierarchical(&oracle, &pattern, &mus, 1.0, &cfg, 1, &mut NoopRecorder).unwrap();
         assert!(
             deep.estimated_cost <= flat.estimated_cost * 1.25 + 1e-9,
             "tree {} vs flat {}",
@@ -1041,7 +1026,15 @@ mod tests {
         let (oracle, _pattern, mus) = mesh_setup(20, 2);
         let short = AccessPattern::uniform(10, 1.0).unwrap();
         assert!(matches!(
-            solve_hierarchical(&oracle, &short, &mus, 1.0, &HierarchicalConfig::default()),
+            solve_hierarchical(
+                &oracle,
+                &short,
+                &mus,
+                1.0,
+                &HierarchicalConfig::default(),
+                1,
+                &mut NoopRecorder,
+            ),
             Err(CoreError::InvalidParameter(_))
         ));
     }

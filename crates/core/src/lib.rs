@@ -41,12 +41,13 @@
 //! use fap_core::SingleFileProblem;
 //! use fap_econ::{AllocationProblem, ResourceDirectedOptimizer, StepSize};
 //! use fap_net::{topology, AccessPattern};
+//! use fap_obs::NoopRecorder;
 //!
 //! let graph = topology::ring(4, 1.0)?;
 //! let pattern = AccessPattern::uniform(4, 1.0)?;
 //! let problem = SingleFileProblem::mm1(&graph, &pattern, 1.5, 1.0)?;
 //! let solution = ResourceDirectedOptimizer::new(StepSize::Fixed(0.3))
-//!     .run(&problem, &[0.8, 0.1, 0.1, 0.0])?;
+//!     .run(&problem, &[0.8, 0.1, 0.1, 0.0], &mut NoopRecorder)?;
 //! assert!(solution.converged);
 //! for x in &solution.allocation {
 //!     assert!((x - 0.25).abs() < 1e-3);
@@ -76,8 +77,8 @@ pub mod tuning;
 pub use adaptive::AdaptiveAllocator;
 pub use error::CoreError;
 pub use hierarchical::{
-    solve_hierarchical, solve_hierarchical_multilevel, solve_hierarchical_multilevel_observed,
-    solve_hierarchical_observed, HierarchicalConfig, HierarchicalSolution,
+    solve_hierarchical, solve_hierarchical_multilevel_observed, HierarchicalConfig,
+    HierarchicalSolution,
 };
 pub use market::HostingMarket;
 pub use multi_file::{MultiFileProblem, MultiFileScratch, MultiFileSolution};

@@ -103,6 +103,7 @@ mod tests {
     use fap_econ::{ResourceDirectedOptimizer, StepSize};
     use fap_net::{topology, AccessPattern};
     use proptest::prelude::*;
+    use fap_obs::NoopRecorder;
 
     #[test]
     fn symmetric_ring_waterfills_to_even_split() {
@@ -152,7 +153,7 @@ mod tests {
         let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
             .with_epsilon(1e-9)
             .with_max_iterations(200_000)
-            .run(&p, &[1.0 / 6.0; 6])
+            .run(&p, &[1.0 / 6.0; 6], &mut NoopRecorder)
             .unwrap();
         assert!(s.converged);
         assert!((s.final_cost() - r.cost).abs() < 1e-5, "{} vs {}", s.final_cost(), r.cost);

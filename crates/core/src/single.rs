@@ -118,34 +118,19 @@ impl SingleFileProblem<Mm1Delay> {
         k: f64,
     ) -> Result<Self, CoreError> {
         let costs = graph.shortest_path_matrix()?;
-        Self::mm1_heterogeneous_with_costs(&costs, pattern, mus, k)
+        Self::mm1_heterogeneous_with_provider(&costs, pattern, mus, k)
     }
 
-    /// [`SingleFileProblem::mm1_heterogeneous`] from a pre-computed cost
-    /// matrix, so callers holding a
-    /// [`CostMatrix`] — e.g. one served out of a topology-keyed cache —
-    /// skip the all-pairs shortest-path run entirely. Bit-identical to the
-    /// graph-based constructor for the matrix that graph produces.
+    /// [`SingleFileProblem::mm1_heterogeneous`] over any pre-computed
+    /// [`CostProvider`], so callers holding a [`CostMatrix`] — e.g. one
+    /// served out of a topology-keyed cache — skip the all-pairs
+    /// shortest-path run entirely. Bit-identical to the graph-based
+    /// constructor for the matrix that graph produces.
     ///
     /// # Errors
     ///
     /// Same conditions as [`SingleFileProblem::mm1_heterogeneous`], minus
-    /// the connectivity check (a valid `CostMatrix` is always complete).
-    pub fn mm1_heterogeneous_with_costs(
-        costs: &CostMatrix,
-        pattern: &AccessPattern,
-        mus: &[f64],
-        k: f64,
-    ) -> Result<Self, CoreError> {
-        Self::mm1_heterogeneous_with_provider(costs, pattern, mus, k)
-    }
-
-    /// [`SingleFileProblem::mm1_heterogeneous_with_costs`] over any
-    /// [`CostProvider`] (bit-identical for the dense matrix).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SingleFileProblem::mm1_heterogeneous`].
+    /// the connectivity check (a valid provider is always complete).
     pub fn mm1_heterogeneous_with_provider(
         provider: &(impl CostProvider + ?Sized),
         pattern: &AccessPattern,
@@ -369,6 +354,7 @@ mod tests {
     use fap_econ::{ResourceDirectedOptimizer, StepSize};
     use fap_net::topology;
     use proptest::prelude::*;
+    use fap_obs::NoopRecorder;
 
     /// The paper's §6 network: 4-node ring, unit link costs, uniform λ = 1,
     /// μ = 1.5, k = 1.
@@ -495,7 +481,7 @@ mod tests {
         let p = paper_problem();
         let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.19))
             .with_epsilon(1e-6)
-            .run(&p, &[0.8, 0.1, 0.1, 0.0])
+            .run(&p, &[0.8, 0.1, 0.1, 0.0], &mut NoopRecorder)
             .unwrap();
         assert!(s.converged);
         for x in &s.allocation {
@@ -541,7 +527,7 @@ mod tests {
             SingleFileProblem::mm1_heterogeneous(&graph, &pattern, &[5.0, 1.2, 1.2], 1.0).unwrap();
         let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
             .with_epsilon(1e-7)
-            .run(&p, &[1.0 / 3.0; 3])
+            .run(&p, &[1.0 / 3.0; 3], &mut NoopRecorder)
             .unwrap();
         assert!(s.converged);
         assert!(
@@ -561,7 +547,7 @@ mod tests {
         let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
             .with_epsilon(1e-7)
             .with_max_iterations(100_000)
-            .run(&p, &[0.25; 4])
+            .run(&p, &[0.25; 4], &mut NoopRecorder)
             .unwrap();
         assert!(s.allocation[0] > 0.99, "{:?}", s.allocation);
     }
@@ -577,7 +563,7 @@ mod tests {
             let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.02))
                 .with_epsilon(1e-8)
                 .with_max_iterations(100_000)
-                .run(&p, &[0.25; 4])
+                .run(&p, &[0.25; 4], &mut NoopRecorder)
                 .unwrap();
             let max = s.allocation.iter().copied().fold(f64::MIN, f64::max);
             let min = s.allocation.iter().copied().fold(f64::MAX, f64::min);

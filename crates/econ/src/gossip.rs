@@ -23,7 +23,7 @@
 //! iteration, at the cost of more iterations (diffusion instead of averaging)
 //! but far fewer messages per iteration.
 
-use fap_obs::{NoopRecorder, Recorder, Value};
+use fap_obs::{Recorder, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::convergence::marginal_spread;
@@ -159,10 +159,13 @@ impl Neighborhood {
 ///
 /// ```
 /// use fap_econ::{problems::SeparableQuadratic, GossipOptimizer, Neighborhood};
+/// use fap_obs::NoopRecorder;
 ///
 /// let p = SeparableQuadratic::new(vec![1.0; 4], vec![0.4, 0.3, 0.2, 0.1], 1.0)?;
 /// let nbhd = Neighborhood::ring(4)?;
-/// let s = GossipOptimizer::new(nbhd, 0.05).with_epsilon(1e-7).run(&p, &[1.0, 0.0, 0.0, 0.0])?;
+/// let s = GossipOptimizer::new(nbhd, 0.05)
+///     .with_epsilon(1e-7)
+///     .run(&p, &[1.0, 0.0, 0.0, 0.0], &mut NoopRecorder)?;
 /// assert!(s.converged);
 /// // Only 8 messages per iteration on the 4-ring, versus 12 for broadcast.
 /// # Ok::<(), fap_econ::EconError>(())
@@ -216,7 +219,13 @@ impl GossipOptimizer {
         &self.neighborhood
     }
 
-    /// Runs the optimizer from the feasible `initial` allocation.
+    /// Runs the optimizer from the feasible `initial` allocation, recording
+    /// per-iteration `iter` events (utility, spread, messages), the
+    /// `gossip.iterations` / `gossip.messages` counters and the same
+    /// `run_end` event the broadcast optimizer emits into `recorder`, so
+    /// `fap report` reads gossip runs too. Virtual time is the iteration
+    /// counter. Pass [`NoopRecorder`](fap_obs::NoopRecorder) for an
+    /// unobserved run.
     ///
     /// Non-negativity is maintained by uniformly scaling back any step that
     /// would drive an agent negative (scaling preserves the pairwise
@@ -229,24 +238,6 @@ impl GossipOptimizer {
     /// for an infeasible start, or [`EconError::InvalidParameter`] for a
     /// non-positive α or ε.
     pub fn run<P: AllocationProblem + ?Sized>(
-        &self,
-        problem: &P,
-        initial: &[f64],
-    ) -> Result<Solution, EconError> {
-        self.run_observed(problem, initial, &mut NoopRecorder)
-    }
-
-    /// [`GossipOptimizer::run`] with instrumentation: per-iteration `iter`
-    /// events (utility, spread, messages), `gossip.iterations` /
-    /// `gossip.messages` counters, and the same `run_end` event the
-    /// broadcast optimizer emits, so `fap report` reads gossip runs too.
-    /// Virtual time is the iteration counter. With a
-    /// [`NoopRecorder`] this is exactly [`GossipOptimizer::run`].
-    ///
-    /// # Errors
-    ///
-    /// As [`GossipOptimizer::run`].
-    pub fn run_observed<P: AllocationProblem + ?Sized>(
         &self,
         problem: &P,
         initial: &[f64],
@@ -402,6 +393,7 @@ mod tests {
     use crate::problems::SeparableQuadratic;
     use crate::resource_directed::ResourceDirectedOptimizer;
     use crate::step_size::StepSize;
+    use fap_obs::NoopRecorder;
 
     fn quad4() -> SeparableQuadratic {
         SeparableQuadratic::new(vec![1.0; 4], vec![0.4, 0.3, 0.2, 0.1], 1.0).unwrap()
@@ -432,7 +424,7 @@ mod tests {
         let p = quad4();
         let s = GossipOptimizer::new(Neighborhood::ring(4).unwrap(), 0.05)
             .with_epsilon(1e-8)
-            .run(&p, &[1.0, 0.0, 0.0, 0.0])
+            .run(&p, &[1.0, 0.0, 0.0, 0.0], &mut NoopRecorder)
             .unwrap();
         assert!(s.converged);
         for (xi, ei) in s.allocation.iter().zip(p.analytic_optimum()) {
@@ -446,7 +438,7 @@ mod tests {
         let s = GossipOptimizer::new(Neighborhood::ring(4).unwrap(), 0.08)
             .with_recorded_allocations()
             .with_epsilon(1e-7)
-            .run(&p, &[0.0, 0.0, 0.0, 1.0])
+            .run(&p, &[0.0, 0.0, 0.0, 1.0], &mut NoopRecorder)
             .unwrap();
         for x in s.trace.recorded_allocations() {
             assert!((x.iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -470,10 +462,13 @@ mod tests {
         };
         let ring = Neighborhood::ring(8).unwrap();
         let ring_msgs = ring.messages_per_iteration();
-        let gossip = GossipOptimizer::new(ring, 0.05).with_epsilon(1e-6).run(&p, &x0).unwrap();
+        let gossip = GossipOptimizer::new(ring, 0.05)
+            .with_epsilon(1e-6)
+            .run(&p, &x0, &mut NoopRecorder)
+            .unwrap();
         let broadcast = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
             .with_epsilon(1e-6)
-            .run(&p, &x0)
+            .run(&p, &x0, &mut NoopRecorder)
             .unwrap();
         assert!(gossip.converged && broadcast.converged);
         assert!(gossip.iterations > broadcast.iterations);
@@ -489,7 +484,7 @@ mod tests {
         let p = quad4();
         let s = GossipOptimizer::new(Neighborhood::complete(4).unwrap(), 0.02)
             .with_epsilon(1e-8)
-            .run(&p, &[0.25; 4])
+            .run(&p, &[0.25; 4], &mut NoopRecorder)
             .unwrap();
         assert!(s.converged);
         for (xi, ei) in s.allocation.iter().zip(p.analytic_optimum()) {
@@ -502,9 +497,9 @@ mod tests {
         let p = quad4();
         let nbhd = Neighborhood::ring(4).unwrap();
         let opt = GossipOptimizer::new(nbhd, 0.05).with_epsilon(1e-8);
-        let plain = opt.run(&p, &[1.0, 0.0, 0.0, 0.0]).unwrap();
+        let plain = opt.run(&p, &[1.0, 0.0, 0.0, 0.0], &mut NoopRecorder).unwrap();
         let mut tele = fap_obs::Telemetry::manual();
-        let observed = opt.run_observed(&p, &[1.0, 0.0, 0.0, 0.0], &mut tele).unwrap();
+        let observed = opt.run(&p, &[1.0, 0.0, 0.0, 0.0], &mut tele).unwrap();
         assert_eq!(plain, observed);
     }
 
@@ -515,7 +510,7 @@ mod tests {
         let msgs = nbhd.messages_per_iteration() as u64;
         let opt = GossipOptimizer::new(nbhd, 0.05).with_epsilon(1e-8);
         let mut tele = fap_obs::Telemetry::manual();
-        let s = opt.run_observed(&p, &[1.0, 0.0, 0.0, 0.0], &mut tele).unwrap();
+        let s = opt.run(&p, &[1.0, 0.0, 0.0, 0.0], &mut tele).unwrap();
         assert!(s.converged);
         // Counters track evaluation passes: `iterations` diffusion steps
         // plus the final pass that detects convergence (the econ
@@ -536,16 +531,20 @@ mod tests {
         let p = quad4();
         let nbhd = Neighborhood::ring(5).unwrap();
         assert!(matches!(
-            GossipOptimizer::new(nbhd, 0.05).run(&p, &[0.25; 4]),
+            GossipOptimizer::new(nbhd, 0.05).run(&p, &[0.25; 4], &mut NoopRecorder),
             Err(EconError::DimensionMismatch { .. })
         ));
         let nbhd = Neighborhood::ring(4).unwrap();
         assert!(matches!(
-            GossipOptimizer::new(nbhd.clone(), 0.0).run(&p, &[0.25; 4]),
+            GossipOptimizer::new(nbhd.clone(), 0.0).run(&p, &[0.25; 4], &mut NoopRecorder),
             Err(EconError::InvalidParameter(_))
         ));
         assert!(matches!(
-            GossipOptimizer::new(nbhd, 0.05).with_epsilon(-1.0).run(&p, &[0.25; 4]),
+            GossipOptimizer::new(nbhd, 0.05).with_epsilon(-1.0).run(
+                &p,
+                &[0.25; 4],
+                &mut NoopRecorder,
+            ),
             Err(EconError::InvalidParameter(_))
         ));
     }

@@ -9,7 +9,7 @@
 //! agree to within ε — the first-order optimality condition of the
 //! underlying convex program (§5.3).
 
-use fap_obs::{NoopRecorder, Recorder, Value};
+use fap_obs::{Recorder, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::convergence::{marginal_spread, OscillationDetector};
@@ -200,24 +200,6 @@ fn l2_norm(values: &[f64]) -> f64 {
 }
 
 impl Engine {
-    pub(crate) fn run<P: AllocationProblem + ?Sized>(
-        &self,
-        problem: &P,
-        initial: &[f64],
-    ) -> Result<Solution, EconError> {
-        let mut scratch = OptimizerScratch::new();
-        self.run_recorded(problem, initial, &mut scratch, &mut NoopRecorder)
-    }
-
-    pub(crate) fn run_with_scratch<P: AllocationProblem + ?Sized>(
-        &self,
-        problem: &P,
-        initial: &[f64],
-        scratch: &mut OptimizerScratch,
-    ) -> Result<Solution, EconError> {
-        self.run_recorded(problem, initial, scratch, &mut NoopRecorder)
-    }
-
     /// Runs the engine, wrapping the whole solve in an `econ.solve` span
     /// when the sink traces — the iteration loop's `set_time` calls drive
     /// the virtual clock, so the span's duration is the iteration count.
@@ -476,11 +458,12 @@ impl Engine {
 /// ```
 /// use fap_econ::{problems::ShiftedLog, AllocationProblem,
 ///                ResourceDirectedOptimizer, StepSize};
+/// use fap_obs::NoopRecorder;
 ///
 /// let problem = ShiftedLog::new(vec![2.0, 3.0, 4.0], 0.5, 1.0)?;
 /// let solution = ResourceDirectedOptimizer::new(StepSize::Fixed(0.1))
 ///     .with_epsilon(1e-6)
-///     .run(&problem, &[1.0, 0.0, 0.0])?;
+///     .run(&problem, &[1.0, 0.0, 0.0], &mut NoopRecorder)?;
 /// assert!(solution.converged);
 /// assert!(solution.trace.is_cost_monotone_decreasing(1e-12));
 /// let expected = problem.analytic_optimum();
@@ -559,7 +542,14 @@ impl ResourceDirectedOptimizer {
         self
     }
 
-    /// Runs the optimizer from the feasible `initial` allocation.
+    /// Runs the optimizer from the feasible `initial` allocation, recording
+    /// per-iteration telemetry into `recorder`: the `econ.iterations`,
+    /// `econ.projection_clips` and `econ.alpha_adaptations` counters, the
+    /// `econ.active_set_size` histogram, the `econ.alpha` gauge, one `iter`
+    /// event per iteration (utility, spread, α, gradient and step L2 norms,
+    /// active-set size) and a closing `run_end` event. Virtual time is the
+    /// iteration counter, so recordings are deterministic. Pass
+    /// [`NoopRecorder`](fap_obs::NoopRecorder) for an unobserved run.
     ///
     /// # Errors
     ///
@@ -570,8 +560,10 @@ impl ResourceDirectedOptimizer {
         &self,
         problem: &P,
         initial: &[f64],
+        recorder: &mut dyn Recorder,
     ) -> Result<Solution, EconError> {
-        self.engine.run(problem, initial)
+        let mut scratch = OptimizerScratch::new();
+        self.engine.run_recorded(problem, initial, &mut scratch, recorder)
     }
 
     /// Like [`ResourceDirectedOptimizer::run`], reusing the caller's
@@ -586,43 +578,6 @@ impl ResourceDirectedOptimizer {
         problem: &P,
         initial: &[f64],
         scratch: &mut OptimizerScratch,
-    ) -> Result<Solution, EconError> {
-        self.engine.run_with_scratch(problem, initial, scratch)
-    }
-
-    /// Like [`ResourceDirectedOptimizer::run`], recording per-iteration
-    /// telemetry into `recorder`: the `econ.iterations`,
-    /// `econ.projection_clips` and `econ.alpha_adaptations` counters, the
-    /// `econ.active_set_size` histogram, the `econ.alpha` gauge, one `iter`
-    /// event per iteration (utility, spread, α, gradient and step L2 norms,
-    /// active-set size) and a closing `run_end` event. Virtual time is the
-    /// iteration counter, so recordings are deterministic. With a
-    /// [`NoopRecorder`] this is exactly [`ResourceDirectedOptimizer::run`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ResourceDirectedOptimizer::run`].
-    pub fn run_observed<P: AllocationProblem + ?Sized>(
-        &self,
-        problem: &P,
-        initial: &[f64],
-        recorder: &mut dyn Recorder,
-    ) -> Result<Solution, EconError> {
-        let mut scratch = OptimizerScratch::new();
-        self.engine.run_recorded(problem, initial, &mut scratch, recorder)
-    }
-
-    /// [`ResourceDirectedOptimizer::run_observed`] with a caller-owned
-    /// [`OptimizerScratch`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ResourceDirectedOptimizer::run`].
-    pub fn run_observed_with_scratch<P: AllocationProblem + ?Sized>(
-        &self,
-        problem: &P,
-        initial: &[f64],
-        scratch: &mut OptimizerScratch,
         recorder: &mut dyn Recorder,
     ) -> Result<Solution, EconError> {
         self.engine.run_recorded(problem, initial, scratch, recorder)
@@ -633,7 +588,7 @@ impl ResourceDirectedOptimizer {
 mod tests {
     use super::*;
     use crate::problems::{SeparableQuadratic, ShiftedLog};
-    use fap_obs::Telemetry;
+    use fap_obs::{NoopRecorder, Telemetry};
     use proptest::prelude::*;
 
     fn quad() -> SeparableQuadratic {
@@ -645,7 +600,7 @@ mod tests {
         let p = quad();
         let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.1))
             .with_epsilon(1e-8)
-            .run(&p, &[1.0, 0.0, 0.0])
+            .run(&p, &[1.0, 0.0, 0.0], &mut NoopRecorder)
             .unwrap();
         assert!(s.converged);
         assert_eq!(s.termination, Termination::MarginalSpread);
@@ -660,7 +615,7 @@ mod tests {
         let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
             .with_recorded_allocations()
             .with_epsilon(1e-8)
-            .run(&p, &[0.2, 0.5, 0.3])
+            .run(&p, &[0.2, 0.5, 0.3], &mut NoopRecorder)
             .unwrap();
         assert_eq!(s.trace.allocations().unwrap().rows(), s.trace.len());
         for (i, r) in s.trace.records().iter().enumerate() {
@@ -676,7 +631,7 @@ mod tests {
         let p = quad();
         let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.02))
             .with_epsilon(1e-8)
-            .run(&p, &[1.0, 0.0, 0.0])
+            .run(&p, &[1.0, 0.0, 0.0], &mut NoopRecorder)
             .unwrap();
         assert!(s.trace.is_cost_monotone_decreasing(1e-12));
     }
@@ -686,13 +641,13 @@ mod tests {
         let p = quad();
         let s = ResourceDirectedOptimizer::new(StepSize::Dynamic { safety: 0.9, max: 10.0 })
             .with_epsilon(1e-8)
-            .run(&p, &[1.0, 0.0, 0.0])
+            .run(&p, &[1.0, 0.0, 0.0], &mut NoopRecorder)
             .unwrap();
         assert!(s.converged);
         assert!(s.trace.is_cost_monotone_decreasing(1e-10));
         let fixed = ResourceDirectedOptimizer::new(StepSize::Fixed(0.01))
             .with_epsilon(1e-8)
-            .run(&p, &[1.0, 0.0, 0.0])
+            .run(&p, &[1.0, 0.0, 0.0], &mut NoopRecorder)
             .unwrap();
         assert!(s.iterations < fixed.iterations, "{} vs {}", s.iterations, fixed.iterations);
     }
@@ -703,9 +658,9 @@ mod tests {
         // the optimality of the final (computed) file allocation".
         let p = quad();
         let opt = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05)).with_epsilon(1e-9);
-        let a = opt.run(&p, &[1.0, 0.0, 0.0]).unwrap();
-        let b = opt.run(&p, &[0.0, 0.0, 1.0]).unwrap();
-        let c = opt.run(&p, &[1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]).unwrap();
+        let a = opt.run(&p, &[1.0, 0.0, 0.0], &mut NoopRecorder).unwrap();
+        let b = opt.run(&p, &[0.0, 0.0, 1.0], &mut NoopRecorder).unwrap();
+        let c = opt.run(&p, &[1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0], &mut NoopRecorder).unwrap();
         for i in 0..3 {
             assert!((a.allocation[i] - b.allocation[i]).abs() < 1e-5);
             assert!((a.allocation[i] - c.allocation[i]).abs() < 1e-5);
@@ -726,7 +681,7 @@ mod tests {
         let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
             .with_epsilon(1e-7)
             .with_max_iterations(200_000)
-            .run(&p, &[0.4, 0.3, 0.3])
+            .run(&p, &[0.4, 0.3, 0.3], &mut NoopRecorder)
             .unwrap();
         assert!(s.converged, "termination {:?}", s.termination);
         assert!(s.allocation[2].abs() < 1e-9, "{:?}", s.allocation);
@@ -748,7 +703,7 @@ mod tests {
             .with_boundary(BoundaryRule::FreezeActiveSet)
             .with_epsilon(1e-7)
             .with_max_iterations(5_000)
-            .run(&p, &[0.4, 0.3, 0.3])
+            .run(&p, &[0.4, 0.3, 0.3], &mut NoopRecorder)
             .unwrap();
         assert!(!s.converged);
         // …but it still drove the boundary agent close to zero.
@@ -761,7 +716,7 @@ mod tests {
         let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.3))
             .with_boundary(BoundaryRule::ScaleStep)
             .with_recorded_allocations()
-            .run(&p, &[1.0, 0.0, 0.0])
+            .run(&p, &[1.0, 0.0, 0.0], &mut NoopRecorder)
             .unwrap();
         for x in s.trace.recorded_allocations() {
             assert!(x.iter().all(|v| *v >= -1e-9));
@@ -774,11 +729,13 @@ mod tests {
     fn scratch_reuse_is_bit_identical() {
         let p = quad();
         let opt = ResourceDirectedOptimizer::new(StepSize::Fixed(0.1)).with_epsilon(1e-8);
-        let fresh = opt.run(&p, &[1.0, 0.0, 0.0]).unwrap();
+        let fresh = opt.run(&p, &[1.0, 0.0, 0.0], &mut NoopRecorder).unwrap();
         let mut scratch = OptimizerScratch::new();
         // Warm the scratch on a different run, then repeat the original.
-        opt.run_with_scratch(&p, &[0.0, 1.0, 0.0], &mut scratch).unwrap();
-        let reused = opt.run_with_scratch(&p, &[1.0, 0.0, 0.0], &mut scratch).unwrap();
+        opt.run_with_scratch(&p, &[0.0, 1.0, 0.0], &mut scratch, &mut NoopRecorder).unwrap();
+        let reused = opt
+            .run_with_scratch(&p, &[1.0, 0.0, 0.0], &mut scratch, &mut NoopRecorder)
+            .unwrap();
         assert_eq!(fresh, reused);
     }
 
@@ -787,10 +744,14 @@ mod tests {
         let p = quad();
         let opt = ResourceDirectedOptimizer::new(StepSize::Fixed(0.1)).with_epsilon(1e-8);
         let mut scratch = OptimizerScratch::new();
-        let cold = opt.run_with_scratch(&p, &[1.0, 0.0, 0.0], &mut scratch).unwrap();
+        let cold = opt
+            .run_with_scratch(&p, &[1.0, 0.0, 0.0], &mut scratch, &mut NoopRecorder)
+            .unwrap();
         assert!(cold.iterations > 5, "need a non-trivial cold run");
         scratch.start_from(&cold.allocation);
-        let warm = opt.run_with_scratch(&p, &[1.0, 0.0, 0.0], &mut scratch).unwrap();
+        let warm = opt
+            .run_with_scratch(&p, &[1.0, 0.0, 0.0], &mut scratch, &mut NoopRecorder)
+            .unwrap();
         assert!(warm.converged);
         assert!(warm.iterations <= 1, "seeded at the optimum: {} iterations", warm.iterations);
         assert!((warm.final_utility - cold.final_utility).abs() < 1e-12);
@@ -804,26 +765,34 @@ mod tests {
         let p = quad();
         let opt = ResourceDirectedOptimizer::new(StepSize::Fixed(0.1)).with_epsilon(1e-8);
         let mut scratch = OptimizerScratch::new();
-        let cold = opt.run_with_scratch(&p, &[1.0, 0.0, 0.0], &mut scratch).unwrap();
+        let cold = opt
+            .run_with_scratch(&p, &[1.0, 0.0, 0.0], &mut scratch, &mut NoopRecorder)
+            .unwrap();
 
         // Mismatched seed: consumed but ignored — the run is bit-identical
         // to the cold reference.
         scratch.start_from(&[0.5, 0.5]);
         assert!(scratch.has_warm_start());
-        let fallback = opt.run_with_scratch(&p, &[1.0, 0.0, 0.0], &mut scratch).unwrap();
+        let fallback = opt
+            .run_with_scratch(&p, &[1.0, 0.0, 0.0], &mut scratch, &mut NoopRecorder)
+            .unwrap();
         assert!(!scratch.has_warm_start(), "seed must be consumed");
         assert_eq!(cold, fallback);
 
         // Matching seed: consumed by one run; the next starts cold again.
         scratch.start_from(&cold.allocation);
-        opt.run_with_scratch(&p, &[1.0, 0.0, 0.0], &mut scratch).unwrap();
-        let second = opt.run_with_scratch(&p, &[1.0, 0.0, 0.0], &mut scratch).unwrap();
+        opt.run_with_scratch(&p, &[1.0, 0.0, 0.0], &mut scratch, &mut NoopRecorder).unwrap();
+        let second = opt
+            .run_with_scratch(&p, &[1.0, 0.0, 0.0], &mut scratch, &mut NoopRecorder)
+            .unwrap();
         assert_eq!(cold, second);
 
         // Disarming works without running.
         scratch.start_from(&cold.allocation);
         scratch.clear_warm_start();
-        let third = opt.run_with_scratch(&p, &[1.0, 0.0, 0.0], &mut scratch).unwrap();
+        let third = opt
+            .run_with_scratch(&p, &[1.0, 0.0, 0.0], &mut scratch, &mut NoopRecorder)
+            .unwrap();
         assert_eq!(cold, third);
     }
 
@@ -832,13 +801,17 @@ mod tests {
         let p = quad();
         let opt = ResourceDirectedOptimizer::new(StepSize::Fixed(0.1)).with_epsilon(1e-8);
         let mut scratch = OptimizerScratch::new();
-        let cold = opt.run_with_scratch(&p, &[1.0, 0.0, 0.0], &mut scratch).unwrap();
+        let cold = opt
+            .run_with_scratch(&p, &[1.0, 0.0, 0.0], &mut scratch, &mut NoopRecorder)
+            .unwrap();
         // Drift the seed off the simplex; the run must still accept it and
         // converge to the same optimum from the projected point.
         let drifted: Vec<f64> =
             cold.allocation.iter().map(|v| v * 1.0001 - 1e-13).collect();
         scratch.start_from(&drifted);
-        let warm = opt.run_with_scratch(&p, &[1.0, 0.0, 0.0], &mut scratch).unwrap();
+        let warm = opt
+            .run_with_scratch(&p, &[1.0, 0.0, 0.0], &mut scratch, &mut NoopRecorder)
+            .unwrap();
         assert!(warm.converged);
         for (w, c) in warm.allocation.iter().zip(&cold.allocation) {
             assert!((w - c).abs() < 1e-6);
@@ -850,10 +823,12 @@ mod tests {
         let p = quad();
         let opt = ResourceDirectedOptimizer::new(StepSize::Fixed(0.1)).with_epsilon(1e-8);
         let mut scratch = OptimizerScratch::new();
-        let cold = opt.run_with_scratch(&p, &[1.0, 0.0, 0.0], &mut scratch).unwrap();
+        let cold = opt
+            .run_with_scratch(&p, &[1.0, 0.0, 0.0], &mut scratch, &mut NoopRecorder)
+            .unwrap();
         let mut tele = Telemetry::manual();
         scratch.start_from(&cold.allocation);
-        opt.run_observed_with_scratch(&p, &[1.0, 0.0, 0.0], &mut scratch, &mut tele).unwrap();
+        opt.run_with_scratch(&p, &[1.0, 0.0, 0.0], &mut scratch, &mut tele).unwrap();
         assert_eq!(tele.registry().counter("econ.warm_starts"), 1);
     }
 
@@ -861,10 +836,10 @@ mod tests {
     fn observed_run_is_bit_identical_and_records_every_iteration() {
         let p = quad();
         let opt = ResourceDirectedOptimizer::new(StepSize::Fixed(0.1)).with_epsilon(1e-8);
-        let plain = opt.run(&p, &[1.0, 0.0, 0.0]).unwrap();
+        let plain = opt.run(&p, &[1.0, 0.0, 0.0], &mut NoopRecorder).unwrap();
 
         let mut tele = Telemetry::manual();
-        let observed = opt.run_observed(&p, &[1.0, 0.0, 0.0], &mut tele).unwrap();
+        let observed = opt.run(&p, &[1.0, 0.0, 0.0], &mut tele).unwrap();
         assert_eq!(plain, observed);
 
         let registry = tele.registry();
@@ -890,8 +865,8 @@ mod tests {
         let opt = ResourceDirectedOptimizer::new(StepSize::Fixed(0.1)).with_epsilon(1e-8);
         let mut a = Telemetry::manual();
         let mut b = Telemetry::manual();
-        opt.run_observed(&p, &[1.0, 0.0, 0.0], &mut a).unwrap();
-        opt.run_observed(&p, &[1.0, 0.0, 0.0], &mut b).unwrap();
+        opt.run(&p, &[1.0, 0.0, 0.0], &mut a).unwrap();
+        opt.run(&p, &[1.0, 0.0, 0.0], &mut b).unwrap();
         assert_eq!(a.to_jsonl(), b.to_jsonl());
         assert!(!a.to_jsonl().is_empty());
     }
@@ -910,7 +885,7 @@ mod tests {
         .with_epsilon(1e-8)
         .with_max_iterations(50_000);
         let mut tele = Telemetry::manual();
-        let s = opt.run_observed(&p, &[1.0, 0.0, 0.0], &mut tele).unwrap();
+        let s = opt.run(&p, &[1.0, 0.0, 0.0], &mut tele).unwrap();
         assert!(s.converged);
         assert!(tele.registry().counter("econ.alpha_adaptations") >= 1);
     }
@@ -921,7 +896,7 @@ mod tests {
         let s = ResourceDirectedOptimizer::new(StepSize::Fixed(1e-5))
             .with_epsilon(1e-10)
             .with_max_iterations(10)
-            .run(&p, &[1.0, 0.0, 0.0])
+            .run(&p, &[1.0, 0.0, 0.0], &mut NoopRecorder)
             .unwrap();
         assert!(!s.converged);
         assert_eq!(s.termination, Termination::MaxIterations);
@@ -932,10 +907,16 @@ mod tests {
     fn rejects_infeasible_start() {
         let p = quad();
         let opt = ResourceDirectedOptimizer::new(StepSize::Fixed(0.1));
-        assert!(matches!(opt.run(&p, &[0.7, 0.7, 0.0]), Err(EconError::Infeasible(_))));
-        assert!(matches!(opt.run(&p, &[1.5, -0.5, 0.0]), Err(EconError::Infeasible(_))));
         assert!(matches!(
-            opt.run(&p, &[1.0, 0.0]),
+            opt.run(&p, &[0.7, 0.7, 0.0], &mut NoopRecorder),
+            Err(EconError::Infeasible(_))
+        ));
+        assert!(matches!(
+            opt.run(&p, &[1.5, -0.5, 0.0], &mut NoopRecorder),
+            Err(EconError::Infeasible(_))
+        ));
+        assert!(matches!(
+            opt.run(&p, &[1.0, 0.0], &mut NoopRecorder),
             Err(EconError::DimensionMismatch { .. })
         ));
     }
@@ -945,7 +926,7 @@ mod tests {
         let p = quad();
         let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
             .with_boundary(BoundaryRule::Unconstrained)
-            .run(&p, &[1.5, -0.5, 0.0])
+            .run(&p, &[1.5, -0.5, 0.0], &mut NoopRecorder)
             .unwrap();
         assert!(s.converged);
     }
@@ -955,7 +936,7 @@ mod tests {
         let p = quad();
         let opt = ResourceDirectedOptimizer::new(StepSize::Fixed(0.1)).with_epsilon(0.0);
         assert!(matches!(
-            opt.run(&p, &[1.0, 0.0, 0.0]),
+            opt.run(&p, &[1.0, 0.0, 0.0], &mut NoopRecorder),
             Err(EconError::InvalidParameter(_))
         ));
     }
@@ -964,7 +945,7 @@ mod tests {
     fn trace_records_iterations_in_order() {
         let p = quad();
         let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.1))
-            .run(&p, &[1.0, 0.0, 0.0])
+            .run(&p, &[1.0, 0.0, 0.0], &mut NoopRecorder)
             .unwrap();
         for (i, r) in s.trace.records().iter().enumerate() {
             assert_eq!(r.iteration, i);
@@ -977,7 +958,7 @@ mod tests {
         let p = ShiftedLog::new(vec![3.0, 1.0, 1.0, 1.0], 0.2, 1.0).unwrap();
         let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
             .with_epsilon(1e-7)
-            .run(&p, &[0.25; 4])
+            .run(&p, &[0.25; 4], &mut NoopRecorder)
             .unwrap();
         assert!(s.converged);
         for (xi, ei) in s.allocation.iter().zip(p.analytic_optimum()) {
@@ -1002,7 +983,7 @@ mod tests {
             let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.02))
                 .with_epsilon(1e-7)
                 .with_max_iterations(100_000)
-                .run(&p, &x0)
+                .run(&p, &x0, &mut NoopRecorder)
                 .unwrap();
             prop_assert!(s.converged);
             prop_assert!(s.trace.is_cost_monotone_decreasing(1e-9));

@@ -39,11 +39,12 @@ use crate::step_size::StepSize;
 ///
 /// ```
 /// use fap_econ::{problems::SeparableQuadratic, SecondOrderOptimizer, StepSize};
+/// use fap_obs::NoopRecorder;
 ///
 /// let p = SeparableQuadratic::new(vec![1.0, 2.0, 4.0], vec![0.5, 0.4, 0.3], 1.0)?;
 /// let s = SecondOrderOptimizer::new(StepSize::Fixed(1.0))
 ///     .with_epsilon(1e-10)
-///     .run(&p, &[1.0, 0.0, 0.0])?;
+///     .run(&p, &[1.0, 0.0, 0.0], &mut NoopRecorder)?;
 /// assert!(s.converged);
 /// assert!(s.iterations <= 2);
 /// # Ok::<(), fap_econ::EconError>(())
@@ -100,7 +101,10 @@ impl SecondOrderOptimizer {
         self
     }
 
-    /// Runs the optimizer from the feasible `initial` allocation.
+    /// Runs the optimizer from the feasible `initial` allocation, recording
+    /// per-iteration telemetry into `recorder` — the same metric names and
+    /// event shapes as
+    /// [`ResourceDirectedOptimizer::run`](crate::ResourceDirectedOptimizer::run).
     ///
     /// # Errors
     ///
@@ -110,8 +114,10 @@ impl SecondOrderOptimizer {
         &self,
         problem: &P,
         initial: &[f64],
+        recorder: &mut dyn Recorder,
     ) -> Result<Solution, EconError> {
-        self.engine.run(problem, initial)
+        let mut scratch = OptimizerScratch::new();
+        self.engine.run_recorded(problem, initial, &mut scratch, recorder)
     }
 
     /// Like [`SecondOrderOptimizer::run`], reusing the caller's
@@ -125,25 +131,9 @@ impl SecondOrderOptimizer {
         problem: &P,
         initial: &[f64],
         scratch: &mut OptimizerScratch,
-    ) -> Result<Solution, EconError> {
-        self.engine.run_with_scratch(problem, initial, scratch)
-    }
-
-    /// Like [`SecondOrderOptimizer::run`], recording per-iteration telemetry
-    /// into `recorder` — the same metric names and event shapes as
-    /// [`ResourceDirectedOptimizer::run_observed`](crate::ResourceDirectedOptimizer::run_observed).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SecondOrderOptimizer::run`].
-    pub fn run_observed<P: AllocationProblem + ?Sized>(
-        &self,
-        problem: &P,
-        initial: &[f64],
         recorder: &mut dyn Recorder,
     ) -> Result<Solution, EconError> {
-        let mut scratch = OptimizerScratch::new();
-        self.engine.run_recorded(problem, initial, &mut scratch, recorder)
+        self.engine.run_recorded(problem, initial, scratch, recorder)
     }
 }
 
@@ -152,13 +142,14 @@ mod tests {
     use super::*;
     use crate::problems::{SeparableQuadratic, ShiftedLog};
     use crate::resource_directed::ResourceDirectedOptimizer;
+    use fap_obs::NoopRecorder;
 
     #[test]
     fn newton_step_is_exact_on_quadratics() {
         let p = SeparableQuadratic::new(vec![1.0, 3.0, 5.0], vec![0.2, 0.4, 0.6], 1.0).unwrap();
         let s = SecondOrderOptimizer::new(StepSize::Fixed(1.0))
             .with_epsilon(1e-12)
-            .run(&p, &[0.0, 0.0, 1.0])
+            .run(&p, &[0.0, 0.0, 1.0], &mut NoopRecorder)
             .unwrap();
         assert!(s.converged);
         assert!(s.iterations <= 2, "took {} iterations", s.iterations);
@@ -179,8 +170,8 @@ mod tests {
         let x0 = [0.0, 1.0];
 
         let second = SecondOrderOptimizer::new(StepSize::Fixed(0.5)).with_epsilon(1e-9);
-        let s_base = second.run(&base, &x0).unwrap();
-        let s_scaled = second.run(&scaled, &x0).unwrap();
+        let s_base = second.run(&base, &x0, &mut NoopRecorder).unwrap();
+        let s_scaled = second.run(&scaled, &x0, &mut NoopRecorder).unwrap();
         assert!(s_base.converged && s_scaled.converged);
         // The iterate trajectory is identical under rescaling; only the
         // absolute ε-threshold on (100× larger) marginals costs a few extra
@@ -195,8 +186,8 @@ mod tests {
         let first = ResourceDirectedOptimizer::new(StepSize::Fixed(0.2))
             .with_epsilon(1e-9)
             .with_max_iterations(2_000);
-        let f_base = first.run(&base, &x0).unwrap();
-        let f_scaled = first.run(&scaled, &x0).unwrap();
+        let f_base = first.run(&base, &x0, &mut NoopRecorder).unwrap();
+        let f_scaled = first.run(&scaled, &x0, &mut NoopRecorder).unwrap();
         assert!(f_base.converged);
         // With curvature 100× larger, a fixed α = 0.2 step diverges or fails
         // to converge within the cap.
@@ -217,14 +208,14 @@ mod tests {
         let second = SecondOrderOptimizer::new(StepSize::Fixed(1.5))
             .with_epsilon(1e-9)
             .with_max_iterations(500)
-            .run(&p, &x0)
+            .run(&p, &x0, &mut NoopRecorder)
             .unwrap();
         assert!(second.converged);
 
         let first = ResourceDirectedOptimizer::new(StepSize::Fixed(1.5))
             .with_epsilon(1e-9)
             .with_max_iterations(500)
-            .run(&p, &x0)
+            .run(&p, &x0, &mut NoopRecorder)
             .unwrap();
         assert!(!first.converged, "first-order should oscillate at α = 1.5 here");
     }
@@ -235,7 +226,7 @@ mod tests {
         let s = SecondOrderOptimizer::new(StepSize::Fixed(0.5))
             .with_epsilon(1e-9)
             .with_recorded_allocations()
-            .run(&p, &[1.0, 0.0, 0.0])
+            .run(&p, &[1.0, 0.0, 0.0], &mut NoopRecorder)
             .unwrap();
         assert!(s.converged);
         assert!(s.trace.is_cost_monotone_decreasing(1e-9));
@@ -255,11 +246,11 @@ mod tests {
         let x0 = [0.25; 4];
         let a = SecondOrderOptimizer::new(StepSize::Fixed(0.8))
             .with_epsilon(1e-10)
-            .run(&p, &x0)
+            .run(&p, &x0, &mut NoopRecorder)
             .unwrap();
         let b = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
             .with_epsilon(1e-10)
-            .run(&p, &x0)
+            .run(&p, &x0, &mut NoopRecorder)
             .unwrap();
         for (ai, bi) in a.allocation.iter().zip(&b.allocation) {
             assert!((ai - bi).abs() < 1e-6);

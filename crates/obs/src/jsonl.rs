@@ -188,123 +188,188 @@ impl Scalar {
     }
 }
 
-/// Parses one JSONL line — a flat object of scalar values, the only shape
-/// the writers above produce — into `(key, value)` pairs in source order.
-/// Returns `None` on any malformed input (nested containers included).
-pub fn parse_line(line: &str) -> Option<Vec<(String, Scalar)>> {
-    let mut chars = line.trim().char_indices().peekable();
-    let text = line.trim();
-    let mut pairs = Vec::new();
+/// A line [`parse_line`] refused: the byte offset into the line where
+/// parsing stopped, and why.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JsonlError {
+    /// Byte offset of the offending input (the line's length when the
+    /// line ended too early).
+    pub offset: usize,
+    /// What was wrong there.
+    pub reason: &'static str,
+}
 
-    fn skip_ws(chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>) {
-        while matches!(chars.peek(), Some((_, c)) if c.is_whitespace()) {
-            chars.next();
+impl std::fmt::Display for JsonlError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "byte {}: {}", self.offset, self.reason)
+    }
+}
+
+impl std::error::Error for JsonlError {}
+
+const BAD_ESCAPE: &str = "invalid escape in string";
+const UNTERMINATED: &str = "unterminated string";
+
+/// A read position in one line.
+struct Cursor<'a> {
+    text: &'a str,
+    chars: std::iter::Peekable<std::str::CharIndices<'a>>,
+}
+
+impl Cursor<'_> {
+    fn offset(&mut self) -> usize {
+        self.chars.peek().map_or(self.text.len(), |(i, _)| *i)
+    }
+
+    fn peek(&mut self) -> Option<char> {
+        self.chars.peek().map(|(_, c)| *c)
+    }
+
+    fn error<T>(&mut self, reason: &'static str) -> Result<T, JsonlError> {
+        Err(JsonlError { offset: self.offset(), reason })
+    }
+
+    fn skip_ws(&mut self) {
+        while self.peek().is_some_and(char::is_whitespace) {
+            self.chars.next();
         }
     }
 
-    fn parse_string(
-        chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-    ) -> Option<String> {
-        match chars.next() {
-            Some((_, '"')) => {}
-            _ => return None,
+    /// Consumes `expected`, or fails with `reason` at the current byte.
+    fn expect(&mut self, expected: char, reason: &'static str) -> Result<(), JsonlError> {
+        if self.peek() == Some(expected) {
+            self.chars.next();
+            Ok(())
+        } else {
+            self.error(reason)
         }
+    }
+
+    /// Consumes the characters `accept` takes and returns them as a slice.
+    fn token(&mut self, accept: impl Fn(char) -> bool) -> &str {
+        let start = self.offset();
+        while self.peek().is_some_and(&accept) {
+            self.chars.next();
+        }
+        let end = self.offset();
+        &self.text[start..end]
+    }
+
+    fn string(&mut self, not_a_string: &'static str) -> Result<String, JsonlError> {
+        self.expect('"', not_a_string)?;
         let mut s = String::new();
         loop {
-            match chars.next()? {
-                (_, '"') => return Some(s),
-                (_, '\\') => match chars.next()?.1 {
-                    '"' => s.push('"'),
-                    '\\' => s.push('\\'),
-                    '/' => s.push('/'),
-                    'n' => s.push('\n'),
-                    'r' => s.push('\r'),
-                    't' => s.push('\t'),
-                    'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            code = code * 16 + chars.next()?.1.to_digit(16)?;
+            let Some(c) = self.peek() else {
+                return self.error(UNTERMINATED);
+            };
+            self.chars.next();
+            match c {
+                '"' => return Ok(s),
+                '\\' => {
+                    let escaped = match self.peek() {
+                        Some('"') => '"',
+                        Some('\\') => '\\',
+                        Some('/') => '/',
+                        Some('n') => '\n',
+                        Some('r') => '\r',
+                        Some('t') => '\t',
+                        Some('u') => {
+                            self.chars.next();
+                            let at = self.offset();
+                            let mut code = 0u32;
+                            for _ in 0..4 {
+                                let Some(digit) = self.peek().and_then(|c| c.to_digit(16)) else {
+                                    return self.error(BAD_ESCAPE);
+                                };
+                                self.chars.next();
+                                code = code * 16 + digit;
+                            }
+                            let Some(c) = char::from_u32(code) else {
+                                return Err(JsonlError { offset: at, reason: BAD_ESCAPE });
+                            };
+                            s.push(c);
+                            continue;
                         }
-                        s.push(char::from_u32(code)?);
-                    }
-                    _ => return None,
-                },
-                (_, c) => s.push(c),
+                        Some(_) => return self.error(BAD_ESCAPE),
+                        None => return self.error(UNTERMINATED),
+                    };
+                    self.chars.next();
+                    s.push(escaped);
+                }
+                c => s.push(c),
             }
         }
     }
 
-    fn parse_scalar(
-        text: &str,
-        chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-    ) -> Option<Scalar> {
-        match chars.peek()?.1 {
-            '"' => parse_string(chars).map(Scalar::Str),
-            't' | 'f' | 'n' => {
-                let start = chars.peek()?.0;
-                while matches!(chars.peek(), Some((_, c)) if c.is_ascii_alphabetic()) {
-                    chars.next();
-                }
-                let end = chars.peek().map_or(text.len(), |(i, _)| *i);
-                match &text[start..end] {
-                    "true" => Some(Scalar::Bool(true)),
-                    "false" => Some(Scalar::Bool(false)),
-                    "null" => Some(Scalar::Null),
-                    _ => None,
-                }
-            }
-            '-' | '0'..='9' => {
-                let start = chars.peek()?.0;
-                while matches!(
-                    chars.peek(),
-                    Some((_, c)) if c.is_ascii_digit()
-                        || matches!(c, '-' | '+' | '.' | 'e' | 'E')
-                ) {
-                    chars.next();
-                }
-                let end = chars.peek().map_or(text.len(), |(i, _)| *i);
-                let token = &text[start..end];
+    fn scalar(&mut self) -> Result<Scalar, JsonlError> {
+        let start = self.offset();
+        let fail = |reason| Err(JsonlError { offset: start, reason });
+        match self.peek() {
+            Some('"') => self.string("expected a value").map(Scalar::Str),
+            Some('t' | 'f' | 'n') => match self.token(|c| c.is_ascii_alphabetic()) {
+                "true" => Ok(Scalar::Bool(true)),
+                "false" => Ok(Scalar::Bool(false)),
+                "null" => Ok(Scalar::Null),
+                _ => fail("expected true, false or null"),
+            },
+            Some('-' | '0'..='9') => {
+                let token =
+                    self.token(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'));
                 if let Ok(v) = token.parse::<i64>() {
-                    Some(Scalar::Int(v))
+                    Ok(Scalar::Int(v))
                 } else {
-                    token.parse::<f64>().ok().map(Scalar::Num)
+                    token.parse::<f64>().map(Scalar::Num).or(fail("malformed number"))
                 }
             }
-            _ => None,
+            Some('[' | '{') => fail("nested arrays and objects are not allowed"),
+            Some(',' | '}') | None => fail("expected a value"),
+            Some(_) => fail("expected true, false or null"),
         }
     }
+}
 
-    skip_ws(&mut chars);
-    match chars.next() {
-        Some((_, '{')) => {}
-        _ => return None,
-    }
-    skip_ws(&mut chars);
-    if matches!(chars.peek(), Some((_, '}'))) {
-        chars.next();
-        skip_ws(&mut chars);
-        return chars.next().is_none().then_some(pairs);
-    }
-    loop {
-        skip_ws(&mut chars);
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some((_, ':')) => {}
-            _ => return None,
+/// Parses one JSONL line — a flat object of scalar values, the only shape
+/// the writers above produce — into `(key, value)` pairs in source order.
+///
+/// # Errors
+///
+/// Returns a [`JsonlError`] naming the byte offset and the reason on any
+/// malformed input (nested containers included).
+pub fn parse_line(line: &str) -> Result<Vec<(String, Scalar)>, JsonlError> {
+    let mut cur = Cursor { text: line, chars: line.char_indices().peekable() };
+    let mut pairs = Vec::new();
+    cur.skip_ws();
+    cur.expect('{', "expected '{'")?;
+    cur.skip_ws();
+    if cur.peek() == Some('}') {
+        cur.chars.next();
+    } else {
+        loop {
+            cur.skip_ws();
+            let key = cur.string("expected a string key")?;
+            cur.skip_ws();
+            cur.expect(':', "expected ':' after a key")?;
+            cur.skip_ws();
+            let value = cur.scalar()?;
+            pairs.push((key, value));
+            cur.skip_ws();
+            match cur.peek() {
+                Some(',') => {
+                    cur.chars.next();
+                }
+                Some('}') => {
+                    cur.chars.next();
+                    break;
+                }
+                _ => return cur.error("expected ',' or '}'"),
+            }
         }
-        skip_ws(&mut chars);
-        let value = parse_scalar(text, &mut chars)?;
-        pairs.push((key, value));
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some((_, ',')) => continue,
-            Some((_, '}')) => break,
-            _ => return None,
-        }
     }
-    skip_ws(&mut chars);
-    chars.next().is_none().then_some(pairs)
+    cur.skip_ws();
+    match cur.peek() {
+        None => Ok(pairs),
+        Some(_) => cur.error("trailing input after the object"),
+    }
 }
 
 #[cfg(test)]
@@ -405,18 +470,38 @@ mod tests {
     }
 
     #[test]
-    fn parser_rejects_malformed_lines() {
-        assert_eq!(parse_line(""), None);
-        assert_eq!(parse_line("{"), None);
-        assert_eq!(parse_line("{\"a\":}"), None);
-        assert_eq!(parse_line("{\"a\":[1]}"), None);
-        assert_eq!(parse_line("{\"a\":1} trailing"), None);
-        assert_eq!(parse_line("{\"a\":flase}"), None);
+    fn parser_rejects_malformed_lines_with_offset_and_reason() {
+        let cases: &[(&str, usize, &str)] = &[
+            ("", 0, "expected '{'"),
+            ("  [1]", 2, "expected '{'"),
+            ("{", 1, "expected a string key"),
+            ("{a:1}", 1, "expected a string key"),
+            ("{\"a\" 1}", 5, "expected ':' after a key"),
+            ("{\"a\":}", 5, "expected a value"),
+            ("{\"a\":", 5, "expected a value"),
+            ("{\"a\":[1]}", 5, "nested arrays and objects are not allowed"),
+            ("{\"a\":{}}", 5, "nested arrays and objects are not allowed"),
+            ("{\"a\":flase}", 5, "expected true, false or null"),
+            ("{\"a\":@}", 5, "expected true, false or null"),
+            ("{\"a\":1-2}", 5, "malformed number"),
+            ("{\"a\":\"xy", 8, "unterminated string"),
+            ("{\"a\\q\":1}", 4, "invalid escape in string"),
+            ("{\"a\":\"\\u00zz\"}", 10, "invalid escape in string"),
+            ("{\"a\":\"\\ud800\"}", 8, "invalid escape in string"),
+            ("{\"a\":1 \"b\":2}", 7, "expected ',' or '}'"),
+            ("{\"a\":1", 6, "expected ',' or '}'"),
+            ("{\"a\":1} trailing", 8, "trailing input after the object"),
+        ];
+        for &(line, offset, reason) in cases {
+            assert_eq!(parse_line(line), Err(JsonlError { offset, reason }), "{line:?}");
+        }
+        let err = parse_line("{\"a\":flase}").unwrap_err();
+        assert_eq!(err.to_string(), "byte 5: expected true, false or null");
     }
 
     #[test]
     fn parser_handles_empty_objects_and_escapes() {
-        assert_eq!(parse_line("{}"), Some(vec![]));
+        assert_eq!(parse_line("{}"), Ok(vec![]));
         let pairs = parse_line("{\"k\\n\":\"v\\u0041\",\"x\":null}").unwrap();
         assert_eq!(pairs[0], ("k\n".into(), Scalar::Str("vA".into())));
         assert_eq!(pairs[1].1, Scalar::Null);

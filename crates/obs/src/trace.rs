@@ -355,9 +355,12 @@ impl FlightRecorder {
         self.dropped
     }
 
+    /// Adds `delta` ticks to `layer`'s self time, saturating: a span
+    /// whose virtual duration nears `u64::MAX` pins the total instead of
+    /// wrapping it.
     fn layer_add(&mut self, layer: &'static str, delta: i64) {
         match self.layers.iter_mut().find(|(l, _)| *l == layer) {
-            Some((_, v)) => *v += delta,
+            Some((_, v)) => *v = v.saturating_add(delta),
             None => self.layers.push((layer, delta)),
         }
     }
@@ -381,13 +384,14 @@ impl FlightRecorder {
         // Self-time bookkeeping: this span owns its ticks until a deeper
         // span claims them; its parent gives the same ticks up. Children
         // end before their parents, so the parent is still in flight here.
-        self.layer_add(layer_of(ended.name), dur as i64);
+        let ticks = i64::try_from(dur).unwrap_or(i64::MAX);
+        self.layer_add(layer_of(ended.name), ticks);
         if ended.parent != 0 {
             if let Some(parent) =
                 self.inflight.iter().find(|s| s.trace == trace && s.span == ended.parent)
             {
                 let parent_layer = layer_of(parent.name);
-                self.layer_add(parent_layer, -(dur as i64));
+                self.layer_add(parent_layer, -ticks);
             }
         }
         if ended.parent == 0 {

@@ -9,6 +9,7 @@
 //! and add a per-copy storage/maintenance cost `σ·m`; the optimum trades
 //! shorter ring walks against the standing cost of holding more copies.
 
+use fap_obs::NoopRecorder;
 use serde::{Deserialize, Serialize};
 
 use crate::error::RingError;
@@ -81,7 +82,7 @@ pub fn sweep_copies(
         let ring =
             VirtualRing::new(link_costs.to_vec(), lambdas.to_vec(), mus.to_vec(), m, k)?;
         let start = vec![m / n as f64; n];
-        let solution = solver.solve(&ring, &start)?;
+        let solution = solver.solve(&ring, &start, &mut NoopRecorder)?;
         points.push(CopySweepPoint {
             copies: m,
             access_cost: solution.best_cost,

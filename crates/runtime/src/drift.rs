@@ -360,15 +360,6 @@ impl DriftRun {
             .map_err(|e| RuntimeError::Drift { epoch, reason: e.to_string() })
     }
 
-    /// Runs the control loop without telemetry.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DriftRun::run_observed`].
-    pub fn run(&self, parallelism: Parallelism) -> Result<DriftReport, RuntimeError> {
-        self.run_observed(parallelism, &mut NoopRecorder)
-    }
-
     /// Runs the control loop, recording `track.*` telemetry and one
     /// `track.epoch` span per re-solve into `recorder`.
     ///
@@ -382,7 +373,7 @@ impl DriftRun {
     /// Returns [`RuntimeError::Drift`] when an epoch's problem cannot be
     /// built (e.g. the trajectory exceeds service capacity) or its solve
     /// fails.
-    pub fn run_observed(
+    pub fn run(
         &self,
         parallelism: Parallelism,
         recorder: &mut dyn Recorder,
@@ -422,7 +413,7 @@ impl DriftRun {
             let span = SpanGuard::begin("track.epoch", recorder);
             let before = report.final_allocation.clone();
             let tracked = tracker
-                .track_observed(problem, &initial, recorder)
+                .track(problem, &initial, recorder)
                 .map_err(|e| RuntimeError::Drift { epoch: t, reason: e.to_string() })?;
             let plan: MigrationPlan = planner
                 .plan(&before, &tracked.allocation)
@@ -502,7 +493,7 @@ impl DriftRun {
             let mut out = Vec::with_capacity(chunk.len());
             for (j, problem) in chunk.iter().enumerate() {
                 let solution = optimizer
-                    .run_with_scratch(problem, initial, &mut scratch)
+                    .run_with_scratch(problem, initial, &mut scratch, &mut NoopRecorder)
                     .map_err(|e| RuntimeError::Drift { epoch: offset + j, reason: e.to_string() })?;
                 out.push((solution.allocation, solution.final_utility));
             }
@@ -610,7 +601,7 @@ mod tests {
     fn tracked_regret_beats_static_regret_on_diurnal_drift() {
         let run = DriftRun::new(&ring(), config(DriftScenario::Diurnal { period: 6, amplitude: 0.6 }))
             .unwrap();
-        let report = run.run(Parallelism::Sequential).unwrap();
+        let report = run.run(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         assert_eq!(report.epochs.len(), 12);
         assert!(!report.epochs[0].warm && report.epochs[1].warm);
         // The tracker follows the drift; holding the epoch-0 optimum does not.
@@ -629,9 +620,9 @@ mod tests {
     fn reports_are_bit_identical_across_thread_counts() {
         let run = DriftRun::new(&ring(), config(DriftScenario::Diurnal { period: 6, amplitude: 0.6 }))
             .unwrap();
-        let sequential = run.run(Parallelism::Sequential).unwrap();
+        let sequential = run.run(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         for threads in [2usize, 3, 8] {
-            let parallel = run.run(Parallelism::Fixed(threads)).unwrap();
+            let parallel = run.run(Parallelism::Fixed(threads), &mut NoopRecorder).unwrap();
             assert_eq!(sequential, parallel, "{threads} threads diverged");
         }
     }
@@ -641,7 +632,12 @@ mod tests {
         let base = config(DriftScenario::Diurnal { period: 6, amplitude: 0.6 });
         let mut eager = base.clone();
         eager.hysteresis = 0.0;
-        let run_with = |c: DriftConfig| DriftRun::new(&ring(), c).unwrap().run(Parallelism::Sequential).unwrap();
+        let run_with = |c: DriftConfig| {
+            DriftRun::new(&ring(), c)
+                .unwrap()
+                .run(Parallelism::Sequential, &mut NoopRecorder)
+                .unwrap()
+        };
         let damped = run_with(base);
         let free = run_with(eager);
         assert!(
@@ -657,7 +653,7 @@ mod tests {
         let mut c = config(DriftScenario::Step { at: 3, factor: 3.0 });
         c.migration_bandwidth = 0.05;
         let run = DriftRun::new(&ring(), c).unwrap();
-        let report = run.run(Parallelism::Sequential).unwrap();
+        let report = run.run(Parallelism::Sequential, &mut NoopRecorder).unwrap();
         // The step epoch needs multiple bounded rounds.
         let step_epoch = &report.epochs[3];
         if step_epoch.movement > 0.05 {
@@ -671,7 +667,7 @@ mod tests {
         let run = DriftRun::new(&ring(), config(DriftScenario::Diurnal { period: 6, amplitude: 0.6 }))
             .unwrap();
         let mut telemetry = Telemetry::manual();
-        let report = run.run_observed(Parallelism::Sequential, &mut telemetry).unwrap();
+        let report = run.run(Parallelism::Sequential, &mut telemetry).unwrap();
         let metrics = telemetry.registry();
         assert_eq!(metrics.counter("track.epochs"), report.epochs.len() as u64);
         assert_eq!(metrics.counter("track.warm_epochs"), report.epochs.len() as u64 - 1);

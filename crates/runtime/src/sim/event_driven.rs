@@ -306,7 +306,7 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
                             ],
                         );
                         // The caller fills `faults` from the recorded
-                        // stream — see `run_observed`.
+                        // stream — see `SimRun::run`.
                         return Ok(SimReport {
                             allocation: x,
                             rounds,
@@ -341,6 +341,7 @@ mod tests {
     use fap_core::SingleFileProblem;
     use fap_econ::{ResourceDirectedOptimizer, StepSize};
     use fap_net::{topology, AccessPattern};
+    use fap_obs::NoopRecorder;
 
     /// The paper's §6 ring with the Figure-3 configuration.
     fn paper_problem() -> SingleFileProblem {
@@ -384,13 +385,13 @@ mod tests {
         let p = paper_problem();
         let centralized = ResourceDirectedOptimizer::new(StepSize::Fixed(ALPHA))
             .with_epsilon(1e-3)
-            .run(&p, &X0)
+            .run(&p, &X0, &mut NoopRecorder)
             .unwrap();
         for scheme in SCHEMES {
             for seed in 0..10 {
                 let sim = fig3_run(&p, scheme, ChaosPlan::new(seed));
-                let event_driven = sim.run(&X0).unwrap();
-                let lock_step = sim.run_round_synchronous(&X0).unwrap();
+                let event_driven = sim.run(&X0, &mut NoopRecorder).unwrap();
+                let lock_step = sim.run_round_synchronous(&X0, &mut NoopRecorder).unwrap();
                 assert_eq!(event_driven, lock_step, "scheme {scheme:?}, seed {seed}");
                 assert_eq!(event_driven.allocation, centralized.allocation);
                 assert_eq!(event_driven.rounds, centralized.iterations);
@@ -408,8 +409,8 @@ mod tests {
         for scheme in SCHEMES {
             for seed in 0..8 {
                 let sim = fig3_run(&p, scheme, hostile_plan(seed));
-                let event_driven = sim.run(&X0).unwrap();
-                let lock_step = sim.run_round_synchronous(&X0).unwrap();
+                let event_driven = sim.run(&X0, &mut NoopRecorder).unwrap();
+                let lock_step = sim.run_round_synchronous(&X0, &mut NoopRecorder).unwrap();
                 assert_eq!(event_driven, lock_step, "scheme {scheme:?}, seed {seed}");
             }
         }
@@ -428,8 +429,8 @@ mod tests {
             let sim = fig3_run(&p, scheme, plan).with_epsilon(1e-6).with_max_rounds(50_000);
             let mut event_tele = fap_obs::Telemetry::manual();
             let mut lock_tele = fap_obs::Telemetry::manual();
-            let a = sim.run_observed(&X0, &mut event_tele).unwrap();
-            let b = sim.run_round_synchronous_observed(&X0, &mut lock_tele).unwrap();
+            let a = sim.run(&X0, &mut event_tele).unwrap();
+            let b = sim.run_round_synchronous(&X0, &mut lock_tele).unwrap();
             assert_eq!(a, b);
             assert_eq!(event_tele.to_jsonl(), lock_tele.to_jsonl());
         }

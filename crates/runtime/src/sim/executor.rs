@@ -39,7 +39,7 @@
 //! (`lock_step.rs`) survives only as the test oracle it is pinned against.
 
 use fap_econ::projection::BoundaryRule;
-use fap_obs::{MetricsRegistry, NoopRecorder, Recorder, Tee, Value};
+use fap_obs::{MetricsRegistry, Recorder, Tee, Value};
 
 use super::chaos::ChaosPlan;
 use super::channel::LossyChannel;
@@ -104,6 +104,7 @@ pub(super) fn boundary_consistent(x: &[f64], g: &[f64], active: &[bool], epsilon
 /// use fap_core::SingleFileProblem;
 /// use fap_net::{topology, AccessPattern};
 /// use fap_runtime::{ChaosPlan, ExchangeScheme, SimRun};
+/// use fap_obs::NoopRecorder;
 ///
 /// let graph = topology::ring(4, 1.0)?;
 /// let pattern = AccessPattern::uniform(4, 1.0)?;
@@ -112,7 +113,7 @@ pub(super) fn boundary_consistent(x: &[f64], g: &[f64], active: &[bool], epsilon
 /// let report = SimRun::new(&problem, ExchangeScheme::Broadcast, 0.19)
 ///     .with_epsilon(1e-3)
 ///     .with_chaos(plan)
-///     .run(&[0.8, 0.1, 0.1, 0.0])?;
+///     .run(&[0.8, 0.1, 0.1, 0.0], &mut NoopRecorder)?;
 /// assert!(report.converged);
 /// let total: f64 = report.allocation.iter().sum();
 /// assert!((total - 1.0).abs() < 1e-9);
@@ -184,19 +185,8 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
         self
     }
 
-    /// Runs the simulated protocol from the feasible `initial` fragments.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::InvalidParameter`] for bad configuration, an
-    /// infeasible start, or an invalid chaos plan (including a plan that
-    /// crashes a central coordinator), and propagates objective failures.
-    pub fn run(&self, initial: &[f64]) -> Result<SimReport, RuntimeError> {
-        self.run_observed(initial, &mut NoopRecorder)
-    }
-
-    /// Like [`SimRun::run`], additionally recording the run into
-    /// `recorder`: the `sim.*` fault counters, the
+    /// Runs the simulated protocol from the feasible `initial` fragments,
+    /// recording the run into `recorder`: the `sim.*` fault counters, the
     /// `sim.report_latency_rounds` histogram on virtual (round) time, one
     /// `round` event per round, `fault`/`delivery` events from the channel,
     /// `crash`/`rejoin`/`stale`/`excluded` events from the executor, and a
@@ -210,13 +200,30 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`SimRun::run`].
-    pub fn run_observed(
+    /// Returns [`RuntimeError::InvalidParameter`] for bad configuration, an
+    /// infeasible start, or an invalid chaos plan (including a plan that
+    /// crashes a central coordinator), and propagates objective failures.
+    pub fn run(
         &self,
         initial: &[f64],
         recorder: &mut dyn Recorder,
     ) -> Result<SimReport, RuntimeError> {
         summarized(recorder, |tee| self.run_event_driven(initial, tee))
+    }
+
+    /// [`SimRun::run`] under the name `perfbench/src/adapter.rs` binds;
+    /// delete it once the adapter calls [`SimRun::run`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`SimRun::run`].
+    #[doc(hidden)]
+    pub fn run_observed(
+        &self,
+        initial: &[f64],
+        recorder: &mut dyn Recorder,
+    ) -> Result<SimReport, RuntimeError> {
+        self.run(initial, recorder)
     }
 
     /// Who needs agent `i`'s report: everyone live (broadcast) or the
@@ -341,6 +348,7 @@ mod tests {
     use fap_core::SingleFileProblem;
     use fap_econ::{ResourceDirectedOptimizer, StepSize};
     use fap_net::{topology, AccessPattern};
+    use fap_obs::NoopRecorder;
 
     fn paper_problem() -> SingleFileProblem {
         let graph = topology::ring(4, 1.0).unwrap();
@@ -354,7 +362,7 @@ mod tests {
         let x0 = [0.8, 0.1, 0.1, 0.0];
         let centralized = ResourceDirectedOptimizer::new(StepSize::Fixed(0.19))
             .with_epsilon(1e-6)
-            .run(&p, &x0)
+            .run(&p, &x0, &mut NoopRecorder)
             .unwrap();
         assert!(centralized.converged);
         // Per-round bills on the §6 ring (n = 4): broadcast costs n(n−1)
@@ -370,7 +378,7 @@ mod tests {
                 .with_epsilon(1e-6)
                 .with_counting(counting)
                 .with_chaos(ChaosPlan::new(1234))
-                .run(&x0)
+                .run(&x0, &mut NoopRecorder)
                 .unwrap();
             assert!(sim.converged);
             assert_eq!(sim.allocation, centralized.allocation);
@@ -389,14 +397,14 @@ mod tests {
         let p = paper_problem();
         let r = SimRun::new(&p, ExchangeScheme::Broadcast, 0.05)
             .with_epsilon(1e-7)
-            .run(&[1.0, 0.0, 0.0, 0.0])
+            .run(&[1.0, 0.0, 0.0, 0.0], &mut NoopRecorder)
             .unwrap();
         assert!(r.converged);
         assert!(r.trace.is_cost_monotone_decreasing(1e-10));
         let capped = SimRun::new(&p, ExchangeScheme::Broadcast, 1e-6)
             .with_epsilon(1e-9)
             .with_max_rounds(5)
-            .run(&[1.0, 0.0, 0.0, 0.0])
+            .run(&[1.0, 0.0, 0.0, 0.0], &mut NoopRecorder)
             .unwrap();
         assert!(!capped.converged);
         assert_eq!(capped.rounds, 5);
@@ -413,7 +421,7 @@ mod tests {
                 .with_chaos(
                     ChaosPlan::new(seed).with_drop(0.2).with_retries(1).with_staleness_bound(2),
                 )
-                .run(&x0)
+                .run(&x0, &mut NoopRecorder)
                 .unwrap()
         };
         let a = run(7);
@@ -436,7 +444,7 @@ mod tests {
             .with_epsilon(1e-6)
             .with_max_rounds(100_000)
             .with_chaos(plan)
-            .run(&[0.8, 0.1, 0.1, 0.0])
+            .run(&[0.8, 0.1, 0.1, 0.0], &mut NoopRecorder)
             .unwrap();
         assert!(r.converged, "heavy but recoverable chaos still converges");
         for it in &r.iterates {
@@ -457,13 +465,13 @@ mod tests {
         let with_stale = SimRun::new(&p, ExchangeScheme::Broadcast, 0.1)
             .with_max_rounds(5_000)
             .with_chaos(ChaosPlan::new(3).with_drop(0.4).with_staleness_bound(4))
-            .run(&[0.25; 4])
+            .run(&[0.25; 4], &mut NoopRecorder)
             .unwrap();
         assert!(with_stale.faults.stale_reuses > 0);
         let without_stale = SimRun::new(&p, ExchangeScheme::Broadcast, 0.1)
             .with_max_rounds(5_000)
             .with_chaos(ChaosPlan::new(3).with_drop(0.4))
-            .run(&[0.25; 4])
+            .run(&[0.25; 4], &mut NoopRecorder)
             .unwrap();
         assert!(without_stale.faults.excluded_agent_rounds > 0);
     }
@@ -476,7 +484,7 @@ mod tests {
             .with_epsilon(1e-7)
             .with_max_rounds(100_000)
             .with_chaos(plan)
-            .run(&[0.8, 0.1, 0.1, 0.0])
+            .run(&[0.8, 0.1, 0.1, 0.0], &mut NoopRecorder)
             .unwrap();
         assert_eq!(r.faults.crashes, 1);
         assert_eq!(r.faults.rejoins, 1);
@@ -504,7 +512,7 @@ mod tests {
                 .with_epsilon(1e-7)
                 .with_max_rounds(100_000)
                 .with_chaos(plan)
-                .run(&[0.25; 4])
+                .run(&[0.25; 4], &mut NoopRecorder)
                 .unwrap();
             assert!(r.converged);
             assert_eq!(r.faults.crashes, dead.len() as u64);
@@ -532,7 +540,7 @@ mod tests {
                 .with_epsilon(1e-6)
                 .with_max_rounds(5_000)
                 .with_chaos(ChaosPlan::new(0).crash(0, agent))
-                .run(start)
+                .run(start, &mut NoopRecorder)
                 .unwrap();
             assert!(r.converged);
             assert_eq!(r.allocation[agent], 0.0);
@@ -549,7 +557,7 @@ mod tests {
         let r = SimRun::new(&p, ExchangeScheme::Central { coordinator: 0 }, 0.1)
             .with_max_rounds(50_000)
             .with_chaos(plan)
-            .run(&[0.25; 4])
+            .run(&[0.25; 4], &mut NoopRecorder)
             .unwrap();
         assert!(r.faults.retries > 0);
         assert!(r.faults.sent > r.messages.total, "physical transmissions exceed nominal bill");
@@ -560,25 +568,28 @@ mod tests {
         let p = paper_problem();
         let crash_coord = SimRun::new(&p, ExchangeScheme::Central { coordinator: 2 }, 0.1)
             .with_chaos(ChaosPlan::new(0).crash(1, 2));
-        assert!(crash_coord.run(&[0.25; 4]).is_err());
+        assert!(crash_coord.run(&[0.25; 4], &mut NoopRecorder).is_err());
         let bad_drop = SimRun::new(&p, ExchangeScheme::Broadcast, 0.1)
             .with_chaos(ChaosPlan::new(0).with_drop(2.0));
-        assert!(bad_drop.run(&[0.25; 4]).is_err());
+        assert!(bad_drop.run(&[0.25; 4], &mut NoopRecorder).is_err());
         for plan in [
             ChaosPlan::new(0).crash(0, 9),
             ChaosPlan::new(0).crash(0, 0).crash(0, 1).crash(0, 2).crash(0, 3),
         ] {
             let run = SimRun::new(&p, ExchangeScheme::Broadcast, 0.1).with_chaos(plan);
-            assert!(run.run(&[0.25; 4]).is_err(), "unknown agents and kill-all plans");
+            assert!(
+                run.run(&[0.25; 4], &mut NoopRecorder).is_err(),
+                "unknown agents and kill-all plans"
+            );
         }
         let broadcast = |alpha| SimRun::new(&p, ExchangeScheme::Broadcast, alpha);
-        assert!(broadcast(0.0).run(&[0.25; 4]).is_err());
-        assert!(broadcast(f64::NAN).run(&[0.25; 4]).is_err());
-        assert!(broadcast(0.1).with_epsilon(0.0).run(&[0.25; 4]).is_err());
-        assert!(broadcast(0.1).run(&[0.5; 4]).is_err());
-        assert!(broadcast(0.1).run(&[0.5; 2]).is_err());
+        assert!(broadcast(0.0).run(&[0.25; 4], &mut NoopRecorder).is_err());
+        assert!(broadcast(f64::NAN).run(&[0.25; 4], &mut NoopRecorder).is_err());
+        assert!(broadcast(0.1).with_epsilon(0.0).run(&[0.25; 4], &mut NoopRecorder).is_err());
+        assert!(broadcast(0.1).run(&[0.5; 4], &mut NoopRecorder).is_err());
+        assert!(broadcast(0.1).run(&[0.5; 2], &mut NoopRecorder).is_err());
         let far_coordinator = SimRun::new(&p, ExchangeScheme::Central { coordinator: 9 }, 0.1);
-        assert!(far_coordinator.run(&[0.25; 4]).is_err());
+        assert!(far_coordinator.run(&[0.25; 4], &mut NoopRecorder).is_err());
     }
 
     #[test]
@@ -591,9 +602,9 @@ mod tests {
             .with_max_rounds(50_000)
             .with_chaos(plan);
 
-        let plain = sim.run(&x0).unwrap();
+        let plain = sim.run(&x0, &mut NoopRecorder).unwrap();
         let mut tele = fap_obs::Telemetry::manual();
-        let observed = sim.run_observed(&x0, &mut tele).unwrap();
+        let observed = sim.run(&x0, &mut tele).unwrap();
         assert_eq!(plain, observed, "recording must not perturb the run");
 
         // The external sink saw the same stream the summary was built from.
@@ -627,7 +638,7 @@ mod tests {
                 .with_chaos(
                     ChaosPlan::new(seed).with_drop(0.2).with_retries(1).with_staleness_bound(2),
                 )
-                .run_observed(&x0, &mut tele)
+                .run(&x0, &mut tele)
                 .unwrap();
             tele.to_jsonl()
         };
@@ -641,7 +652,7 @@ mod tests {
         let x0 = [0.8, 0.1, 0.1, 0.0];
         let r = SimRun::new(&p, ExchangeScheme::Broadcast, 0.19)
             .with_epsilon(1e-6)
-            .run(&x0)
+            .run(&x0, &mut NoopRecorder)
             .unwrap();
         assert_eq!(r.iterates[0], x0.to_vec());
         assert_eq!(r.iterates.last().unwrap(), &r.allocation);

@@ -8,7 +8,7 @@
 use fap_econ::projection::{compute_step, StepOutcome};
 use fap_econ::trace::IterationRecord;
 use fap_econ::{marginal_spread, Trace};
-use fap_obs::{NoopRecorder, Recorder, Value};
+use fap_obs::{Recorder, Value};
 
 use super::channel::LossyChannel;
 use super::executor::{boundary_consistent, summarized, SimRun, StaleEntry, DEAD_MARGINAL};
@@ -19,14 +19,9 @@ use crate::message::MessageStats;
 use crate::scheme::ExchangeScheme;
 
 impl<O: LocalObjective> SimRun<'_, O> {
-    /// Runs the protocol on the lock-step engine.
-    pub(crate) fn run_round_synchronous(&self, initial: &[f64]) -> Result<SimReport, RuntimeError> {
-        self.run_round_synchronous_observed(initial, &mut NoopRecorder)
-    }
-
-    /// Like [`SimRun::run_round_synchronous`], recording into `recorder`
-    /// exactly as [`SimRun::run_observed`] does.
-    pub(crate) fn run_round_synchronous_observed(
+    /// Runs the protocol on the lock-step engine, recording into
+    /// `recorder` exactly as [`SimRun::run`] does.
+    pub(crate) fn run_round_synchronous(
         &self,
         initial: &[f64],
         recorder: &mut dyn Recorder,
@@ -254,7 +249,7 @@ impl<O: LocalObjective> SimRun<'_, O> {
                     ],
                 );
                 // The caller fills `faults` from the recorded stream — see
-                // `run_observed`.
+                // `SimRun::run`.
                 return Ok(SimReport {
                     allocation: x,
                     rounds,

@@ -38,7 +38,7 @@
 //!   task it executes, the same scratch discipline the batch engine
 //!   established.
 //! * **Per-shard metrics, one aggregate.** Each worker records through the
-//!   `_observed` solver entry points into its own [`MetricsRegistry`]
+//!   solver entry points into its own [`MetricsRegistry`]
 //!   (a registry keeps counters/gauges/histograms and drops events). After
 //!   the join, shard registries are replayed in shard order through a
 //!   [`Tee`] into the aggregate snapshot and any caller-provided recorder —
@@ -762,13 +762,13 @@ impl ShardWorker {
                 ResourceDirectedOptimizer::new(StepSize::Fixed(*alpha))
                     .with_epsilon(*epsilon)
                     .with_max_iterations(*max_iterations)
-                    .run_observed_with_scratch(problem, initial, &mut self.econ_scratch, registry)
+                    .run_with_scratch(problem, initial, &mut self.econ_scratch, registry)
                     .map(ServeResponse::SingleFile)
                     .map_err(|e| ServeError { message: e.to_string() })
             }
             ServeRequest::MultiFile { problem, initial, alpha, epsilon, max_iterations, .. } => {
                 problem
-                .solve_observed(
+                .solve_with_scratch(
                     initial,
                     *alpha,
                     *epsilon,
@@ -784,7 +784,7 @@ impl ShardWorker {
                 RingSolver::new(*alpha)
                     .with_cost_delta_tolerance(*cost_delta_tolerance)
                     .with_max_iterations(*max_iterations)
-                    .solve_observed(ring, initial, registry)
+                    .solve(ring, initial, registry)
                     .map(ServeResponse::Ring)
                     .map_err(|e| ServeError { message: e.to_string() })
             }

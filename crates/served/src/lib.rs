@@ -487,8 +487,9 @@ impl<P: BatchParser> Daemon<P> {
             self.parser.parse(batch, &mut self.cache, recorder).map(PendingKind::Batch)
         } else if let Some(work) = value.get("work") {
             as_tick(work)
-                .map(|t| PendingKind::Work(t.max(1)))
                 .ok_or_else(|| "'work' must be a non-negative integer tick count".to_string())
+                .and_then(|t| within_horizon("work", t))
+                .map(|t| PendingKind::Work(t.max(1)))
         } else {
             Err("envelope needs 'batch', 'work' or 'cmd'".to_string())
         };
@@ -574,7 +575,8 @@ impl<P: BatchParser> Daemon<P> {
             Some(epoch) => epoch.elapsed().as_millis() as usize,
             None => match value.get("at") {
                 Some(v) => as_tick(v)
-                    .ok_or_else(|| "'at' must be a non-negative integer tick".to_string())?,
+                    .ok_or_else(|| "'at' must be a non-negative integer tick".to_string())
+                    .and_then(|at| within_horizon("at", at))?,
                 None => return Err("envelope needs an 'at' tick (virtual clock)".into()),
             },
         };
@@ -610,7 +612,9 @@ impl<P: BatchParser> Daemon<P> {
 
     /// Occupies a server: solves the job, renders its output line (the
     /// completion tick is `started + duration`, known now), and schedules
-    /// the completion on the reactor.
+    /// the completion on the reactor. The completion tick saturates at
+    /// `usize::MAX`, so arrived ≤ started ≤ completed however long the
+    /// backlog grows.
     fn start(&mut self, pending: Pending, started: usize, recorder: &mut dyn Recorder) {
         self.busy += 1;
         let Pending { id, arrived, kind, trace } = pending;
@@ -622,7 +626,7 @@ impl<P: BatchParser> Daemon<P> {
         let (duration, line) = match kind {
             PendingKind::Work(ticks) => {
                 recorder.incr("served.work", 1);
-                let completed = started + ticks;
+                let completed = started.saturating_add(ticks);
                 let wid = recorder.reserve_span_ids(1);
                 emit_span(
                     recorder,
@@ -657,7 +661,7 @@ impl<P: BatchParser> Daemon<P> {
                     .filter_map(|r| r.as_ref().ok().map(|x| x.iterations()))
                     .sum();
                 let duration = iterations.max(1);
-                let completed = started + duration;
+                let completed = started.saturating_add(duration);
                 let line = render(&[
                     ("id", &id),
                     ("kind", &"batch"),
@@ -672,7 +676,7 @@ impl<P: BatchParser> Daemon<P> {
                 (duration, line)
             }
         };
-        let completed = started + duration;
+        let completed = started.saturating_add(duration);
         emit_span_end(
             recorder,
             "served.request",
@@ -785,6 +789,21 @@ fn finite_or_inf(w: f64) -> Value {
         Value::Float(w)
     } else {
         Value::Str("inf".into())
+    }
+}
+
+/// The largest `at` tick and `work` length an envelope may name: up to
+/// 2⁵³ a tick stays exact as the `f64` service time the admission model
+/// reads, and a bounded arrival keeps the clock arithmetic far from
+/// `usize::MAX`.
+const MAX_TICK: u64 = 1 << 53;
+
+/// Refuses a `field` tick past [`MAX_TICK`].
+fn within_horizon(field: &str, tick: usize) -> Result<usize, String> {
+    if tick as u64 > MAX_TICK {
+        Err(format!("'{field}' {tick} exceeds the virtual-clock horizon {MAX_TICK}"))
+    } else {
+        Ok(tick)
     }
 }
 

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let solution = ResourceDirectedOptimizer::new(StepSize::Dynamic { safety: 0.7, max: 2.0 })
         .with_epsilon(1e-8)
         .with_max_iterations(100_000)
-        .run(&problem, &[0.125; 8])?;
+        .run(&problem, &[0.125; 8], &mut NoopRecorder)?;
     println!("decentralized solve: converged={} in {} iterations", solution.converged, solution.iterations);
     println!("allocation per rack: {:?}", rounded(&solution.allocation));
     println!("cost: {:.5}", solution.final_cost());

@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         SimRun::new(&problem, ExchangeScheme::Broadcast, 0.1)
             .with_epsilon(1e-6)
             .with_chaos(ChaosPlan::new(0).crash(CRASH_ROUND, CRASHED))
-            .run(start)
+            .run(start, &mut NoopRecorder)
     };
     // The fraction of the file still reachable right after the crash.
     let availability = |report: &SimReport| 1.0 - report.iterates[CRASH_ROUND][CRASHED];

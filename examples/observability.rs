@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut solver_telemetry = Telemetry::manual();
     let solution = ResourceDirectedOptimizer::new(StepSize::Fixed(0.19))
         .with_epsilon(1e-3)
-        .run_observed(&problem, &[0.8, 0.1, 0.1, 0.0], &mut solver_telemetry)?;
+        .run(&problem, &[0.8, 0.1, 0.1, 0.0], &mut solver_telemetry)?;
     println!("solver: converged = {} after {} iterations", solution.converged, solution.iterations);
     println!("{}", solver_telemetry.summary());
 
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = SimRun::new(&problem, ExchangeScheme::Broadcast, 0.19)
         .with_epsilon(1e-3)
         .with_chaos(plan)
-        .run_observed(&[0.8, 0.1, 0.1, 0.0], &mut sim_telemetry)?;
+        .run(&[0.8, 0.1, 0.1, 0.0], &mut sim_telemetry)?;
     println!(
         "sim: converged = {} after {} rounds, {} reports dropped",
         report.converged, report.rounds, report.faults.dropped

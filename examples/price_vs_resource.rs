@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_epsilon(1e-7)
         .with_recorded_allocations()
         .with_max_iterations(100_000)
-        .run(&problem, &[1.0 / 6.0; 6])?;
+        .run(&problem, &[1.0 / 6.0; 6], &mut NoopRecorder)?;
     let worst_violation = resource
         .trace
         .recorded_allocations()

@@ -70,7 +70,7 @@
 //! let problem = SingleFileProblem::mm1(&graph, &pattern, 1.5, 1.0)?;
 //!
 //! let solution = ResourceDirectedOptimizer::new(StepSize::Fixed(0.3))
-//!     .run(&problem, &[0.8, 0.1, 0.1, 0.0])?;
+//!     .run(&problem, &[0.8, 0.1, 0.1, 0.0], &mut NoopRecorder)?;
 //!
 //! assert!(solution.converged);
 //! assert!((solution.final_cost() - 1.8).abs() < 1e-3); // optimal cost

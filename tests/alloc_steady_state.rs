@@ -16,6 +16,7 @@ use std::cell::Cell;
 use fap::batch::Parallelism;
 use fap::core::{MultiFileProblem, MultiFileScratch, MultiFileSolution};
 use fap::net::{topology, AccessPattern};
+use fap::obs::NoopRecorder;
 
 thread_local! {
     /// Allocations counted on this thread; `None` while it is not inside
@@ -94,7 +95,15 @@ fn solve_n(
 ) -> MultiFileSolution {
     // ε far below attainability: the solve always pays `iterations` steps.
     problem
-        .solve_with_scratch(initial, 0.002, 1e-300, iterations, Parallelism::Sequential, scratch)
+        .solve_with_scratch(
+            initial,
+            0.002,
+            1e-300,
+            iterations,
+            Parallelism::Sequential,
+            scratch,
+            &mut NoopRecorder,
+        )
         .expect("stable solve")
 }
 
@@ -301,7 +310,7 @@ fn recording_solve_only_grows_preallocated_buffers() {
     let observe_n = |iterations: usize, scratch: &mut MultiFileScratch| {
         let mut telemetry = Telemetry::manual().with_event_capacity(CAPACITY);
         let solution = problem
-            .solve_observed(
+            .solve_with_scratch(
                 &initial,
                 0.002,
                 1e-300,

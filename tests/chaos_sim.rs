@@ -40,7 +40,7 @@ fn same_seed_is_deterministic() {
             .with_epsilon(FIG3_EPSILON)
             .with_max_rounds(10_000)
             .with_chaos(hostile_plan(42))
-            .run(&FIG3_START)
+            .run(&FIG3_START, &mut NoopRecorder)
             .unwrap()
     };
     let a = run();
@@ -62,7 +62,7 @@ fn different_seeds_diverge() {
             .with_epsilon(FIG3_EPSILON)
             .with_max_rounds(10_000)
             .with_chaos(hostile_plan(seed))
-            .run(&FIG3_START)
+            .run(&FIG3_START, &mut NoopRecorder)
             .unwrap()
     };
     assert_ne!(run(1).faults, run(2).faults);
@@ -76,13 +76,13 @@ fn zero_fault_run_matches_the_centralized_optimizer() {
 
     let centralized = ResourceDirectedOptimizer::new(StepSize::Fixed(FIG3_ALPHA))
         .with_epsilon(FIG3_EPSILON)
-        .run(&p, &FIG3_START)
+        .run(&p, &FIG3_START, &mut NoopRecorder)
         .unwrap();
     let sim = SimRun::new(&p, ExchangeScheme::Broadcast, FIG3_ALPHA)
         .with_epsilon(FIG3_EPSILON)
         .with_max_rounds(10_000)
         .with_chaos(ChaosPlan::new(7)) // seed is irrelevant: zero-fault plan
-        .run(&FIG3_START)
+        .run(&FIG3_START, &mut NoopRecorder)
         .unwrap();
 
     assert!(centralized.converged && sim.converged);
@@ -111,7 +111,7 @@ fn golden_fig3_trace_matches() {
         .with_epsilon(FIG3_EPSILON)
         .with_max_rounds(10_000)
         .with_chaos(ChaosPlan::new(0))
-        .run(&FIG3_START)
+        .run(&FIG3_START, &mut NoopRecorder)
         .unwrap();
     assert!(report.converged);
 

@@ -21,14 +21,14 @@ fn all_solvers_agree_on_the_optimum() {
     let centralized = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
         .with_epsilon(1e-8)
         .with_max_iterations(200_000)
-        .run(&p, &x0)
+        .run(&p, &x0, &mut NoopRecorder)
         .unwrap();
     assert!(centralized.converged);
 
     let second_order = SecondOrderOptimizer::new(StepSize::Fixed(0.5))
         .with_epsilon(1e-8)
         .with_max_iterations(200_000)
-        .run(&p, &x0)
+        .run(&p, &x0, &mut NoopRecorder)
         .unwrap();
     assert!(second_order.converged);
 
@@ -36,7 +36,7 @@ fn all_solvers_agree_on_the_optimum() {
         .with_epsilon(1e-8)
         .with_max_rounds(200_000)
         .with_chaos(ChaosPlan::new(0))
-        .run(&x0)
+        .run(&x0, &mut NoopRecorder)
         .unwrap();
     assert!(distributed.converged);
 
@@ -65,12 +65,12 @@ fn gossip_agrees_with_global_averaging() {
     let global = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
         .with_epsilon(1e-8)
         .with_max_iterations(200_000)
-        .run(&p, &x0)
+        .run(&p, &x0, &mut NoopRecorder)
         .unwrap();
     let gossip = GossipOptimizer::new(Neighborhood::ring(5).unwrap(), 0.02)
         .with_epsilon(1e-8)
         .with_max_iterations(500_000)
-        .run(&p, &x0)
+        .run(&p, &x0, &mut NoopRecorder)
         .unwrap();
     assert!(global.converged && gossip.converged);
     for (a, b) in global.allocation.iter().zip(&gossip.allocation) {
@@ -119,7 +119,7 @@ fn mg1_scv_spreads_the_allocation() {
         let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
             .with_epsilon(1e-8)
             .with_max_iterations(200_000)
-            .run(&p, &[0.25; 4])
+            .run(&p, &[0.25; 4], &mut NoopRecorder)
             .unwrap();
         assert!(s.converged);
         let max = s.allocation.iter().copied().fold(f64::MIN, f64::max);
@@ -138,7 +138,9 @@ fn multi_file_balances_shared_queues() {
     let pattern = AccessPattern::uniform(4, 0.7).unwrap();
     let m = MultiFileProblem::mm1(&graph, &[pattern.clone(), pattern], 1.0, 5.0).unwrap();
     let initial = vec![vec![0.7, 0.3, 0.0, 0.0], vec![0.6, 0.0, 0.4, 0.0]];
-    let s = m.solve(&initial, 0.02, 1e-6, 100_000).unwrap();
+    let s = m
+        .solve(&initial, 0.02, 1e-6, 100_000, Parallelism::Sequential, &mut NoopRecorder)
+        .unwrap();
     assert!(s.converged);
     let loads = m.node_loads(&s.allocations).unwrap();
     let avg: f64 = loads.iter().sum::<f64>() / 4.0;

@@ -269,3 +269,61 @@ fn admission_model_prediction_matches_measured_wait() {
         "measured {measured:.2} vs closed form at the true rates {reference:.2}"
     );
 }
+
+fn field(line: &str, name: &str) -> u64 {
+    let value = serde_json::parse_value(line).unwrap();
+    match value.get(name) {
+        Some(serde::Value::Int(i)) => *i as u64,
+        Some(serde::Value::UInt(u)) => *u,
+        other => panic!("{name} in {line}: {other:?}"),
+    }
+}
+
+/// An `at` tick or a `work` length past the virtual-clock horizon is an
+/// `error` line — not a wrapped clock, nor (with overflow checks on) a
+/// panic — and the session goes on to serve the next envelope.
+#[test]
+fn out_of_horizon_ticks_are_refused_and_the_session_goes_on() {
+    let specs = serde_json::to_string(&example_specs()).unwrap();
+    let input = format!(
+        "{{\"at\":18446744073709551615,\"work\":5}}\n\
+         {{\"at\":0,\"work\":18446744073709551615}}\n\
+         {{\"at\":10,\"batch\":{specs}}}\n\
+         {{\"cmd\":\"shutdown\"}}\n"
+    );
+    let (out, telemetry) = run_session(&input, &golden_config());
+    let lines: Vec<&str> = out.lines().collect();
+    for (line, field) in lines[..2].iter().zip(["'at'", "'work'"]) {
+        assert!(line.starts_with("{\"kind\":\"error\"") && line.contains(field), "{line}");
+        assert!(line.contains("exceeds the virtual-clock horizon"), "{line}");
+    }
+    assert_eq!(telemetry.registry().counter("served.errors"), 2);
+    let batch =
+        lines.iter().find(|l| l.contains("\"kind\":\"batch\"")).expect("the batch is served");
+    assert_eq!(field(batch, "arrived"), 10);
+    assert!(field(batch, "ok") > 0, "{batch}");
+    assert!(lines.last().unwrap().contains("\"completed\":1"), "{}", lines.last().unwrap());
+}
+
+/// A backlog of horizon-length work items on one server runs the
+/// completion tick past `usize::MAX`: it saturates, so every line keeps
+/// arrived ≤ started ≤ completed.
+#[test]
+fn a_backlog_past_the_clock_range_saturates_instead_of_wrapping() {
+    let items = 2100;
+    let mut input = String::new();
+    for _ in 0..items {
+        input.push_str("{\"at\":0,\"work\":9007199254740992}\n");
+    }
+    input.push_str("{\"cmd\":\"shutdown\"}\n");
+    let config = DaemonConfig { servers: 1, ..golden_config() };
+    let (out, _) = run_session(&input, &config);
+    let work: Vec<&str> = out.lines().filter(|l| l.contains("\"kind\":\"work\"")).collect();
+    assert_eq!(work.len(), items);
+    for line in &work {
+        let (arrived, started, completed) =
+            (field(line, "arrived"), field(line, "started"), field(line, "completed"));
+        assert!(arrived <= started && started <= completed, "{line}");
+    }
+    assert_eq!(field(work.last().unwrap(), "completed"), u64::MAX);
+}

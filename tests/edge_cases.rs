@@ -20,7 +20,7 @@ fn deterministic_service_lowers_cost_at_equal_capacity() {
     let solve = |p: &SingleFileProblem<Mg1Delay>| {
         ResourceDirectedOptimizer::new(StepSize::Fixed(0.1))
             .with_epsilon(1e-7)
-            .run(p, &[0.25; 4])
+            .run(p, &[0.25; 4], &mut NoopRecorder)
             .unwrap()
             .final_cost()
     };
@@ -56,7 +56,7 @@ fn timing_guided_coordinator_placement() {
         SimRun::new(&problem, scheme, 0.1)
             .with_epsilon(1e-6)
             .with_chaos(ChaosPlan::new(0))
-            .run(&x0)
+            .run(&x0, &mut NoopRecorder)
             .unwrap()
     };
     let central = run(ExchangeScheme::Central { coordinator: best });
@@ -112,7 +112,7 @@ fn slow_ring_nodes_hold_less() {
     .unwrap();
     let s = RingSolver::new(0.03)
         .with_max_iterations(5_000)
-        .solve(&ring, &[0.5; 4])
+        .solve(&ring, &[0.5; 4], &mut NoopRecorder)
         .unwrap();
     let x = &s.best_allocation;
     assert!(x[0] > x[1], "{x:?}");
@@ -127,7 +127,14 @@ fn multi_file_files_follow_their_own_traffic() {
     let file_b = AccessPattern::hotspot(4, 0.5, NodeId::new(3), 0.85).unwrap();
     let m = MultiFileProblem::mm1(&graph, &[file_a, file_b], 1.5, 0.3).unwrap();
     let s = m
-        .solve(&[vec![0.25; 4], vec![0.25; 4]], 0.02, 1e-6, 100_000)
+        .solve(
+            &[vec![0.25; 4], vec![0.25; 4]],
+            0.02,
+            1e-6,
+            100_000,
+            Parallelism::Sequential,
+            &mut NoopRecorder,
+        )
         .unwrap();
     assert!(s.converged);
     // File A concentrates at the left end, file B at the right.
@@ -145,12 +152,12 @@ fn second_order_works_on_mg1_objectives() {
     let second = SecondOrderOptimizer::new(StepSize::Fixed(0.8))
         .with_epsilon(1e-8)
         .with_max_iterations(50_000)
-        .run(&p, &[0.2; 5])
+        .run(&p, &[0.2; 5], &mut NoopRecorder)
         .unwrap();
     let first = ResourceDirectedOptimizer::new(StepSize::Fixed(0.03))
         .with_epsilon(1e-8)
         .with_max_iterations(200_000)
-        .run(&p, &[0.2; 5])
+        .run(&p, &[0.2; 5], &mut NoopRecorder)
         .unwrap();
     assert!(second.converged && first.converged);
     for (a, b) in second.allocation.iter().zip(&first.allocation) {

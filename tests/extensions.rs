@@ -24,7 +24,7 @@ fn mmc_nodes_plug_into_the_allocation_problem() {
     let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
         .with_epsilon(1e-8)
         .with_max_iterations(100_000)
-        .run(&problem, &[0.5, 0.5])
+        .run(&problem, &[0.5, 0.5], &mut NoopRecorder)
         .unwrap();
     assert!(s.converged);
     assert!(
@@ -55,7 +55,7 @@ fn storage_costs_change_the_waterfilling_optimum() {
     let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
         .with_epsilon(1e-8)
         .with_max_iterations(100_000)
-        .run(&priced, &[0.25; 4])
+        .run(&priced, &[0.25; 4], &mut NoopRecorder)
         .unwrap();
     for (a, b) in s.allocation.iter().zip(&r_priced.allocation) {
         assert!((a - b).abs() < 1e-3);
@@ -74,7 +74,7 @@ fn fap_tolerates_noisy_marginal_estimates() {
     let noisy = NoisyProblem::new(&exact, 0.05, 3).unwrap();
     let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
         .with_max_iterations(3_000)
-        .run(&noisy, &[0.2; 5])
+        .run(&noisy, &[0.2; 5], &mut NoopRecorder)
         .unwrap();
     let gap = (exact.cost_of(&s.allocation).unwrap() - optimum.cost) / optimum.cost;
     assert!(gap >= -1e-9);
@@ -136,7 +136,7 @@ fn results_round_trip_through_serde() {
     let pattern = AccessPattern::uniform(4, 1.0).unwrap();
     let problem = SingleFileProblem::mm1(&graph, &pattern, 1.5, 1.0).unwrap();
     let solution = ResourceDirectedOptimizer::new(StepSize::Fixed(0.19))
-        .run(&problem, &[0.8, 0.1, 0.1, 0.0])
+        .run(&problem, &[0.8, 0.1, 0.1, 0.0], &mut NoopRecorder)
         .unwrap();
 
     let graph2: Graph = serde_json::from_str(&serde_json::to_string(&graph).unwrap()).unwrap();

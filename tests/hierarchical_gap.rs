@@ -24,9 +24,16 @@ fn pipeline() -> (Graph, AccessPattern, f64, LandmarkOracle) {
 fn gap_on_the_fixed_mesh_stays_within_the_committed_bound() {
     let (graph, pattern, mu, oracle) = pipeline();
     let mus = vec![mu; N];
-    let sparse =
-        solve_hierarchical(&oracle, &pattern, &mus, 1.0, &sparse_hierarchical_config(&pattern))
-            .unwrap();
+    let sparse = solve_hierarchical(
+        &oracle,
+        &pattern,
+        &mus,
+        1.0,
+        &sparse_hierarchical_config(&pattern),
+        1,
+        &mut NoopRecorder,
+    )
+    .unwrap();
     let total: f64 = sparse.allocation.iter().sum();
     assert!((total - 1.0).abs() < 1e-9, "allocation sums to {total}");
 
@@ -52,8 +59,10 @@ fn the_pipeline_is_bit_deterministic_on_the_pinned_mesh() {
     let (_, pattern, mu, oracle) = pipeline();
     let mus = vec![mu; N];
     let config = sparse_hierarchical_config(&pattern);
-    let a = solve_hierarchical(&oracle, &pattern, &mus, 1.0, &config).unwrap();
-    let b = solve_hierarchical(&oracle, &pattern, &mus, 1.0, &config).unwrap();
+    let a =
+        solve_hierarchical(&oracle, &pattern, &mus, 1.0, &config, 1, &mut NoopRecorder).unwrap();
+    let b =
+        solve_hierarchical(&oracle, &pattern, &mus, 1.0, &config, 1, &mut NoopRecorder).unwrap();
     assert_eq!(a.refine_rounds, b.refine_rounds);
     assert_eq!(a.estimated_cost.to_bits(), b.estimated_cost.to_bits());
     for (x, y) in a.allocation.iter().zip(&b.allocation) {
@@ -72,8 +81,9 @@ fn refinement_does_not_worsen_the_true_objective_on_the_pinned_mesh() {
     let cfg = sparse_hierarchical_config(&pattern);
     let base_cfg = HierarchicalConfig { max_refine_rounds: 0, ..cfg.clone() };
     let base =
-        solve_hierarchical(&oracle, &pattern, &mus, 1.0, &base_cfg).unwrap();
-    let refined = solve_hierarchical(&oracle, &pattern, &mus, 1.0, &cfg).unwrap();
+        solve_hierarchical(&oracle, &pattern, &mus, 1.0, &base_cfg, 1, &mut NoopRecorder).unwrap();
+    let refined =
+        solve_hierarchical(&oracle, &pattern, &mus, 1.0, &cfg, 1, &mut NoopRecorder).unwrap();
     let base_true = dense.cost_of(&base.allocation).unwrap();
     let refined_true = dense.cost_of(&refined.allocation).unwrap();
     assert!(

@@ -18,7 +18,7 @@ fn figure3_iteration_counts() {
         let s = ResourceDirectedOptimizer::new(StepSize::Fixed(alpha))
             .with_boundary(BoundaryRule::Unconstrained)
             .with_epsilon(1e-3)
-            .run(&paper_problem(), &[0.8, 0.1, 0.1, 0.0])
+            .run(&paper_problem(), &[0.8, 0.1, 0.1, 0.0], &mut NoopRecorder)
             .unwrap();
         assert!(s.converged, "alpha={alpha}");
         assert!(s.trace.is_cost_monotone_decreasing(1e-12), "alpha={alpha}");
@@ -47,7 +47,7 @@ fn figure4_fragmentation_reduction() {
     let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.3))
         .with_boundary(BoundaryRule::Unconstrained)
         .with_epsilon(1e-4)
-        .run(&p, &[0.0, 0.0, 0.0, 1.0])
+        .run(&p, &[0.0, 0.0, 0.0, 1.0], &mut NoopRecorder)
         .unwrap();
     assert!(s.converged);
     assert!((s.final_cost() - 1.8).abs() < 1e-3);
@@ -63,7 +63,7 @@ fn early_termination_yields_feasible_improvement() {
     let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
         .with_max_iterations(3)
         .with_recorded_allocations()
-        .run(&p, &[0.8, 0.1, 0.1, 0.0])
+        .run(&p, &[0.8, 0.1, 0.1, 0.0], &mut NoopRecorder)
         .unwrap();
     assert!(!s.converged);
     let first = s.trace.records().first().unwrap();
@@ -81,7 +81,7 @@ fn epsilon_controls_marginal_spread() {
     let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.19))
         .with_boundary(BoundaryRule::Unconstrained)
         .with_epsilon(1e-3)
-        .run(&p, &[0.8, 0.1, 0.1, 0.0])
+        .run(&p, &[0.8, 0.1, 0.1, 0.0], &mut NoopRecorder)
         .unwrap();
     let mut g = vec![0.0; 4];
     p.marginal_utilities(&s.allocation, &mut g).unwrap();
@@ -102,7 +102,7 @@ fn ring_oscillation_claims() {
         RingSolver::new(alpha)
             .without_adaptation()
             .with_max_iterations(150)
-            .solve(ring, &start)
+            .solve(ring, &start, &mut NoopRecorder)
             .unwrap()
     };
     // Figure 8: communication dominance oscillates more.
@@ -126,7 +126,7 @@ fn theorem2_bound_valid_but_conservative() {
     let s = ResourceDirectedOptimizer::new(StepSize::Fixed(bound))
         .with_epsilon(0.05)
         .with_max_iterations(5_000_000)
-        .run(&p, &[0.8, 0.1, 0.1, 0.0])
+        .run(&p, &[0.8, 0.1, 0.1, 0.0], &mut NoopRecorder)
         .unwrap();
     assert!(s.converged);
     assert!(s.trace.is_cost_monotone_decreasing(1e-15));

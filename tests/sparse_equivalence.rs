@@ -30,8 +30,8 @@ fn dense_provider_single_file_is_bit_identical_to_the_matrix_path() {
         let solver = ResourceDirectedOptimizer::new(StepSize::Fixed(0.05))
             .with_epsilon(1e-8)
             .with_max_iterations(200_000);
-        let x = solver.run(&legacy, &start).unwrap();
-        let y = solver.run(&generic, &start).unwrap();
+        let x = solver.run(&legacy, &start, &mut NoopRecorder).unwrap();
+        let y = solver.run(&generic, &start, &mut NoopRecorder).unwrap();
         for (a, b) in x.allocation.iter().zip(&y.allocation) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -55,8 +55,12 @@ fn dense_provider_multi_file_solves_are_bit_identical() {
     )
     .unwrap();
     let initial = vec![vec![1.0 / 18.0; 18]; 4];
-    let a = legacy.solve(&initial, 0.002, 1e-9, 500).unwrap();
-    let b = generic.solve(&initial, 0.002, 1e-9, 500).unwrap();
+    let a = legacy
+        .solve(&initial, 0.002, 1e-9, 500, Parallelism::Sequential, &mut NoopRecorder)
+        .unwrap();
+    let b = generic
+        .solve(&initial, 0.002, 1e-9, 500, Parallelism::Sequential, &mut NoopRecorder)
+        .unwrap();
     assert_eq!(a, b, "provider-generic multi-file solve must match the matrix path");
 }
 
@@ -97,9 +101,9 @@ fn cli_dense_backend_scenarios_match_the_legacy_solve() {
     explicit.cost_backend = CostBackend::Dense;
     let implicit: fap_cli::Scenario =
         serde_json::from_str(&fap_cli::Scenario::example().to_json()).unwrap();
-    let a = fap_cli::solve(&fap_cli::Scenario::example()).unwrap();
-    let b = fap_cli::solve(&explicit).unwrap();
-    let c = fap_cli::solve(&implicit).unwrap();
+    let a = fap_cli::solve(&fap_cli::Scenario::example(), &mut NoopRecorder).unwrap();
+    let b = fap_cli::solve(&explicit, &mut NoopRecorder).unwrap();
+    let c = fap_cli::solve(&implicit, &mut NoopRecorder).unwrap();
     for ((x, y), z) in a.allocation.iter().zip(&b.allocation).zip(&c.allocation) {
         assert_eq!(x.to_bits(), y.to_bits());
         assert_eq!(x.to_bits(), z.to_bits());

@@ -66,6 +66,7 @@ fn chaos_plans_and_reports_stream_as_their_trees() {
         .with_staleness_bound(2)
         .with_retries(1);
     assert_streams_as_its_tree(&plan);
-    let report = chaos_sim(&Scenario::example(), plan).expect("example scenario runs");
+    let report =
+        chaos_sim(&Scenario::example(), plan, &mut NoopRecorder).expect("example scenario runs");
     assert_streams_as_its_tree(&report);
 }

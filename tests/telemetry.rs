@@ -7,9 +7,9 @@
 //! compare whole JSONL exports as strings.
 
 use fap::obs::jsonl::{parse_line, Scalar};
-use fap::obs::{JsonlSink, Telemetry};
+use fap::obs::{JsonlSink, NoopRecorder, Telemetry};
 use fap::runtime::ChaosPlan;
-use fap_cli::{chaos_sim, chaos_sim_observed, solve, solve_observed, summarize, Scenario};
+use fap_cli::{chaos_sim, solve, summarize, Scenario};
 
 fn chaos_plan(seed: u64) -> ChaosPlan {
     ChaosPlan::new(seed)
@@ -21,7 +21,7 @@ fn chaos_plan(seed: u64) -> ChaosPlan {
 
 fn sim_jsonl(seed: u64) -> String {
     let mut telemetry = Telemetry::manual();
-    chaos_sim_observed(&Scenario::example(), chaos_plan(seed), &mut telemetry).unwrap();
+    chaos_sim(&Scenario::example(), chaos_plan(seed), &mut telemetry).unwrap();
     telemetry.to_jsonl()
 }
 
@@ -37,22 +37,25 @@ fn two_seeded_sim_runs_export_byte_identical_jsonl() {
 fn two_solver_runs_export_byte_identical_jsonl() {
     let run = || {
         let mut telemetry = Telemetry::manual();
-        let output = solve_observed(&Scenario::example(), &mut telemetry).unwrap();
+        let output = solve(&Scenario::example(), &mut telemetry).unwrap();
         (output, telemetry.to_jsonl())
     };
     let (output_a, jsonl_a) = run();
     let (output_b, jsonl_b) = run();
     assert_eq!(output_a, output_b);
     assert_eq!(jsonl_a, jsonl_b);
-    assert_eq!(output_a, solve(&Scenario::example()).unwrap(), "recording must not perturb");
+    assert_eq!(
+        output_a,
+        solve(&Scenario::example(), &mut NoopRecorder).unwrap(),
+        "recording must not perturb"
+    );
 }
 
 #[test]
 fn recording_does_not_perturb_the_sim() {
-    let plain = chaos_sim(&Scenario::example(), chaos_plan(11)).unwrap();
+    let plain = chaos_sim(&Scenario::example(), chaos_plan(11), &mut NoopRecorder).unwrap();
     let mut telemetry = Telemetry::manual();
-    let observed =
-        chaos_sim_observed(&Scenario::example(), chaos_plan(11), &mut telemetry).unwrap();
+    let observed = chaos_sim(&Scenario::example(), chaos_plan(11), &mut telemetry).unwrap();
     assert_eq!(plain, observed);
     // The derived fault summary and the exported counters are one stream.
     assert_eq!(telemetry.registry().counter("sim.dropped"), observed.faults.dropped);
@@ -62,14 +65,13 @@ fn recording_does_not_perturb_the_sim() {
 #[test]
 fn every_exported_line_parses_and_the_summary_agrees() {
     let mut telemetry = Telemetry::manual();
-    let report =
-        chaos_sim_observed(&Scenario::example(), chaos_plan(11), &mut telemetry).unwrap();
+    let report = chaos_sim(&Scenario::example(), chaos_plan(11), &mut telemetry).unwrap();
     let jsonl = telemetry.to_jsonl();
 
     let mut event_lines = 0usize;
     for (number, line) in jsonl.lines().enumerate() {
         let fields = parse_line(line)
-            .unwrap_or_else(|| panic!("line {} failed to parse: {line}", number + 1));
+            .unwrap_or_else(|e| panic!("line {} failed to parse ({e}): {line}", number + 1));
         if fields.iter().any(|(k, _)| k == "event") {
             event_lines += 1;
         }
@@ -95,7 +97,7 @@ fn streaming_export_is_byte_identical_to_the_buffered_one() {
     // file either way.
     let buffered = sim_jsonl(11);
     let mut sink = JsonlSink::new(Vec::new());
-    chaos_sim_observed(&Scenario::example(), chaos_plan(11), &mut sink).unwrap();
+    chaos_sim(&Scenario::example(), chaos_plan(11), &mut sink).unwrap();
     let streamed = String::from_utf8(sink.finish().unwrap()).unwrap();
     assert_eq!(streamed, buffered);
 }
@@ -103,7 +105,7 @@ fn streaming_export_is_byte_identical_to_the_buffered_one() {
 #[test]
 fn virtual_time_stamps_events_with_rounds() {
     let mut telemetry = Telemetry::manual();
-    chaos_sim_observed(&Scenario::example(), chaos_plan(11), &mut telemetry).unwrap();
+    chaos_sim(&Scenario::example(), chaos_plan(11), &mut telemetry).unwrap();
     let jsonl = telemetry.to_jsonl();
     // Round events carry their own round number; the virtual timestamp must
     // agree with it — wall time never leaks into a seeded sim export.

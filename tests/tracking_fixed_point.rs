@@ -34,11 +34,11 @@ proptest! {
             .with_epsilon(1e-9)
             .with_max_iterations(300_000);
         let initial = vec![1.0 / n as f64; n];
-        let cold = optimizer.run(&problem, &initial).unwrap();
+        let cold = optimizer.run(&problem, &initial, &mut NoopRecorder).unwrap();
         prop_assert!(cold.converged);
 
         let mut tracker = TrackingOptimizer::new(optimizer, eta).unwrap();
-        let first = tracker.track(&problem, &initial).unwrap();
+        let first = tracker.track(&problem, &initial, &mut NoopRecorder).unwrap();
         prop_assert!(first.converged);
         prop_assert!(!first.warm, "epoch 0 solves cold");
         prop_assert!(
@@ -47,7 +47,7 @@ proptest! {
             first.true_utility, cold.final_utility
         );
 
-        let second = tracker.track(&problem, &initial).unwrap();
+        let second = tracker.track(&problem, &initial, &mut NoopRecorder).unwrap();
         prop_assert!(second.warm && second.converged);
         prop_assert!(
             second.iterations == 0,

@@ -73,7 +73,7 @@ proptest! {
         let initial = vec![1.0 / n as f64; n];
         let mut scratch = OptimizerScratch::new();
         let cold = optimizer
-            .run_with_scratch(&problem, &initial, &mut scratch)
+            .run_with_scratch(&problem, &initial, &mut scratch, &mut NoopRecorder)
             .unwrap();
         prop_assert!(cold.converged);
 
@@ -86,7 +86,7 @@ proptest! {
         }
         scratch.start_from(&drifted);
         let warm = optimizer
-            .run_with_scratch(&problem, &initial, &mut scratch)
+            .run_with_scratch(&problem, &initial, &mut scratch, &mut NoopRecorder)
             .unwrap();
         prop_assert!(warm.converged);
         prop_assert!(
