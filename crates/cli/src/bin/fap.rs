@@ -56,13 +56,45 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
+        Err(Failure::Usage(message)) => {
             eprintln!("error: {message}");
             eprintln!();
             eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
+        Err(Failure::Run(message)) => {
+            eprintln!("error: {message}");
+            ExitCode::FAILURE
+        }
     }
+}
+
+/// Why a command failed.
+#[derive(Debug)]
+enum Failure {
+    /// The command line is malformed: the message comes with the usage
+    /// text. Argument parsing reports its `String` errors through `?`.
+    Usage(String),
+    /// A well-formed command failed on its input files or while running:
+    /// the message alone, so that it is not buried under the usage text.
+    Run(String),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Usage(message)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(message: &str) -> Self {
+        Failure::Usage(message.to_owned())
+    }
+}
+
+/// A failure of a well-formed command.
+fn failed(message: impl std::fmt::Display) -> Failure {
+    Failure::Run(message.to_string())
 }
 
 const USAGE: &str = "usage:
@@ -133,10 +165,10 @@ impl MetricsOptions {
 
     /// Opens the sink. The output file is created up front, so a bad path
     /// fails before the run starts.
-    fn sink(&self) -> Result<MetricsSink, String> {
+    fn sink(&self) -> Result<MetricsSink, Failure> {
         let writer: Box<dyn Write> = match &self.out {
             Some(path) => {
-                let file = File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
+                let file = File::create(path).map_err(|e| failed(format!("creating {path}: {e}")))?;
                 Box::new(BufWriter::new(file))
             }
             None => Box::new(io::sink()),
@@ -147,12 +179,12 @@ impl MetricsOptions {
     /// Prints the summary if asked, then appends the registry trailer and
     /// flushes the export (reporting any write error deferred during the
     /// run).
-    fn finish(&self, sink: MetricsSink) -> Result<(), String> {
+    fn finish(&self, sink: MetricsSink) -> Result<(), Failure> {
         if self.summary {
             print!("{}", sink.summary());
         }
         let path = self.out.as_deref().unwrap_or_default();
-        sink.finish().map_err(|e| format!("writing {path}: {e}"))?;
+        sink.finish().map_err(|e| failed(format!("writing {path}: {e}")))?;
         Ok(())
     }
 }
@@ -231,7 +263,7 @@ fn extract_metrics_flags(args: &[String]) -> Result<(Vec<String>, MetricsOptions
     Ok((positional, options))
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String]) -> Result<(), Failure> {
     let (args, metrics) = extract_metrics_flags(args)?;
     if metrics.requested()
         && !matches!(
@@ -264,12 +296,12 @@ fn run(args: &[String]) -> Result<(), String> {
                 Ok(())
             }
             ("solve" | "run", [path]) => {
-                let mut scenario = Scenario::load(Path::new(path)).map_err(|e| e.to_string())?;
+                let mut scenario = Scenario::load(Path::new(path)).map_err(failed)?;
                 if let Some(backend) = backend {
                     scenario.cost_backend = backend;
                 }
                 let mut sink = metrics.sink()?;
-                let output = solve(&scenario, &mut sink).map_err(|e| e.to_string())?;
+                let output = solve(&scenario, &mut sink).map_err(failed)?;
                 metrics.finish(sink)?;
                 println!("converged:  {} ({} iterations)", output.converged, output.iterations);
                 println!("cost:       {:.6}", output.cost);
@@ -281,8 +313,8 @@ fn run(args: &[String]) -> Result<(), String> {
                 Ok(())
             }
             ("simulate", [path]) => {
-                let scenario = Scenario::load(Path::new(path)).map_err(|e| e.to_string())?;
-                let (output, report) = simulate(&scenario).map_err(|e| e.to_string())?;
+                let scenario = Scenario::load(Path::new(path)).map_err(failed)?;
+                let (output, report) = simulate(&scenario).map_err(failed)?;
                 println!("model cost:     {:.6}", output.cost);
                 println!(
                     "measured cost:  {:.6} over {} accesses",
@@ -308,30 +340,30 @@ fn run(args: &[String]) -> Result<(), String> {
                     .with_staleness_bound(2)
                     .with_retries(1);
                 let json = serde_json::to_string_pretty(&plan)
-                    .map_err(|e| e.to_string())?;
+                    .map_err(failed)?;
                 println!("{json}");
                 Ok(())
             }
             ("sim", [path, rest @ ..]) if rest.len() <= 1 => {
-                let mut scenario = Scenario::load(Path::new(path)).map_err(|e| e.to_string())?;
+                let mut scenario = Scenario::load(Path::new(path)).map_err(failed)?;
                 if let Some(backend) = backend {
                     scenario.cost_backend = backend;
                 }
                 let plan = match rest {
                     [chaos_path] => {
                         let text = std::fs::read_to_string(chaos_path)
-                            .map_err(|e| format!("reading {chaos_path}: {e}"))?;
+                            .map_err(|e| failed(format!("reading {chaos_path}: {e}")))?;
                         serde_json::from_str::<ChaosPlan>(&text)
-                            .map_err(|e| format!("parsing {chaos_path}: {e}"))?
+                            .map_err(|e| failed(format!("parsing {chaos_path}: {e}")))?
                     }
                     _ => ChaosPlan::new(0),
                 };
                 let mut sink = metrics.sink()?;
                 let report = chaos_sim(&scenario, plan, &mut sink)
-                    .map_err(|e| e.to_string())?;
+                    .map_err(failed)?;
                 metrics.finish(sink)?;
                 let json = serde_json::to_string_pretty(&report)
-                    .map_err(|e| e.to_string())?;
+                    .map_err(failed)?;
                 println!("{json}");
                 Ok(())
             }
@@ -356,12 +388,12 @@ fn run(args: &[String]) -> Result<(), String> {
                         "--warm-start" => warm_start = true,
                         "--oracle-update" => oracle_update = true,
                         _ if path.is_none() => path = Some(arg),
-                        other => return Err(format!("unexpected argument '{other}'")),
+                        other => return Err(format!("unexpected argument '{other}'").into()),
                     }
                 }
                 let path = path.ok_or("serve requires a request-list file")?;
                 let mut specs =
-                    fap_cli::load_specs(Path::new(path)).map_err(|e| e.to_string())?;
+                    fap_cli::load_specs(Path::new(path)).map_err(failed)?;
                 if let Some(backend) = backend {
                     for spec in &mut specs {
                         spec.set_cost_backend(backend);
@@ -369,7 +401,8 @@ fn run(args: &[String]) -> Result<(), String> {
                 }
                 let mut sink = metrics.sink()?;
                 let line =
-                    fap_cli::serve_once(&specs, shards, warm_start, oracle_update, &mut sink)?;
+                    fap_cli::serve_once(&specs, shards, warm_start, oracle_update, &mut sink)
+                        .map_err(failed)?;
                 println!("{line}");
                 metrics.finish(sink)?;
                 Ok(())
@@ -441,7 +474,7 @@ fn run(args: &[String]) -> Result<(), String> {
                             let path = iter.next().ok_or("--socket requires a path")?;
                             socket = Some(path.clone());
                         }
-                        other => return Err(format!("unexpected argument '{other}'")),
+                        other => return Err(format!("unexpected argument '{other}'").into()),
                     }
                 }
                 let mut sink = metrics.sink()?;
@@ -453,7 +486,8 @@ fn run(args: &[String]) -> Result<(), String> {
                                 Path::new(&path),
                                 &config,
                                 &mut sink,
-                            )?;
+                            )
+                            .map_err(failed)?;
                         }
                         #[cfg(not(unix))]
                         {
@@ -470,8 +504,9 @@ fn run(args: &[String]) -> Result<(), String> {
                             &mut out,
                             &config,
                             &mut sink,
-                        )?;
-                        out.flush().map_err(|e| e.to_string())?;
+                        )
+                        .map_err(failed)?;
+                        out.flush().map_err(failed)?;
                     }
                 }
                 metrics.finish(sink)?;
@@ -480,10 +515,10 @@ fn run(args: &[String]) -> Result<(), String> {
             ("track", rest) => {
                 let options = fap_cli::parse_track_args(rest)?;
                 let mut sink = metrics.sink()?;
-                let report = fap_cli::run_track(&options, &mut sink)?;
+                let report = fap_cli::run_track(&options, &mut sink).map_err(failed)?;
                 if options.json {
                     let json =
-                        serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
+                        serde_json::to_string_pretty(&report).map_err(failed)?;
                     println!("{json}");
                 } else {
                     print!("{}", fap_cli::render_track(&options, &report));
@@ -497,23 +532,23 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             ("report", [path]) => {
                 let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("reading {path}: {e}"))?;
-                let summary = summarize(&text).map_err(|e| format!("{path}: {e}"))?;
+                    .map_err(|e| failed(format!("reading {path}: {e}")))?;
+                let summary = summarize(&text).map_err(|e| failed(format!("{path}: {e}")))?;
                 print!("{}", fap_cli::render(&summary));
                 Ok(())
             }
             ("report", [flag, path]) if flag == "--json" => {
                 let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("reading {path}: {e}"))?;
-                let summary = summarize(&text).map_err(|e| format!("{path}: {e}"))?;
+                    .map_err(|e| failed(format!("reading {path}: {e}")))?;
+                let summary = summarize(&text).map_err(|e| failed(format!("{path}: {e}")))?;
                 print!("{}", fap_cli::render_json(&summary));
                 Ok(())
             }
             ("report", [flag, path_a, path_b]) if flag == "--diff" => {
-                let load = |path: &String| -> Result<fap_cli::ReportSummary, String> {
+                let load = |path: &String| -> Result<fap_cli::ReportSummary, Failure> {
                     let text = std::fs::read_to_string(path)
-                        .map_err(|e| format!("reading {path}: {e}"))?;
-                    summarize(&text).map_err(|e| format!("{path}: {e}"))
+                        .map_err(|e| failed(format!("reading {path}: {e}")))?;
+                    summarize(&text).map_err(|e| failed(format!("{path}: {e}")))
                 };
                 let (a, b) = (load(path_a)?, load(path_b)?);
                 print!("{}", fap_cli::render_diff(path_a, &a, path_b, &b));
@@ -537,15 +572,15 @@ fn run(args: &[String]) -> Result<(), String> {
                             }
                         }
                         other if other.starts_with("--") => {
-                            return Err(format!("unexpected argument '{other}'"))
+                            return Err(format!("unexpected argument '{other}'").into())
                         }
                         _ => paths.push(arg),
                     }
                 }
-                let load = |path: &String| -> Result<fap_cli::TraceReport, String> {
+                let load = |path: &String| -> Result<fap_cli::TraceReport, Failure> {
                     let text = std::fs::read_to_string(path)
-                        .map_err(|e| format!("reading {path}: {e}"))?;
-                    fap_cli::trace::analyze(&text).map_err(|e| format!("{path}: {e}"))
+                        .map_err(|e| failed(format!("reading {path}: {e}")))?;
+                    fap_cli::trace::analyze(&text).map_err(|e| failed(format!("{path}: {e}")))
                 };
                 match (diff, folded, &paths[..]) {
                     (true, false, [a, b]) => {
@@ -590,17 +625,17 @@ fn run(args: &[String]) -> Result<(), String> {
                             );
                         }
                         _ if path.is_none() && !arg.starts_with("--") => path = Some(arg),
-                        other => return Err(format!("unexpected argument '{other}'")),
+                        other => return Err(format!("unexpected argument '{other}'").into()),
                     }
                 }
                 if check {
                     let path = path.map_or("BENCH_scale.json", String::as_str);
                     let text = std::fs::read_to_string(path)
-                        .map_err(|e| format!("reading {path}: {e}"))?;
+                        .map_err(|e| failed(format!("reading {path}: {e}")))?;
                     let mut committed: fap_bench::scale::ScaleReport = serde_json::from_str(
                         &text,
                     )
-                    .map_err(|e| format!("parsing {path}: {e}"))?;
+                    .map_err(|e| failed(format!("parsing {path}: {e}")))?;
                     // A smoke check bounds the rerun's wall clock by
                     // truncating the sparse sweep; the compared prefix
                     // keeps its full hard gates.
@@ -628,10 +663,10 @@ fn run(args: &[String]) -> Result<(), String> {
                         );
                         Ok(())
                     } else {
-                        Err(format!(
+                        Err(failed(format!(
                             "bench-scale check failed:\n  {}",
                             outcome.hard_failures.join("\n  ")
-                        ))
+                        )))
                     };
                 }
                 let out = path.map_or("BENCH_scale.json", String::as_str);
@@ -649,9 +684,9 @@ fn run(args: &[String]) -> Result<(), String> {
                     hier_levels,
                 );
                 let json =
-                    serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
+                    serde_json::to_string_pretty(&report).map_err(failed)?;
                 std::fs::write(out, format!("{json}\n"))
-                    .map_err(|e| format!("writing {out}: {e}"))?;
+                    .map_err(|e| failed(format!("writing {out}: {e}")))?;
                 println!(
                     "{} host CPUs, {} workers; wrote {} dense + {} sparse points to {out}",
                     report.host_threads,
@@ -679,9 +714,10 @@ fn run(args: &[String]) -> Result<(), String> {
             ("bench-serve", [first, rest @ ..]) if first == "--check" && rest.len() <= 1 => {
                 let path = rest.first().map_or("BENCH_serve.json", String::as_str);
                 let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("reading {path}: {e}"))?;
+                    .map_err(|e| failed(format!("reading {path}: {e}")))?;
                 let committed: fap_bench::serve::ServeReport =
-                    serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+                    serde_json::from_str(&text)
+                        .map_err(|e| failed(format!("parsing {path}: {e}")))?;
                 let fresh = fap_bench::serve::bench_serve(
                     &committed.batch_sizes,
                     &committed.shard_counts,
@@ -697,19 +733,19 @@ fn run(args: &[String]) -> Result<(), String> {
                     );
                     Ok(())
                 } else {
-                    Err(format!(
+                    Err(failed(format!(
                         "bench-serve check failed:\n  {}",
                         outcome.hard_failures.join("\n  ")
-                    ))
+                    )))
                 }
             }
             ("bench-serve", rest) if rest.len() <= 1 => {
                 let out = rest.first().map_or("BENCH_serve.json", String::as_str);
                 let report = fap_bench::serve::bench_serve(&[12, 48, 192], &[1, 2, 4, 8]);
                 let json =
-                    serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
+                    serde_json::to_string_pretty(&report).map_err(failed)?;
                 std::fs::write(out, format!("{json}\n"))
-                    .map_err(|e| format!("writing {out}: {e}"))?;
+                    .map_err(|e| failed(format!("writing {out}: {e}")))?;
                 println!(
                     "{} threads; wrote {} points to {out}",
                     report.threads,
@@ -740,9 +776,10 @@ fn run(args: &[String]) -> Result<(), String> {
             ("bench-drift", [first, rest @ ..]) if first == "--check" && rest.len() <= 1 => {
                 let path = rest.first().map_or("BENCH_drift.json", String::as_str);
                 let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("reading {path}: {e}"))?;
+                    .map_err(|e| failed(format!("reading {path}: {e}")))?;
                 let committed: fap_bench::drift::DriftBenchReport =
-                    serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+                    serde_json::from_str(&text)
+                        .map_err(|e| failed(format!("parsing {path}: {e}")))?;
                 let fresh = fap_bench::drift::bench_drift(
                     &committed.scenarios,
                     committed.nodes,
@@ -762,10 +799,10 @@ fn run(args: &[String]) -> Result<(), String> {
                     );
                     Ok(())
                 } else {
-                    Err(format!(
+                    Err(failed(format!(
                         "bench-drift check failed:\n  {}",
                         outcome.hard_failures.join("\n  ")
-                    ))
+                    )))
                 }
             }
             ("bench-drift", rest) if rest.len() <= 1 => {
@@ -778,9 +815,9 @@ fn run(args: &[String]) -> Result<(), String> {
                     &[2, 4],
                 );
                 let json =
-                    serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
+                    serde_json::to_string_pretty(&report).map_err(failed)?;
                 std::fs::write(out, format!("{json}\n"))
-                    .map_err(|e| format!("writing {out}: {e}"))?;
+                    .map_err(|e| failed(format!("writing {out}: {e}")))?;
                 println!(
                     "{} host CPUs; wrote {} scenario points ({} nodes, {} epochs) to {out}",
                     report.host_threads,
@@ -805,12 +842,12 @@ fn run(args: &[String]) -> Result<(), String> {
                 Ok(())
             }
             ("sweep-k", [path, list]) => {
-                let scenario = Scenario::load(Path::new(path)).map_err(|e| e.to_string())?;
+                let scenario = Scenario::load(Path::new(path)).map_err(failed)?;
                 let candidates: Vec<f64> = list
                     .split(',')
                     .map(|s| s.trim().parse::<f64>().map_err(|e| format!("bad k '{s}': {e}")))
                     .collect::<Result<_, _>>()?;
-                let sweep = sweep_k(&scenario, &candidates).map_err(|e| e.to_string())?;
+                let sweep = sweep_k(&scenario, &candidates).map_err(failed)?;
                 println!("{:>10} {:>14} {:>12} {:>10}", "k", "communication", "mean delay", "spread");
                 for point in sweep {
                     println!(
@@ -820,7 +857,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 }
                 Ok(())
             }
-            (cmd, _) => Err(format!("unknown or malformed command '{cmd}'")),
+            (cmd, _) => Err(format!("unknown or malformed command '{cmd}'").into()),
         },
     }
 }

@@ -26,14 +26,14 @@
 //! every chaos plan, fault-free or hostile. The tests below pin exactly
 //! that.
 
-use fap_econ::projection::{compute_step, StepOutcome};
+use fap_econ::projection::{compute_step_into, StepWorkspace};
 use fap_econ::trace::IterationRecord;
 use fap_econ::{marginal_spread, Trace};
 use fap_obs::{Recorder, Value};
 
 use super::channel::{LateReport, LossyChannel};
 use super::executor::{boundary_consistent, SimRun, StaleEntry, DEAD_MARGINAL};
-use super::report::{FaultCounters, SimReport};
+use super::report::{FaultTally, SimCounter, SimReport};
 use crate::error::RuntimeError;
 use crate::local::LocalObjective;
 use crate::message::MessageStats;
@@ -56,7 +56,10 @@ enum SimEvent {
 impl<'a, O: LocalObjective> SimRun<'a, O> {
     /// The event-driven engine behind [`SimRun::run`]. Produces the same
     /// recorder stream and the same [`SimReport`] as the round-synchronous
-    /// loop, bit for bit.
+    /// loop, bit for bit. Every buffer is run-long: once the first round
+    /// has sized them, a round allocates only its entry in the report's
+    /// iterate history (and the amortized growth of the per-round logs),
+    /// never per wake or per message.
     pub(super) fn run_event_driven(
         &self,
         initial: &[f64],
@@ -75,6 +78,7 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
         let mut alive = vec![true; n];
         let mut stale: Vec<Option<StaleEntry>> = vec![None; n];
         let mut channel = LossyChannel::new(&self.plan);
+        let mut tally = FaultTally::new(recorder);
         let mut messages = MessageStats::default();
         let mut trace = Trace::new();
         let mut iterates = vec![x.clone()];
@@ -87,6 +91,16 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
         let mut fresh = vec![false; n];
         let mut membership_changed = false;
         let mut alive_count = n;
+        let mut live = Vec::with_capacity(n);
+        let mut g_eff = vec![0.0; n];
+        let mut step = StepWorkspace::new();
+        // The agents a round's step includes, and the reduced step over
+        // them, scattered back to full width.
+        let mut included = Vec::with_capacity(n);
+        let mut sub_x = Vec::with_capacity(n);
+        let mut sub_g = Vec::with_capacity(n);
+        let mut deltas = vec![0.0; n];
+        let mut active = vec![false; n];
 
         let mut reactor: Reactor<SimEvent> = Reactor::new();
         reactor.schedule(0, SimEvent::BeginRound);
@@ -105,7 +119,7 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
                             membership_changed = true;
                             alive[agent] = false;
                             stale[agent] = None;
-                            recorder.incr("sim.crashes", 1);
+                            tally.bump(SimCounter::Crashes, recorder);
                             recorder.emit(
                                 "crash",
                                 &[
@@ -129,7 +143,7 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
                             membership_changed = true;
                             alive[agent] = true;
                             stale[agent] = None;
-                            recorder.incr("sim.rejoins", 1);
+                            tally.bump(SimCounter::Rejoins, recorder);
                             recorder.emit(
                                 "rejoin",
                                 &[
@@ -140,7 +154,9 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
                             x[agent] = 0.0;
                         }
                     }
-                    alive_count = alive.iter().filter(|a| **a).count();
+                    live.clear();
+                    live.extend((0..n).filter(|&j| alive[j]));
+                    alive_count = live.len();
                     messages
                         .record_round(self.scheme.messages_per_round(alive_count, self.counting));
                     g.iter_mut().for_each(|gi| *gi = 0.0);
@@ -174,7 +190,7 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
                     // utility — then its report crosses the channel.
                     g[i] = self.objective.local_marginal(i, x[i])?;
                     utility += self.objective.local_utility(i, x[i])?;
-                    let targets = self.report_targets(i, &alive);
+                    let targets = self.report_targets(i, &live);
                     if targets.is_empty() {
                         // Nothing to transmit (sole survivor, or the
                         // central coordinator itself): trivially heard.
@@ -182,7 +198,15 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
                         stale[i] = Some(StaleEntry { round: rounds, marginal: g[i] });
                         continue;
                     }
-                    match channel.broadcast_report(rounds, i, &targets, g[i], x[i], recorder) {
+                    match channel.broadcast_report(
+                        rounds,
+                        i,
+                        targets,
+                        g[i],
+                        x[i],
+                        &mut tally,
+                        recorder,
+                    ) {
                         Some(done) if done == rounds => {
                             fresh[i] = true;
                             stale[i] = Some(StaleEntry { round: rounds, marginal: g[i] });
@@ -200,14 +224,13 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
 
                     // Effective marginals: fresh where heard, stale within
                     // the bound, otherwise the agent is excluded.
-                    let mut g_eff = vec![0.0; n];
-                    let mut included = vec![false; n];
+                    included.clear();
                     for i in 0..n {
                         if !alive[i] {
                             g_eff[i] = DEAD_MARGINAL;
                         } else if fresh[i] {
                             g_eff[i] = g[i];
-                            included[i] = true;
+                            included.push(i);
                         } else {
                             match stale[i] {
                                 Some(entry)
@@ -215,8 +238,8 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
                                         <= self.plan.staleness_bound as usize =>
                                 {
                                     g_eff[i] = entry.marginal;
-                                    included[i] = true;
-                                    recorder.incr("sim.stale_reuses", 1);
+                                    included.push(i);
+                                    tally.bump(SimCounter::StaleReuses, recorder);
                                     recorder.emit(
                                         "stale",
                                         &[
@@ -231,7 +254,7 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
                                 }
                                 _ => {
                                     g_eff[i] = g[i];
-                                    recorder.incr("sim.excluded_agent_rounds", 1);
+                                    tally.bump(SimCounter::ExcludedAgentRounds, recorder);
                                     recorder.emit(
                                         "excluded",
                                         &[
@@ -246,30 +269,46 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
 
                     // §5.2 step (b): the identical reallocation over the
                     // included agents.
-                    let outcome = if all_fresh && alive_count == n {
-                        compute_step(&x, &g_eff, &weights, self.alpha, self.boundary)
+                    let (step_deltas, step_active) = if all_fresh && alive_count == n {
+                        compute_step_into(
+                            &x,
+                            &g_eff,
+                            &weights,
+                            self.alpha,
+                            self.boundary,
+                            &mut step,
+                        );
+                        (step.deltas(), step.active())
                     } else {
-                        let idx: Vec<usize> = (0..n).filter(|&i| included[i]).collect();
-                        let sub_x: Vec<f64> = idx.iter().map(|&i| x[i]).collect();
-                        let sub_g: Vec<f64> = idx.iter().map(|&i| g_eff[i]).collect();
-                        let sub_w = vec![1.0; idx.len()];
-                        let sub =
-                            compute_step(&sub_x, &sub_g, &sub_w, self.alpha, self.boundary);
-                        let mut deltas = vec![0.0; n];
-                        let mut active = vec![false; n];
-                        for (slot, &i) in idx.iter().enumerate() {
-                            deltas[i] = sub.deltas[slot];
-                            active[i] = sub.active[slot];
+                        sub_x.clear();
+                        sub_x.extend(included.iter().map(|&i| x[i]));
+                        sub_g.clear();
+                        sub_g.extend(included.iter().map(|&i| g_eff[i]));
+                        // Unit weights: any prefix of `weights` will do.
+                        compute_step_into(
+                            &sub_x,
+                            &sub_g,
+                            &weights[..included.len()],
+                            self.alpha,
+                            self.boundary,
+                            &mut step,
+                        );
+                        deltas.fill(0.0);
+                        active.fill(false);
+                        for (slot, &i) in included.iter().enumerate() {
+                            deltas[i] = step.deltas()[slot];
+                            active[i] = step.active()[slot];
                         }
-                        StepOutcome { deltas, active, scale: sub.scale }
+                        (&deltas[..], &active[..])
                     };
-                    let spread = marginal_spread(&g_eff, &outcome.active);
+                    let active_count = step_active.iter().filter(|a| **a).count();
+                    let spread = marginal_spread(&g_eff, step_active);
                     trace.push(IterationRecord {
                         iteration: rounds,
                         utility,
                         spread,
                         alpha: self.alpha,
-                        active_count: outcome.active_count(),
+                        active_count,
                     });
                     recorder.emit(
                         "round",
@@ -277,7 +316,7 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
                             ("round", Value::U64(rounds as u64)),
                             ("utility", Value::F64(utility)),
                             ("spread", Value::F64(spread)),
-                            ("active", Value::U64(outcome.active_count() as u64)),
+                            ("active", Value::U64(active_count as u64)),
                             ("fresh", Value::Bool(all_fresh)),
                             ("membership", Value::Bool(membership_changed)),
                         ],
@@ -288,14 +327,15 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
                             rounds,
                             coordinator,
                             &alive,
-                            &mut channel,
+                            &channel,
+                            &mut tally,
                             recorder,
                         );
                     }
 
                     let converged = all_fresh
                         && spread < self.epsilon
-                        && boundary_consistent(&x, &g_eff, &outcome.active, self.epsilon);
+                        && boundary_consistent(&x, &g_eff, step_active, self.epsilon);
                     if converged || rounds >= self.max_rounds {
                         recorder.emit(
                             "run_end",
@@ -305,8 +345,6 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
                                 ("final_utility", Value::F64(utility)),
                             ],
                         );
-                        // The caller fills `faults` from the recorded
-                        // stream — see `SimRun::run`.
                         return Ok(SimReport {
                             allocation: x,
                             rounds,
@@ -314,7 +352,7 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
                             final_utility: utility,
                             messages,
                             trace,
-                            faults: FaultCounters::default(),
+                            faults: tally.counters(),
                             iterates,
                             fresh_rounds,
                             membership_rounds,
@@ -322,7 +360,7 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
                     }
 
                     // §5.2 step (c): each agent applies its own Δx_i.
-                    for (xi, d) in x.iter_mut().zip(&outcome.deltas) {
+                    for (xi, d) in x.iter_mut().zip(step_deltas) {
                         *xi += d;
                     }
                     iterates.push(x.clone());
@@ -422,10 +460,17 @@ mod tests {
     fn engines_record_identical_telemetry() {
         let p = paper_problem();
         let lossy = ChaosPlan::new(7).with_drop(0.2).with_retries(1).with_staleness_bound(2);
-        for (scheme, plan) in [
-            (ExchangeScheme::Central { coordinator: 0 }, lossy),
-            (ExchangeScheme::Broadcast, hostile_plan(11)),
-        ] {
+        let link_delays = ChaosPlan::new(5)
+            .with_drop(0.1)
+            .with_duplication(0.05)
+            .with_link_delay(0, 1, 0.5, 3)
+            .with_link_delay(2, 0, 0.9, 2)
+            .with_retries(2)
+            .with_staleness_bound(3);
+        for (scheme, plan) in SCHEMES
+            .into_iter()
+            .flat_map(|s| [lossy.clone(), hostile_plan(11), link_delays.clone()].map(|p| (s, p)))
+        {
             let sim = fig3_run(&p, scheme, plan).with_epsilon(1e-6).with_max_rounds(50_000);
             let mut event_tele = fap_obs::Telemetry::manual();
             let mut lock_tele = fap_obs::Telemetry::manual();

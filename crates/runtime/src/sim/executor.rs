@@ -39,11 +39,11 @@
 //! (`lock_step.rs`) survives only as the test oracle it is pinned against.
 
 use fap_econ::projection::BoundaryRule;
-use fap_obs::{MetricsRegistry, Recorder, Tee, Value};
+use fap_obs::{Recorder, Value};
 
 use super::chaos::ChaosPlan;
-use super::channel::LossyChannel;
-use super::report::{FaultCounters, SimReport};
+use super::channel::{Fate, LossyChannel};
+use super::report::{FaultTally, SimCounter, SimReport};
 use crate::error::RuntimeError;
 use crate::local::LocalObjective;
 use crate::scheme::{ExchangeScheme, MessageCounting};
@@ -57,18 +57,6 @@ pub(super) const DEAD_MARGINAL: f64 = -1e30;
 pub(super) struct StaleEntry {
     pub(super) round: usize,
     pub(super) marginal: f64,
-}
-
-/// Runs `engine` recording into `recorder` and a private registry at once,
-/// then fills the report's [`FaultCounters`] from that registry.
-pub(super) fn summarized(
-    recorder: &mut dyn Recorder,
-    engine: impl FnOnce(&mut dyn Recorder) -> Result<SimReport, RuntimeError>,
-) -> Result<SimReport, RuntimeError> {
-    let mut local = MetricsRegistry::new();
-    let mut report = engine(&mut Tee::new(&mut local, recorder))?;
-    report.faults = FaultCounters::from_registry(&local);
-    Ok(report)
 }
 
 /// Complementary slackness for agents outside the active set: every frozen
@@ -194,9 +182,12 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
     /// [`Recorder::set_time`] is driven once per round — so two runs with
     /// the same seed record byte-identical telemetry.
     ///
-    /// The report's [`FaultCounters`] are read back from the same stream
-    /// (see [`FaultCounters::from_registry`]); there is no separate
-    /// tallying, so the summary and the telemetry can never disagree.
+    /// The report's [`FaultCounters`](crate::FaultCounters) come from the
+    /// run's typed fault tally, the single source of `sim.*` counts: each
+    /// count adds to the tally and records the same `incr(name, 1)` into
+    /// `recorder`, so the summary and the telemetry can never disagree. A
+    /// recorder that records nothing ([`Recorder::is_enabled`] is `false`,
+    /// as for `NoopRecorder`) is not called per message.
     ///
     /// # Errors
     ///
@@ -208,7 +199,7 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
         initial: &[f64],
         recorder: &mut dyn Recorder,
     ) -> Result<SimReport, RuntimeError> {
-        summarized(recorder, |tee| self.run_event_driven(initial, tee))
+        self.run_event_driven(initial, recorder)
     }
 
     /// [`SimRun::run`] under the name `perfbench/src/adapter.rs` binds;
@@ -226,20 +217,18 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
         self.run(initial, recorder)
     }
 
-    /// Who needs agent `i`'s report: everyone live (broadcast) or the
-    /// coordinator (central).
-    pub(super) fn report_targets(&self, i: usize, alive: &[bool]) -> Vec<usize> {
-        match self.scheme {
-            ExchangeScheme::Broadcast => {
-                (0..alive.len()).filter(|&j| j != i && alive[j]).collect()
+    /// Who needs live agent `i`'s report, given the round's `live` agents
+    /// in ascending order: every other live agent (broadcast) or the
+    /// coordinator (central); empty when nobody does. A broadcast hands
+    /// over all of `live` — the channel skips the sender — so a wake
+    /// builds no list.
+    pub(super) fn report_targets<'s>(&'s self, i: usize, live: &'s [usize]) -> &'s [usize] {
+        match &self.scheme {
+            ExchangeScheme::Broadcast if live.len() > 1 => live,
+            ExchangeScheme::Central { coordinator } if *coordinator != i => {
+                std::slice::from_ref(coordinator)
             }
-            ExchangeScheme::Central { coordinator } => {
-                if i == coordinator {
-                    Vec::new()
-                } else {
-                    vec![coordinator]
-                }
-            }
+            _ => &[],
         }
     }
 
@@ -252,10 +241,11 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
         round: usize,
         coordinator: usize,
         alive: &[bool],
-        channel: &mut LossyChannel<'_>,
+        channel: &LossyChannel<'_>,
+        tally: &mut FaultTally,
         recorder: &mut dyn Recorder,
     ) {
-        use super::channel::Fate;
+        let fates = channel.report_fates(round, coordinator);
         for (to, &is_alive) in alive.iter().enumerate() {
             if to == coordinator || !is_alive {
                 continue;
@@ -263,32 +253,32 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
             let mut attempt = 0u32;
             loop {
                 if attempt > 0 {
-                    recorder.incr("sim.retries", 1);
+                    tally.bump(SimCounter::Retries, recorder);
                 }
-                recorder.incr("sim.sent", 1);
-                match channel.fate(round, coordinator, to, attempt) {
+                tally.bump(SimCounter::Sent, recorder);
+                match fates.fate(to, attempt) {
                     Fate::Delivered { delay: 0, duplicated } => {
-                        recorder.incr("sim.delivered", 1);
+                        tally.bump(SimCounter::Delivered, recorder);
                         if duplicated {
-                            recorder.incr("sim.duplicated", 1);
-                            recorder.incr("sim.delivered", 1);
+                            tally.bump(SimCounter::Duplicated, recorder);
+                            tally.bump(SimCounter::Delivered, recorder);
                         }
                         break;
                     }
                     Fate::Delivered { duplicated, .. } => {
-                        recorder.incr("sim.delivered", 1);
-                        recorder.incr("sim.delayed", 1);
+                        tally.bump(SimCounter::Delivered, recorder);
+                        tally.bump(SimCounter::Delayed, recorder);
                         if duplicated {
-                            recorder.incr("sim.duplicated", 1);
-                            recorder.incr("sim.delivered", 1);
+                            tally.bump(SimCounter::Duplicated, recorder);
+                            tally.bump(SimCounter::Delivered, recorder);
                         }
                     }
-                    Fate::Dropped => recorder.incr("sim.dropped", 1),
+                    Fate::Dropped => tally.bump(SimCounter::Dropped, recorder),
                 }
                 if attempt >= self.plan.max_retries {
                     // Out of budget: the assignment is pushed through the
                     // reliable fallback path so the round still commits.
-                    recorder.incr("sim.forced_assignments", 1);
+                    tally.bump(SimCounter::ForcedAssignments, recorder);
                     recorder.emit(
                         "forced_assignment",
                         &[
@@ -344,6 +334,7 @@ impl<'a, O: LocalObjective> SimRun<'a, O> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::report::recorded_counters;
     use super::*;
     use fap_core::SingleFileProblem;
     use fap_econ::{ResourceDirectedOptimizer, StepSize};
@@ -597,33 +588,55 @@ mod tests {
         let p = paper_problem();
         let x0 = [0.8, 0.1, 0.1, 0.0];
         let plan = ChaosPlan::new(7).with_drop(0.2).with_retries(1).with_staleness_bound(2);
-        let sim = SimRun::new(&p, ExchangeScheme::Broadcast, 0.1)
-            .with_epsilon(1e-6)
-            .with_max_rounds(50_000)
-            .with_chaos(plan);
+        let count = |tele: &fap_obs::Telemetry, name: &str, kind: Option<&'static str>| {
+            tele.events()
+                .iter()
+                .filter(|e| {
+                    e.name() == name && kind.is_none_or(|k| e.field("kind") == Some(Value::Str(k)))
+                })
+                .count() as u64
+        };
+        for scheme in [ExchangeScheme::Broadcast, ExchangeScheme::Central { coordinator: 1 }] {
+            let sim = SimRun::new(&p, scheme, 0.1)
+                .with_epsilon(1e-6)
+                .with_max_rounds(50_000)
+                .with_chaos(plan.clone());
+            for (name, lock_step) in [("event-driven", false), ("lock-step", true)] {
+                let engine = |recorder: &mut dyn Recorder| {
+                    if lock_step {
+                        sim.run_round_synchronous(&x0, recorder).unwrap()
+                    } else {
+                        sim.run(&x0, recorder).unwrap()
+                    }
+                };
+                let plain = engine(&mut NoopRecorder);
+                let mut tele = fap_obs::Telemetry::manual();
+                let observed = engine(&mut tele);
+                assert_eq!(plain, observed, "{name} {scheme:?}: recording must not perturb");
 
-        let plain = sim.run(&x0, &mut NoopRecorder).unwrap();
-        let mut tele = fap_obs::Telemetry::manual();
-        let observed = sim.run(&x0, &mut tele).unwrap();
-        assert_eq!(plain, observed, "recording must not perturb the run");
-
-        // The external sink saw the same stream the summary was built from.
-        assert_eq!(FaultCounters::from_registry(tele.registry()), observed.faults);
-        let drops = tele
-            .events()
-            .iter()
-            .filter(|e| {
-                e.name() == "fault" && e.field("kind") == Some(Value::Str("drop"))
-            })
-            .count() as u64;
-        assert_eq!(drops, observed.faults.dropped);
-        let round_events =
-            tele.events().iter().filter(|e| e.name() == "round").count();
-        assert_eq!(round_events, observed.rounds + 1);
-        assert_eq!(tele.events().last().unwrap().name(), "run_end");
-        // Latency histogram lives on virtual (round) time.
-        let latency = tele.registry().histogram("sim.report_latency_rounds").unwrap();
-        assert!(latency.count() > 0);
+                // The external sink counted what the summary counted.
+                assert_eq!(recorded_counters(tele.registry()), observed.faults, "{name}");
+                assert!(observed.faults.dropped > 0 && observed.faults.retries > 0);
+                let drops = count(&tele, "fault", Some("drop"));
+                match scheme {
+                    ExchangeScheme::Broadcast => assert_eq!(drops, observed.faults.dropped),
+                    // The downlink's assignment drops are counted but emit
+                    // no `fault` event.
+                    ExchangeScheme::Central { .. } => assert!(drops < observed.faults.dropped),
+                }
+                assert_eq!(
+                    count(&tele, "forced_assignment", None),
+                    observed.faults.forced_assignments
+                );
+                assert_eq!(count(&tele, "stale", None), observed.faults.stale_reuses);
+                assert_eq!(count(&tele, "excluded", None), observed.faults.excluded_agent_rounds);
+                assert_eq!(count(&tele, "round", None), observed.rounds as u64 + 1);
+                assert_eq!(tele.events().last().unwrap().name(), "run_end");
+                // Latency histogram lives on virtual (round) time.
+                let latency = tele.registry().histogram("sim.report_latency_rounds").unwrap();
+                assert!(latency.count() > 0);
+            }
+        }
     }
 
     #[test]

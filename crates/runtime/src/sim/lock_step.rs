@@ -3,7 +3,8 @@
 //! behind [`SimRun::run`] is pinned against, bit for bit, under every
 //! chaos plan (see the tests in `event_driven.rs`). It exists because it
 //! is the one reference that covers fault plans; production code never
-//! runs it.
+//! runs it. It keeps the allocating `compute_step`, so the engines' tests
+//! also pin the event-driven engine's reused step workspace.
 
 use fap_econ::projection::{compute_step, StepOutcome};
 use fap_econ::trace::IterationRecord;
@@ -11,8 +12,8 @@ use fap_econ::{marginal_spread, Trace};
 use fap_obs::{Recorder, Value};
 
 use super::channel::LossyChannel;
-use super::executor::{boundary_consistent, summarized, SimRun, StaleEntry, DEAD_MARGINAL};
-use super::report::{FaultCounters, SimReport};
+use super::executor::{boundary_consistent, SimRun, StaleEntry, DEAD_MARGINAL};
+use super::report::{FaultTally, SimCounter, SimReport};
 use crate::error::RuntimeError;
 use crate::local::LocalObjective;
 use crate::message::MessageStats;
@@ -22,14 +23,6 @@ impl<O: LocalObjective> SimRun<'_, O> {
     /// Runs the protocol on the lock-step engine, recording into
     /// `recorder` exactly as [`SimRun::run`] does.
     pub(crate) fn run_round_synchronous(
-        &self,
-        initial: &[f64],
-        recorder: &mut dyn Recorder,
-    ) -> Result<SimReport, RuntimeError> {
-        summarized(recorder, |tee| self.run_loop(initial, tee))
-    }
-
-    fn run_loop(
         &self,
         initial: &[f64],
         recorder: &mut dyn Recorder,
@@ -46,6 +39,7 @@ impl<O: LocalObjective> SimRun<'_, O> {
         let mut alive = vec![true; n];
         let mut stale: Vec<Option<StaleEntry>> = vec![None; n];
         let mut channel = LossyChannel::new(&self.plan);
+        let mut tally = FaultTally::new(recorder);
         let mut messages = MessageStats::default();
         let mut trace = Trace::new();
         let mut iterates = vec![x.clone()];
@@ -63,7 +57,7 @@ impl<O: LocalObjective> SimRun<'_, O> {
                     membership_changed = true;
                     alive[agent] = false;
                     stale[agent] = None;
-                    recorder.incr("sim.crashes", 1);
+                    tally.bump(SimCounter::Crashes, recorder);
                     recorder.emit(
                         "crash",
                         &[("round", Value::U64(rounds as u64)), ("agent", Value::U64(agent as u64))],
@@ -84,7 +78,7 @@ impl<O: LocalObjective> SimRun<'_, O> {
                     membership_changed = true;
                     alive[agent] = true;
                     stale[agent] = None;
-                    recorder.incr("sim.rejoins", 1);
+                    tally.bump(SimCounter::Rejoins, recorder);
                     recorder.emit(
                         "rejoin",
                         &[("round", Value::U64(rounds as u64)), ("agent", Value::U64(agent as u64))],
@@ -125,7 +119,15 @@ impl<O: LocalObjective> SimRun<'_, O> {
                 if !alive[i] {
                     continue;
                 }
-                let targets = self.report_targets(i, &alive);
+                // Every other live agent, or the coordinator: listed per
+                // agent here, unlike the event-driven engine.
+                let targets: Vec<usize> = match self.scheme {
+                    ExchangeScheme::Broadcast => (0..n).filter(|&j| j != i && alive[j]).collect(),
+                    ExchangeScheme::Central { coordinator } if coordinator != i => {
+                        vec![coordinator]
+                    }
+                    ExchangeScheme::Central { .. } => Vec::new(),
+                };
                 if targets.is_empty() {
                     // Nothing to transmit (sole survivor, or the central
                     // coordinator itself): trivially heard.
@@ -133,7 +135,15 @@ impl<O: LocalObjective> SimRun<'_, O> {
                     stale[i] = Some(StaleEntry { round: rounds, marginal: g[i] });
                     continue;
                 }
-                match channel.broadcast_report(rounds, i, &targets, g[i], x[i], recorder) {
+                match channel.broadcast_report(
+                    rounds,
+                    i,
+                    &targets,
+                    g[i],
+                    x[i],
+                    &mut tally,
+                    recorder,
+                ) {
                     Some(done) if done == rounds => {
                         fresh[i] = true;
                         stale[i] = Some(StaleEntry { round: rounds, marginal: g[i] });
@@ -164,7 +174,7 @@ impl<O: LocalObjective> SimRun<'_, O> {
                         {
                             g_eff[i] = entry.marginal;
                             included[i] = true;
-                            recorder.incr("sim.stale_reuses", 1);
+                            tally.bump(SimCounter::StaleReuses, recorder);
                             recorder.emit(
                                 "stale",
                                 &[
@@ -176,7 +186,7 @@ impl<O: LocalObjective> SimRun<'_, O> {
                         }
                         _ => {
                             g_eff[i] = g[i];
-                            recorder.incr("sim.excluded_agent_rounds", 1);
+                            tally.bump(SimCounter::ExcludedAgentRounds, recorder);
                             recorder.emit(
                                 "excluded",
                                 &[
@@ -233,7 +243,14 @@ impl<O: LocalObjective> SimRun<'_, O> {
             // applied, so the round commits atomically (counted, not
             // fate-altering).
             if let ExchangeScheme::Central { coordinator } = self.scheme {
-                self.account_assignments(rounds, coordinator, &alive, &mut channel, recorder);
+                self.account_assignments(
+                    rounds,
+                    coordinator,
+                    &alive,
+                    &channel,
+                    &mut tally,
+                    recorder,
+                );
             }
 
             let converged = all_fresh
@@ -248,8 +265,6 @@ impl<O: LocalObjective> SimRun<'_, O> {
                         ("final_utility", Value::F64(utility)),
                     ],
                 );
-                // The caller fills `faults` from the recorded stream — see
-                // `SimRun::run`.
                 return Ok(SimReport {
                     allocation: x,
                     rounds,
@@ -257,7 +272,7 @@ impl<O: LocalObjective> SimRun<'_, O> {
                     final_utility: utility,
                     messages,
                     trace,
-                    faults: FaultCounters::default(),
+                    faults: tally.counters(),
                     iterates,
                     fresh_rounds,
                     membership_rounds,

@@ -1,13 +1,15 @@
 //! Results of a chaos-simulation run.
 //!
-//! The fault summary is no longer tallied by hand along the executor's code
-//! paths: the channel and executor record everything through a
-//! [`Recorder`](fap_obs::Recorder), and [`FaultCounters::from_registry`]
-//! reads the final counts back out of the run's
-//! [`MetricsRegistry`](fap_obs::MetricsRegistry). One instrumentation
-//! stream feeds both the structured telemetry and this summary.
+//! The fault summary has one source: the run's [`FaultTally`]. Every
+//! `sim.*` counter is named once, in [`SimCounter`], and every count goes
+//! through [`FaultTally::bump`], which adds to the tally and forwards the
+//! same `incr(name, 1)` to the caller's [`Recorder`] (unless that recorder
+//! records nothing, see [`FaultTally::recording`]). The report's
+//! [`FaultCounters`] are the tally at the end of the run, so the summary
+//! and the recorded telemetry count the same events and can never
+//! disagree.
 
-use fap_obs::MetricsRegistry;
+use fap_obs::Recorder;
 use serde::{Deserialize, Serialize};
 
 use fap_econ::Trace;
@@ -45,24 +47,127 @@ pub struct FaultCounters {
     pub rejoins: u64,
 }
 
-impl FaultCounters {
-    /// Builds the summary from the `sim.*` counters a simulated run
-    /// recorded — the single source of fault accounting.
-    pub fn from_registry(registry: &MetricsRegistry) -> Self {
-        FaultCounters {
-            sent: registry.counter("sim.sent"),
-            delivered: registry.counter("sim.delivered"),
-            dropped: registry.counter("sim.dropped"),
-            duplicated: registry.counter("sim.duplicated"),
-            delayed: registry.counter("sim.delayed"),
-            retries: registry.counter("sim.retries"),
-            forced_assignments: registry.counter("sim.forced_assignments"),
-            stale_reuses: registry.counter("sim.stale_reuses"),
-            excluded_agent_rounds: registry.counter("sim.excluded_agent_rounds"),
-            crashes: registry.counter("sim.crashes"),
-            rejoins: registry.counter("sim.rejoins"),
+/// The `sim.*` counters, each named once. The variants are in
+/// [`FaultCounters`] field order; a variant's discriminant is its slot in
+/// a [`FaultTally`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum SimCounter {
+    Sent,
+    Delivered,
+    Dropped,
+    Duplicated,
+    Delayed,
+    Retries,
+    ForcedAssignments,
+    StaleReuses,
+    ExcludedAgentRounds,
+    Crashes,
+    Rejoins,
+}
+
+impl SimCounter {
+    /// Every counter, in discriminant order.
+    pub(super) const ALL: [SimCounter; 11] = [
+        SimCounter::Sent,
+        SimCounter::Delivered,
+        SimCounter::Dropped,
+        SimCounter::Duplicated,
+        SimCounter::Delayed,
+        SimCounter::Retries,
+        SimCounter::ForcedAssignments,
+        SimCounter::StaleReuses,
+        SimCounter::ExcludedAgentRounds,
+        SimCounter::Crashes,
+        SimCounter::Rejoins,
+    ];
+
+    /// The metric name the counter is recorded under.
+    pub(super) const fn name(self) -> &'static str {
+        match self {
+            SimCounter::Sent => "sim.sent",
+            SimCounter::Delivered => "sim.delivered",
+            SimCounter::Dropped => "sim.dropped",
+            SimCounter::Duplicated => "sim.duplicated",
+            SimCounter::Delayed => "sim.delayed",
+            SimCounter::Retries => "sim.retries",
+            SimCounter::ForcedAssignments => "sim.forced_assignments",
+            SimCounter::StaleReuses => "sim.stale_reuses",
+            SimCounter::ExcludedAgentRounds => "sim.excluded_agent_rounds",
+            SimCounter::Crashes => "sim.crashes",
+            SimCounter::Rejoins => "sim.rejoins",
         }
     }
+}
+
+/// One run's fault counts, one slot per [`SimCounter`], and whether the
+/// run's recorder records anything.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct FaultTally {
+    counts: [u64; SimCounter::ALL.len()],
+    recording: bool,
+}
+
+impl FaultTally {
+    /// An empty tally for a run recording into `recorder`.
+    pub(super) fn new(recorder: &dyn Recorder) -> Self {
+        FaultTally { counts: [0; SimCounter::ALL.len()], recording: recorder.is_enabled() }
+    }
+
+    /// Whether the run's recorder records anything
+    /// ([`Recorder::is_enabled`]). When it does not, the per-transmission
+    /// path skips its calls: a sink that records nothing is not called
+    /// once per message.
+    pub(super) fn recording(&self) -> bool {
+        self.recording
+    }
+
+    /// Counts one `counter` event and records it into `recorder` as
+    /// `incr(name, 1)`.
+    #[inline]
+    pub(super) fn bump(&mut self, counter: SimCounter, recorder: &mut dyn Recorder) {
+        self.counts[counter as usize] += 1;
+        if self.recording {
+            recorder.incr(counter.name(), 1);
+        }
+    }
+
+    /// The counts as the report's summary.
+    pub(super) fn counters(&self) -> FaultCounters {
+        let [
+            sent,
+            delivered,
+            dropped,
+            duplicated,
+            delayed,
+            retries,
+            forced_assignments,
+            stale_reuses,
+            excluded_agent_rounds,
+            crashes,
+            rejoins,
+        ] = self.counts;
+        FaultCounters {
+            sent,
+            delivered,
+            dropped,
+            duplicated,
+            delayed,
+            retries,
+            forced_assignments,
+            stale_reuses,
+            excluded_agent_rounds,
+            crashes,
+            rejoins,
+        }
+    }
+}
+
+/// The `sim.*` counts a registry holds, as a summary — what a recorder
+/// saw, for comparison with a report's [`FaultCounters`].
+#[cfg(test)]
+pub(super) fn recorded_counters(registry: &fap_obs::MetricsRegistry) -> FaultCounters {
+    let counts = SimCounter::ALL.map(|c| registry.counter(c.name()));
+    FaultTally { counts, recording: true }.counters()
 }
 
 /// The outcome of a simulated run under a [`ChaosPlan`](super::ChaosPlan).
@@ -134,20 +239,21 @@ mod tests {
     }
 
     #[test]
-    fn counters_read_back_from_the_registry() {
-        let mut registry = MetricsRegistry::new();
-        registry.incr("sim.sent", 10);
-        registry.incr("sim.delivered", 8);
-        registry.incr("sim.dropped", 2);
-        registry.incr("sim.stale_reuses", 1);
-        let c = FaultCounters::from_registry(&registry);
-        assert_eq!(c.sent, 10);
-        assert_eq!(c.delivered, 8);
-        assert_eq!(c.dropped, 2);
-        assert_eq!(c.stale_reuses, 1);
-        // Counters never recorded stay zero.
-        assert_eq!(c.duplicated, 0);
-        assert_eq!(c.crashes, 0);
+    fn tally_counts_what_it_records() {
+        let mut registry = fap_obs::MetricsRegistry::new();
+        let mut tally = FaultTally::new(&registry);
+        for counter in SimCounter::ALL {
+            assert_eq!(SimCounter::ALL[counter as usize], counter);
+            for _ in 0..=counter as usize {
+                tally.bump(counter, &mut registry);
+            }
+        }
+        let c = tally.counters();
+        assert_eq!(c, recorded_counters(&registry));
+        assert_eq!((c.sent, c.delivered, c.dropped, c.duplicated), (1, 2, 3, 4));
+        assert_eq!((c.delayed, c.retries, c.forced_assignments), (5, 6, 7));
+        assert_eq!((c.stale_reuses, c.excluded_agent_rounds, c.crashes, c.rejoins), (8, 9, 10, 11));
+        assert_eq!(registry.counter("sim.excluded_agent_rounds"), 9);
     }
 
     #[test]

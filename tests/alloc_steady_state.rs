@@ -178,6 +178,37 @@ fn warm_started_solve_allocates_no_more_than_a_cold_one() {
 }
 
 #[test]
+fn chaos_exchange_allocates_nothing_per_wake_or_message() {
+    // A fault-free §5.1 broadcast round sends N(N−1) reports and wakes N
+    // agents. Once the run's buffers are sized, a round allocates only its
+    // entry in the report's iterate history (plus the amortized growth of
+    // the per-round logs), so equal rounds at N = 16 and N = 64 must cost
+    // the same allocations up to a few more buffer doublings — nowhere
+    // near the 48 extra wakes and 3 792 extra messages per round.
+    use fap::runtime::{ChaosPlan, ExchangeScheme, SimRun};
+
+    const ROUNDS: usize = 40;
+    let allocations = |n: usize| {
+        let problem = fap_bench::paper::full_mesh_problem(n);
+        let start = fap_bench::paper::spread_start(n);
+        let sim = SimRun::new(&problem, ExchangeScheme::Broadcast, 0.01)
+            .with_epsilon(1e-300)
+            .with_max_rounds(ROUNDS)
+            .with_chaos(ChaosPlan::new(7));
+        let (allocs, report) = counted(|| sim.run(&start, &mut NoopRecorder).expect("valid run"));
+        assert!(!report.converged, "ε below attainability: every run pays {ROUNDS} rounds");
+        assert_eq!(report.rounds, ROUNDS);
+        assert_eq!(report.faults.sent, (n * (n - 1) * (ROUNDS + 1)) as u64);
+        allocs
+    };
+    let (small, large) = (allocations(16), allocations(64));
+    assert!(
+        large <= small + 16,
+        "allocations grow with N: {small} at N = 16, {large} at N = 64 over {ROUNDS} rounds"
+    );
+}
+
+#[test]
 fn cache_hits_are_allocation_free() {
     // The warm path of `SubstrateCache::get_or_build` — fingerprint the
     // graph, probe the map, return the stored substrate — must never touch

@@ -1,9 +1,12 @@
 //! Tier-1 guarantees of the chaos simulator: seeded determinism,
-//! zero-fault equivalence with the centralized optimizer, and a
-//! golden-trace regression for the canonical Figure-3 scenario. The
-//! event-driven engine's bit-identity with the lock-step oracle is pinned
-//! by the unit tests inside `fap-runtime`.
+//! zero-fault equivalence with the centralized optimizer, a golden-trace
+//! regression for the canonical Figure-3 scenario, and a golden of whole
+//! reports and telemetry streams under hostile plans. The event-driven
+//! engine's bit-identity with the lock-step oracle (reports and JSONL) is
+//! pinned by the unit tests inside `fap-runtime`, so these goldens pin
+//! both engines.
 
+use fap::cache::Fnv64;
 use fap::prelude::*;
 use fap::runtime::FaultCounters;
 
@@ -131,4 +134,107 @@ fn golden_fig3_trace_matches() {
     // Guard the serialized form as well, so formatting/precision changes in
     // the serializer are caught, not silently rewritten.
     assert_eq!(produced.trim_end(), golden.trim_end());
+}
+
+/// FNV-1a of `bytes`, as 16 hex digits.
+fn fnv(bytes: &[u8]) -> String {
+    let mut h = Fnv64::new();
+    h.write(bytes);
+    format!("{:016x}", h.finish64())
+}
+
+/// The plans of the report golden: fault-free, the hostile mix (drop,
+/// delay, duplication, crash and rejoin), per-link delay overrides, and the
+/// drop-and-retry plan of the `protocol-chaos` benchmark.
+fn golden_plans() -> Vec<(&'static str, ChaosPlan)> {
+    vec![
+        ("zero-fault", ChaosPlan::new(0)),
+        ("hostile-1", hostile_plan(1)),
+        ("hostile-2", hostile_plan(2)),
+        (
+            "link-delays",
+            ChaosPlan::new(5)
+                .with_drop(0.1)
+                .with_duplication(0.05)
+                .with_link_delay(0, 1, 0.5, 3)
+                .with_link_delay(2, 0, 0.9, 2)
+                .with_link_delay(3, 2, 0.2, 1)
+                .with_retries(2)
+                .with_staleness_bound(3),
+        ),
+        (
+            "drop-retry",
+            ChaosPlan::new(9).with_drop(0.08).with_retries(2).with_staleness_bound(2),
+        ),
+    ]
+}
+
+/// One golden line per problem, scheme and plan: the report's rounds,
+/// convergence, fault counters, allocation bits, and the FNV-1a of its
+/// trace, of the whole serialized report, and of the recorded JSONL.
+fn sim_report_lines() -> String {
+    let problems = [
+        ("ring4", paper_problem(), FIG3_START.to_vec()),
+        (
+            "mesh8",
+            fap_bench::paper::full_mesh_problem(8),
+            fap_bench::paper::spread_start(8),
+        ),
+    ];
+    let schemes = [
+        ("broadcast", ExchangeScheme::Broadcast),
+        ("central3", ExchangeScheme::Central { coordinator: 3 }),
+    ];
+    let mut lines = String::new();
+    for (problem_name, problem, start) in &problems {
+        for (scheme_name, scheme) in schemes {
+            for (plan_name, plan) in golden_plans() {
+                let mut tele = Telemetry::manual();
+                // The capped hostile mesh runs never converge: delayed
+                // reports keep the mesh stale (see `protocol-chaos`).
+                let report = SimRun::new(problem, scheme, FIG3_ALPHA)
+                    .with_epsilon(FIG3_EPSILON)
+                    .with_max_rounds(1_000)
+                    .with_chaos(plan)
+                    .run(start, &mut tele)
+                    .unwrap();
+                let bits: Vec<String> =
+                    report.allocation.iter().map(|x| format!("{:016x}", x.to_bits())).collect();
+                lines += &format!(
+                    "{problem_name} {scheme_name} {plan_name}: rounds={} converged={} \
+                     faults={} allocation=[{}] trace={} report={} telemetry={} events={}\n",
+                    report.rounds,
+                    report.converged,
+                    serde_json::to_string(&report.faults).unwrap(),
+                    bits.join(","),
+                    fnv(serde_json::to_string(&report.trace).unwrap().as_bytes()),
+                    fnv(serde_json::to_string(&report).unwrap().as_bytes()),
+                    fnv(tele.to_jsonl().as_bytes()),
+                    tele.events().len(),
+                );
+            }
+        }
+    }
+    lines
+}
+
+/// Whole simulator outcomes under hostile plans, pinned in
+/// `tests/golden/sim_reports.txt`: any change to fault draws, fault
+/// accounting, the step arithmetic or the recorded stream shows up here.
+/// Regenerate with `UPDATE_GOLDEN=1 cargo test --test chaos_sim` after an
+/// intentional change.
+#[test]
+fn golden_sim_reports_match() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/sim_reports.txt");
+    let produced = sim_report_lines();
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, &produced).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(path)
+        .expect("tests/golden/sim_reports.txt missing; run with UPDATE_GOLDEN=1");
+    for (produced, golden) in produced.lines().zip(golden.lines()) {
+        assert_eq!(produced, golden, "simulator outcome drifted from the golden");
+    }
+    assert_eq!(produced.lines().count(), golden.lines().count());
 }
