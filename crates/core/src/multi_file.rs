@@ -43,13 +43,14 @@ pub struct MultiFileProblem {
 
 /// Reusable buffers for [`MultiFileProblem::solve_with_scratch`].
 ///
-/// Holds the iterate, step matrix, per-node delay terms and per-worker step
-/// workspaces; once warmed to the problem's `M × N` shape, every solver
-/// iteration runs without heap allocation.
+/// Holds the iterate, per-node delay terms, per-worker gradient buffers and
+/// one step workspace per file, so each file's clamp step carries its own
+/// active set from iteration to iteration whichever worker runs it; once
+/// warmed to the problem's `M × N` shape, every solver iteration runs
+/// without heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct MultiFileScratch {
     x: Matrix,
-    steps: Matrix,
     delay: Vec<f64>,
     coup: Vec<f64>,
     node_cost: Vec<f64>,
@@ -57,17 +58,12 @@ pub struct MultiFileScratch {
     file_kkt: Vec<bool>,
     weights: Vec<f64>,
     cost_series: Vec<f64>,
-    workers: Vec<FileWorker>,
+    /// One gradient buffer per file-pass worker.
+    grads: Vec<Vec<f64>>,
+    /// One step workspace per file; its deltas are the file's step.
+    steps: Vec<StepWorkspace>,
     seed: Matrix,
     has_seed: bool,
-}
-
-/// Per-thread buffers for the file-pass stage: the gradient of one file and
-/// a step workspace.
-#[derive(Debug, Clone, Default)]
-struct FileWorker {
-    g: Vec<f64>,
-    ws: StepWorkspace,
 }
 
 impl MultiFileScratch {
@@ -120,7 +116,6 @@ impl MultiFileScratch {
     /// cover the shape.
     fn ensure(&mut self, m: usize, n: usize, worker_count: usize, max_iterations: usize) {
         self.x.reset(m, n);
-        self.steps.reset(m, n);
         self.delay.clear();
         self.delay.resize(n, 0.0);
         self.coup.clear();
@@ -136,7 +131,12 @@ impl MultiFileScratch {
         self.cost_series.clear();
         // One entry per iteration plus the final evaluation.
         self.cost_series.reserve(max_iterations + 2);
-        self.workers.resize_with(worker_count, FileWorker::default);
+        self.grads.resize_with(worker_count, Vec::new);
+        // Never shrunk, so a smaller problem keeps the larger one's
+        // workspaces warm; the solve uses the first `m`.
+        if self.steps.len() < m {
+            self.steps.resize_with(m, StepWorkspace::default);
+        }
     }
 }
 
@@ -352,7 +352,8 @@ impl MultiFileProblem {
     /// over-capacity error is always reported for the lowest-indexed node.
     ///
     /// Telemetry goes into `recorder`: the `core.node_threads` /
-    /// `core.file_threads` fan-out gauges, per-chunk wall timings in the
+    /// `core.file_threads` fan-out gauges, per-chunk wall timings of the
+    /// passes that fan out over more than one thread in the
     /// `core.node_chunk_ns` / `core.file_chunk_ns` histograms, the
     /// `core.iterations` counter, one `core.iter` event per iteration (cost
     /// and marginal spread) and a final `core.run_end` event. Virtual time
@@ -429,7 +430,6 @@ impl MultiFileProblem {
         scratch.ensure(m, n, file_threads, max_iterations);
         let MultiFileScratch {
             x,
-            steps,
             delay,
             coup,
             node_cost,
@@ -437,10 +437,12 @@ impl MultiFileProblem {
             file_kkt,
             weights,
             cost_series,
-            workers,
+            grads,
+            steps,
             seed,
             has_seed,
         } = scratch;
+        let steps = &mut steps[..m];
         for (j, xj) in initial.iter().enumerate() {
             x.row_mut(j).copy_from_slice(xj);
         }
@@ -465,13 +467,12 @@ impl MultiFileProblem {
 
         loop {
             recorder.set_time(iterations as u64);
-            // Node pass: loads, delay terms and per-node cost partials.
+            // Node pass: loads, delay terms and per-node cost partials. Only
+            // a fanned-out pass is timed: one chunk says nothing about
+            // balance, and the clock reads cost a sizable share of a small
+            // sequential iteration.
             if node_threads <= 1 {
-                let start = enabled.then(Instant::now);
                 self.node_pass(x, 0, delay, coup, node_cost)?;
-                if let Some(start) = start {
-                    recorder.observe("core.node_chunk_ns", start.elapsed().as_nanos() as f64);
-                }
             } else {
                 let chunk = n.div_ceil(node_threads);
                 let x_ref: &Matrix = x;
@@ -515,7 +516,6 @@ impl MultiFileProblem {
             // boundary with no incentive to rejoin (the same condition the
             // single-file engine checks).
             if file_threads <= 1 {
-                let start = enabled.then(Instant::now);
                 self.file_pass(
                     x,
                     delay,
@@ -524,27 +524,23 @@ impl MultiFileProblem {
                     alpha,
                     epsilon,
                     0,
-                    steps.as_mut_slice(),
+                    steps,
                     file_spread,
                     file_kkt,
-                    &mut workers[0],
+                    &mut grads[0],
                 );
-                if let Some(start) = start {
-                    recorder.observe("core.file_chunk_ns", start.elapsed().as_nanos() as f64);
-                }
             } else {
                 let chunk_files = m.div_ceil(file_threads);
                 let x_ref: &Matrix = x;
                 let (delay_ref, coup_ref, weights_ref) = (&*delay, &*coup, &*weights);
                 let timings: Vec<u64> = std::thread::scope(|scope| {
                     let handles: Vec<_> = steps
-                        .as_mut_slice()
-                        .chunks_mut(chunk_files * n)
+                        .chunks_mut(chunk_files)
                         .enumerate()
                         .zip(file_spread.chunks_mut(chunk_files))
                         .zip(file_kkt.chunks_mut(chunk_files))
-                        .zip(workers.iter_mut())
-                        .map(|((((index, step_chunk), spread_chunk), kkt_chunk), worker)| {
+                        .zip(grads.iter_mut())
+                        .map(|((((index, step_chunk), spread_chunk), kkt_chunk), g)| {
                             scope.spawn(move || {
                                 let start = enabled.then(Instant::now);
                                 self.file_pass(
@@ -558,7 +554,7 @@ impl MultiFileProblem {
                                     step_chunk,
                                     spread_chunk,
                                     kkt_chunk,
-                                    worker,
+                                    g,
                                 );
                                 start.map_or(0, |s| s.elapsed().as_nanos() as u64)
                             })
@@ -610,8 +606,10 @@ impl MultiFileProblem {
                     cost_series: cost_series.clone(),
                 });
             }
-            for (xi, d) in x.as_mut_slice().iter_mut().zip(steps.as_slice()) {
-                *xi += d;
+            for (j, step) in steps.iter().enumerate() {
+                for (xi, d) in x.row_mut(j).iter_mut().zip(step.deltas()) {
+                    *xi += d;
+                }
             }
             iterations += 1;
         }
@@ -661,8 +659,9 @@ impl MultiFileProblem {
         Ok(())
     }
 
-    /// Computes, for files `first..`, the coupled gradient, the §5.2
-    /// clamp-to-zero step (into `steps`), the active marginal spread and the
+    /// Computes, for files `first..first + steps.len()`, the coupled
+    /// gradient (into `g`), the §5.2 clamp-to-zero step (into the file's
+    /// workspace in `steps`), the active marginal spread and the
     /// complementary-slackness flag. Infallible: capacity was checked by the
     /// node pass.
     #[allow(clippy::too_many_arguments)]
@@ -675,35 +674,25 @@ impl MultiFileProblem {
         alpha: f64,
         epsilon: f64,
         first: usize,
-        steps: &mut [f64],
+        steps: &mut [StepWorkspace],
         file_spread: &mut [f64],
         file_kkt: &mut [bool],
-        worker: &mut FileWorker,
+        g: &mut Vec<f64>,
     ) {
         let n = self.node_count();
-        for (offset, step_row) in steps.chunks_mut(n).enumerate() {
+        for (offset, ws) in steps.iter_mut().enumerate() {
             let j = first + offset;
             let rate = self.rates[j];
             let xj = x.row(j);
-            worker.g.clear();
-            worker.g.extend(
-                (0..n).map(|i| -(self.access_costs.get(j, i) + delay[i] + rate * coup[i])),
-            );
-            compute_step_into(
-                xj,
-                &worker.g,
-                weights,
-                alpha,
-                BoundaryRule::ClampToZero,
-                &mut worker.ws,
-            );
-            step_row.copy_from_slice(worker.ws.deltas());
+            g.clear();
+            g.extend((0..n).map(|i| -(self.access_costs.get(j, i) + delay[i] + rate * coup[i])));
+            compute_step_into(xj, g, weights, alpha, BoundaryRule::ClampToZero, ws);
 
             let mut lo = f64::INFINITY;
             let mut hi = f64::NEG_INFINITY;
             let mut sum = 0.0;
             let mut count = 0usize;
-            for (gi, is_active) in worker.g.iter().zip(worker.ws.active()) {
+            for (gi, is_active) in g.iter().zip(ws.active()) {
                 if *is_active {
                     lo = lo.min(*gi);
                     hi = hi.max(*gi);
@@ -715,9 +704,7 @@ impl MultiFileProblem {
             let mut kkt = true;
             if count > 0 {
                 let avg = sum / count as f64;
-                for ((&xi, &gi), &is_active) in
-                    xj.iter().zip(&worker.g).zip(worker.ws.active())
-                {
+                for ((&xi, &gi), &is_active) in xj.iter().zip(g.iter()).zip(ws.active()) {
                     if !is_active && (xi > 1e-6 || gi > avg + epsilon) {
                         kkt = false;
                     }
@@ -1074,10 +1061,10 @@ mod tests {
         let last = tele.events().last().unwrap();
         assert_eq!(last.name(), "core.run_end");
         assert_eq!(tele.registry().gauge_value("core.node_threads"), Some(1.0));
-        let node_ns = tele.registry().histogram("core.node_chunk_ns").unwrap();
-        assert_eq!(node_ns.count(), passes);
-        let file_ns = tele.registry().histogram("core.file_chunk_ns").unwrap();
-        assert_eq!(file_ns.count(), passes);
+        assert_eq!(tele.registry().gauge_value("core.file_threads"), Some(1.0));
+        // A sequential pass is one chunk: it is not timed.
+        assert!(tele.registry().histogram("core.node_chunk_ns").is_none());
+        assert!(tele.registry().histogram("core.file_chunk_ns").is_none());
     }
 
     #[test]
@@ -1107,8 +1094,13 @@ mod tests {
         assert_eq!(seq, observed, "observed parallel solve must stay bit-identical");
         assert_eq!(tele.registry().gauge_value("core.node_threads"), Some(3.0));
         assert_eq!(tele.registry().gauge_value("core.file_threads"), Some(2.0));
-        assert!(tele.registry().histogram("core.node_chunk_ns").unwrap().count() > 0);
-        assert!(tele.registry().histogram("core.file_chunk_ns").unwrap().count() > 0);
+        // Every fanned-out pass records one timing per chunk: 3 threads
+        // split 4 nodes into 2 chunks of 2.
+        let passes = (observed.iterations + 1) as u64;
+        let node_ns = tele.registry().histogram("core.node_chunk_ns").unwrap();
+        assert_eq!(node_ns.count(), 2 * passes);
+        let file_ns = tele.registry().histogram("core.file_chunk_ns").unwrap();
+        assert_eq!(file_ns.count(), 2 * passes);
     }
 
     #[test]

@@ -61,6 +61,13 @@ pub enum BoundaryRule {
     /// sweeps, so a step costs a few O(n) sweeps (O(n log n) at worst)
     /// rather than one O(n) pass per pinned agent. The result is
     /// bit-identical to the loop alone.
+    ///
+    /// Near convergence the pinned set stops changing, so a
+    /// [`StepWorkspace`] carries its last step's final active set forward
+    /// and the next uniform-weight step of the same length first tries that
+    /// set in a single pass; it keeps the result only when every free agent
+    /// and every carried pinned agent clears the step's threshold by the
+    /// prediction's margin, which makes it the same step bit for bit.
     #[default]
     ClampToZero,
     /// Uniformly scale the step back until all allocations stay
@@ -107,9 +114,15 @@ pub struct StepWorkspace {
     /// dropped by a threshold round behind them.
     order: Vec<usize>,
     passes: usize,
+    /// Whether `active` holds the final active set of a clamp-to-zero step
+    /// that pinned some agents but not all, for the next step to try.
+    carry: bool,
     /// Threshold rounds the last step's prediction ran.
     #[cfg(test)]
     rounds: usize,
+    /// Whether the last step tried a carried active set and dropped it.
+    #[cfg(test)]
+    carry_rejected: bool,
 }
 
 impl StepWorkspace {
@@ -141,8 +154,9 @@ impl StepWorkspace {
     }
 
     /// Cascade passes the last step took under
-    /// [`BoundaryRule::ClampToZero`] (each pass recomputes every delta);
-    /// 0 under the other rules.
+    /// [`BoundaryRule::ClampToZero`] (each pass recomputes every delta, and
+    /// trying the previous step's active set counts as one); 0 under the
+    /// other rules.
     pub fn passes(&self) -> usize {
         self.passes
     }
@@ -153,19 +167,24 @@ impl StepWorkspace {
     }
 
     /// Resizes the buffers for `n` agents: all deltas zero, all agents
-    /// active, scale 1, no passes. Allocation-free once capacity covers
-    /// `n`; the key and free-list buffers grow on the first step that
-    /// predicts a clamp cascade.
-    fn reset(&mut self, n: usize) {
+    /// active (unless `keep_active` keeps the carried set), scale 1, no
+    /// passes, nothing carried. Allocation-free once capacity covers `n`;
+    /// the key and free-list buffers grow on the first step that predicts a
+    /// clamp cascade.
+    fn reset(&mut self, n: usize, keep_active: bool) {
         self.deltas.clear();
         self.deltas.resize(n, 0.0);
-        self.active.clear();
-        self.active.resize(n, true);
+        if !keep_active {
+            self.active.clear();
+            self.active.resize(n, true);
+        }
         self.scale = 1.0;
         self.passes = 0;
+        self.carry = false;
         #[cfg(test)]
         {
             self.rounds = 0;
+            self.carry_rejected = false;
         }
     }
 }
@@ -271,8 +290,14 @@ pub fn compute_step_into(
         "weights must be positive and finite"
     );
 
-    workspace.reset(n);
-    let StepWorkspace { deltas, active, scale, keys, order, passes, .. } = workspace;
+    // The carried set is tried only where it can pay off: a clamp step of
+    // the same length under uniform weights after a step that pinned.
+    let carried = rule == BoundaryRule::ClampToZero
+        && workspace.carry
+        && workspace.active.len() == n
+        && weights.iter().all(|w| *w == weights[0]);
+    workspace.reset(n, carried);
+    let StepWorkspace { deltas, active, scale, keys, order, passes, carry, .. } = workspace;
     match rule {
         BoundaryRule::Unconstrained => {
             raw_deltas_into(marginals, weights, active, alpha, deltas);
@@ -297,12 +322,31 @@ pub fn compute_step_into(
             freeze_active_set_into(x, marginals, weights, alpha, deltas, active);
         }
         BoundaryRule::ClampToZero => {
-            let (clamp_passes, _rounds) =
-                clamp_to_zero_into(x, marginals, weights, alpha, deltas, active, keys, order);
-            *passes = clamp_passes;
+            let held = carried
+                .then(|| try_carried_set(x, marginals, weights[0], alpha, deltas, active))
+                .flatten();
+            let (free, _rounds) = match held {
+                Some(free) => {
+                    *passes = 1;
+                    (free, 0)
+                }
+                None => {
+                    if carried {
+                        active.fill(true);
+                    }
+                    let (clamp_passes, rounds, free) = clamp_to_zero_into(
+                        x, marginals, weights, alpha, deltas, active, keys, order,
+                    );
+                    // A dropped carried set cost one pass.
+                    *passes = clamp_passes + usize::from(carried);
+                    (free, rounds)
+                }
+            };
+            *carry = 0 < free && free < n;
             #[cfg(test)]
             {
                 workspace.rounds = _rounds;
+                workspace.carry_rejected = carried && held.is_none();
             }
         }
     }
@@ -311,8 +355,8 @@ pub fn compute_step_into(
 /// Violators are pinned exactly to zero (`Δx_v = −x_v`), releasing their
 /// mass; the free agents share the released mass equally on top of their
 /// zero-sum raw step. `active` enters all-true and tracks the not-yet-pinned
-/// set; the return value is the number of passes and the number of
-/// threshold rounds the prediction ran (0 without one).
+/// set; the return value is the number of passes, the number of threshold
+/// rounds the prediction ran (0 without one) and the final free count.
 ///
 /// Each pass pins one violator (the lowest marginal, the first of equals)
 /// and recomputes every delta in two sweeps: one accumulates the free
@@ -347,7 +391,7 @@ fn clamp_to_zero_into(
     active: &mut [bool],
     keys: &mut Vec<f64>,
     order: &mut Vec<usize>,
-) -> (usize, usize) {
+) -> (usize, usize, usize) {
     let n = x.len();
     let (mut passes, mut rounds, mut predicted) = (0, 0, false);
     loop {
@@ -365,7 +409,7 @@ fn clamp_to_zero_into(
         }
         if free_count == 0 {
             deltas.fill(0.0);
-            return (passes, rounds);
+            return (passes, rounds, 0);
         }
         let avg = if den == 0.0 { 0.0 } else { num / den };
         let share = released / free_count as f64;
@@ -383,7 +427,7 @@ fn clamp_to_zero_into(
                 deltas[i] = -x[i];
             }
         }
-        let Some(v) = violator else { return (passes, rounds) };
+        let Some(v) = violator else { return (passes, rounds, free_count) };
         active[v] = false;
         // The prediction pays off once the cascade is known to pin a
         // second agent; a single pin is settled by the next pass.
@@ -395,6 +439,80 @@ fn clamp_to_zero_into(
             }
         }
     }
+}
+
+/// Tries the previous step's final active set `F` (in `active`) as the
+/// active set of this step, whose weights are all `w`: one pass of
+/// [`clamp_to_zero_into`]'s loop over `F`, kept only when every free
+/// agent's `x_i + Δ_i` and every pinned agent's `θ_F − k_i` exceed the
+/// prediction's margin `1e-9·(Σ|x| + c·max|g|)` (see [`pin_predicted`]),
+/// where `c = α·w` and `θ_F = c·avg − share` is `F`'s threshold. Returns
+/// `|F|` when kept; `None` leaves `deltas` to be rewritten.
+///
+/// A kept set gives the loop's own step. Write `k_i = x_i + c·g_i` and
+/// `S = Σ x`, so that `θ_A = (Σ_{i∈A} k_i − S)/|A|` for any nonempty free
+/// set `A`, and let `θ*` be the threshold of the projection, the root of
+/// `Σ_i max(k_i − θ, 0) = S`:
+///
+/// * `θ_A ≤ θ*` for every nonempty `A`, since `Σ_i max(k_i − θ_A, 0) ≥
+///   Σ_{i∈A} (k_i − θ_A) = S`.
+/// * A kept `F` has no violators and its pinned agents lie below `θ_F`, so
+///   `Σ_i max(k_i − θ_F, 0) = S`: `θ_F` is the projection threshold `θ*`,
+///   `F` is exactly `{i : k_i > θ*}`, and every pinned agent is a clear
+///   violator.
+/// * Every strict superset `A` of `F` has a violator: `θ_A < θ*` and
+///   `Σ_{i∈A∖F} (k_i − θ_A) = −|F|·(θ* − θ_A) < 0`. No agent of `F`
+///   violates over `A` (its key clears `θ* ≥ θ_A` by the margin), and the
+///   prediction pins only keys below its own threshold, itself `≤ θ*`. So
+///   the cascade from all-active pins agents outside `F` alone, passes
+///   through supersets of `F` only, and ends at `F`.
+/// * Its last pass then runs over `F` with the same index-ordered sums as
+///   this one, so the deltas are bit-identical.
+// The negated comparisons drop the set on a NaN, which the path from
+// all-active spreads to every free agent.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn try_carried_set(
+    x: &[f64],
+    marginals: &[f64],
+    w: f64,
+    alpha: f64,
+    deltas: &mut [f64],
+    active: &[bool],
+) -> Option<usize> {
+    let n = x.len();
+    let c = alpha * w;
+    // The loop's first sweep, plus the margin's sums.
+    let (mut free_count, mut num, mut den, mut released) = (0usize, 0.0, 0.0, -0.0);
+    let (mut abs_x, mut g_max) = (0.0, 0.0f64);
+    for i in 0..n {
+        if active[i] {
+            free_count += 1;
+            num += w * marginals[i];
+            den += w;
+        } else {
+            released += x[i];
+        }
+        abs_x += x[i].abs();
+        g_max = g_max.max(marginals[i].abs());
+    }
+    let avg = if den == 0.0 { 0.0 } else { num / den };
+    let share = released / free_count as f64;
+    let margin = 1e-9 * (abs_x + c * g_max);
+    let theta = c * avg - share;
+    for i in 0..n {
+        if active[i] {
+            deltas[i] = alpha * w * (marginals[i] - avg) + share;
+            if !(x[i] + deltas[i] >= margin) {
+                return None;
+            }
+        } else {
+            deltas[i] = -x[i];
+            if !(x[i] + c * marginals[i] < theta - margin) {
+                return None;
+            }
+        }
+    }
+    Some(free_count)
 }
 
 /// Pins the agents whose key `x_i + c·g_i` lies clearly below the final
@@ -791,7 +909,8 @@ mod tests {
                 return Err(format!("{label} differs from the loop alone (n = {})", x.len()));
             }
         }
-        if ws.passes() > passes {
+        // A dropped carried set costs the one pass that tried it.
+        if ws.passes() > passes + usize::from(ws.carry_rejected) {
             return Err(format!("{} passes with the prediction, {passes} without", ws.passes()));
         }
         Ok(())
@@ -892,6 +1011,71 @@ mod tests {
         assert_eq!(ws.passes(), 1);
         compute_step_into(&[0.0; 3], &[1.0; 3], &[1.0; 3], 0.5, BoundaryRule::FreezeActiveSet, &mut ws);
         assert_eq!(ws.passes(), 0);
+    }
+
+    /// The threshold `θ_F` and margin the carried pass checks the active
+    /// set `active` against, for uniform weights `w`.
+    fn carried_threshold(x: &[f64], g: &[f64], w: f64, alpha: f64, active: &[bool]) -> (f64, f64) {
+        let c = alpha * w;
+        let free = active.iter().filter(|a| **a).count() as f64;
+        let avg = (0..x.len()).filter(|&i| active[i]).map(|i| g[i]).sum::<f64>() / free;
+        let released: f64 = (0..x.len()).filter(|&i| !active[i]).map(|i| x[i]).sum();
+        let abs_x: f64 = x.iter().map(|v| v.abs()).sum();
+        let g_max = g.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        (c * avg - released / free, 1e-9 * (abs_x + c * g_max))
+    }
+
+    #[test]
+    fn carried_set_settles_a_converged_step_in_one_pass() {
+        // Concave marginals g_i = a_i − n·x_i with half the agents too poor
+        // to hold any mass at the optimum.
+        let n = 40;
+        let a: Vec<f64> =
+            (0..n).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 - 0.01 * i as f64 }).collect();
+        let (mut x, mut g, w) = (vec![1.0 / n as f64; n], vec![0.0; n], vec![1.0; n]);
+        let alpha = 0.5 / n as f64;
+        let mut ws = StepWorkspace::new();
+        let mut carried_steps = 0;
+        for _ in 0..400 {
+            for i in 0..n {
+                g[i] = a[i] - n as f64 * x[i];
+            }
+            let carry_before = ws.carry;
+            check_against_oracle(&x, &g, &w, alpha, &mut ws).unwrap();
+            if carry_before && !ws.carry_rejected {
+                assert_eq!(ws.passes(), 1);
+                carried_steps += 1;
+            }
+            for (xi, d) in x.iter_mut().zip(ws.deltas()) {
+                *xi += d;
+            }
+        }
+        assert_eq!(ws.active_count(), n / 2);
+        assert!(carried_steps > 300, "{carried_steps} of 400 steps kept the carried set");
+    }
+
+    #[test]
+    fn carried_set_is_dropped_for_other_rules_lengths_and_full_sets() {
+        let mut ws = StepWorkspace::new();
+        let (x, g) = ([0.5, 0.5, 0.0], [1.0, 1.0, -5.0]);
+        compute_step_into(&x, &g, &[1.0; 3], 0.1, BoundaryRule::ClampToZero, &mut ws);
+        assert!(ws.carry && ws.active_count() == 2);
+        // Another rule resets the workspace and carries nothing.
+        compute_step_into(&x, &g, &[1.0; 3], 0.1, BoundaryRule::FreezeActiveSet, &mut ws);
+        assert!(!ws.carry);
+        compute_step_into(&x, &g, &[1.0; 3], 0.1, BoundaryRule::ClampToZero, &mut ws);
+        // A different length starts from all-active without trying it.
+        check_against_oracle(&[0.5, 0.5], &[1.0, 1.0], &[1.0; 2], 0.1, &mut ws).unwrap();
+        assert!(!ws.carry_rejected && !ws.carry, "nobody pinned: nothing to carry");
+        // A step that pins nobody carries nothing either.
+        check_against_oracle(&x, &[1.0; 3], &[1.0; 3], 0.1, &mut ws).unwrap();
+        assert!(!ws.carry);
+        // A NaN marginal on a carried pinned agent drops the set: from
+        // all-active it reaches every free agent's delta.
+        check_against_oracle(&x, &g, &[1.0; 3], 0.1, &mut ws).unwrap();
+        assert!(ws.carry);
+        check_against_oracle(&x, &[1.0, 1.0, f64::NAN], &[1.0; 3], 0.1, &mut ws).unwrap();
+        assert!(ws.carry_rejected && ws.deltas()[0].is_nan());
     }
 
     #[test]
@@ -1101,6 +1285,77 @@ mod tests {
             let mut ws = StepWorkspace::new();
             let checked = check_against_oracle(&x, &g, &w, alpha, &mut ws);
             prop_assert!(checked.is_ok(), "{checked:?}");
+        }
+    }
+
+    proptest! {
+        /// One workspace over a sequence of steps, each checked bit for bit
+        /// against the loop alone: the carried set kept as is, a pinned
+        /// agent that must be freed, a free agent that must be pinned, a
+        /// pinned key within 1e-17 of the margin, a length change, unequal
+        /// weights, and a set carried over from an unrelated problem.
+        #[test]
+        fn carried_set_steps_match_the_loop(
+            n in 3usize..120,
+            raw in proptest::collection::vec(0.0f64..1.0, 240),
+            gr in proptest::collection::vec(-1.0f64..1.0, 240),
+            wr in proptest::collection::vec(0.1f64..3.0, 240),
+            kinds in proptest::collection::vec(0u8..7, 16),
+            picks in proptest::collection::vec(0usize..10_000, 16),
+            ulps in proptest::collection::vec(-4i32..=4, 16),
+            alpha in 0.01f64..1.0,
+        ) {
+            let problem = |n: usize, offset: usize| {
+                let x: Vec<f64> = raw[offset..offset + n]
+                    .iter()
+                    .map(|v| if *v < 0.5 { 0.0 } else { 2.0 * v - 1.0 })
+                    .collect();
+                let sum: f64 = x.iter().sum();
+                let x = if sum > 0.0 { x.iter().map(|v| v / sum).collect() } else { vec![1.0 / n as f64; n] };
+                (x, gr[offset..offset + n].to_vec())
+            };
+            let (mut x, mut g) = problem(n, 0);
+            let mut w = vec![1.0; n];
+            let mut ws = StepWorkspace::new();
+            let checked = check_against_oracle(&x, &g, &w, alpha, &mut ws);
+            prop_assert!(checked.is_ok(), "{checked:?}");
+            for ((&kind, &pick), &ulp) in kinds.iter().zip(&picks).zip(&ulps) {
+                let n = x.len();
+                let free: Vec<usize> = (0..n).filter(|&i| ws.active()[i]).collect();
+                let pinned: Vec<usize> = (0..n).filter(|&i| !ws.active()[i]).collect();
+                let g_max = g.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                w.iter_mut().for_each(|wi| *wi = 1.0);
+                match kind {
+                    // Apply the step; the set usually stays.
+                    0 => {
+                        for (xi, d) in x.iter_mut().zip(ws.deltas()) {
+                            *xi += d;
+                        }
+                    }
+                    1 if !pinned.is_empty() => g[pinned[pick % pinned.len()]] = g_max + 1.0,
+                    2 if free.len() > 1 => {
+                        let i = free[pick % free.len()];
+                        g[i] = -(g_max + 1.0) - (x[i] + 1.0) / alpha;
+                    }
+                    3 if !pinned.is_empty() && !free.is_empty() => {
+                        let (theta, margin) = carried_threshold(&x, &g, 1.0, alpha, ws.active());
+                        let i = pinned[pick % pinned.len()];
+                        let edge = theta - margin;
+                        let key = edge + f64::from(ulp) * 1e-17 * (edge.abs() + margin);
+                        g[i] = (key - x[i]) / alpha;
+                    }
+                    4 => {
+                        let m = if pick % 2 == 0 && n > 3 { n - 1 } else { n + 1 };
+                        (x, g) = problem(m, 0);
+                        w = vec![1.0; m];
+                    }
+                    5 => w.copy_from_slice(&wr[..n]),
+                    6 => (x, g) = problem(n, 120),
+                    _ => {}
+                }
+                let checked = check_against_oracle(&x, &g, &w, alpha, &mut ws);
+                prop_assert!(checked.is_ok(), "step kind {kind}: {checked:?}");
+            }
         }
     }
 

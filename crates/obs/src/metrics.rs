@@ -2,12 +2,14 @@
 //! mergeable quantile sketches.
 //!
 //! Metrics are addressed by `&'static str` names and stored in small
-//! vectors in registration order. Lookup is a linear scan — for the
-//! dozen-odd metrics an instrumented run touches this beats hashing, and
-//! (the property the zero-allocation tests rely on) updating an already
-//! registered metric performs no heap allocation at all. Registration
-//! order is deterministic for a given code path, so serialized snapshots
-//! of two identical runs are byte-identical.
+//! vectors in registration order. An update finds its metric through a
+//! small direct-mapped cache keyed by the name's address, so a repeat
+//! update with the same literal costs O(1); a miss (a first use, or the
+//! same text at another address) falls back to a linear scan that compares
+//! names. Updating an already registered metric performs no heap
+//! allocation at all (the property the zero-allocation tests rely on).
+//! Registration order is deterministic for a given code path, so
+//! serialized snapshots of two identical runs are byte-identical.
 
 use crate::event::Value;
 use crate::recorder::Recorder;
@@ -150,6 +152,62 @@ impl Histogram {
     }
 }
 
+/// Cache slots per metric kind (a power of two).
+const NAME_SLOTS: usize = 16;
+
+/// A direct-mapped cache from a `&'static str` name's address and length to
+/// the name's index in one of the registry's vectors. Entries are only
+/// ever pushed onto those vectors, so a cached index stays valid; two
+/// names with the same address and length are the same text.
+#[derive(Clone, Default)]
+struct NameCache {
+    slots: [Option<(usize, usize, usize)>; NAME_SLOTS],
+}
+
+impl NameCache {
+    fn slot(name: &'static str) -> usize {
+        // Fibonacci hashing of the address: literals sit at arbitrary
+        // byte offsets, so take the product's top bits.
+        let hash = (name.as_ptr() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (hash >> (64 - NAME_SLOTS.trailing_zeros())) as usize
+    }
+
+    /// The index of `name` in `entries`: from the cache when this address
+    /// was seen last in its slot, else by comparing names (and caching
+    /// the hit).
+    fn find<T>(&mut self, entries: &[(&'static str, T)], name: &'static str) -> Option<usize> {
+        let slot = Self::slot(name);
+        if let Some((addr, len, index)) = self.slots[slot] {
+            if addr == name.as_ptr() as usize && len == name.len() {
+                return Some(index);
+            }
+        }
+        let index = entries.iter().position(|(n, _)| *n == name)?;
+        self.slots[slot] = Some((name.as_ptr() as usize, name.len(), index));
+        Some(index)
+    }
+
+    /// Pushes a new entry for `name` and caches its index.
+    fn push<T>(&mut self, entries: &mut Vec<(&'static str, T)>, name: &'static str, value: T) {
+        self.slots[Self::slot(name)] = Some((name.as_ptr() as usize, name.len(), entries.len()));
+        entries.push((name, value));
+    }
+}
+
+/// The cache is derived from the entries: registries holding the same
+/// metrics are equal whatever their caches hold.
+impl PartialEq for NameCache {
+    fn eq(&self, _other: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for NameCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("NameCache").finish_non_exhaustive()
+    }
+}
+
 /// Counters, gauges and histograms under one roof.
 ///
 /// Implements [`Recorder`] directly (events and timestamps are ignored),
@@ -161,6 +219,10 @@ pub struct MetricsRegistry {
     gauges: Vec<(&'static str, f64)>,
     histograms: Vec<(&'static str, Histogram)>,
     sketches: Vec<(&'static str, QuantileSketch)>,
+    counter_names: NameCache,
+    gauge_names: NameCache,
+    histogram_names: NameCache,
+    sketch_names: NameCache,
 }
 
 impl MetricsRegistry {
@@ -172,29 +234,29 @@ impl MetricsRegistry {
     /// Adds `delta` to counter `name`, registering it at zero first if
     /// needed. Allocation-free once registered.
     pub fn incr(&mut self, name: &'static str, delta: u64) {
-        match self.counters.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, v)) => *v += delta,
-            None => self.counters.push((name, delta)),
+        match self.counter_names.find(&self.counters, name) {
+            Some(i) => self.counters[i].1 += delta,
+            None => self.counter_names.push(&mut self.counters, name, delta),
         }
     }
 
     /// Sets gauge `name` to `value`.
     pub fn gauge(&mut self, name: &'static str, value: f64) {
-        match self.gauges.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, v)) => *v = value,
-            None => self.gauges.push((name, value)),
+        match self.gauge_names.find(&self.gauges, name) {
+            Some(i) => self.gauges[i].1 = value,
+            None => self.gauge_names.push(&mut self.gauges, name, value),
         }
     }
 
     /// Records `value` into histogram `name`, creating it with the
     /// [`Histogram::exponential`] shape on first use.
     pub fn observe(&mut self, name: &'static str, value: f64) {
-        match self.histograms.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, h)) => h.observe(value),
+        match self.histogram_names.find(&self.histograms, name) {
+            Some(i) => self.histograms[i].1.observe(value),
             None => {
                 let mut h = Histogram::exponential();
                 h.observe(value);
-                self.histograms.push((name, h));
+                self.histogram_names.push(&mut self.histograms, name, h);
             }
         }
     }
@@ -204,9 +266,9 @@ impl MetricsRegistry {
     /// first observation to choose the shape.
     pub fn register_histogram(&mut self, name: &'static str, bounds: &[f64]) {
         let hist = Histogram::with_bounds(bounds);
-        match self.histograms.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, h)) => *h = hist,
-            None => self.histograms.push((name, hist)),
+        match self.histogram_names.find(&self.histograms, name) {
+            Some(i) => self.histograms[i].1 = hist,
+            None => self.histogram_names.push(&mut self.histograms, name, hist),
         }
     }
 
@@ -214,12 +276,12 @@ impl MetricsRegistry {
     /// [`DEFAULT_SKETCH_ACCURACY`](crate::DEFAULT_SKETCH_ACCURACY) on first
     /// use.
     pub fn observe_sketch(&mut self, name: &'static str, value: f64) {
-        match self.sketches.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, s)) => s.observe(value),
+        match self.sketch_names.find(&self.sketches, name) {
+            Some(i) => self.sketches[i].1.observe(value),
             None => {
                 let mut s = QuantileSketch::default();
                 s.observe(value);
-                self.sketches.push((name, s));
+                self.sketch_names.push(&mut self.sketches, name, s);
             }
         }
     }
@@ -229,9 +291,9 @@ impl MetricsRegistry {
     /// before the first observation to choose the accuracy.
     pub fn register_sketch(&mut self, name: &'static str, relative_accuracy: f64) {
         let sketch = QuantileSketch::new(relative_accuracy);
-        match self.sketches.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, s)) => *s = sketch,
-            None => self.sketches.push((name, sketch)),
+        match self.sketch_names.find(&self.sketches, name) {
+            Some(i) => self.sketches[i].1 = sketch,
+            None => self.sketch_names.push(&mut self.sketches, name, sketch),
         }
     }
 
@@ -288,12 +350,12 @@ impl MetricsRegistry {
     /// (different bucket bounds under the same name — an instrumentation
     /// bug) is ignored in release builds and trips a debug assertion.
     pub fn merge_histogram(&mut self, name: &'static str, other: &Histogram) {
-        match self.histograms.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, h)) => {
-                let merged = h.merge_from(other);
+        match self.histogram_names.find(&self.histograms, name) {
+            Some(i) => {
+                let merged = self.histograms[i].1.merge_from(other);
                 debug_assert!(merged, "histogram '{name}' merged with a different bucket shape");
             }
-            None => self.histograms.push((name, other.clone())),
+            None => self.histogram_names.push(&mut self.histograms, name, other.clone()),
         }
     }
 
@@ -302,12 +364,12 @@ impl MetricsRegistry {
     /// same name (an instrumentation bug) is ignored in release builds and
     /// trips a debug assertion — mirroring [`Self::merge_histogram`].
     pub fn merge_sketch(&mut self, name: &'static str, other: &QuantileSketch) {
-        match self.sketches.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, s)) => {
-                let merged = s.merge_from(other);
+        match self.sketch_names.find(&self.sketches, name) {
+            Some(i) => {
+                let merged = self.sketches[i].1.merge_from(other);
                 debug_assert!(merged, "sketch '{name}' merged with a different accuracy");
             }
-            None => self.sketches.push((name, other.clone())),
+            None => self.sketch_names.push(&mut self.sketches, name, other.clone()),
         }
     }
 
@@ -430,6 +492,43 @@ mod tests {
         r.incr("a", 2);
         assert_eq!(r.counter("a"), 3);
         assert_eq!(r.counter("missing"), 0);
+    }
+
+    #[test]
+    fn cached_lookups_agree_with_the_name_scan() {
+        // The same text at two addresses, and more names than cache slots,
+        // so slots collide and get overwritten.
+        let owned = String::from("a");
+        let second_a: &'static str = Box::leak(owned.into_boxed_str());
+        let names: Vec<&'static str> = (0..3 * NAME_SLOTS)
+            .map(|i| &*Box::leak(format!("metric.{i}").into_boxed_str()))
+            .chain(["a", second_a])
+            .collect();
+        let mut r = MetricsRegistry::new();
+        for round in 0..3u64 {
+            for (k, name) in names.iter().enumerate() {
+                r.incr(name, k as u64 + round);
+                r.gauge(name, k as f64);
+                r.observe(name, k as f64);
+                r.observe_sketch(name, k as f64 + 1.0);
+            }
+        }
+        let expected: Vec<&str> = names[..3 * NAME_SLOTS + 1].to_vec();
+        let counter_names: Vec<&str> = r.counters().iter().map(|(n, _)| *n).collect();
+        assert_eq!(counter_names, expected, "registration order");
+        for name in &expected {
+            let same: Vec<u64> =
+                (0..names.len() as u64).filter(|&k| names[k as usize] == *name).collect();
+            let total: u64 = same.iter().map(|k| 3 * k + 3).sum();
+            assert_eq!(r.counter(name), total, "{name}");
+            let updates = 3 * same.len() as u64;
+            assert_eq!(r.histogram(name).unwrap().count(), updates, "{name}");
+            assert_eq!(r.sketch(name).unwrap().count(), updates, "{name}");
+        }
+        // A registry rebuilt without any cache hits is equal.
+        let mut replayed = MetricsRegistry::new();
+        r.replay_into(&mut replayed);
+        assert_eq!(replayed, r);
     }
 
     #[test]

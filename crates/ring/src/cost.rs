@@ -14,7 +14,7 @@
 //! service/queue weighted by `k` — matching the paper's use of the "same
 //! M/M/1 formulation" with the aggregate arrival rate.
 
-use crate::coverage::{coverage_fractions, coverage_fractions_relaxed};
+use crate::coverage::{check_entries, cover_row, FEASIBLE_SHORTFALL, PROBE_SHORTFALL};
 use crate::error::RingError;
 use crate::layout::VirtualRing;
 
@@ -43,8 +43,8 @@ impl CostBreakdown {
 /// Returns [`RingError::Model`] if the allocation is infeasible, lacks a
 /// full copy, or drives some node at or beyond its service capacity.
 pub fn evaluate(ring: &VirtualRing, x: &[f64]) -> Result<CostBreakdown, RingError> {
-    let f = coverage_fractions(ring, x)?;
-    evaluate_with_coverage(ring, &f)
+    ring.check_allocation(x)?;
+    evaluate_with_shortfall(ring, x, FEASIBLE_SHORTFALL)
 }
 
 /// Like [`evaluate`] but without the copy-total feasibility check, for the
@@ -54,23 +54,59 @@ pub fn evaluate(ring: &VirtualRing, x: &[f64]) -> Result<CostBreakdown, RingErro
 ///
 /// Same conditions as [`evaluate`] except the `Σ x_i = copies` check.
 pub fn evaluate_relaxed(ring: &VirtualRing, x: &[f64]) -> Result<CostBreakdown, RingError> {
-    let f = coverage_fractions_relaxed(ring, x)?;
-    evaluate_with_coverage(ring, &f)
+    evaluate_with_shortfall(ring, x, PROBE_SHORTFALL)
 }
 
-fn evaluate_with_coverage(ring: &VirtualRing, f: &[Vec<f64>]) -> Result<CostBreakdown, RingError> {
+fn evaluate_with_shortfall(
+    ring: &VirtualRing,
+    x: &[f64],
+    shortfall_tol: f64,
+) -> Result<CostBreakdown, RingError> {
+    let mut scratch = CostScratch::default();
+    let (communication, delay) = cost_into(ring, x, shortfall_tol, &mut scratch)?;
+    Ok(CostBreakdown { communication, delay, arrivals: scratch.arrivals })
+}
+
+/// Buffers for [`cost_into`]: one coverage row and the per-node arrivals.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CostScratch {
+    row: Vec<f64>,
+    arrivals: Vec<f64>,
+}
+
+/// The communication and delay cost of `x` (coverage shortfall up to
+/// `shortfall_tol` tolerated), walking one coverage row at a time in place
+/// of the `n × n` coverage matrix; allocation-free once `scratch` covers
+/// the ring. Each sum runs over the nonzero `f_ij` in the matrix's order,
+/// `i` then `j` ascending, so the result is bit-identical to summing over
+/// [`coverage_fractions_relaxed`]'s matrix.
+///
+/// [`coverage_fractions_relaxed`]: crate::coverage::coverage_fractions_relaxed
+pub(crate) fn cost_into(
+    ring: &VirtualRing,
+    x: &[f64],
+    shortfall_tol: f64,
+    scratch: &mut CostScratch,
+) -> Result<(f64, f64), RingError> {
+    check_entries(ring, x)?;
     let n = ring.node_count();
     let lambdas = ring.lambdas();
     let mus = ring.mus();
     let k = ring.k();
+    let CostScratch { row, arrivals } = scratch;
+    row.resize(n, 0.0);
+    arrivals.clear();
+    arrivals.resize(n, 0.0);
 
     let mut communication = 0.0;
-    let mut arrivals = vec![0.0; n];
-    for i in 0..n {
-        for j in 0..n {
-            if f[i][j] > 0.0 {
-                communication += lambdas[i] * ring.forward_cost(i, j) * f[i][j];
-                arrivals[j] += lambdas[i] * f[i][j];
+    for (i, &lambda) in lambdas.iter().enumerate() {
+        let visited = cover_row(x, i, shortfall_tol, row)?;
+        // The visited stretch i, i + 1, … wraps past node n − 1 to 0.
+        let wrapped = (i + visited).saturating_sub(n);
+        for j in (0..wrapped).chain(i..(i + visited).min(n)) {
+            if row[j] > 0.0 {
+                communication += lambda * ring.forward_cost(i, j) * row[j];
+                arrivals[j] += lambda * row[j];
             }
         }
     }
@@ -84,7 +120,7 @@ fn evaluate_with_coverage(ring: &VirtualRing, f: &[Vec<f64>]) -> Result<CostBrea
         }
         delay += k * arrivals[j] / (mus[j] - arrivals[j]);
     }
-    Ok(CostBreakdown { communication, delay, arrivals })
+    Ok((communication, delay))
 }
 
 /// The total cost of allocation `x` (communication + delay).
@@ -93,12 +129,95 @@ fn evaluate_with_coverage(ring: &VirtualRing, f: &[Vec<f64>]) -> Result<CostBrea
 ///
 /// Same conditions as [`evaluate`].
 pub fn total_cost(ring: &VirtualRing, x: &[f64]) -> Result<f64, RingError> {
-    Ok(evaluate(ring, x)?.total())
+    total_cost_into(ring, x, &mut CostScratch::default())
+}
+
+/// [`total_cost`] with caller-owned buffers.
+pub(crate) fn total_cost_into(
+    ring: &VirtualRing,
+    x: &[f64],
+    scratch: &mut CostScratch,
+) -> Result<f64, RingError> {
+    ring.check_allocation(x)?;
+    let (communication, delay) = cost_into(ring, x, FEASIBLE_SHORTFALL, scratch)?;
+    Ok(communication + delay)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coverage::{coverage_fractions, coverage_fractions_relaxed};
+    use proptest::prelude::*;
+
+    /// The cost summed over the whole coverage matrix, as it was before the
+    /// row walk: the oracle for [`cost_into`].
+    #[allow(clippy::needless_range_loop)]
+    fn matrix_cost(ring: &VirtualRing, x: &[f64]) -> Result<(f64, f64, Vec<f64>), RingError> {
+        let f = coverage_fractions_relaxed(ring, x)?;
+        let n = ring.node_count();
+        let (mut communication, mut arrivals) = (0.0, vec![0.0; n]);
+        for i in 0..n {
+            for j in 0..n {
+                if f[i][j] > 0.0 {
+                    communication += ring.lambdas()[i] * ring.forward_cost(i, j) * f[i][j];
+                    arrivals[j] += ring.lambdas()[i] * f[i][j];
+                }
+            }
+        }
+        let mut delay = 0.0;
+        for j in 0..n {
+            if arrivals[j] >= ring.mus()[j] {
+                return Err(RingError::Model(format!(
+                    "node {j} receives {} ≥ capacity {}",
+                    arrivals[j],
+                    ring.mus()[j]
+                )));
+            }
+            delay += ring.k() * arrivals[j] / (ring.mus()[j] - arrivals[j]);
+        }
+        Ok((communication, delay, arrivals))
+    }
+
+    proptest! {
+        /// The row walk gives the matrix sums bit for bit, errors included,
+        /// on allocations with empty nodes, wrapping walks and shortfalls,
+        /// with a scratch reused from another allocation.
+        #[test]
+        fn row_walk_matches_the_coverage_matrix(
+            n in 3usize..14,
+            links in proptest::collection::vec(0.1f64..5.0, 14),
+            lambdas in proptest::collection::vec(0.01f64..0.5, 14),
+            raw in proptest::collection::vec(0.0f64..1.0, 14),
+            zero_frac in 0.0f64..0.8,
+            copies in 0.9f64..3.0,
+            mu in 0.3f64..4.0,
+        ) {
+            let ring = VirtualRing::new(links[..n].to_vec(), lambdas[..n].to_vec(), vec![mu; n], copies.max(1.0), 1.0).unwrap();
+            let x: Vec<f64> = raw[..n].iter().map(|v| if *v < zero_frac { 0.0 } else { *v }).collect();
+            let sum: f64 = x.iter().sum();
+            prop_assume!(sum > 0.0);
+            let x: Vec<f64> = x.iter().map(|v| v * copies / sum).collect();
+            // A scratch left dirty by another allocation.
+            let mut scratch = CostScratch::default();
+            let reversed: Vec<f64> = x.iter().rev().copied().collect();
+            cost_into(&ring, &reversed, PROBE_SHORTFALL, &mut scratch).ok();
+            let walked = cost_into(&ring, &x, PROBE_SHORTFALL, &mut scratch);
+            match (matrix_cost(&ring, &x), walked) {
+                (Ok((c, d, arrivals)), Ok((wc, wd))) => {
+                    prop_assert_eq!(c.to_bits(), wc.to_bits());
+                    prop_assert_eq!(d.to_bits(), wd.to_bits());
+                    let bits = |v: &[f64]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(&arrivals), bits(&scratch.arrivals));
+                }
+                (Err(e), Err(we)) => {
+                    prop_assert_eq!(e.to_string(), we.to_string());
+                }
+                (m, w) => {
+                    prop_assert!(false, "matrix {m:?}, walk {w:?}");
+                }
+            }
+        }
+    }
 
     fn paper_ring() -> (VirtualRing, Vec<f64>) {
         let ring = VirtualRing::new(

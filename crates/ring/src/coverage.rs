@@ -19,8 +19,13 @@ use crate::layout::VirtualRing;
 /// contain a full copy.
 pub fn coverage_fractions(ring: &VirtualRing, x: &[f64]) -> Result<Vec<Vec<f64>>, RingError> {
     ring.check_allocation(x)?;
-    coverage_with_shortfall(ring, x, 1e-9)
+    coverage_with_shortfall(ring, x, FEASIBLE_SHORTFALL)
 }
+
+/// Coverage shortfall tolerated for a feasible allocation.
+pub(crate) const FEASIBLE_SHORTFALL: f64 = 1e-9;
+/// Coverage shortfall tolerated at a finite-difference probe point.
+pub(crate) const PROBE_SHORTFALL: f64 = 1e-4;
 
 /// Like [`coverage_fractions`] but without the `Σ x_i = copies` feasibility
 /// check — used by the finite-difference gradient, whose probe points
@@ -37,7 +42,7 @@ pub fn coverage_fractions_relaxed(
     ring: &VirtualRing,
     x: &[f64],
 ) -> Result<Vec<Vec<f64>>, RingError> {
-    coverage_with_shortfall(ring, x, 1e-4)
+    coverage_with_shortfall(ring, x, PROBE_SHORTFALL)
 }
 
 /// Shared walker with a configurable coverage-shortfall tolerance.
@@ -46,6 +51,17 @@ fn coverage_with_shortfall(
     x: &[f64],
     shortfall_tol: f64,
 ) -> Result<Vec<Vec<f64>>, RingError> {
+    check_entries(ring, x)?;
+    let n = ring.node_count();
+    let mut f = vec![vec![0.0; n]; n];
+    for (i, fi) in f.iter_mut().enumerate() {
+        cover_row(x, i, shortfall_tol, fi)?;
+    }
+    Ok(f)
+}
+
+/// Checks that `x` has one finite, non-negative entry per node.
+pub(crate) fn check_entries(ring: &VirtualRing, x: &[f64]) -> Result<(), RingError> {
     let n = ring.node_count();
     if x.len() != n {
         return Err(RingError::Model(format!("allocation has {} entries for {n} nodes", x.len())));
@@ -53,26 +69,39 @@ fn coverage_with_shortfall(
     if x.iter().any(|v| !v.is_finite() || *v < -1e-9) {
         return Err(RingError::Model("allocation entries must be non-negative".into()));
     }
-    let mut f = vec![vec![0.0; n]; n];
-    for (i, fi) in f.iter_mut().enumerate() {
-        let mut remaining = 1.0f64;
-        for step in 0..n {
-            let j = (i + step) % n;
-            let take = x[j].max(0.0).min(remaining);
-            fi[j] = take;
-            remaining -= take;
-            if remaining <= 1e-12 {
-                remaining = 0.0;
-                break;
-            }
-        }
-        if remaining > shortfall_tol {
-            return Err(RingError::Model(format!(
-                "allocation leaves node {i} short of a full copy by {remaining}"
-            )));
+    Ok(())
+}
+
+/// Walks forward from node `i`, writing the fraction `f_ij` it takes from
+/// each node `j` it visits into `row[j]`, until it holds one full copy;
+/// returns how many nodes it visited (`i`, `i + 1`, … mod n). Entries of
+/// `row` outside the visited stretch are left as they were.
+pub(crate) fn cover_row(
+    x: &[f64],
+    i: usize,
+    shortfall_tol: f64,
+    row: &mut [f64],
+) -> Result<usize, RingError> {
+    let n = x.len();
+    let mut remaining = 1.0f64;
+    let mut visited = n;
+    for step in 0..n {
+        let j = (i + step) % n;
+        let take = x[j].max(0.0).min(remaining);
+        row[j] = take;
+        remaining -= take;
+        if remaining <= 1e-12 {
+            remaining = 0.0;
+            visited = step + 1;
+            break;
         }
     }
-    Ok(f)
+    if remaining > shortfall_tol {
+        return Err(RingError::Model(format!(
+            "allocation leaves node {i} short of a full copy by {remaining}"
+        )));
+    }
+    Ok(visited)
 }
 
 /// The arrival rate `Λ_j = Σ_i λ_i f_ij` directed at each node.

@@ -8,7 +8,8 @@
 //! which is exactly the abrupt-jump behavior that makes the §7.3 iteration
 //! oscillate — the solver is designed around it rather than hiding it.
 
-use crate::cost::evaluate_relaxed;
+use crate::cost::{cost_into, CostScratch};
+use crate::coverage::PROBE_SHORTFALL;
 use crate::error::RingError;
 use crate::layout::VirtualRing;
 
@@ -29,25 +30,53 @@ pub const DEFAULT_STEP: f64 = 1e-6;
 /// be evaluated, and [`RingError::InvalidParameter`] for a non-positive
 /// step.
 pub fn marginal_costs(ring: &VirtualRing, x: &[f64], step: f64) -> Result<Vec<f64>, RingError> {
+    let mut scratch = GradientScratch::default();
+    marginal_costs_into(ring, x, step, &mut scratch)?;
+    Ok(scratch.grad)
+}
+
+/// Buffers for [`marginal_costs_into`]: the gradient, the probe point and
+/// the cost evaluation's.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GradientScratch {
+    pub(crate) grad: Vec<f64>,
+    probe: Vec<f64>,
+    pub(crate) cost: CostScratch,
+}
+
+/// [`marginal_costs`] into `scratch.grad`, allocation-free once `scratch`
+/// covers the ring. The same probes in the same order, so the gradient is
+/// bit-identical.
+pub(crate) fn marginal_costs_into(
+    ring: &VirtualRing,
+    x: &[f64],
+    step: f64,
+    scratch: &mut GradientScratch,
+) -> Result<(), RingError> {
     if !step.is_finite() || step <= 0.0 {
         return Err(RingError::InvalidParameter(format!("finite-difference step {step}")));
     }
     let n = ring.node_count();
-    let mut grad = vec![0.0; n];
-    let mut probe = x.to_vec();
+    let GradientScratch { grad, probe, cost } = scratch;
+    grad.clear();
+    grad.resize(n, 0.0);
+    probe.clear();
+    probe.extend_from_slice(x);
     for i in 0..n {
         let orig = probe[i];
         // Keep probes non-negative: fall back to a one-sided difference at
         // the boundary.
         let (lo, hi) = if orig >= step { (orig - step, orig + step) } else { (orig, orig + step) };
         probe[i] = hi;
-        let chi = evaluate_relaxed(ring, &probe)?.total();
+        let (comm, delay) = cost_into(ring, probe, PROBE_SHORTFALL, cost)?;
+        let chi = comm + delay;
         probe[i] = lo;
-        let clo = evaluate_relaxed(ring, &probe)?.total();
+        let (comm, delay) = cost_into(ring, probe, PROBE_SHORTFALL, cost)?;
+        let clo = comm + delay;
         probe[i] = orig;
         grad[i] = (chi - clo) / (hi - lo);
     }
-    Ok(grad)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -16,13 +16,13 @@
 
 use serde::{Deserialize, Serialize};
 
-use fap_econ::projection::{compute_step, BoundaryRule};
+use fap_econ::projection::{compute_step_into, BoundaryRule, StepWorkspace};
 use fap_econ::OscillationDetector;
 use fap_obs::{Recorder, Value};
 
-use crate::cost::total_cost;
+use crate::cost::total_cost_into;
 use crate::error::RingError;
-use crate::gradient::{marginal_costs, DEFAULT_STEP};
+use crate::gradient::{marginal_costs_into, GradientScratch, DEFAULT_STEP};
 use crate::layout::VirtualRing;
 
 /// The outcome of a multi-copy solve.
@@ -175,9 +175,14 @@ impl RingSolver {
         let mut best_allocation = x.clone();
         let mut previous: Option<f64> = None;
         let mut iterations = 0usize;
+        // Per-iteration buffers: the loop allocates nothing but the growth
+        // of the cost and step-size series.
+        let mut gradient = GradientScratch::default();
+        let mut g_util = Vec::with_capacity(n);
+        let mut step = StepWorkspace::new();
 
         loop {
-            let cost = total_cost(ring, &x)?;
+            let cost = total_cost_into(ring, &x, &mut gradient.cost)?;
             cost_series.push(cost);
             alpha_series.push(alpha);
             if cost < best_cost {
@@ -232,10 +237,11 @@ impl RingSolver {
                 recorder.incr("ring.alpha_decays", 1);
             }
 
-            let g_cost = marginal_costs(ring, &x, self.fd_step)?;
-            let g_util: Vec<f64> = g_cost.iter().map(|g| -g).collect();
-            let outcome = compute_step(&x, &g_util, &weights, alpha, BoundaryRule::ClampToZero);
-            for (xi, d) in x.iter_mut().zip(&outcome.deltas) {
+            marginal_costs_into(ring, &x, self.fd_step, &mut gradient)?;
+            g_util.clear();
+            g_util.extend(gradient.grad.iter().map(|g| -g));
+            compute_step_into(&x, &g_util, &weights, alpha, BoundaryRule::ClampToZero, &mut step);
+            for (xi, d) in x.iter_mut().zip(step.deltas()) {
                 *xi += d;
             }
             iterations += 1;

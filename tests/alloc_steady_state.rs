@@ -178,6 +178,37 @@ fn warm_started_solve_allocates_no_more_than_a_cold_one() {
 }
 
 #[test]
+fn ring_solve_allocates_only_its_series_growth() {
+    // The §7.3 solver with a fixed step on a communication-dominated ring
+    // (Figure 8), which oscillates and never meets the cost-delta halt, so
+    // every run pays its iteration cap. Per iteration the solver probes the
+    // cost 2n + 1 times; none of that may allocate. Only the cost and
+    // step-size series grow, each by doubling its capacity.
+    use fap::ring::{RingSolver, VirtualRing};
+
+    let ring = VirtualRing::new(vec![4.0, 1.0, 1.0, 1.0], vec![0.25; 4], vec![1.5; 4], 2.0, 1.0)
+        .expect("valid ring");
+    let start = [2.0, 0.0, 0.0, 0.0];
+    let solve = |iterations: usize| {
+        RingSolver::new(0.1)
+            .without_adaptation()
+            .with_cost_delta_tolerance(1e-300)
+            .with_max_iterations(iterations)
+            .solve(&ring, &start, &mut NoopRecorder)
+            .expect("stable solve")
+    };
+    let (short_allocs, short) = counted(|| solve(50));
+    let (long_allocs, long) = counted(|| solve(800));
+    assert_eq!((short.iterations, long.iterations), (50, 800));
+    // 51 and 801 entries per series: at most 10 − 5 more doublings each.
+    let doublings = 2 * (801f64.log2().ceil() - 51f64.log2().floor()) as u64;
+    assert!(
+        long_allocs <= short_allocs + doublings,
+        "800 iterations cost {long_allocs} allocations, 50 cost {short_allocs}"
+    );
+}
+
+#[test]
 fn chaos_exchange_allocates_nothing_per_wake_or_message() {
     // A fault-free §5.1 broadcast round sends N(N−1) reports and wakes N
     // agents. Once the run's buffers are sized, a round allocates only its

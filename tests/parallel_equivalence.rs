@@ -122,6 +122,46 @@ fn multi_file_parallel_solve_is_bit_identical() {
 }
 
 #[test]
+fn carried_clamp_sets_are_bit_identical_at_every_thread_count() {
+    // Hotspot files with a light delay weight: each file settles on a few
+    // nodes near its hotspot and pins the rest, so the clamp step carries
+    // each file's pinned set from iteration to iteration. One scratch is
+    // reused across thread counts, so every file also starts from the set
+    // a solve at another thread count left behind.
+    let graph = topology::ring(31, 1.0).unwrap();
+    let n = graph.node_count();
+    let files = 7;
+    let patterns: Vec<AccessPattern> = (0..files)
+        .map(|j| AccessPattern::hotspot(n, 0.3, fap::net::NodeId::new(4 * j), 0.8).unwrap())
+        .collect();
+    let problem = MultiFileProblem::mm1(&graph, &patterns, 1.0, 0.05).unwrap();
+    let initial = tilted_initial(files, n);
+    let sequential = problem
+        .solve(&initial, 0.02, 1e-9, 600, Parallelism::Sequential, &mut NoopRecorder)
+        .unwrap();
+    let pinned = sequential.allocations.iter().flatten().filter(|v| **v == 0.0).count();
+    assert!(pinned > files * n / 2, "only {pinned} pinned entries");
+    let mut scratch = MultiFileScratch::new();
+    for threads in THREADS.iter().chain(THREADS.iter().rev()) {
+        let parallel = problem
+            .solve_with_scratch(
+                &initial,
+                0.02,
+                1e-9,
+                600,
+                Parallelism::Fixed(*threads),
+                &mut scratch,
+                &mut NoopRecorder,
+            )
+            .unwrap();
+        assert_eq!(bits(&sequential.cost_series), bits(&parallel.cost_series), "{threads} threads");
+        for (sj, pj) in sequential.allocations.iter().zip(&parallel.allocations) {
+            assert_eq!(bits(sj), bits(pj), "{threads} threads");
+        }
+    }
+}
+
+#[test]
 fn recording_telemetry_keeps_parallel_solves_bit_identical() {
     // Recording wall-clock chunk timings and per-iteration events must not
     // perturb a single bit of the computation, at any thread count.
@@ -154,7 +194,16 @@ fn recording_telemetry_keeps_parallel_solves_bit_identical() {
             telemetry.registry().counter("core.iterations"),
             (observed.iterations + 1) as u64
         );
-        assert!(telemetry.registry().histogram("core.file_chunk_ns").unwrap().count() > 0);
+        // Only fanned-out passes are timed, one observation per chunk.
+        let file_ns = telemetry.registry().histogram("core.file_chunk_ns");
+        if threads == 1 {
+            assert!(file_ns.is_none(), "a sequential pass is not timed");
+        } else {
+            let file_threads = telemetry.registry().gauge_value("core.file_threads").unwrap();
+            let chunks = 7u64.div_ceil(7u64.div_ceil(file_threads as u64));
+            assert!(chunks > 1);
+            assert_eq!(file_ns.unwrap().count(), chunks * (observed.iterations + 1) as u64);
+        }
     }
 }
 
