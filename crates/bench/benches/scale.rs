@@ -1,7 +1,8 @@
-//! Scale sweep: sequential vs parallel batch kernels (all-pairs shortest
-//! paths, multi-file solve) over N × M grids. The JSON artifact committed at
-//! the repo root (`BENCH_scale.json`) is produced by `fap bench-scale`; this
-//! criterion harness measures the same kernels statistically.
+//! Scale sweep: sequential vs parallel all-pairs shortest paths and the
+//! (single-threaded) multi-file solve over N × M grids. The JSON artifact
+//! committed at the repo root (`BENCH_scale.json`) is produced by
+//! `fap bench-scale`; this criterion harness measures the same kernels
+//! statistically.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -30,8 +31,7 @@ fn bench(c: &mut Criterion) {
         for m in [1usize, 16] {
             let problem = scale_problem(&graph, m);
             let initial = vec![vec![1.0 / n as f64; n]; m];
-            let mut seq_scratch = MultiFileScratch::new();
-            let mut par_scratch = MultiFileScratch::new();
+            let mut scratch = MultiFileScratch::new();
             group.bench_function(format!("multi_file_seq_n{n}_m{m}"), |b| {
                 b.iter(|| {
                     black_box(&problem)
@@ -40,23 +40,7 @@ fn bench(c: &mut Criterion) {
                             0.002,
                             1e-300,
                             10,
-                            Parallelism::Sequential,
-                            &mut seq_scratch,
-                            &mut NoopRecorder,
-                        )
-                        .expect("stable solve")
-                });
-            });
-            group.bench_function(format!("multi_file_par_n{n}_m{m}"), |b| {
-                b.iter(|| {
-                    black_box(&problem)
-                        .solve_with_scratch(
-                            &initial,
-                            0.002,
-                            1e-300,
-                            10,
-                            Parallelism::Auto,
-                            &mut par_scratch,
+                            &mut scratch,
                             &mut NoopRecorder,
                         )
                         .expect("stable solve")

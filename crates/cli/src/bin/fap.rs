@@ -24,7 +24,7 @@
 //! fap trace --folded <metrics.jsonl>     folded stacks for flamegraph.pl
 //! fap trace --diff <a.jsonl> <b.jsonl>   per-layer self-time deltas
 //! fap sweep-k <scenario.json> <k,k,...>  the §8.2 k trade-off
-//! fap bench-scale [out.json]             seq-vs-parallel scaling sweep
+//! fap bench-scale [out.json]             dense and sparse scaling sweep
 //! fap bench-scale --check [committed]    re-run and verify determinism
 //! fap bench-serve [out.json]             sequential-vs-sharded serving sweep
 //! fap bench-serve --check [committed]    re-run and verify determinism
@@ -695,9 +695,15 @@ fn run(args: &[String]) -> Result<(), Failure> {
                     report.sparse_points.len()
                 );
                 for p in &report.points {
+                    let parallel = match (p.parallel_ms, p.speedup) {
+                        (Some(ms), Some(speedup)) => {
+                            format!("  par {ms:>9.2} ms  speedup {speedup:>5.2}x")
+                        }
+                        _ => String::new(),
+                    };
                     println!(
-                        "  {:<10} N={:<5} M={:<4} seq {:>9.2} ms  par {:>9.2} ms  speedup {:>5.2}x",
-                        p.kind, p.n, p.m, p.sequential_ms, p.parallel_ms, p.speedup
+                        "  {:<10} N={:<5} M={:<4} seq {:>9.2} ms{parallel}",
+                        p.kind, p.n, p.m, p.sequential_ms
                     );
                 }
                 for p in &report.sparse_points {
@@ -753,8 +759,8 @@ fn run(args: &[String]) -> Result<(), Failure> {
                 );
                 for p in &report.points {
                     println!(
-                        "  requests={:<5} shards={:<3} seq {:>9.2} ms  sharded {:>9.2} ms  speedup {:>5.2}x  steals {:>4}",
-                        p.requests, p.shards, p.sequential_ms, p.sharded_ms, p.speedup, p.steals
+                        "  requests={:<5} shards={:<3} seq {:>9.2} ms  sharded {:>9.2} ms  speedup {:>5.2}x",
+                        p.requests, p.shards, p.sequential_ms, p.sharded_ms, p.speedup
                     );
                 }
                 println!("cost-matrix cache (off vs on):");

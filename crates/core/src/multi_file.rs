@@ -16,9 +16,7 @@
 //! applies the §5.2 step to each file's allocation with the coupled
 //! gradients.
 
-use std::time::Instant;
-
-use fap_batch::{Matrix, Parallelism};
+use fap_batch::Matrix;
 use serde::{Deserialize, Serialize};
 
 use fap_econ::projection::{compute_step_into, BoundaryRule, StepWorkspace};
@@ -43,23 +41,20 @@ pub struct MultiFileProblem {
 
 /// Reusable buffers for [`MultiFileProblem::solve_with_scratch`].
 ///
-/// Holds the iterate, per-node delay terms, per-worker gradient buffers and
-/// one step workspace per file, so each file's clamp step carries its own
-/// active set from iteration to iteration whichever worker runs it; once
-/// warmed to the problem's `M × N` shape, every solver iteration runs
-/// without heap allocation.
+/// Holds the iterate, per-node delay terms, one gradient buffer and one
+/// step workspace per file, so each file's clamp step carries its own
+/// active set from iteration to iteration; once warmed to the problem's
+/// `M × N` shape, every solver iteration runs without heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct MultiFileScratch {
     x: Matrix,
     delay: Vec<f64>,
     coup: Vec<f64>,
     node_cost: Vec<f64>,
-    file_spread: Vec<f64>,
-    file_kkt: Vec<bool>,
     weights: Vec<f64>,
     cost_series: Vec<f64>,
-    /// One gradient buffer per file-pass worker.
-    grads: Vec<Vec<f64>>,
+    /// The gradient of the file being stepped.
+    grad: Vec<f64>,
     /// One step workspace per file; its deltas are the file's step.
     steps: Vec<StepWorkspace>,
     seed: Matrix,
@@ -111,10 +106,9 @@ impl MultiFileScratch {
         self.has_seed = false;
     }
 
-    /// Resizes every buffer for an `M × N` problem solved with
-    /// `worker_count` file-pass workers. Allocation-free once capacities
-    /// cover the shape.
-    fn ensure(&mut self, m: usize, n: usize, worker_count: usize, max_iterations: usize) {
+    /// Resizes every buffer for an `M × N` problem. Allocation-free once
+    /// capacities cover the shape.
+    fn ensure(&mut self, m: usize, n: usize, max_iterations: usize) {
         self.x.reset(m, n);
         self.delay.clear();
         self.delay.resize(n, 0.0);
@@ -122,16 +116,11 @@ impl MultiFileScratch {
         self.coup.resize(n, 0.0);
         self.node_cost.clear();
         self.node_cost.resize(n, 0.0);
-        self.file_spread.clear();
-        self.file_spread.resize(m, 0.0);
-        self.file_kkt.clear();
-        self.file_kkt.resize(m, true);
         self.weights.clear();
         self.weights.resize(n, 1.0);
         self.cost_series.clear();
         // One entry per iteration plus the final evaluation.
         self.cost_series.reserve(max_iterations + 2);
-        self.grads.resize_with(worker_count, Vec::new);
         // Never shrunk, so a smaller problem keeps the larger one's
         // workspaces warm; the solve uses the first `m`.
         if self.steps.len() < m {
@@ -344,21 +333,15 @@ impl MultiFileProblem {
     /// allocation using the coupled gradients, until every file's marginal
     /// spread is below `epsilon`.
     ///
-    /// `parallelism` fans the per-node delay pass and the per-file
-    /// gradient+step pass out over scoped threads. The result is
-    /// bit-identical to the sequential solve for every setting: workers own
-    /// disjoint contiguous chunks, every floating-point reduction happens
-    /// sequentially in index order after the workers join, and an
-    /// over-capacity error is always reported for the lowest-indexed node.
+    /// The iteration runs on the calling thread: a multi-file solve is one
+    /// request's work, and concurrency lives across requests (the batch
+    /// server) and across shortest-path rows, where the grain is coarse.
+    /// An over-capacity error names the lowest-indexed overloaded node.
     ///
-    /// Telemetry goes into `recorder`: the `core.node_threads` /
-    /// `core.file_threads` fan-out gauges, per-chunk wall timings of the
-    /// passes that fan out over more than one thread in the
-    /// `core.node_chunk_ns` / `core.file_chunk_ns` histograms, the
-    /// `core.iterations` counter, one `core.iter` event per iteration (cost
-    /// and marginal spread) and a final `core.run_end` event. Virtual time
-    /// is set to the iteration count. Wall-clock timings are only measured
-    /// when `recorder.is_enabled()`, so a
+    /// Telemetry goes into `recorder`: the `core.iterations` counter, one
+    /// `core.iter` event per iteration (cost and marginal spread) and a
+    /// final `core.run_end` event. Virtual time is set to the iteration
+    /// count. Events are only built when `recorder.is_enabled()`, so a
     /// [`NoopRecorder`](fap_obs::NoopRecorder) costs nothing, and the
     /// solution is bit-identical with any recorder.
     ///
@@ -373,19 +356,10 @@ impl MultiFileProblem {
         alpha: f64,
         epsilon: f64,
         max_iterations: usize,
-        parallelism: Parallelism,
         recorder: &mut dyn Recorder,
     ) -> Result<MultiFileSolution, CoreError> {
         let mut scratch = MultiFileScratch::new();
-        self.solve_with_scratch(
-            initial,
-            alpha,
-            epsilon,
-            max_iterations,
-            parallelism,
-            &mut scratch,
-            recorder,
-        )
+        self.solve_with_scratch(initial, alpha, epsilon, max_iterations, &mut scratch, recorder)
     }
 
     /// [`MultiFileProblem::solve`] with a caller-owned [`MultiFileScratch`]
@@ -396,14 +370,12 @@ impl MultiFileProblem {
     /// # Errors
     ///
     /// Same conditions as [`MultiFileProblem::solve`].
-    #[allow(clippy::too_many_arguments)]
     pub fn solve_with_scratch(
         &self,
         initial: &[Vec<f64>],
         alpha: f64,
         epsilon: f64,
         max_iterations: usize,
-        parallelism: Parallelism,
         scratch: &mut MultiFileScratch,
         recorder: &mut dyn Recorder,
     ) -> Result<MultiFileSolution, CoreError> {
@@ -425,19 +397,15 @@ impl MultiFileProblem {
 
         let m = self.file_count();
         let n = self.node_count();
-        let node_threads = parallelism.threads_for(n);
-        let file_threads = parallelism.threads_for(m);
-        scratch.ensure(m, n, file_threads, max_iterations);
+        scratch.ensure(m, n, max_iterations);
         let MultiFileScratch {
             x,
             delay,
             coup,
             node_cost,
-            file_spread,
-            file_kkt,
             weights,
             cost_series,
-            grads,
+            grad,
             steps,
             seed,
             has_seed,
@@ -460,53 +428,12 @@ impl MultiFileProblem {
         }
         let mut iterations = 0usize;
         let enabled = recorder.is_enabled();
-        if enabled {
-            recorder.gauge("core.node_threads", node_threads as f64);
-            recorder.gauge("core.file_threads", file_threads as f64);
-        }
 
         loop {
             recorder.set_time(iterations as u64);
-            // Node pass: loads, delay terms and per-node cost partials. Only
-            // a fanned-out pass is timed: one chunk says nothing about
-            // balance, and the clock reads cost a sizable share of a small
-            // sequential iteration.
-            if node_threads <= 1 {
-                self.node_pass(x, 0, delay, coup, node_cost)?;
-            } else {
-                let chunk = n.div_ceil(node_threads);
-                let x_ref: &Matrix = x;
-                let results: Vec<(Result<(), CoreError>, u64)> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = delay
-                        .chunks_mut(chunk)
-                        .zip(coup.chunks_mut(chunk))
-                        .zip(node_cost.chunks_mut(chunk))
-                        .enumerate()
-                        .map(|(index, ((d, c), nc))| {
-                            scope.spawn(move || {
-                                let start = enabled.then(Instant::now);
-                                let result = self.node_pass(x_ref, index * chunk, d, c, nc);
-                                (result, start.map_or(0, |s| s.elapsed().as_nanos() as u64))
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("node-pass worker panicked"))
-                        .collect()
-                });
-                // Timings first (in chunk order), so an over-capacity error
-                // still leaves a complete timing record for the pass.
-                if enabled {
-                    for (_, ns) in &results {
-                        recorder.observe("core.node_chunk_ns", *ns as f64);
-                    }
-                }
-                for (result, _) in results {
-                    result?;
-                }
-            }
-            // Deterministic reduction: sum node partials in index order.
+            // Node pass: loads, delay terms and per-node cost partials.
+            self.node_pass(x, delay, coup, node_cost)?;
+            // Sum node partials in index order.
             let cost: f64 = node_cost.iter().sum();
             cost_series.push(cost);
 
@@ -515,65 +442,8 @@ impl MultiFileProblem {
             // marginals agree within ε *and* every excluded node sits at the
             // boundary with no incentive to rejoin (the same condition the
             // single-file engine checks).
-            if file_threads <= 1 {
-                self.file_pass(
-                    x,
-                    delay,
-                    coup,
-                    weights,
-                    alpha,
-                    epsilon,
-                    0,
-                    steps,
-                    file_spread,
-                    file_kkt,
-                    &mut grads[0],
-                );
-            } else {
-                let chunk_files = m.div_ceil(file_threads);
-                let x_ref: &Matrix = x;
-                let (delay_ref, coup_ref, weights_ref) = (&*delay, &*coup, &*weights);
-                let timings: Vec<u64> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = steps
-                        .chunks_mut(chunk_files)
-                        .enumerate()
-                        .zip(file_spread.chunks_mut(chunk_files))
-                        .zip(file_kkt.chunks_mut(chunk_files))
-                        .zip(grads.iter_mut())
-                        .map(|((((index, step_chunk), spread_chunk), kkt_chunk), g)| {
-                            scope.spawn(move || {
-                                let start = enabled.then(Instant::now);
-                                self.file_pass(
-                                    x_ref,
-                                    delay_ref,
-                                    coup_ref,
-                                    weights_ref,
-                                    alpha,
-                                    epsilon,
-                                    index * chunk_files,
-                                    step_chunk,
-                                    spread_chunk,
-                                    kkt_chunk,
-                                    g,
-                                );
-                                start.map_or(0, |s| s.elapsed().as_nanos() as u64)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("file-pass worker panicked"))
-                        .collect()
-                });
-                if enabled {
-                    for ns in timings {
-                        recorder.observe("core.file_chunk_ns", ns as f64);
-                    }
-                }
-            }
-            // Deterministic reductions in file-index order.
-            let spread = file_spread.iter().fold(0.0f64, |a, &s| a.max(s));
-            let kkt_ok = file_kkt.iter().all(|ok| *ok);
+            let (spread, kkt_ok) =
+                self.file_pass(x, delay, coup, weights, alpha, epsilon, steps, grad);
             if enabled {
                 recorder.incr("core.iterations", 1);
                 recorder.emit(
@@ -615,23 +485,19 @@ impl MultiFileProblem {
         }
     }
 
-    /// Computes, for nodes `first..first + delay.len()`, the delay term
-    /// `k·T_i`, the queue-coupling factor `(Σ_m x_i^m)·k·T_i′` and the
-    /// node's cost partial `Σ_j (C_i^j + k·T_i)·x_i^j`.
-    ///
-    /// Accumulation over files runs in file-index order, matching the
-    /// sequential reference bit-for-bit regardless of chunking.
+    /// Computes, for every node `i`, the delay term `k·T_i`, the
+    /// queue-coupling factor `(Σ_m x_i^m)·k·T_i′` and the node's cost
+    /// partial `Σ_j (C_i^j + k·T_i)·x_i^j`, accumulating over files in
+    /// file-index order. Stops at the first node at or over capacity.
     fn node_pass(
         &self,
         x: &Matrix,
-        first: usize,
         delay: &mut [f64],
         coup: &mut [f64],
         node_cost: &mut [f64],
     ) -> Result<(), CoreError> {
         let m = self.file_count();
-        for offset in 0..delay.len() {
-            let i = first + offset;
+        for i in 0..delay.len() {
             let mut load = 0.0;
             let mut colsum = 0.0;
             for j in 0..m {
@@ -648,22 +514,22 @@ impl MultiFileProblem {
             let d = self.mus[i] - load;
             let t = 1.0 / d;
             let dt = 1.0 / (d * d);
-            delay[offset] = self.k * t;
-            coup[offset] = colsum * self.k * dt;
+            delay[i] = self.k * t;
+            coup[i] = colsum * self.k * dt;
             let mut partial = 0.0;
             for j in 0..m {
                 partial += (self.access_costs.get(j, i) + self.k * t) * x.get(j, i);
             }
-            node_cost[offset] = partial;
+            node_cost[i] = partial;
         }
         Ok(())
     }
 
-    /// Computes, for files `first..first + steps.len()`, the coupled
-    /// gradient (into `g`), the §5.2 clamp-to-zero step (into the file's
-    /// workspace in `steps`), the active marginal spread and the
-    /// complementary-slackness flag. Infallible: capacity was checked by the
-    /// node pass.
+    /// Computes, for every file `j`, the coupled gradient (into `g`) and
+    /// the §5.2 clamp-to-zero step (into the file's workspace `steps[j]`).
+    /// Returns the largest active marginal spread over the files and
+    /// whether every file meets complementary slackness, both folded in
+    /// file-index order. Infallible: capacity was checked by the node pass.
     #[allow(clippy::too_many_arguments)]
     fn file_pass(
         &self,
@@ -673,15 +539,13 @@ impl MultiFileProblem {
         weights: &[f64],
         alpha: f64,
         epsilon: f64,
-        first: usize,
         steps: &mut [StepWorkspace],
-        file_spread: &mut [f64],
-        file_kkt: &mut [bool],
         g: &mut Vec<f64>,
-    ) {
+    ) -> (f64, bool) {
         let n = self.node_count();
-        for (offset, ws) in steps.iter_mut().enumerate() {
-            let j = first + offset;
+        let mut max_spread = 0.0f64;
+        let mut all_kkt = true;
+        for (j, ws) in steps.iter_mut().enumerate() {
             let rate = self.rates[j];
             let xj = x.row(j);
             g.clear();
@@ -700,7 +564,7 @@ impl MultiFileProblem {
                     count += 1;
                 }
             }
-            file_spread[offset] = if hi > lo { hi - lo } else { 0.0 };
+            max_spread = max_spread.max(if hi > lo { hi - lo } else { 0.0 });
             let mut kkt = true;
             if count > 0 {
                 let avg = sum / count as f64;
@@ -710,8 +574,9 @@ impl MultiFileProblem {
                     }
                 }
             }
-            file_kkt[offset] = kkt;
+            all_kkt &= kkt;
         }
+        (max_spread, all_kkt)
     }
 
     fn check_shape(&self, x: &[Vec<f64>]) -> Result<(), CoreError> {
@@ -803,9 +668,7 @@ mod tests {
         let p = AccessPattern::uniform(4, 0.6).unwrap();
         let m = MultiFileProblem::mm1(&graph, &[p.clone(), p], 1.5, 1.0).unwrap();
         let initial = vec![vec![1.0, 0.0, 0.0, 0.0], vec![0.0, 0.0, 0.0, 1.0]];
-        let s = m
-            .solve(&initial, 0.1, 1e-6, 50_000, Parallelism::Sequential, &mut NoopRecorder)
-            .unwrap();
+        let s = m.solve(&initial, 0.1, 1e-6, 50_000, &mut NoopRecorder).unwrap();
         assert!(s.converged);
         let loads = m.node_loads(&s.allocations).unwrap();
         for l in &loads {
@@ -824,9 +687,7 @@ mod tests {
         let p = AccessPattern::uniform(4, 0.7).unwrap();
         let m = MultiFileProblem::mm1(&graph, &[p.clone(), p], 1.0, 5.0).unwrap();
         let initial = vec![vec![0.7, 0.3, 0.0, 0.0], vec![0.6, 0.0, 0.4, 0.0]];
-        let s = m
-            .solve(&initial, 0.02, 1e-6, 100_000, Parallelism::Sequential, &mut NoopRecorder)
-            .unwrap();
+        let s = m.solve(&initial, 0.02, 1e-6, 100_000, &mut NoopRecorder).unwrap();
         assert!(s.converged);
         let loads = m.node_loads(&s.allocations).unwrap();
         let avg: f64 = loads.iter().sum::<f64>() / 4.0;
@@ -842,9 +703,7 @@ mod tests {
         let pb = AccessPattern::hotspot(4, 0.4, fap_net::NodeId::new(1), 0.6).unwrap();
         let m = MultiFileProblem::mm1(&graph, &[pa, pb], 1.5, 1.0).unwrap();
         let initial = vec![vec![1.0, 0.0, 0.0, 0.0], vec![1.0, 0.0, 0.0, 0.0]];
-        let s = m
-            .solve(&initial, 0.02, 1e-6, 100_000, Parallelism::Sequential, &mut NoopRecorder)
-            .unwrap();
+        let s = m.solve(&initial, 0.02, 1e-6, 100_000, &mut NoopRecorder).unwrap();
         assert!(s.converged);
         for w in s.cost_series.windows(2) {
             assert!(w[1] <= w[0] + 1e-10, "cost rose: {} -> {}", w[0], w[1]);
@@ -857,30 +716,10 @@ mod tests {
         let p = AccessPattern::uniform(4, 0.5).unwrap();
         let m = MultiFileProblem::mm1(&graph, &[p.clone(), p], 1.5, 1.0).unwrap();
         let initial = vec![vec![0.5, 0.5, 0.0, 0.0], vec![0.0, 0.0, 0.5, 0.5]];
-        let s = m
-            .solve(&initial, 0.1, 1e-5, 10_000, Parallelism::Sequential, &mut NoopRecorder)
-            .unwrap();
+        let s = m.solve(&initial, 0.1, 1e-5, 10_000, &mut NoopRecorder).unwrap();
         for xj in &s.allocations {
             assert!((xj.iter().sum::<f64>() - 1.0).abs() < 1e-7);
             assert!(xj.iter().all(|v| *v >= -1e-9));
-        }
-    }
-
-    #[test]
-    fn parallel_solve_is_bit_identical_to_sequential() {
-        let graph = ring4();
-        let pa = AccessPattern::uniform(4, 0.5).unwrap();
-        let pb = AccessPattern::hotspot(4, 0.4, fap_net::NodeId::new(1), 0.6).unwrap();
-        let m = MultiFileProblem::mm1(&graph, &[pa, pb], 1.5, 1.0).unwrap();
-        let initial = vec![vec![1.0, 0.0, 0.0, 0.0], vec![0.0, 0.5, 0.5, 0.0]];
-        let seq = m
-            .solve(&initial, 0.05, 1e-6, 2_000, Parallelism::Sequential, &mut NoopRecorder)
-            .unwrap();
-        for threads in [1usize, 2, 3, 8] {
-            let par = m
-                .solve(&initial, 0.05, 1e-6, 2_000, Parallelism::Fixed(threads), &mut NoopRecorder)
-                .unwrap();
-            assert_eq!(seq, par, "threads = {threads}");
         }
     }
 
@@ -890,32 +729,13 @@ mod tests {
         let p = AccessPattern::uniform(4, 0.5).unwrap();
         let m = MultiFileProblem::mm1(&graph, &[p.clone(), p], 1.5, 1.0).unwrap();
         let initial = vec![vec![0.5, 0.5, 0.0, 0.0], vec![0.0, 0.0, 0.5, 0.5]];
-        let fresh = m
-            .solve(&initial, 0.1, 1e-5, 10_000, Parallelism::Sequential, &mut NoopRecorder)
-            .unwrap();
+        let fresh = m.solve(&initial, 0.1, 1e-5, 10_000, &mut NoopRecorder).unwrap();
         let mut scratch = MultiFileScratch::new();
         // Warm the scratch on a different start, then repeat the original.
         let other = vec![vec![1.0, 0.0, 0.0, 0.0], vec![0.0, 1.0, 0.0, 0.0]];
-        m.solve_with_scratch(
-            &other,
-            0.1,
-            1e-5,
-            10_000,
-            Parallelism::Sequential,
-            &mut scratch,
-            &mut NoopRecorder,
-        )
-        .unwrap();
+        m.solve_with_scratch(&other, 0.1, 1e-5, 10_000, &mut scratch, &mut NoopRecorder).unwrap();
         let reused = m
-            .solve_with_scratch(
-                &initial,
-                0.1,
-                1e-5,
-                10_000,
-                Parallelism::Sequential,
-                &mut scratch,
-                &mut NoopRecorder,
-            )
+            .solve_with_scratch(&initial, 0.1, 1e-5, 10_000, &mut scratch, &mut NoopRecorder)
             .unwrap();
         assert_eq!(fresh, reused);
     }
@@ -928,8 +748,7 @@ mod tests {
         let pb = AccessPattern::hotspot(4, 0.4, fap_net::NodeId::new(1), 0.6).unwrap();
         let patterns = [pa, pb];
         let mus = [1.5; 4];
-        let from_graph =
-            MultiFileProblem::mm1_heterogeneous(&graph, &patterns, &mus, 1.0).unwrap();
+        let from_graph = MultiFileProblem::mm1_heterogeneous(&graph, &patterns, &mus, 1.0).unwrap();
         let from_costs =
             MultiFileProblem::mm1_heterogeneous_with_provider(&costs, &patterns, &mus, 1.0)
                 .unwrap();
@@ -945,28 +764,12 @@ mod tests {
         let initial = vec![vec![1.0, 0.0, 0.0, 0.0], vec![0.0, 0.5, 0.5, 0.0]];
         let mut scratch = MultiFileScratch::new();
         let cold = m
-            .solve_with_scratch(
-                &initial,
-                0.05,
-                1e-6,
-                50_000,
-                Parallelism::Sequential,
-                &mut scratch,
-                &mut NoopRecorder,
-            )
+            .solve_with_scratch(&initial, 0.05, 1e-6, 50_000, &mut scratch, &mut NoopRecorder)
             .unwrap();
         assert!(cold.converged && cold.iterations > 5);
         scratch.start_from(&cold.allocations);
         let warm = m
-            .solve_with_scratch(
-                &initial,
-                0.05,
-                1e-6,
-                50_000,
-                Parallelism::Sequential,
-                &mut scratch,
-                &mut NoopRecorder,
-            )
+            .solve_with_scratch(&initial, 0.05, 1e-6, 50_000, &mut scratch, &mut NoopRecorder)
             .unwrap();
         assert!(warm.converged);
         assert!(warm.iterations <= 1, "seeded at the optimum: {}", warm.iterations);
@@ -982,50 +785,15 @@ mod tests {
         let initial = vec![vec![0.5, 0.5, 0.0, 0.0], vec![0.0, 0.0, 0.5, 0.5]];
         let mut scratch = MultiFileScratch::new();
         let cold = m
-            .solve_with_scratch(
-                &initial,
-                0.1,
-                1e-5,
-                10_000,
-                Parallelism::Sequential,
-                &mut scratch,
-                &mut NoopRecorder,
-            )
+            .solve_with_scratch(&initial, 0.1, 1e-5, 10_000, &mut scratch, &mut NoopRecorder)
             .unwrap();
         // Wrong shape (3 nodes): ignored, bit-identical to the cold solve.
         scratch.start_from(&[vec![0.5, 0.3, 0.2], vec![0.2, 0.3, 0.5]]);
         let fallback = m
-            .solve_with_scratch(
-                &initial,
-                0.1,
-                1e-5,
-                10_000,
-                Parallelism::Sequential,
-                &mut scratch,
-                &mut NoopRecorder,
-            )
+            .solve_with_scratch(&initial, 0.1, 1e-5, 10_000, &mut scratch, &mut NoopRecorder)
             .unwrap();
         assert_eq!(cold, fallback);
         assert!(!scratch.has_warm_start());
-    }
-
-    #[test]
-    fn overload_error_is_deterministic_across_parallelism() {
-        // Tiny capacity: every node over capacity at the skewed start; the
-        // reported node must be the lowest-indexed one regardless of threads.
-        let graph = ring4();
-        let p = AccessPattern::uniform(4, 0.5).unwrap();
-        let m = MultiFileProblem::mm1(&graph, &[p.clone(), p], 0.26, 1.0).unwrap();
-        let initial = vec![vec![1.0, 0.0, 0.0, 0.0], vec![1.0, 0.0, 0.0, 0.0]];
-        let seq = m
-            .solve(&initial, 0.05, 1e-6, 100, Parallelism::Sequential, &mut NoopRecorder)
-            .unwrap_err();
-        for threads in [2usize, 3, 8] {
-            let par = m
-                .solve(&initial, 0.05, 1e-6, 100, Parallelism::Fixed(threads), &mut NoopRecorder)
-                .unwrap_err();
-            assert_eq!(format!("{seq:?}"), format!("{par:?}"), "threads = {threads}");
-        }
     }
 
     #[test]
@@ -1035,23 +803,12 @@ mod tests {
         let pb = AccessPattern::hotspot(4, 0.4, fap_net::NodeId::new(1), 0.6).unwrap();
         let m = MultiFileProblem::mm1(&graph, &[pa, pb], 1.5, 1.0).unwrap();
         let initial = vec![vec![1.0, 0.0, 0.0, 0.0], vec![0.0, 0.5, 0.5, 0.0]];
-        let plain = m
-            .solve(&initial, 0.05, 1e-6, 2_000, Parallelism::Sequential, &mut NoopRecorder)
-            .unwrap();
+        let plain = m.solve(&initial, 0.05, 1e-6, 2_000, &mut NoopRecorder).unwrap();
 
         let mut tele = fap_obs::Telemetry::manual();
         let mut scratch = MultiFileScratch::new();
-        let observed = m
-            .solve_with_scratch(
-                &initial,
-                0.05,
-                1e-6,
-                2_000,
-                Parallelism::Sequential,
-                &mut scratch,
-                &mut tele,
-            )
-            .unwrap();
+        let observed =
+            m.solve_with_scratch(&initial, 0.05, 1e-6, 2_000, &mut scratch, &mut tele).unwrap();
         assert_eq!(plain, observed, "recording must not perturb the solve");
 
         // One loop pass per applied step plus the final converged pass.
@@ -1060,47 +817,6 @@ mod tests {
         assert_eq!(tele.events().len(), passes as usize + 1);
         let last = tele.events().last().unwrap();
         assert_eq!(last.name(), "core.run_end");
-        assert_eq!(tele.registry().gauge_value("core.node_threads"), Some(1.0));
-        assert_eq!(tele.registry().gauge_value("core.file_threads"), Some(1.0));
-        // A sequential pass is one chunk: it is not timed.
-        assert!(tele.registry().histogram("core.node_chunk_ns").is_none());
-        assert!(tele.registry().histogram("core.file_chunk_ns").is_none());
-    }
-
-    #[test]
-    fn observed_parallel_solve_matches_sequential_and_times_chunks() {
-        let graph = ring4();
-        let pa = AccessPattern::uniform(4, 0.5).unwrap();
-        let pb = AccessPattern::hotspot(4, 0.4, fap_net::NodeId::new(1), 0.6).unwrap();
-        let m = MultiFileProblem::mm1(&graph, &[pa, pb], 1.5, 1.0).unwrap();
-        let initial = vec![vec![1.0, 0.0, 0.0, 0.0], vec![0.0, 0.5, 0.5, 0.0]];
-        let seq = m
-            .solve(&initial, 0.05, 1e-6, 2_000, Parallelism::Sequential, &mut NoopRecorder)
-            .unwrap();
-
-        let mut tele = fap_obs::Telemetry::manual();
-        let mut scratch = MultiFileScratch::new();
-        let observed = m
-            .solve_with_scratch(
-                &initial,
-                0.05,
-                1e-6,
-                2_000,
-                Parallelism::Fixed(3),
-                &mut scratch,
-                &mut tele,
-            )
-            .unwrap();
-        assert_eq!(seq, observed, "observed parallel solve must stay bit-identical");
-        assert_eq!(tele.registry().gauge_value("core.node_threads"), Some(3.0));
-        assert_eq!(tele.registry().gauge_value("core.file_threads"), Some(2.0));
-        // Every fanned-out pass records one timing per chunk: 3 threads
-        // split 4 nodes into 2 chunks of 2.
-        let passes = (observed.iterations + 1) as u64;
-        let node_ns = tele.registry().histogram("core.node_chunk_ns").unwrap();
-        assert_eq!(node_ns.count(), 2 * passes);
-        let file_ns = tele.registry().histogram("core.file_chunk_ns").unwrap();
-        assert_eq!(file_ns.count(), 2 * passes);
     }
 
     #[test]
@@ -1110,7 +826,7 @@ mod tests {
         let m = MultiFileProblem::mm1(&graph, &[p], 1.5, 1.0).unwrap();
         let good = vec![vec![0.25; 4]];
         let solve = |initial: &[Vec<f64>], alpha: f64, epsilon: f64| {
-            m.solve(initial, alpha, epsilon, 100, Parallelism::Sequential, &mut NoopRecorder)
+            m.solve(initial, alpha, epsilon, 100, &mut NoopRecorder)
         };
         assert!(solve(&good, 0.0, 1e-6).is_err());
         assert!(solve(&good, 0.1, 0.0).is_err());

@@ -13,7 +13,7 @@
 //! ```text
 //! {"t":3,"event":"fault","kind":"drop","round":3,"from":1,"to":4}
 //! {"counter":"sim.dropped","value":12}
-//! {"gauge":"core.node_threads","value":8}
+//! {"gauge":"net.fanout_threads","value":8}
 //! {"hist":"sim.report_latency_rounds","count":57,"sum":61,"min":0,"max":3,"p50":1,"p90":2,"p99":3}
 //! {"sketch":"served.wait","error":0.01,"count":9,"sum":41,"min":0,"max":12,"p50":3.0002,"p90":8.9,"p99":12}
 //! ```

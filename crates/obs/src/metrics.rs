@@ -261,14 +261,20 @@ impl MetricsRegistry {
         }
     }
 
-    /// Registers histogram `name` with explicit bucket bounds (replacing
-    /// any default-shaped histogram auto-created earlier). Call before the
-    /// first observation to choose the shape.
+    /// Registers histogram `name` with explicit bucket bounds. Call before
+    /// the first observation to choose the shape. A histogram of that name
+    /// whose bounds already equal `bounds` is kept with its observations,
+    /// so repeated runs into one registry accumulate; one of another shape
+    /// (such as the default shape an earlier [`observe`](Self::observe)
+    /// auto-created) is replaced.
     pub fn register_histogram(&mut self, name: &'static str, bounds: &[f64]) {
-        let hist = Histogram::with_bounds(bounds);
         match self.histogram_names.find(&self.histograms, name) {
-            Some(i) => self.histograms[i].1 = hist,
-            None => self.histogram_names.push(&mut self.histograms, name, hist),
+            Some(i) if self.histograms[i].1.bounds() == bounds => {}
+            Some(i) => self.histograms[i].1 = Histogram::with_bounds(bounds),
+            None => {
+                let hist = Histogram::with_bounds(bounds);
+                self.histogram_names.push(&mut self.histograms, name, hist);
+            }
         }
     }
 
@@ -552,6 +558,26 @@ mod tests {
         assert_eq!(h.quantile(0.5), 1.0);
         assert_eq!(h.quantile(0.99), 9.0);
         assert_eq!(h.quantile(0.0), 0.0);
+    }
+
+    #[test]
+    fn re_registering_a_histogram_keeps_its_observations_unless_reshaped() {
+        let mut r = MetricsRegistry::new();
+        r.register_histogram("lat", &[1.0, 2.0]);
+        r.observe("lat", 1.0);
+        r.register_histogram("lat", &[1.0, 2.0]);
+        r.observe("lat", 3.0);
+        let h = r.histogram("lat").unwrap();
+        assert_eq!(h.count(), 2, "a same-shape registration must not wipe the histogram");
+        assert_eq!(h.sum(), 4.0);
+        // Another shape replaces it, as does an explicit shape over the
+        // default one `observe` auto-created.
+        r.register_histogram("lat", &[5.0]);
+        assert_eq!(r.histogram("lat").unwrap().count(), 0);
+        assert_eq!(r.histogram("lat").unwrap().bounds(), &[5.0]);
+        r.observe("auto", 1.0);
+        r.register_histogram("auto", &[1.0]);
+        assert_eq!(r.histogram("auto").unwrap().count(), 0);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! and a bounded flight recorder with slowest-k tail sampling.
 //!
 //! The metric stream answers "how much"; it cannot answer "where did THIS
-//! request's time go" once work flows through the work-stealing scheduler
-//! and the hierarchical solver. This module adds the causal layer:
+//! request's time go" once work flows through the batch server's worker
+//! pool and the hierarchical solver. This module adds the causal layer:
 //!
 //! * [`TraceContext`] — `trace_id` / `span_id` / `parent_id` triples.
 //!   Ids come from a per-sink counter

@@ -384,6 +384,26 @@ mod tests {
     }
 
     #[test]
+    fn two_runs_into_one_registry_accumulate_the_latency_histogram() {
+        let p = paper_problem();
+        let sim = SimRun::new(&p, ExchangeScheme::Broadcast, 0.19)
+            .with_epsilon(1e-6)
+            .with_chaos(ChaosPlan::new(7).with_drop(0.2).with_retries(3));
+        let x0 = [0.8, 0.1, 0.1, 0.0];
+        let mut once = fap_obs::MetricsRegistry::new();
+        sim.run(&x0, &mut once).unwrap();
+        let mut twice = fap_obs::MetricsRegistry::new();
+        sim.run(&x0, &mut twice).unwrap();
+        sim.run(&x0, &mut twice).unwrap();
+        let latency = |r: &fap_obs::MetricsRegistry| {
+            r.histogram("sim.report_latency_rounds").expect("registered").count()
+        };
+        assert!(latency(&once) > 0);
+        assert_eq!(twice.counter("sim.sent"), 2 * once.counter("sim.sent"));
+        assert_eq!(latency(&twice), 2 * latency(&once), "the second run wiped the first");
+    }
+
+    #[test]
     fn small_steps_improve_utility_monotonically_and_the_cap_is_honest() {
         let p = paper_problem();
         let r = SimRun::new(&p, ExchangeScheme::Broadcast, 0.05)

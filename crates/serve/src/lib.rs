@@ -4,14 +4,15 @@
 //! allocation problems run concurrently across a network. This crate is
 //! the serving-side mirror of that structure — a batcher that accepts many
 //! independent scenarios (single-file §4, multi-file §5.2, ring §7) and
-//! shards them across a work-stealing worker pool:
+//! shares them out over a small worker pool. Requests are the parallel
+//! grain: each solve runs on one thread.
 //!
 //! * **Submission-order, bit-identical results.** The batch is planned into
 //!   *tasks* (single requests, or warm-start chains — see below) whose
 //!   solved outputs depend only on the task's own contents, never on which
-//!   worker runs it or when. Workers pull tasks from per-worker deques,
-//!   stealing from the back of a victim's deque when their own runs dry
-//!   (counted by `serve.steals`), and each task is solved with the same
+//!   worker runs it or when. Workers take tasks in plan order from one
+//!   shared atomic cursor, one worker per task at most (a one-task batch
+//!   runs on the calling thread), and each task is solved with the same
 //!   deterministic kernel the sequential path uses — so the response
 //!   vector is bit-identical to solving the batch sequentially for *every*
 //!   shard count, even though the task-to-worker assignment is timing
@@ -44,15 +45,15 @@
 //!   [`Tee`] into the aggregate snapshot and any caller-provided recorder —
 //!   counters add and histograms merge bucket-wise, so those aggregate
 //!   metrics are independent of the shard count *and* of which worker
-//!   solved what; per-shard registry contents and last-write gauges are
-//!   scheduling-dependent under stealing and are advisory only.
+//!   solved what; per-shard registry contents and last-write gauges depend
+//!   on which worker took which task and are advisory only.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::Serialize;
 
@@ -92,8 +93,7 @@ pub enum ServeRequest {
         /// pre-existing wire shape) keeps the purely structural key.
         topology: Option<u64>,
     },
-    /// A §5.2 multi-file allocation (solved sequentially inside its
-    /// worker — the shards are the parallelism).
+    /// A §5.2 multi-file allocation.
     MultiFile {
         /// The problem instance.
         problem: MultiFileProblem,
@@ -186,7 +186,7 @@ impl std::error::Error for ServeError {}
 pub struct ServeOutput {
     /// One entry per request, in submission order.
     pub responses: Vec<Result<ServeResponse, ServeError>>,
-    /// One registry per shard, in shard (= chunk) order.
+    /// One registry per shard (worker), in worker order.
     pub shard_metrics: Vec<MetricsRegistry>,
     /// The shard registries merged in shard order: counters added,
     /// histograms folded bucket-wise, plus the `serve.shards` gauge.
@@ -296,7 +296,7 @@ impl BatchServer {
     /// A server sharding batches per `parallelism`
     /// ([`Parallelism::Sequential`] = one shard, [`Parallelism::Auto`] =
     /// one per core, [`Parallelism::Fixed`] = exactly that many, always
-    /// clamped to the request count). Warm starts are off by default, so a
+    /// clamped to the batch's task count). Warm starts are off by default, so a
     /// plain server reproduces the cold per-request solves bit-for-bit.
     pub fn new(parallelism: Parallelism) -> Self {
         BatchServer { parallelism, warm_start: false }
@@ -326,16 +326,14 @@ impl BatchServer {
         self.warm_start
     }
 
-    /// The shard count a batch of `requests` solves would use.
-    pub fn shards_for(&self, requests: usize) -> usize {
-        self.parallelism.threads_for(requests)
-    }
-
-    /// Solves every request across the work-stealing shard pool.
+    /// Solves every request across the shard pool.
     ///
     /// Responses come back in submission order and are bit-identical to
     /// solving the same requests sequentially (with the same warm-start
-    /// setting), whatever the shard count. Each shard records into its own
+    /// setting), whatever the shard count. The batch runs on
+    /// `parallelism.threads_for(tasks)` workers, where a task is one
+    /// request (or one warm-start chain); a single worker is the calling
+    /// thread. Each shard records into its own
     /// [`MetricsRegistry`]; afterwards the registries are replayed in
     /// shard order through a [`Tee`] into both the aggregate snapshot and
     /// `recorder` (pass [`NoopRecorder`](fap_obs::NoopRecorder) to keep
@@ -355,7 +353,6 @@ impl BatchServer {
         seeds: Option<&mut SessionSeeds>,
         recorder: &mut dyn Recorder,
     ) -> ServeOutput {
-        let shards = self.shards_for(requests.len());
         let (order, tasks, keys) = self.plan_tasks(requests);
         // Chain-head seeds are snapshotted per task before any worker
         // spawns; workers read the snapshot immutably, so scheduling can
@@ -366,15 +363,20 @@ impl BatchServer {
             }
             _ => vec![None; tasks.len()],
         };
-        let mut responses: Vec<Option<Result<ServeResponse, ServeError>>> =
-            vec![None; requests.len()];
-        let mut shard_metrics: Vec<MetricsRegistry> = Vec::new();
-
-        if shards <= 1 {
+        // Workers claim tasks in plan order from one cursor until it runs
+        // past the end. Which worker gets which task is timing-dependent;
+        // the solved bits are not, because each task is self-contained.
+        // `Relaxed` suffices: the cursor publishes no data (the plan is
+        // built before any worker starts, results come back through the
+        // join), and each index is still claimed exactly once.
+        let cursor = AtomicUsize::new(0);
+        let run_worker = || {
             let mut registry = MetricsRegistry::new();
             let mut worker = ShardWorker::new();
-            let mut out = Vec::with_capacity(requests.len());
-            for (task, &(start, end)) in tasks.iter().enumerate() {
+            let mut out = Vec::new();
+            loop {
+                let task = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(&(start, end)) = tasks.get(task) else { break };
                 worker.run_task(
                     requests,
                     &order[start..end],
@@ -384,61 +386,30 @@ impl BatchServer {
                     &mut out,
                 );
             }
-            scatter(&mut responses, out);
-            shard_metrics.push(registry);
+            (registry, out)
+        };
+        // At most one worker per task: a one-task batch (say, one warm
+        // chain) runs on the calling thread and spawns nothing.
+        let workers = self.parallelism.threads_for(tasks.len());
+        let worker_outputs: Vec<(MetricsRegistry, TaskOutput)> = if workers <= 1 {
+            vec![run_worker()]
         } else {
-            // Per-worker deques seeded with contiguous task ranges; a
-            // worker pops its own deque from the front and, once dry,
-            // steals from the *back* of the next non-empty victim (scanned
-            // in ring order). Tasks never re-enter a deque, so "every
-            // deque observed empty" is a safe termination condition. The
-            // assignment of tasks to workers is timing-dependent; the
-            // solved bits are not, because each task is self-contained.
-            let chunk = tasks.len().div_ceil(shards);
-            let queues: Vec<Mutex<VecDeque<usize>>> = (0..shards)
-                .map(|w| {
-                    let start = (w * chunk).min(tasks.len());
-                    let end = ((w + 1) * chunk).min(tasks.len());
-                    Mutex::new((start..end).collect())
-                })
-                .collect();
-            let warm = self.warm_start;
-            let (requests_ref, order_ref, tasks_ref, queues_ref, seeds_ref) =
-                (requests, &order, &tasks, &queues, &task_seeds);
-            let worker_outputs: Vec<(MetricsRegistry, TaskOutput)> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..shards)
-                        .map(|w| {
-                            scope.spawn(move || {
-                                let mut registry = MetricsRegistry::new();
-                                let mut worker = ShardWorker::new();
-                                let mut out = Vec::new();
-                                while let Some(task) =
-                                    next_task(queues_ref, w, &mut registry)
-                                {
-                                    let (start, end) = tasks_ref[task];
-                                    worker.run_task(
-                                        requests_ref,
-                                        &order_ref[start..end],
-                                        warm,
-                                        seeds_ref[task].as_ref(),
-                                        &mut registry,
-                                        &mut out,
-                                    );
-                                }
-                                (registry, out)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("serve shard worker panicked"))
-                        .collect()
-                });
-            for (registry, out) in worker_outputs {
-                scatter(&mut responses, out);
-                shard_metrics.push(registry);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(run_worker)).collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("serve shard worker panicked"))
+                    .collect()
+            })
+        };
+        let mut responses: Vec<Option<Result<ServeResponse, ServeError>>> =
+            vec![None; requests.len()];
+        let mut shard_metrics = Vec::with_capacity(worker_outputs.len());
+        for (registry, out) in worker_outputs {
+            for (index, result) in out {
+                responses[index] = Some(result);
             }
+            shard_metrics.push(registry);
         }
 
         // Fan-in: replay each shard registry, in shard order, into both
@@ -461,9 +432,8 @@ impl BatchServer {
         // Tracing: the span timeline is *synthesized* here, after the
         // join, from the plan and the solved responses — never from worker
         // timing — so the span stream is bit-identical for every shard
-        // count and steal pattern. A stolen task keeps its parent by
-        // construction: parentage comes from the plan, not from which
-        // worker ran the task.
+        // count and task-to-worker assignment: parentage comes from the
+        // plan, not from which worker ran the task.
         if recorder.trace_enabled() {
             emit_batch_spans(recorder, &order, &tasks, &responses);
         }
@@ -597,34 +567,6 @@ fn emit_batch_spans(
 /// submission-order slots after the join.
 type TaskOutput = Vec<(usize, Result<ServeResponse, ServeError>)>;
 
-fn scatter(responses: &mut [Option<Result<ServeResponse, ServeError>>], out: TaskOutput) {
-    for (index, result) in out {
-        responses[index] = Some(result);
-    }
-}
-
-/// Pops the next task for worker `w`: front of its own deque, else the back
-/// of the first non-empty victim deque in ring order (a steal, counted in
-/// the worker's registry). `None` means every deque is empty — and since
-/// tasks are never re-queued, empty means finished.
-fn next_task(
-    queues: &[Mutex<VecDeque<usize>>],
-    w: usize,
-    registry: &mut MetricsRegistry,
-) -> Option<usize> {
-    if let Some(task) = queues[w].lock().expect("serve queue poisoned").pop_front() {
-        return Some(task);
-    }
-    for offset in 1..queues.len() {
-        let victim = (w + offset) % queues.len();
-        if let Some(task) = queues[victim].lock().expect("serve queue poisoned").pop_back() {
-            registry.incr("serve.steals", 1);
-            return Some(task);
-        }
-    }
-    None
-}
-
 /// The warm-start chain key of a request: requests with the same key are
 /// seeded from each other's converged answers. The key covers the family
 /// tag, the problem dimensions, the solver parameters (α, ε) and — when
@@ -664,8 +606,8 @@ fn warm_key(request: &ServeRequest) -> Option<u64> {
 }
 
 /// One shard's solver state: the scratch buffers reused across every
-/// request in the shard's chunk, so the steady state allocates only what
-/// the returned solutions themselves need.
+/// request the shard's worker takes, so the steady state allocates only
+/// what the returned solutions themselves need.
 struct ShardWorker {
     econ_scratch: OptimizerScratch,
     multi_scratch: MultiFileScratch,
@@ -683,7 +625,7 @@ impl ShardWorker {
     /// exit, so a task's outputs depend only on its own contents — and on
     /// the optional cross-batch `seed`, which is part of those contents
     /// (snapshotted per task before scheduling). That is the property the
-    /// work-stealing scheduler's determinism rests on.
+    /// shared-cursor scheduler's determinism rests on.
     ///
     /// A session `seed` arms the matching scratch before the chain head, so
     /// the head itself runs seeded (counted by `serve.warm_starts`); the
@@ -768,17 +710,16 @@ impl ShardWorker {
             }
             ServeRequest::MultiFile { problem, initial, alpha, epsilon, max_iterations, .. } => {
                 problem
-                .solve_with_scratch(
-                    initial,
-                    *alpha,
-                    *epsilon,
-                    *max_iterations,
-                    Parallelism::Sequential,
-                    &mut self.multi_scratch,
-                    registry,
-                )
-                .map(ServeResponse::MultiFile)
-                .map_err(|e| ServeError { message: e.to_string() })
+                    .solve_with_scratch(
+                        initial,
+                        *alpha,
+                        *epsilon,
+                        *max_iterations,
+                        &mut self.multi_scratch,
+                        registry,
+                    )
+                    .map(ServeResponse::MultiFile)
+                    .map_err(|e| ServeError { message: e.to_string() })
             }
             ServeRequest::Ring { ring, initial, alpha, cost_delta_tolerance, max_iterations } => {
                 RingSolver::new(*alpha)
@@ -873,11 +814,36 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_clamps_to_the_request_count() {
+    fn shard_count_clamps_to_the_task_count() {
         let server = BatchServer::new(Parallelism::Fixed(64));
-        assert_eq!(server.shards_for(3), 3);
-        assert_eq!(server.shards_for(0), 1);
         let output = server.serve(&[ring_request(), ring_request()], None, &mut NoopRecorder);
+        assert_eq!(output.shard_metrics.len(), 2);
+    }
+
+    #[test]
+    fn one_warm_chain_runs_on_the_calling_thread_alone() {
+        let chain: Vec<ServeRequest> = (0..3).map(|i| single_file_request(10 + i)).collect();
+        let sequential = BatchServer::new(Parallelism::Sequential)
+            .with_warm_start(true)
+            .serve(&chain, None, &mut NoopRecorder);
+        let output = BatchServer::new(Parallelism::Fixed(4))
+            .with_warm_start(true)
+            .serve(&chain, None, &mut NoopRecorder);
+        assert_eq!(output.aggregate.gauge_value("serve.shards"), Some(1.0));
+        assert_eq!(output.shard_metrics.len(), 1);
+        assert_eq!(sequential.responses, output.responses);
+    }
+
+    #[test]
+    fn a_two_task_batch_runs_on_two_shards() {
+        // One warm chain of three plus a ring singleton: two tasks.
+        let mut requests: Vec<ServeRequest> =
+            (0..3).map(|i| single_file_request(10 + i)).collect();
+        requests.push(ring_request());
+        let output = BatchServer::new(Parallelism::Fixed(8))
+            .with_warm_start(true)
+            .serve(&requests, None, &mut NoopRecorder);
+        assert_eq!(output.aggregate.gauge_value("serve.shards"), Some(2.0));
         assert_eq!(output.shard_metrics.len(), 2);
     }
 
@@ -1002,26 +968,6 @@ mod tests {
         assert_eq!(keys[0], warm_key(&requests[0]));
         assert_eq!(keys[1], warm_key(&requests[1]));
         assert_eq!(&keys[2..], &[None, None, None], "ring singletons stay keyless");
-    }
-
-    #[test]
-    fn stealing_pops_the_back_of_the_first_non_empty_victim() {
-        let queues = vec![
-            Mutex::new(VecDeque::new()),
-            Mutex::new(VecDeque::from([1, 2])),
-            Mutex::new(VecDeque::from([3])),
-        ];
-        let mut registry = MetricsRegistry::new();
-        // Worker 0 is dry: it steals the *back* of worker 1's deque.
-        assert_eq!(next_task(&queues, 0, &mut registry), Some(2));
-        assert_eq!(registry.counter("serve.steals"), 1);
-        // Worker 1 still owns its front.
-        assert_eq!(next_task(&queues, 1, &mut registry), Some(1));
-        assert_eq!(registry.counter("serve.steals"), 1);
-        // Everyone dry once the last victim is drained.
-        assert_eq!(next_task(&queues, 0, &mut registry), Some(3));
-        assert_eq!(next_task(&queues, 0, &mut registry), None);
-        assert_eq!(registry.counter("serve.steals"), 2);
     }
 
     #[test]
@@ -1350,10 +1296,10 @@ mod tests {
     }
 
     #[test]
-    fn warm_chain_spans_are_steal_invariant_and_tile_the_batch() {
-        // Warm chains are the indivisible task units the stealer moves
-        // around; their spans must come out identical whatever the shard
-        // count, and the task spans must tile the batch span exactly.
+    fn warm_chain_spans_are_shard_invariant_and_tile_the_batch() {
+        // Warm chains are the indivisible task units the workers take;
+        // their spans must come out identical whatever the shard count,
+        // and the task spans must tile the batch span exactly.
         let requests = mixed_batch();
         let mut reference: Option<String> = None;
         for shards in [1, 2, 4, 8] {

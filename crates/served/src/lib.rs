@@ -15,7 +15,8 @@
 //!   chains within each batch only (what `fap serve --warm-start` runs),
 //!   `session` additionally carries each chain's converged allocation
 //!   across batches through [`SessionSeeds`], and `off` serves cold;
-//! * the work-stealing [`BatchServer`] is constructed once and reused.
+//! * the [`BatchServer`] (workers sharing one task cursor) is constructed
+//!   once and reused.
 //!
 //! ## The virtual clock and admission control
 //!
@@ -278,7 +279,7 @@ pub struct Daemon<P> {
     epoch: Option<Instant>,
     /// The daemon's own session metrics: every line's instrumentation is
     /// teed here as well as to the caller's recorder, so `status` and
-    /// `metrics` lines can report steal counts and wait quantiles without
+    /// `metrics` lines can report counters and wait quantiles without
     /// owning the caller's sink.
     obs: MetricsRegistry,
     /// Always-on bounded tracing: every request becomes a `served.request`
@@ -712,8 +713,8 @@ impl<P: BatchParser> Daemon<P> {
     }
 
     /// The `{"cmd":"status"}` line. It renders only state that is a function
-    /// of the input alone; the scheduling-dependent steal count stays in the
-    /// `serve.steals` registry counter.
+    /// of the input alone, never anything that depends on which worker
+    /// thread solved what.
     fn status_line(&self) -> String {
         let predicted = match self.admission.predicted_wait() {
             Some(w) => finite_or_inf(w),
@@ -1255,14 +1256,14 @@ mod tests {
     }
 
     #[test]
-    fn status_lines_carry_cache_bytes_but_not_steals() {
+    fn status_lines_carry_cache_bytes_and_nothing_thread_dependent() {
         let mut d = daemon(&DaemonConfig::default());
         let (out, _) =
             drive(&mut d, &["{\"at\":0,\"batch\":[1]}", "{\"cmd\":\"shutdown\"}"]);
         let status = out.lines().find(|l| l.contains("\"kind\":\"status\"")).unwrap();
         // One 5-node dense matrix resident: 5·5·8 bytes.
         assert!(status.contains("\"cache_bytes\":200"), "{status}");
-        // Steals depend on thread timing, so no response line renders them.
+        // Nothing that depends on thread timing is rendered.
         assert!(!status.contains("steals"), "{status}");
         assert!(status.contains("\"shed\":0"), "{status}");
     }

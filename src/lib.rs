@@ -47,8 +47,8 @@
 //!   [`Recorder`](fap_obs::Recorder) trait (the no-op recorder preserves
 //!   the zero-allocation and bit-identity guarantees);
 //! * [`serve`] — the sharded batch-serving layer: many independent
-//!   scenarios solved across a work-stealing scoped-thread worker pool with
-//!   per-worker scratch reuse, optional warm-started solves seeded from the
+//!   scenarios solved by a scoped-thread worker pool that takes tasks from
+//!   one shared cursor, with per-worker scratch reuse, optional warm-started solves seeded from the
 //!   previous same-shape request, submission-order results bit-identical to
 //!   sequential solves, and per-shard metric registries fanned into one
 //!   aggregate snapshot;

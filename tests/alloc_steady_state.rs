@@ -95,15 +95,7 @@ fn solve_n(
 ) -> MultiFileSolution {
     // ε far below attainability: the solve always pays `iterations` steps.
     problem
-        .solve_with_scratch(
-            initial,
-            0.002,
-            1e-300,
-            iterations,
-            Parallelism::Sequential,
-            scratch,
-            &mut NoopRecorder,
-        )
+        .solve_with_scratch(initial, 0.002, 1e-300, iterations, scratch, &mut NoopRecorder)
         .expect("stable solve")
 }
 
@@ -372,15 +364,7 @@ fn recording_solve_only_grows_preallocated_buffers() {
     let observe_n = |iterations: usize, scratch: &mut MultiFileScratch| {
         let mut telemetry = Telemetry::manual().with_event_capacity(CAPACITY);
         let solution = problem
-            .solve_with_scratch(
-                &initial,
-                0.002,
-                1e-300,
-                iterations,
-                Parallelism::Sequential,
-                scratch,
-                &mut telemetry,
-            )
+            .solve_with_scratch(&initial, 0.002, 1e-300, iterations, scratch, &mut telemetry)
             .expect("stable solve");
         (solution, telemetry)
     };

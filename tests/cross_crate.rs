@@ -139,7 +139,7 @@ fn multi_file_balances_shared_queues() {
     let m = MultiFileProblem::mm1(&graph, &[pattern.clone(), pattern], 1.0, 5.0).unwrap();
     let initial = vec![vec![0.7, 0.3, 0.0, 0.0], vec![0.6, 0.0, 0.4, 0.0]];
     let s = m
-        .solve(&initial, 0.02, 1e-6, 100_000, Parallelism::Sequential, &mut NoopRecorder)
+        .solve(&initial, 0.02, 1e-6, 100_000, &mut NoopRecorder)
         .unwrap();
     assert!(s.converged);
     let loads = m.node_loads(&s.allocations).unwrap();

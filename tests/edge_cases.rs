@@ -127,14 +127,7 @@ fn multi_file_files_follow_their_own_traffic() {
     let file_b = AccessPattern::hotspot(4, 0.5, NodeId::new(3), 0.85).unwrap();
     let m = MultiFileProblem::mm1(&graph, &[file_a, file_b], 1.5, 0.3).unwrap();
     let s = m
-        .solve(
-            &[vec![0.25; 4], vec![0.25; 4]],
-            0.02,
-            1e-6,
-            100_000,
-            Parallelism::Sequential,
-            &mut NoopRecorder,
-        )
+        .solve(&[vec![0.25; 4], vec![0.25; 4]], 0.02, 1e-6, 100_000, &mut NoopRecorder)
         .unwrap();
     assert!(s.converged);
     // File A concentrates at the left end, file B at the right.

@@ -1,14 +1,14 @@
-//! Bit-identical equivalence of the parallel batch paths with their
-//! sequential references.
+//! Bit-identical equivalence of the parallel all-pairs kernel with its
+//! sequential reference, and of reused multi-file scratch with fresh
+//! solves.
 //!
-//! The contract this PR's engine makes is strong: for *every* thread count,
-//! the parallel all-pairs shortest-path matrix and the parallel multi-file
-//! solve produce results that are equal down to the last f64 bit, because
-//! workers own disjoint contiguous row chunks and every floating-point
-//! reduction runs sequentially in index order after the workers join. These
-//! tests pin that contract on ring, mesh, torus and random topologies, with
-//! node counts chosen to exercise uneven chunking (N not divisible by the
-//! thread count) and the 1-thread degenerate case.
+//! For *every* thread count the parallel all-pairs shortest-path matrix is
+//! equal to the sequential one down to the last f64 bit, because workers
+//! own disjoint contiguous row chunks. These tests pin that contract on
+//! ring, mesh, torus and random topologies, with node counts chosen to
+//! exercise uneven chunking (N not divisible by the thread count) and the
+//! 1-thread degenerate case. The multi-file solve runs on one thread; what
+//! it carries between solves in a reused scratch must not change a bit.
 
 use fap::batch::Parallelism;
 use fap::core::{MultiFileProblem, MultiFileScratch};
@@ -79,55 +79,13 @@ fn tilted_initial(files: usize, n: usize) -> Vec<Vec<f64>> {
 }
 
 #[test]
-fn multi_file_parallel_solve_is_bit_identical() {
-    for (label, graph) in topologies() {
-        let n = graph.node_count();
-        // File counts around the thread counts: 1 (degenerate), 7 (prime,
-        // uneven chunks), 8 (even chunks for 2/8 threads).
-        for files in [1usize, 7, 8] {
-            let problem = problem_on(&graph, files, 77);
-            let initial = tilted_initial(files, n);
-            let sequential = problem
-                .solve(&initial, 0.01, 1e-6, 400, Parallelism::Sequential, &mut NoopRecorder)
-                .unwrap();
-            for threads in THREADS {
-                let parallel = problem
-                    .solve(
-                        &initial,
-                        0.01,
-                        1e-6,
-                        400,
-                        Parallelism::Fixed(threads),
-                        &mut NoopRecorder,
-                    )
-                    .unwrap();
-                assert_eq!(sequential.iterations, parallel.iterations, "{label} M={files}");
-                assert_eq!(sequential.converged, parallel.converged, "{label} M={files}");
-                assert_eq!(
-                    bits(&sequential.cost_series),
-                    bits(&parallel.cost_series),
-                    "{label} M={files} with {threads} threads"
-                );
-                for (sj, pj) in sequential.allocations.iter().zip(&parallel.allocations) {
-                    assert_eq!(bits(sj), bits(pj), "{label} M={files} with {threads} threads");
-                }
-                assert_eq!(
-                    sequential.final_cost.to_bits(),
-                    parallel.final_cost.to_bits(),
-                    "{label} M={files} with {threads} threads"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn carried_clamp_sets_are_bit_identical_at_every_thread_count() {
+fn carried_clamp_sets_are_bit_identical_across_reused_solves() {
     // Hotspot files with a light delay weight: each file settles on a few
     // nodes near its hotspot and pins the rest, so the clamp step carries
     // each file's pinned set from iteration to iteration. One scratch is
-    // reused across thread counts, so every file also starts from the set
-    // a solve at another thread count left behind.
+    // reused for repeated solves, once right after a problem of another
+    // shape, so every file also starts from the set an earlier solve left
+    // behind in its workspace.
     let graph = topology::ring(31, 1.0).unwrap();
     let n = graph.node_count();
     let files = 7;
@@ -136,73 +94,32 @@ fn carried_clamp_sets_are_bit_identical_at_every_thread_count() {
         .collect();
     let problem = MultiFileProblem::mm1(&graph, &patterns, 1.0, 0.05).unwrap();
     let initial = tilted_initial(files, n);
-    let sequential = problem
-        .solve(&initial, 0.02, 1e-9, 600, Parallelism::Sequential, &mut NoopRecorder)
-        .unwrap();
-    let pinned = sequential.allocations.iter().flatten().filter(|v| **v == 0.0).count();
+    let fresh = problem.solve(&initial, 0.02, 1e-9, 600, &mut NoopRecorder).unwrap();
+    let pinned = fresh.allocations.iter().flatten().filter(|v| **v == 0.0).count();
     assert!(pinned > files * n / 2, "only {pinned} pinned entries");
+    let other_graph = topology::ring(17, 1.0).unwrap();
+    let other = problem_on(&other_graph, 9, 11);
+    let other_initial = tilted_initial(9, 17);
     let mut scratch = MultiFileScratch::new();
-    for threads in THREADS.iter().chain(THREADS.iter().rev()) {
-        let parallel = problem
-            .solve_with_scratch(
-                &initial,
-                0.02,
-                1e-9,
-                600,
-                Parallelism::Fixed(*threads),
-                &mut scratch,
-                &mut NoopRecorder,
-            )
-            .unwrap();
-        assert_eq!(bits(&sequential.cost_series), bits(&parallel.cost_series), "{threads} threads");
-        for (sj, pj) in sequential.allocations.iter().zip(&parallel.allocations) {
-            assert_eq!(bits(sj), bits(pj), "{threads} threads");
+    for round in 0..4 {
+        if round == 2 {
+            other
+                .solve_with_scratch(
+                    &other_initial,
+                    0.02,
+                    1e-9,
+                    600,
+                    &mut scratch,
+                    &mut NoopRecorder,
+                )
+                .unwrap();
         }
-    }
-}
-
-#[test]
-fn recording_telemetry_keeps_parallel_solves_bit_identical() {
-    // Recording wall-clock chunk timings and per-iteration events must not
-    // perturb a single bit of the computation, at any thread count.
-    let graph = topology::torus(5, 7, 1.5).unwrap();
-    let problem = problem_on(&graph, 7, 77);
-    let initial = tilted_initial(7, graph.node_count());
-    let sequential = problem
-        .solve(&initial, 0.01, 1e-6, 400, Parallelism::Sequential, &mut NoopRecorder)
-        .unwrap();
-    for threads in THREADS {
-        let mut telemetry = fap::obs::Telemetry::manual();
-        let mut scratch = MultiFileScratch::new();
-        let observed = problem
-            .solve_with_scratch(
-                &initial,
-                0.01,
-                1e-6,
-                400,
-                Parallelism::Fixed(threads),
-                &mut scratch,
-                &mut telemetry,
-            )
+        let reused = problem
+            .solve_with_scratch(&initial, 0.02, 1e-9, 600, &mut scratch, &mut NoopRecorder)
             .unwrap();
-        for (sj, oj) in sequential.allocations.iter().zip(&observed.allocations) {
-            assert_eq!(bits(sj), bits(oj), "recorded solve diverged with {threads} threads");
-        }
-        assert_eq!(bits(&sequential.cost_series), bits(&observed.cost_series));
-        assert_eq!(sequential.final_cost.to_bits(), observed.final_cost.to_bits());
-        assert_eq!(
-            telemetry.registry().counter("core.iterations"),
-            (observed.iterations + 1) as u64
-        );
-        // Only fanned-out passes are timed, one observation per chunk.
-        let file_ns = telemetry.registry().histogram("core.file_chunk_ns");
-        if threads == 1 {
-            assert!(file_ns.is_none(), "a sequential pass is not timed");
-        } else {
-            let file_threads = telemetry.registry().gauge_value("core.file_threads").unwrap();
-            let chunks = 7u64.div_ceil(7u64.div_ceil(file_threads as u64));
-            assert!(chunks > 1);
-            assert_eq!(file_ns.unwrap().count(), chunks * (observed.iterations + 1) as u64);
+        assert_eq!(bits(&fresh.cost_series), bits(&reused.cost_series), "round {round}");
+        for (fj, rj) in fresh.allocations.iter().zip(&reused.allocations) {
+            assert_eq!(bits(fj), bits(rj), "round {round}");
         }
     }
 }
@@ -217,37 +134,17 @@ fn scratch_reuse_across_shapes_is_bit_identical() {
     let small_init = tilted_initial(2, 11);
     let large_init = tilted_initial(9, 11);
 
-    let fresh_small = small
-        .solve(&small_init, 0.02, 1e-6, 300, Parallelism::Sequential, &mut NoopRecorder)
-        .unwrap();
-    let fresh_large = large
-        .solve(&large_init, 0.02, 1e-6, 300, Parallelism::Sequential, &mut NoopRecorder)
-        .unwrap();
+    let fresh_small = small.solve(&small_init, 0.02, 1e-6, 300, &mut NoopRecorder).unwrap();
+    let fresh_large = large.solve(&large_init, 0.02, 1e-6, 300, &mut NoopRecorder).unwrap();
 
     let mut scratch = MultiFileScratch::new();
     for _ in 0..2 {
         let s = small
-            .solve_with_scratch(
-                &small_init,
-                0.02,
-                1e-6,
-                300,
-                Parallelism::Fixed(3),
-                &mut scratch,
-                &mut NoopRecorder,
-            )
+            .solve_with_scratch(&small_init, 0.02, 1e-6, 300, &mut scratch, &mut NoopRecorder)
             .unwrap();
         assert_eq!(fresh_small, s);
         let l = large
-            .solve_with_scratch(
-                &large_init,
-                0.02,
-                1e-6,
-                300,
-                Parallelism::Fixed(2),
-                &mut scratch,
-                &mut NoopRecorder,
-            )
+            .solve_with_scratch(&large_init, 0.02, 1e-6, 300, &mut scratch, &mut NoopRecorder)
             .unwrap();
         assert_eq!(fresh_large, l);
     }

@@ -110,8 +110,8 @@ fn aggregate_metrics_are_shard_count_independent() {
 fn warm_started_serving_is_bit_identical_for_every_shard_count() {
     // With warm starts on, same-shaped requests chain and later links are
     // seeded from earlier converged answers. Chains are the scheduling unit
-    // of the work-stealing scheduler, so the seed sequence — and therefore
-    // every response — must not depend on how many workers steal the tasks.
+    // the workers take from the shared cursor, so the seed sequence — and
+    // therefore every response — must not depend on how many workers run.
     let requests = mixed_batch(12);
     let warm_sequential = BatchServer::new(Parallelism::Sequential)
         .with_warm_start(true)
@@ -128,8 +128,7 @@ fn warm_started_serving_is_bit_identical_for_every_shard_count() {
             warm_sequential.responses, sharded.responses,
             "{shards} warm shards must return the sequential responses bit for bit"
         );
-        // Warm accounting commutes like every other aggregate counter;
-        // only `serve.steals` is scheduling-dependent and unasserted.
+        // Warm accounting commutes like every other aggregate counter.
         for counter in ["serve.warm_starts", "econ.warm_start_iters_saved", "serve.requests"] {
             assert_eq!(
                 warm_sequential.aggregate.counter(counter),

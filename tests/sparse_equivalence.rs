@@ -55,12 +55,8 @@ fn dense_provider_multi_file_solves_are_bit_identical() {
     )
     .unwrap();
     let initial = vec![vec![1.0 / 18.0; 18]; 4];
-    let a = legacy
-        .solve(&initial, 0.002, 1e-9, 500, Parallelism::Sequential, &mut NoopRecorder)
-        .unwrap();
-    let b = generic
-        .solve(&initial, 0.002, 1e-9, 500, Parallelism::Sequential, &mut NoopRecorder)
-        .unwrap();
+    let a = legacy.solve(&initial, 0.002, 1e-9, 500, &mut NoopRecorder).unwrap();
+    let b = generic.solve(&initial, 0.002, 1e-9, 500, &mut NoopRecorder).unwrap();
     assert_eq!(a, b, "provider-generic multi-file solve must match the matrix path");
 }
 
