@@ -1,20 +1,14 @@
 //! The drift benchmark: the online-reallocation control loop over every
 //! scenario preset, hard-gated on its two contracts.
 //!
-//! For each scenario [`bench_drift`] runs the seeded [`DriftRun`] once
-//! sequentially (timed) and once per thread count in the grid, asserting
-//! the reports are bit-identical — the tracker's determinism contract.
-//! The diurnal point additionally asserts the ISSUE's regret gate:
-//! tracked regret at most 10% of the static-allocation regret. Results
-//! serialize to the `BENCH_drift.json` schema committed at the repo root;
-//! regenerate with `fap bench-drift` (prefer `--release`). `--check`
-//! re-runs the committed grid: regret bits, virtual counts and the regret
-//! gate are hard failures, wall-clock drift only an advisory.
+//! For each scenario [`bench_drift`] runs the seeded [`DriftRun`], timed
+//! as the median of five runs, and asserts the regret gate on the diurnal
+//! point: tracked regret at most 10% of the static-allocation regret.
+//! Results serialize to the `BENCH_drift.json` schema committed at the
+//! repo root; regenerate with `fap bench-drift` (prefer `--release`).
+//! `--check` re-runs the committed grid: regret bits, virtual counts and
+//! the regret gate are hard failures, wall-clock drift only an advisory.
 
-use std::time::Instant;
-
-use fap_batch::Parallelism;
-use fap_net::topology;
 use fap_obs::NoopRecorder;
 use fap_runtime::{DriftConfig, DriftReport, DriftRun, DriftScenario};
 use serde::{Deserialize, Serialize};
@@ -47,9 +41,10 @@ pub struct DriftPoint {
     /// Epochs that re-solved warm (all but the first).
     pub warm_epochs: usize,
     /// A content checksum over the report (regrets, movement, final
-    /// allocation and per-epoch utilities), equal at every thread count.
+    /// allocation and per-epoch utilities).
     pub checksum: f64,
-    /// Sequential wall clock, milliseconds. Machine-dependent — advisory.
+    /// Wall clock of one run, milliseconds: the median of five runs.
+    /// Machine-dependent — advisory.
     pub run_ms: f64,
 }
 
@@ -57,7 +52,7 @@ pub struct DriftPoint {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DriftBenchReport {
     /// Logical CPUs of the recording host
-    /// (`std::thread::available_parallelism()`).
+    /// (the standard library's available parallelism).
     #[serde(default)]
     pub host_threads: usize,
     /// Ring size the scenarios run on.
@@ -68,23 +63,28 @@ pub struct DriftBenchReport {
     pub seed: u64,
     /// The scenario labels, in run order.
     pub scenarios: Vec<String>,
-    /// Thread counts each run was re-checked at for bit-identity.
-    pub thread_grid: Vec<usize>,
     /// One point per scenario.
     pub points: Vec<DriftPoint>,
 }
 
 /// The benchmark's [`DriftConfig`] for a scenario preset: the library
-/// defaults with the grid's epoch count and seed, and an iteration cap
-/// sized for the small ring.
+/// defaults with the grid's ring size, epoch count and seed, and an
+/// iteration cap sized for the small ring.
 ///
 /// # Panics
 ///
 /// Panics on an unknown scenario label (the grids are fixed).
-pub fn drift_config(label: &str, epochs: usize, seed: u64) -> DriftConfig {
+pub fn drift_config(label: &str, nodes: usize, epochs: usize, seed: u64) -> DriftConfig {
     let scenario = DriftScenario::preset(label, epochs)
         .unwrap_or_else(|| panic!("unknown drift scenario '{label}'"));
-    DriftConfig { scenario, epochs, seed, max_iterations: 60_000, ..DriftConfig::default() }
+    DriftConfig {
+        scenario,
+        nodes,
+        epochs,
+        seed,
+        max_iterations: 60_000,
+        ..DriftConfig::default()
+    }
 }
 
 fn checksum_report(report: &DriftReport) -> f64 {
@@ -95,43 +95,19 @@ fn checksum_report(report: &DriftReport) -> f64 {
         + report.epochs.iter().map(|e| e.tracked_utility + e.movement).sum::<f64>()
 }
 
-fn time_ms<T>(f: impl FnOnce() -> T) -> (f64, T) {
-    let start = Instant::now();
-    let value = f();
-    (start.elapsed().as_secs_f64() * 1e3, value)
-}
-
-/// Runs the sweep: each scenario once sequentially (timed), then once per
-/// thread count asserting the report is bit-identical.
+/// Runs the sweep: each scenario's run, timed as the median of five.
 ///
 /// # Panics
 ///
-/// Panics if any threaded report differs bitwise from the sequential one,
-/// or if the diurnal point misses the [`REGRET_GATE`] — the tracker's two
-/// contracts.
-pub fn bench_drift(
-    scenarios: &[String],
-    nodes: usize,
-    epochs: usize,
-    seed: u64,
-    thread_grid: &[usize],
-) -> DriftBenchReport {
-    let graph = topology::ring(nodes, 1.0).expect("valid ring");
+/// Panics if a run fails or if the diurnal point misses the
+/// [`REGRET_GATE`].
+pub fn bench_drift(scenarios: &[String], nodes: usize, epochs: usize, seed: u64) -> DriftBenchReport {
     let mut points = Vec::with_capacity(scenarios.len());
     for label in scenarios {
-        let run = DriftRun::new(&graph, drift_config(label, epochs, seed))
+        let run = DriftRun::new(drift_config(label, nodes, epochs, seed))
             .expect("valid drift config");
-        let (run_ms, sequential) = time_ms(|| run.run(Parallelism::Sequential, &mut NoopRecorder));
+        let (run_ms, sequential) = crate::median_ms(|| run.run(&mut NoopRecorder));
         let sequential = sequential.expect("the benchmark trajectory must solve cleanly");
-        for &threads in thread_grid {
-            let parallel = run
-                .run(Parallelism::Fixed(threads), &mut NoopRecorder)
-                .expect("threaded run must succeed");
-            assert_eq!(
-                sequential, parallel,
-                "drift report diverged at scenario = {label}, threads = {threads}"
-            );
-        }
         let point = DriftPoint {
             scenario: label.clone(),
             tracked_regret: sequential.tracked_regret,
@@ -163,7 +139,6 @@ pub fn bench_drift(
         epochs,
         seed,
         scenarios: scenarios.to_vec(),
-        thread_grid: thread_grid.to_vec(),
         points,
     }
 }
@@ -186,21 +161,18 @@ pub fn check_against(
         || committed.epochs != fresh.epochs
         || committed.seed != fresh.seed
         || committed.scenarios != fresh.scenarios
-        || committed.thread_grid != fresh.thread_grid
     {
         outcome.hard_failures.push(format!(
-            "grid mismatch: committed {} nodes × {} epochs seed {} {:?} threads {:?}, \
-             fresh {} nodes × {} epochs seed {} {:?} threads {:?}",
+            "grid mismatch: committed {} nodes × {} epochs seed {} {:?}, \
+             fresh {} nodes × {} epochs seed {} {:?}",
             committed.nodes,
             committed.epochs,
             committed.seed,
             committed.scenarios,
-            committed.thread_grid,
             fresh.nodes,
             fresh.epochs,
             fresh.seed,
-            fresh.scenarios,
-            fresh.thread_grid
+            fresh.scenarios
         ));
     }
     if committed.points.len() != fresh.points.len() {
@@ -287,7 +259,7 @@ mod tests {
     use super::*;
 
     fn small_grid() -> DriftBenchReport {
-        bench_drift(&default_scenarios(), 6, 12, 7, &[2, 3])
+        bench_drift(&default_scenarios(), 6, 12, 7)
     }
 
     #[test]

@@ -21,6 +21,24 @@ pub mod series;
 
 pub use series::Series;
 
+/// Runs behind every [`median_ms`] timing.
+const TIMING_RUNS: usize = 5;
+
+/// Times `f` as the median wall clock of [`TIMING_RUNS`] runs, in
+/// milliseconds, returning the last run's value with it, so one noise
+/// spike on a shared host does not set a committed timing.
+fn median_ms<T>(mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut times = [0.0; TIMING_RUNS];
+    let mut value = None;
+    for time in &mut times {
+        let start = std::time::Instant::now();
+        value = Some(f());
+        *time = start.elapsed().as_secs_f64() * 1e3;
+    }
+    times.sort_by(f64::total_cmp);
+    (times[TIMING_RUNS / 2], value.expect("TIMING_RUNS is positive"))
+}
+
 /// The paper's §6 experimental parameters: μ = 1.5, k = 1, λ = 1,
 /// ε = 0.001, four-node ring with unit link costs, start
 /// `(0.8, 0.1, 0.1, 0.0)`.

@@ -33,9 +33,10 @@ pub struct ServePoint {
     pub requests: usize,
     /// Shard count of the sharded run.
     pub shards: usize,
-    /// Sequential (one-shard) wall clock, milliseconds.
+    /// Sequential (one-shard) wall clock, milliseconds: the median of
+    /// five runs.
     pub sequential_ms: f64,
-    /// Sharded wall clock, milliseconds.
+    /// Sharded wall clock, milliseconds: the median of five runs.
     pub sharded_ms: f64,
     /// `sequential_ms / sharded_ms`.
     pub speedup: f64,
@@ -320,7 +321,7 @@ fn time_ms<T>(f: impl FnOnce() -> T) -> (f64, T) {
 }
 
 /// Runs the sweep: for each batch size a sequential baseline, then one
-/// sharded run per shard count.
+/// sharded point per shard count, each timed as the median of five runs.
 ///
 /// # Panics
 ///
@@ -331,18 +332,15 @@ pub fn bench_serve(batch_sizes: &[usize], shard_counts: &[usize]) -> ServeReport
     let mut points = Vec::new();
     for &count in batch_sizes {
         let requests = serve_workload(count);
-        let (sequential_ms, sequential) =
-            time_ms(|| {
-                BatchServer::new(Parallelism::Sequential).serve(&requests, None, &mut NoopRecorder)
-            });
+        let (sequential_ms, sequential) = crate::median_ms(|| {
+            BatchServer::new(Parallelism::Sequential).serve(&requests, None, &mut NoopRecorder)
+        });
         assert_eq!(sequential.err_count(), 0, "the benchmark workload must solve cleanly");
         let checksum = checksum_output(&sequential);
         for &shards in shard_counts {
-            let (sharded_ms, sharded) =
-                time_ms(|| {
-                    BatchServer::new(Parallelism::Fixed(shards))
-                        .serve(&requests, None, &mut NoopRecorder)
-                });
+            let (sharded_ms, sharded) = crate::median_ms(|| {
+                BatchServer::new(Parallelism::Fixed(shards)).serve(&requests, None, &mut NoopRecorder)
+            });
             assert_eq!(
                 sequential.responses, sharded.responses,
                 "sharded serving diverged at requests = {count}, shards = {shards}"

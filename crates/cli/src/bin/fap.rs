@@ -28,7 +28,7 @@
 //! fap bench-scale --check [committed]    re-run and verify determinism
 //! fap bench-serve [out.json]             sequential-vs-sharded serving sweep
 //! fap bench-serve --check [committed]    re-run and verify determinism
-//! fap bench-drift [out.json]             drift-tracking regret/determinism sweep
+//! fap bench-drift [out.json]             drift-tracking regret sweep
 //! fap bench-drift --check [committed]    re-run and verify the regret gate
 //! fap example                            print a template scenario
 //! fap chaos-example                      print a template fault plan
@@ -109,7 +109,7 @@ const USAGE: &str = "usage:
              [--socket <path>] [metrics flags]
   fap track [--drift-scenario diurnal|flash-crowd|step|node-churn] [--nodes <n>]
             [--epochs <n>] [--seed <s>] [--hysteresis <eta>] [--smoothing <mu>]
-            [--migration-bandwidth <b>] [--threads <n>] [--json] [metrics flags]
+            [--migration-bandwidth <b>] [--json] [metrics flags]
   fap serve-example
   fap report <metrics.jsonl>
   fap report --json <metrics.jsonl>
@@ -791,7 +791,6 @@ fn run(args: &[String]) -> Result<(), Failure> {
                     committed.nodes,
                     committed.epochs,
                     committed.seed,
-                    &committed.thread_grid,
                 );
                 let outcome = fap_bench::drift::check_against(&committed, &fresh, 1.5);
                 for advisory in &outcome.advisories {
@@ -818,7 +817,6 @@ fn run(args: &[String]) -> Result<(), Failure> {
                     8,
                     24,
                     7,
-                    &[2, 4],
                 );
                 let json =
                     serde_json::to_string_pretty(&report).map_err(failed)?;

@@ -513,15 +513,15 @@ mod tests {
 
     #[test]
     fn tracking_runs_render_their_own_section() {
-        let graph = fap_net::topology::ring(5, 1.0).unwrap();
         let config = fap_runtime::DriftConfig {
+            nodes: 5,
             epochs: 6,
             max_iterations: 60_000,
             ..fap_runtime::DriftConfig::default()
         };
-        let run = fap_runtime::DriftRun::new(&graph, config).unwrap();
+        let run = fap_runtime::DriftRun::new(config).unwrap();
         let mut telemetry = Telemetry::manual();
-        let report = run.run(fap_batch::Parallelism::Sequential, &mut telemetry).unwrap();
+        let report = run.run(&mut telemetry).unwrap();
         let summary = summarize(&telemetry.to_jsonl()).unwrap();
         assert!(summary
             .counters

@@ -5,7 +5,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use fap_cache::CostBackend;
-use fap_net::shortest_path::DEFAULT_DENSE_ELEMENT_BUDGET;
+use fap_net::shortest_path::{DEFAULT_DENSE_ELEMENT_BUDGET, SUBSTRATE_BYTE_LIMIT};
 use fap_net::{topology, AccessPattern, Graph, NetError, NodeId};
 
 use crate::run::net_error;
@@ -88,10 +88,6 @@ pub enum Topology {
         links: Vec<(usize, usize, f64)>,
     },
 }
-
-/// Largest adjacency a topology may build, and largest landmark table a
-/// spec may ask for, in bytes: the scale bench's 1 GiB substrate ceiling.
-const SUBSTRATE_BYTE_LIMIT: usize = 1 << 30;
 
 impl Topology {
     /// Builds the graph a solve on `backend` runs over, after pricing both

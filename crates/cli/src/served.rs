@@ -12,14 +12,8 @@
 //! Two transports are offered: stdin/stdout (the default, scriptable), and
 //! on Unix a socket (`--socket <path>`), where sequential client
 //! connections share one daemon — state persists across connects until a
-//! `shutdown` command arrives.
-//!
-//! One command is handled at this layer rather than inside the wire
-//! daemon: `{"cmd":"drift", ...}` runs the online-reallocation tracking
-//! loop (see [`crate::track`]) and answers with a one-line regret
-//! summary. Keeping it here preserves `fap-served`'s independence from
-//! the runtime crate, the same layering that makes its batch syntax
-//! pluggable.
+//! `shutdown` command arrives. Every line, `{"cmd":"drift", ...}`
+//! included, goes to the daemon's own `handle_line`.
 
 use std::io::{BufRead, Write};
 
@@ -32,7 +26,6 @@ use fap_serve::ServeRequest;
 use fap_served::{BatchParser, Daemon, DaemonConfig, DaemonStatus, WarmMode};
 
 use crate::serve::ServeSpec;
-use crate::track::drift_command_line;
 
 /// The CLI's batch parser: an envelope's `batch` field is a JSON array of
 /// [`ServeSpec`]s, resolved through the daemon's persistent substrate
@@ -131,20 +124,7 @@ pub fn run_daemon<R: BufRead>(
     config: &DaemonConfig,
     recorder: &mut dyn Recorder,
 ) -> Result<(), String> {
-    let mut daemon = spec_daemon(config)?;
-    for line in input.lines() {
-        let line = line.map_err(|e| e.to_string())?;
-        if let Some(response) = drift_command_line(&line, recorder) {
-            writeln!(out, "{response}").map_err(|e| e.to_string())?;
-            continue;
-        }
-        match daemon.handle_line(&line, out, recorder) {
-            Ok(DaemonStatus::Shutdown) => return Ok(()),
-            Ok(DaemonStatus::Continue) => {}
-            Err(e) => return Err(e.to_string()),
-        }
-    }
-    daemon.finish(out, recorder).map_err(|e| e.to_string())
+    spec_daemon(config)?.run(input, out, recorder).map_err(|e| e.to_string())
 }
 
 /// Serves sequential connections on a Unix socket with ONE persistent
@@ -186,12 +166,6 @@ pub fn run_socket(
         let mut writer = stream;
         for line in reader.lines() {
             let Ok(line) = line else { break };
-            if let Some(response) = drift_command_line(&line, recorder) {
-                if writeln!(writer, "{response}").is_err() {
-                    break; // client hung up mid-write; daemon state survives
-                }
-                continue;
-            }
             match daemon.handle_line(&line, &mut writer, recorder) {
                 Ok(DaemonStatus::Shutdown) => break 'sessions,
                 Ok(DaemonStatus::Continue) => {}
@@ -353,7 +327,7 @@ mod tests {
     fn drift_commands_run_inside_a_spec_session() {
         let lines = vec![
             batch_line(0),
-            "{\"cmd\":\"drift\",\"scenario\":\"diurnal\",\"nodes\":5,\"epochs\":8,\"threads\":1}"
+            "{\"cmd\":\"drift\",\"scenario\":\"diurnal\",\"nodes\":5,\"epochs\":8}"
                 .to_string(),
             "{\"cmd\":\"drift\",\"scenario\":\"teleport\"}".to_string(),
             "{\"cmd\":\"shutdown\"}".to_string(),

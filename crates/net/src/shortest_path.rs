@@ -119,6 +119,11 @@ impl Frontier {
 /// ceiling.
 pub const DEFAULT_DENSE_ELEMENT_BUDGET: u64 = 1 << 26;
 
+/// Largest adjacency, landmark table or per-run record buffer a request
+/// may ask for, in bytes: the scale bench's 1 GiB substrate ceiling,
+/// priced from request fields before anything is allocated.
+pub const SUBSTRATE_BYTE_LIMIT: usize = 1 << 30;
+
 /// Rejects a dense `n × n` computation whose element count exceeds
 /// `budget`.
 fn check_dense_budget(n: usize, budget: u64) -> Result<(), NetError> {

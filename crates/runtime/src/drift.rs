@@ -10,30 +10,32 @@
 //! bounded-bandwidth migration that realizes the new allocation, and
 //! scores itself against two baselines:
 //!
-//! * the **clairvoyant** per-epoch optimum — a cold unpenalized solve of
-//!   each epoch's problem, the best any allocator could do with perfect
-//!   foresight; the shortfall `Σ_t (u*_t − u_tracked_t)` is the *tracked
-//!   regret*;
-//! * the **static** allocation — the epoch-0 optimum held fixed forever
-//!   (the paper's nightly-batch posture); its shortfall is the *static
-//!   regret* the tracker must beat.
+//! * the **clairvoyant** per-epoch optimum — the exact §5.3
+//!   water-filling solution of each epoch's problem
+//!   ([`fap_core::reference::solve`]), the best any allocator could do
+//!   with perfect foresight; the shortfall `Σ_t (u*_t − u_tracked_t)` is
+//!   the *tracked regret*;
+//! * the **static** allocation — the epoch-0 optimum (the tracker's own
+//!   cold first solve) held fixed forever (the paper's nightly-batch
+//!   posture); its shortfall is the *static regret* the tracker must
+//!   beat.
 //!
-//! Everything is virtual-time deterministic: trajectories are closed-form
-//! functions of `(seed, epoch, node)`, solves are the bit-deterministic
-//! `fap-econ` iterations, and the only parallelism — the independent
-//! clairvoyant solves — merges results in epoch order, so reports are
-//! bit-identical at every thread count.
+//! The loop runs serially on the calling thread, one epoch at a time, and
+//! everything is virtual-time deterministic: trajectories are closed-form
+//! functions of `(seed, epoch, node)`, the tracked solves are the
+//! bit-deterministic `fap-econ` iterations and the baseline is a
+//! closed-form bisection.
 
-use fap_batch::Parallelism;
-use fap_core::SingleFileProblem;
+use fap_core::{reference, SingleFileProblem};
 use fap_econ::{
-    AllocationProblem, MigrationPlan, MigrationPlanner, OptimizerScratch,
-    ResourceDirectedOptimizer, StepSize, TrackingOptimizer,
+    AllocationProblem, MigrationPlan, MigrationPlanner, ResourceDirectedOptimizer, StepSize,
+    TrackingOptimizer,
 };
 use fap_net::cost::CostMatrix;
+use fap_net::shortest_path::{DEFAULT_DENSE_ELEMENT_BUDGET, SUBSTRATE_BYTE_LIMIT};
+use fap_net::topology;
 use fap_net::workload::AccessPattern;
-use fap_net::Graph;
-use fap_obs::{NoopRecorder, Recorder, SpanGuard, Value};
+use fap_obs::{Recorder, SpanGuard, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::error::RuntimeError;
@@ -42,8 +44,7 @@ use crate::error::RuntimeError;
 ///
 /// Every variant is a closed-form function of `(seed, epoch, node)` — no
 /// RNG state is carried between epochs, so trajectories can be evaluated
-/// out of order (the clairvoyant solves exploit that) and are reproducible
-/// bit for bit.
+/// out of order and are reproducible bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum DriftScenario {
@@ -110,7 +111,10 @@ impl DriftScenario {
                 DriftScenario::FlashCrowd { at: e / 4, factor: 4.0, half_life: (e / 8).max(1) }
             }
             "step" => DriftScenario::Step { at: e / 3, factor: 2.0 },
-            "node-churn" => DriftScenario::NodeChurn { leave: e / 4, rejoin: (3 * e) / 4 },
+            // ⌊3e/4⌋ without the overflow of 3e on an oversized count.
+            "node-churn" => {
+                DriftScenario::NodeChurn { leave: e / 4, rejoin: e / 4 * 3 + e % 4 * 3 / 4 }
+            }
             _ => return None,
         })
     }
@@ -136,6 +140,8 @@ fn unit(seed: u64, lane: u64) -> f64 {
 pub struct DriftConfig {
     /// The λ-trajectory to track.
     pub scenario: DriftScenario,
+    /// Size of the unit-cost ring the trajectory runs over.
+    pub nodes: usize,
     /// Number of re-solve epochs.
     pub epochs: usize,
     /// Trajectory seed (base rates and any scenario randomness).
@@ -162,6 +168,7 @@ impl Default for DriftConfig {
     fn default() -> Self {
         DriftConfig {
             scenario: DriftScenario::Diurnal { period: 24, amplitude: 0.6 },
+            nodes: 8,
             epochs: 48,
             seed: 7,
             mu: 6.0,
@@ -177,19 +184,47 @@ impl Default for DriftConfig {
 }
 
 impl DriftConfig {
-    /// Validates the numeric parameters.
+    /// Validates the parameters and prices the run before anything is
+    /// built: the ring's `nodes²` cost matrix against
+    /// [`DEFAULT_DENSE_ELEMENT_BUDGET`] and the `epochs` per-epoch records
+    /// against [`SUBSTRATE_BYTE_LIMIT`], in checked arithmetic.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::InvalidParameter`] describing the first
     /// violation.
     pub fn validate(&self) -> Result<(), RuntimeError> {
+        let invalid = |msg: String| Err(RuntimeError::InvalidParameter(msg));
+        let n = self.nodes;
+        if n < 2 {
+            return invalid("nodes must be at least 2".into());
+        }
+        match n.checked_mul(n) {
+            Some(elements) if elements as u64 <= DEFAULT_DENSE_ELEMENT_BUDGET => {}
+            _ => {
+                return invalid(format!(
+                    "nodes {n}: the {n}x{n} cost matrix exceeds the dense budget of \
+                     {DEFAULT_DENSE_ELEMENT_BUDGET} elements"
+                ))
+            }
+        }
         if self.epochs == 0 {
-            return Err(RuntimeError::InvalidParameter("epochs must be positive".into()));
+            return invalid("epochs must be positive".into());
+        }
+        match self.epochs.checked_mul(std::mem::size_of::<EpochRecord>()) {
+            Some(bytes) if bytes <= SUBSTRATE_BYTE_LIMIT => {}
+            _ => {
+                return invalid(format!(
+                    "epochs {}: the epoch records exceed the {SUBSTRATE_BYTE_LIMIT}-byte limit",
+                    self.epochs
+                ))
+            }
         }
         for (name, value, positive) in [
             ("mu", self.mu, true),
-            ("k", self.k, false),
+            // k = 0 makes the objective linear: the exact baseline
+            // (`reference::solve`) has no interior optimum to find.
+            ("k", self.k, true),
             ("alpha", self.alpha, true),
             ("epsilon", self.epsilon, true),
             ("hysteresis", self.hysteresis, false),
@@ -266,9 +301,9 @@ pub struct EpochRecord {
     pub total_rate: f64,
     /// True utility of the tracked allocation under this epoch's problem.
     pub tracked_utility: f64,
-    /// Utility of this epoch's clairvoyant (cold, unpenalized) optimum.
+    /// Utility of this epoch's clairvoyant (exact, unpenalized) optimum.
     pub clairvoyant_utility: f64,
-    /// Utility of the static epoch-0 optimum under this epoch's problem.
+    /// Utility of the static epoch-0 allocation under this epoch's problem.
     pub static_utility: f64,
     /// `‖x_t − x_{t−1}‖₁`: fragment mass the tracker moved.
     pub movement: f64,
@@ -317,28 +352,29 @@ impl DriftReport {
     }
 }
 
-/// The drift-tracking control loop over a fixed topology.
+/// The drift-tracking control loop over a fixed unit-cost ring.
 #[derive(Debug)]
 pub struct DriftRun {
     costs: CostMatrix,
     config: DriftConfig,
-    nodes: usize,
 }
 
 impl DriftRun {
-    /// Prepares a run of `config` on `graph` (routing costs are computed
-    /// once; the topology is static for the run).
+    /// Prepares a run of `config`: validates and prices it
+    /// ([`DriftConfig::validate`]), then builds the `config.nodes`-node
+    /// ring and its routing costs once (the topology is static for the
+    /// run).
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::InvalidParameter`] for invalid
-    /// configuration or a disconnected graph.
-    pub fn new(graph: &Graph, config: DriftConfig) -> Result<Self, RuntimeError> {
+    /// Returns [`RuntimeError::InvalidParameter`] for an invalid or
+    /// oversized configuration, before anything is allocated.
+    pub fn new(config: DriftConfig) -> Result<Self, RuntimeError> {
         config.validate()?;
-        let costs = graph
-            .shortest_path_matrix()
+        let costs = topology::ring(config.nodes, 1.0)
+            .and_then(|graph| graph.shortest_path_matrix())
             .map_err(|e| RuntimeError::InvalidParameter(format!("graph: {e}")))?;
-        Ok(DriftRun { costs, nodes: graph.node_count(), config })
+        Ok(DriftRun { costs, config })
     }
 
     /// The run's configuration.
@@ -346,14 +382,8 @@ impl DriftRun {
         &self.config
     }
 
-    fn optimizer(&self) -> ResourceDirectedOptimizer {
-        ResourceDirectedOptimizer::new(StepSize::Fixed(self.config.alpha))
-            .with_epsilon(self.config.epsilon)
-            .with_max_iterations(self.config.max_iterations)
-    }
-
     fn problem_at(&self, epoch: usize) -> Result<SingleFileProblem, RuntimeError> {
-        let rates = self.config.rates_at(epoch, self.nodes);
+        let rates = self.config.rates_at(epoch, self.config.nodes);
         let pattern = AccessPattern::new(rates)
             .map_err(|e| RuntimeError::Drift { epoch, reason: e.to_string() })?;
         SingleFileProblem::mm1_with_costs(&self.costs, &pattern, self.config.mu, self.config.k)
@@ -363,34 +393,23 @@ impl DriftRun {
     /// Runs the control loop, recording `track.*` telemetry and one
     /// `track.epoch` span per re-solve into `recorder`.
     ///
-    /// `parallelism` fans out the independent clairvoyant solves; the
-    /// tracked sequence itself is inherently serial (each epoch's anchor
-    /// is the previous answer). Results are merged in epoch order, so the
-    /// report is bit-identical at every thread count.
+    /// Epochs run in order on the calling thread: each builds its
+    /// problem, re-solves it warm, and scores the answer against the
+    /// epoch's exact optimum and the static epoch-0 allocation.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::Drift`] when an epoch's problem cannot be
     /// built (e.g. the trajectory exceeds service capacity) or its solve
     /// fails.
-    pub fn run(
-        &self,
-        parallelism: Parallelism,
-        recorder: &mut dyn Recorder,
-    ) -> Result<DriftReport, RuntimeError> {
+    pub fn run(&self, recorder: &mut dyn Recorder) -> Result<DriftReport, RuntimeError> {
         let epochs = self.config.epochs;
-        let problems: Vec<SingleFileProblem> =
-            (0..epochs).map(|t| self.problem_at(t)).collect::<Result<_, _>>()?;
-        let initial = vec![1.0 / self.nodes as f64; self.nodes];
+        let nodes = self.config.nodes;
+        let initial = vec![1.0 / nodes as f64; nodes];
 
-        // Clairvoyant per-epoch optima: independent cold solves, fanned out
-        // over contiguous chunks and merged in epoch order.
-        let clairvoyant = self.solve_clairvoyant(&problems, &initial, parallelism)?;
-
-        // The static baseline never reallocates after epoch 0.
-        let static_allocation = &clairvoyant[0].0;
-
-        let optimizer = self.optimizer();
+        let optimizer = ResourceDirectedOptimizer::new(StepSize::Fixed(self.config.alpha))
+            .with_epsilon(self.config.epsilon)
+            .with_max_iterations(self.config.max_iterations);
         let mut tracker = TrackingOptimizer::new(optimizer, self.config.hysteresis)
             .and_then(|t| t.with_smoothing(self.config.smoothing))
             .map_err(|e| RuntimeError::InvalidParameter(e.to_string()))?;
@@ -407,23 +426,36 @@ impl DriftRun {
             total_rounds: 0,
             final_allocation: initial.clone(),
         };
+        // The static baseline: the tracker's epoch-0 answer (a cold,
+        // unpenalized solve), never reallocated.
+        let mut static_allocation = Vec::new();
 
-        for (t, problem) in problems.iter().enumerate() {
+        for t in 0..epochs {
+            let drift_error = |e: &dyn std::fmt::Display| RuntimeError::Drift {
+                epoch: t,
+                reason: e.to_string(),
+            };
+            let problem = self.problem_at(t)?;
             recorder.set_time(t as u64);
             let span = SpanGuard::begin("track.epoch", recorder);
             let before = report.final_allocation.clone();
-            let tracked = tracker
-                .track(problem, &initial, recorder)
-                .map_err(|e| RuntimeError::Drift { epoch: t, reason: e.to_string() })?;
-            let plan: MigrationPlan = planner
-                .plan(&before, &tracked.allocation)
-                .map_err(|e| RuntimeError::Drift { epoch: t, reason: e.to_string() })?;
+            let tracked =
+                tracker.track(&problem, &initial, recorder).map_err(|e| drift_error(&e))?;
+            let plan: MigrationPlan =
+                planner.plan(&before, &tracked.allocation).map_err(|e| drift_error(&e))?;
             span.end(recorder);
 
-            let (_, clairvoyant_utility) = clairvoyant[t];
-            let static_utility = problem
-                .utility(static_allocation)
-                .map_err(|e| RuntimeError::Drift { epoch: t, reason: e.to_string() })?;
+            if t == 0 {
+                static_allocation.clone_from(&tracked.allocation);
+            }
+            let optimum = reference::solve(&problem).map_err(|e| drift_error(&e))?;
+            let clairvoyant_utility =
+                problem.utility(&optimum.allocation).map_err(|e| drift_error(&e))?;
+            let static_utility =
+                problem.utility(&static_allocation).map_err(|e| drift_error(&e))?;
+            // The tracked answer can beat the exact optimum by rounding
+            // alone (by up to 4e-15 on the benchmark's diurnal run), so
+            // the shortfall is clamped at zero.
             let epoch_regret = (clairvoyant_utility - tracked.true_utility).max(0.0);
             let epoch_static_regret = (clairvoyant_utility - static_utility).max(0.0);
 
@@ -477,47 +509,6 @@ impl DriftRun {
         }
         Ok(report)
     }
-
-    /// Cold unpenalized per-epoch optima `(allocation, utility)`, fanned
-    /// out over `parallelism` workers on contiguous epoch chunks.
-    fn solve_clairvoyant(
-        &self,
-        problems: &[SingleFileProblem],
-        initial: &[f64],
-        parallelism: Parallelism,
-    ) -> Result<Vec<(Vec<f64>, f64)>, RuntimeError> {
-        let threads = parallelism.threads_for(problems.len());
-        let optimizer = self.optimizer();
-        let solve_chunk = |chunk: &[SingleFileProblem], offset: usize| {
-            let mut scratch = OptimizerScratch::new();
-            let mut out = Vec::with_capacity(chunk.len());
-            for (j, problem) in chunk.iter().enumerate() {
-                let solution = optimizer
-                    .run_with_scratch(problem, initial, &mut scratch, &mut NoopRecorder)
-                    .map_err(|e| RuntimeError::Drift { epoch: offset + j, reason: e.to_string() })?;
-                out.push((solution.allocation, solution.final_utility));
-            }
-            Ok::<_, RuntimeError>(out)
-        };
-        if threads <= 1 {
-            return solve_chunk(problems, 0);
-        }
-        let chunk_len = problems.len().div_ceil(threads);
-        let chunks: Vec<&[SingleFileProblem]> = problems.chunks(chunk_len).collect();
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .enumerate()
-                .map(|(c, chunk)| scope.spawn(move || solve_chunk(chunk, c * chunk_len)))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect::<Vec<_>>()
-        });
-        let mut merged = Vec::with_capacity(problems.len());
-        for r in results {
-            merged.extend(r?);
-        }
-        Ok(merged)
-    }
 }
 
 /// Re-exported so daemon/CLI layers can compute movement without pulling
@@ -527,15 +518,16 @@ pub use fap_econ::tracking::l1_distance as movement_l1;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fap_net::topology;
-    use fap_obs::Telemetry;
-
-    fn ring() -> Graph {
-        topology::ring(6, 1.0).unwrap()
-    }
+    use fap_obs::{NoopRecorder, Telemetry};
 
     fn config(scenario: DriftScenario) -> DriftConfig {
-        DriftConfig { scenario, epochs: 12, max_iterations: 60_000, ..DriftConfig::default() }
+        DriftConfig {
+            scenario,
+            nodes: 6,
+            epochs: 12,
+            max_iterations: 60_000,
+            ..DriftConfig::default()
+        }
     }
 
     #[test]
@@ -599,9 +591,9 @@ mod tests {
 
     #[test]
     fn tracked_regret_beats_static_regret_on_diurnal_drift() {
-        let run = DriftRun::new(&ring(), config(DriftScenario::Diurnal { period: 6, amplitude: 0.6 }))
+        let run = DriftRun::new(config(DriftScenario::Diurnal { period: 6, amplitude: 0.6 }))
             .unwrap();
-        let report = run.run(Parallelism::Sequential, &mut NoopRecorder).unwrap();
+        let report = run.run(&mut NoopRecorder).unwrap();
         assert_eq!(report.epochs.len(), 12);
         assert!(!report.epochs[0].warm && report.epochs[1].warm);
         // The tracker follows the drift; holding the epoch-0 optimum does not.
@@ -617,13 +609,32 @@ mod tests {
     }
 
     #[test]
-    fn reports_are_bit_identical_across_thread_counts() {
-        let run = DriftRun::new(&ring(), config(DriftScenario::Diurnal { period: 6, amplitude: 0.6 }))
-            .unwrap();
-        let sequential = run.run(Parallelism::Sequential, &mut NoopRecorder).unwrap();
-        for threads in [2usize, 3, 8] {
-            let parallel = run.run(Parallelism::Fixed(threads), &mut NoopRecorder).unwrap();
-            assert_eq!(sequential, parallel, "{threads} threads diverged");
+    fn the_clairvoyant_baseline_is_the_exact_optimum() {
+        // Oracle: a cold unpenalized iterative solve of each epoch's
+        // problem. The exact water-filling optimum must match its utility
+        // and never fall below it.
+        for scenario in [
+            DriftScenario::Diurnal { period: 6, amplitude: 0.6 },
+            DriftScenario::Step { at: 4, factor: 2.0 },
+        ] {
+            let run = DriftRun::new(config(scenario)).unwrap();
+            let report = run.run(&mut NoopRecorder).unwrap();
+            let oracle = ResourceDirectedOptimizer::new(StepSize::Fixed(run.config.alpha))
+                .with_epsilon(run.config.epsilon)
+                .with_max_iterations(run.config.max_iterations);
+            let initial = vec![1.0 / 6.0; 6];
+            for record in &report.epochs {
+                let problem = run.problem_at(record.epoch).unwrap();
+                let cold = oracle.run(&problem, &initial, &mut NoopRecorder).unwrap();
+                let exact = record.clairvoyant_utility;
+                assert!(
+                    (exact - cold.final_utility).abs() <= 1e-12
+                        && exact >= cold.final_utility - 1e-12,
+                    "epoch {}: exact {exact} vs iterative {}",
+                    record.epoch,
+                    cold.final_utility
+                );
+            }
         }
     }
 
@@ -632,12 +643,7 @@ mod tests {
         let base = config(DriftScenario::Diurnal { period: 6, amplitude: 0.6 });
         let mut eager = base.clone();
         eager.hysteresis = 0.0;
-        let run_with = |c: DriftConfig| {
-            DriftRun::new(&ring(), c)
-                .unwrap()
-                .run(Parallelism::Sequential, &mut NoopRecorder)
-                .unwrap()
-        };
+        let run_with = |c: DriftConfig| DriftRun::new(c).unwrap().run(&mut NoopRecorder).unwrap();
         let damped = run_with(base);
         let free = run_with(eager);
         assert!(
@@ -652,8 +658,7 @@ mod tests {
     fn migration_plans_respect_bandwidth() {
         let mut c = config(DriftScenario::Step { at: 3, factor: 3.0 });
         c.migration_bandwidth = 0.05;
-        let run = DriftRun::new(&ring(), c).unwrap();
-        let report = run.run(Parallelism::Sequential, &mut NoopRecorder).unwrap();
+        let report = DriftRun::new(c).unwrap().run(&mut NoopRecorder).unwrap();
         // The step epoch needs multiple bounded rounds.
         let step_epoch = &report.epochs[3];
         if step_epoch.movement > 0.05 {
@@ -664,10 +669,10 @@ mod tests {
 
     #[test]
     fn telemetry_records_epochs_and_spans() {
-        let run = DriftRun::new(&ring(), config(DriftScenario::Diurnal { period: 6, amplitude: 0.6 }))
+        let run = DriftRun::new(config(DriftScenario::Diurnal { period: 6, amplitude: 0.6 }))
             .unwrap();
         let mut telemetry = Telemetry::manual();
-        let report = run.run(Parallelism::Sequential, &mut telemetry).unwrap();
+        let report = run.run(&mut telemetry).unwrap();
         let metrics = telemetry.registry();
         assert_eq!(metrics.counter("track.epochs"), report.epochs.len() as u64);
         assert_eq!(metrics.counter("track.warm_epochs"), report.epochs.len() as u64 - 1);
@@ -684,16 +689,36 @@ mod tests {
         assert!(DriftScenario::preset("teleport", 24).is_none());
     }
 
+    /// The message `DriftRun::new` refuses the edited test config with.
+    fn refusal(edit: fn(&mut DriftConfig)) -> String {
+        let mut c = config(DriftScenario::Step { at: 1, factor: 2.0 });
+        edit(&mut c);
+        DriftRun::new(c).unwrap_err().to_string()
+    }
+
     #[test]
     fn invalid_configs_are_rejected() {
+        assert!(refusal(|c| c.epochs = 0).contains("epochs must be positive"));
+        assert!(refusal(|c| c.alpha = 0.0).contains("alpha"));
+        assert!(refusal(|c| c.migration_bandwidth = -1.0).contains("migration bandwidth"));
+        // The exact baseline needs a strictly convex objective.
+        assert!(refusal(|c| c.k = 0.0).contains("k 0 must be positive"));
+    }
+
+    #[test]
+    fn oversized_runs_are_priced_before_anything_is_built() {
+        assert!(refusal(|c| c.nodes = 0).contains("at least 2"));
+        assert!(refusal(|c| c.nodes = 1).contains("at least 2"));
+        assert!(refusal(|c| c.nodes = 8193).contains("dense budget"));
+        assert!(refusal(|c| c.nodes = 1 << 62).contains("dense budget"));
+        assert!(refusal(|c| c.nodes = usize::MAX).contains("dense budget"));
+        assert!(refusal(|c| c.epochs = 1 << 62).contains("-byte limit"));
+        assert!(refusal(|c| c.epochs = usize::MAX).contains("-byte limit"));
+        // The largest ring the dense budget admits is priced, not refused.
         let mut c = config(DriftScenario::Step { at: 1, factor: 2.0 });
-        c.epochs = 0;
-        assert!(DriftRun::new(&ring(), c).is_err());
-        let mut c = config(DriftScenario::Step { at: 1, factor: 2.0 });
-        c.alpha = 0.0;
-        assert!(DriftRun::new(&ring(), c).is_err());
-        let mut c = config(DriftScenario::Step { at: 1, factor: 2.0 });
-        c.migration_bandwidth = -1.0;
-        assert!(DriftRun::new(&ring(), c).is_err());
+        c.nodes = 8192;
+        assert!(c.validate().is_ok());
+        // Presets take any epoch count without overflow.
+        assert!(DriftScenario::preset("node-churn", usize::MAX).is_some());
     }
 }

@@ -45,6 +45,7 @@
 //! {"at": 7, "work": 12}                        occupy a server for 12 ticks
 //! {"cmd": "status"}                            emit a status line
 //! {"cmd": "metrics"}                           emit wait quantiles + layer self time
+//! {"cmd": "drift", "nodes": 8, "epochs": 24}   run the drift-tracking loop
 //! {"cmd": "shutdown"}                          drain and exit
 //! ```
 //!
@@ -56,8 +57,17 @@
 //! {"id":1,"kind":"work","arrived":7,"started":7,"completed":19,"wait":0}
 //! {"id":2,"kind":"shed","status":429,"arrived":9,"predicted_wait":31.5,"bound":8.0}
 //! {"kind":"status","now":19,...}
+//! {"kind":"drift","scenario":"diurnal","nodes":8,"epochs":24,"tracked_regret":...}
 //! {"kind":"error","message":"..."}
 //! ```
+//!
+//! A `drift` command runs the online-reallocation control loop of
+//! `fap_runtime::DriftRun` (optional fields `scenario`, `nodes`, `epochs`,
+//! `seed`, `hysteresis`, `smoothing`, `migration_bandwidth`) and answers
+//! with its regret summary. The run is priced from its fields before
+//! anything is built; an oversized or malformed one gets an `error` line.
+//! It runs on the calling thread between envelopes, outside the virtual
+//! clock and admission control.
 //!
 //! The *content* of a batch line's `responses` is bit-identical to a
 //! [`BatchServer::serve`] call on the same requests with no seed store and
@@ -87,6 +97,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+mod drift;
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead, Write};
@@ -427,6 +439,17 @@ impl<P: BatchParser> Daemon<P> {
                     writeln!(out, "{line}")?;
                     Ok(DaemonStatus::Continue)
                 }
+                Value::Str(c) if c == "drift" => match drift::respond(&value, recorder) {
+                    Ok(line) => {
+                        writeln!(out, "{line}")?;
+                        Ok(DaemonStatus::Continue)
+                    }
+                    Err(msg) => {
+                        let mut ext = Tee::new(&mut *obs, &mut *recorder);
+                        let mut tee = Tee::new(&mut *flight, &mut ext);
+                        self.error_line(out, &mut tee, None, &format!("drift: {msg}"))
+                    }
+                },
                 other => {
                     let msg = format!("unknown cmd {}", serde_json::to_string(other).unwrap_or_default());
                     let mut ext = Tee::new(&mut *obs, &mut *recorder);
@@ -1029,6 +1052,53 @@ mod tests {
         assert!(out.contains("\"predicted_wait\""));
         // Warmup: the first two arrivals can never shed.
         assert!(!out.lines().next().unwrap().contains("shed"));
+    }
+
+    #[test]
+    fn drift_commands_answer_with_a_summary_line_and_metrics() {
+        let line = "{\"cmd\":\"drift\",\"scenario\":\"diurnal\",\"nodes\":5,\"epochs\":8}";
+        let (out, registry) = drive(&mut daemon(&DaemonConfig::default()), &[line]);
+        let drift = out.lines().next().unwrap();
+        assert!(drift.starts_with("{\"kind\":\"drift\",\"scenario\":\"diurnal\""), "{drift}");
+        assert!(drift.contains("\"nodes\":5,\"epochs\":8"), "{drift}");
+        assert!(drift.contains("\"regret_ratio\":"), "{drift}");
+        assert_eq!(registry.counter("track.epochs"), 8);
+        assert_eq!(registry.counter("served.errors"), 0);
+        // Identical lines answer byte-identically.
+        let (again, _) = drive(&mut daemon(&DaemonConfig::default()), &[line]);
+        assert_eq!(out, again);
+    }
+
+    #[test]
+    fn bad_drift_fields_are_error_lines() {
+        let (out, registry) = drive(
+            &mut daemon(&DaemonConfig::default()),
+            &[
+                "{\"cmd\":\"drift\",\"scenario\":\"teleport\"}",
+                "{\"cmd\":\"drift\",\"scenario\":3}",
+                "{\"cmd\":\"drift\",\"nodes\":\"8\"}",
+                "{\"cmd\":\"drift\",\"epochs\":-1}",
+                "{\"cmd\":\"drift\",\"seed\":1.5}",
+                "{\"cmd\":\"drift\",\"hysteresis\":\"high\"}",
+                "{\"cmd\":\"drift\",\"smoothing\":-1}",
+            ],
+        );
+        let lines: Vec<&str> = out.lines().collect();
+        let expected = [
+            "unknown scenario 'teleport'",
+            "scenario must be a string label",
+            "'nodes' must be a non-negative integer",
+            "'epochs' must be a non-negative integer",
+            "'seed' must be a non-negative integer",
+            "'hysteresis' must be a number",
+            "smoothing -1 must be positive and finite",
+        ];
+        for (line, message) in lines.iter().zip(expected) {
+            assert!(line.starts_with("{\"kind\":\"error\",\"message\":\"drift: "), "{line}");
+            assert!(line.contains(message), "{line} lacks {message}");
+        }
+        assert_eq!(registry.counter("served.errors"), expected.len() as u64);
+        assert_eq!(registry.counter("track.epochs"), 0);
     }
 
     #[test]

@@ -23,15 +23,20 @@ thread_local! {
     /// [`counted`]. Thread-local so the harness's other test threads never
     /// add to a measurement.
     static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
+    /// Bytes requested on this thread; `None` while it is not inside
+    /// [`counted_bytes`].
+    static BYTES: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
-fn note_allocation() {
+fn note_allocation(bytes: usize) {
     // `try_with`: the allocator can run during thread teardown.
-    let _ = ALLOCATIONS.try_with(|count| {
-        if let Some(n) = count.get() {
-            count.set(Some(n + 1));
-        }
-    });
+    for (counter, add) in [(&ALLOCATIONS, 1), (&BYTES, bytes as u64)] {
+        let _ = counter.try_with(|count| {
+            if let Some(n) = count.get() {
+                count.set(Some(n + add));
+            }
+        });
+    }
 }
 
 struct CountingAllocator;
@@ -41,7 +46,7 @@ struct CountingAllocator;
 // thread-local `Cell` with a const initializer, which never allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_allocation();
+        note_allocation(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -50,7 +55,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_allocation();
+        note_allocation(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -64,6 +69,14 @@ fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let value = f();
     let allocations = ALLOCATIONS.with(|count| count.take()).unwrap_or(0);
     (allocations, value)
+}
+
+/// Runs `f` and returns the bytes it requested on the calling thread.
+fn counted_bytes<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    BYTES.with(|count| count.set(Some(0)));
+    let value = f();
+    let bytes = BYTES.with(|count| count.take()).unwrap_or(0);
+    (bytes, value)
 }
 
 #[test]
@@ -438,4 +451,34 @@ fn rendering_a_response_allocates_nothing_per_iteration_record() {
         long_allocs <= short_allocs + extra_doublings,
         "per-record allocations: 600 iters cost {long_allocs} allocs, 60 iters cost {short_allocs}"
     );
+}
+
+#[test]
+fn a_refused_drift_line_allocates_far_less_than_one_dense_matrix() {
+    // An oversized drift line is priced from its fields and refused
+    // before the ring or its cost matrix exists. The smallest matrix it
+    // could have asked for, 8193² f64s, is 537 MB.
+    use fap::cache::SubstrateCache;
+    use fap::obs::Recorder;
+    use fap::serve::ServeRequest;
+    use fap::served::{Daemon, DaemonConfig};
+
+    let parser = |_: &serde::Value, _: &mut SubstrateCache, _: &mut dyn Recorder| {
+        Ok::<Vec<ServeRequest>, String>(Vec::new())
+    };
+    let mut daemon = Daemon::new(parser, &DaemonConfig::default()).expect("valid config");
+    let mut out = Vec::with_capacity(1 << 12);
+    for line in [
+        "{\"cmd\":\"drift\",\"nodes\":8193}",
+        "{\"cmd\":\"drift\",\"nodes\":4611686018427387904}",
+        "{\"cmd\":\"drift\",\"nodes\":18446744073709551615}",
+        "{\"cmd\":\"drift\",\"epochs\":4611686018427387904}",
+    ] {
+        out.clear();
+        let (bytes, handled) =
+            counted_bytes(|| daemon.handle_line(line, &mut out, &mut NoopRecorder));
+        handled.expect("writing to a Vec cannot fail");
+        assert!(out.starts_with(b"{\"kind\":\"error\""), "{line} was not refused");
+        assert!(bytes < 16 * 1024, "{line}: refusing it allocated {bytes} bytes");
+    }
 }

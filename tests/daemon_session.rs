@@ -327,3 +327,46 @@ fn a_backlog_past_the_clock_range_saturates_instead_of_wrapping() {
     }
     assert_eq!(field(work.last().unwrap(), "completed"), u64::MAX);
 }
+
+/// A drift line is priced from its fields before anything is built: a
+/// zero, tiny, oversized or overflowing `nodes` or `epochs` gets its own
+/// `error` line, and the session goes on to serve the next envelope. A
+/// `threads` field names nothing the loop has, so it changes no byte of
+/// the answer.
+#[test]
+fn oversized_drift_lines_are_refused_and_the_session_goes_on() {
+    let refused = [
+        ("nodes", "0", "nodes must be at least 2"),
+        ("nodes", "1", "nodes must be at least 2"),
+        ("nodes", "8193", "dense budget"),
+        ("nodes", "4611686018427387904", "dense budget"),
+        ("nodes", "18446744073709551615", "dense budget"),
+        ("epochs", "0", "epochs must be positive"),
+        ("epochs", "4611686018427387904", "-byte limit"),
+    ];
+    let specs = serde_json::to_string(&example_specs()).unwrap();
+    let small = "{\"cmd\":\"drift\",\"nodes\":5,\"epochs\":4";
+    let mut input: String = refused
+        .iter()
+        .map(|(field, value, _)| format!("{{\"cmd\":\"drift\",\"{field}\":{value}}}\n"))
+        .collect();
+    input.push_str(&format!("{small},\"threads\":4611686018427387904}}\n{small}}}\n"));
+    input.push_str(&format!("{{\"at\":0,\"batch\":{specs}}}\n{{\"cmd\":\"shutdown\"}}\n"));
+
+    let (out, telemetry) = run_session(&input, &golden_config());
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), refused.len() + 4, "{out}");
+    for (line, (field, value, reason)) in lines.iter().zip(&refused) {
+        assert!(
+            line.starts_with("{\"kind\":\"error\",\"message\":\"drift: ") && line.contains(reason),
+            "{field} {value}: {line}"
+        );
+    }
+    assert_eq!(telemetry.registry().counter("served.errors"), refused.len() as u64);
+    let (with_threads, without) = (lines[refused.len()], lines[refused.len() + 1]);
+    assert!(with_threads.starts_with("{\"kind\":\"drift\""), "{with_threads}");
+    assert_eq!(with_threads, without);
+    let batch = lines[refused.len() + 2];
+    assert!(batch.contains("\"kind\":\"batch\"") && field(batch, "ok") > 0, "{batch}");
+    assert!(lines.last().unwrap().contains("\"completed\":1"), "{}", lines.last().unwrap());
+}
