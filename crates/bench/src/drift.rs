@@ -2,7 +2,7 @@
 //! scenario preset, hard-gated on its two contracts.
 //!
 //! For each scenario [`bench_drift`] runs the seeded [`DriftRun`], timed
-//! as the median of five runs, and asserts the regret gate on the diurnal
+//! as the fastest of five runs, and asserts the regret gate on the diurnal
 //! point: tracked regret at most 10% of the static-allocation regret.
 //! Results serialize to the `BENCH_drift.json` schema committed at the
 //! repo root; regenerate with `fap bench-drift` (prefer `--release`).
@@ -43,7 +43,7 @@ pub struct DriftPoint {
     /// A content checksum over the report (regrets, movement, final
     /// allocation and per-epoch utilities).
     pub checksum: f64,
-    /// Wall clock of one run, milliseconds: the median of five runs.
+    /// Wall clock of one run, milliseconds: the fastest of five runs.
     /// Machine-dependent — advisory.
     pub run_ms: f64,
 }
@@ -95,7 +95,7 @@ fn checksum_report(report: &DriftReport) -> f64 {
         + report.epochs.iter().map(|e| e.tracked_utility + e.movement).sum::<f64>()
 }
 
-/// Runs the sweep: each scenario's run, timed as the median of five.
+/// Runs the sweep: each scenario's run, timed as the fastest of five.
 ///
 /// # Panics
 ///
@@ -106,7 +106,7 @@ pub fn bench_drift(scenarios: &[String], nodes: usize, epochs: usize, seed: u64)
     for label in scenarios {
         let run = DriftRun::new(drift_config(label, nodes, epochs, seed))
             .expect("valid drift config");
-        let (run_ms, sequential) = crate::median_ms(|| run.run(&mut NoopRecorder));
+        let (run_ms, sequential) = crate::fastest_ms(|| run.run(&mut NoopRecorder));
         let sequential = sequential.expect("the benchmark trajectory must solve cleanly");
         let point = DriftPoint {
             scenario: label.clone(),

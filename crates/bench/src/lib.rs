@@ -21,22 +21,22 @@ pub mod series;
 
 pub use series::Series;
 
-/// Runs behind every [`median_ms`] timing.
+/// Runs behind every [`fastest_ms`] timing.
 const TIMING_RUNS: usize = 5;
 
-/// Times `f` as the median wall clock of [`TIMING_RUNS`] runs, in
-/// milliseconds, returning the last run's value with it, so one noise
-/// spike on a shared host does not set a committed timing.
-fn median_ms<T>(mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut times = [0.0; TIMING_RUNS];
+/// Times `f` as the fastest wall clock of [`TIMING_RUNS`] runs, in
+/// milliseconds, returning the last run's value with it. On a shared host
+/// contention only ever slows a run down, so the fastest run is the one
+/// least disturbed (perfbench times its work the same way).
+fn fastest_ms<T>(mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut fastest = f64::INFINITY;
     let mut value = None;
-    for time in &mut times {
+    for _ in 0..TIMING_RUNS {
         let start = std::time::Instant::now();
         value = Some(f());
-        *time = start.elapsed().as_secs_f64() * 1e3;
+        fastest = fastest.min(start.elapsed().as_secs_f64() * 1e3);
     }
-    times.sort_by(f64::total_cmp);
-    (times[TIMING_RUNS / 2], value.expect("TIMING_RUNS is positive"))
+    (fastest, value.expect("TIMING_RUNS is positive"))
 }
 
 /// The paper's §6 experimental parameters: μ = 1.5, k = 1, λ = 1,

@@ -33,10 +33,10 @@ pub struct ServePoint {
     pub requests: usize,
     /// Shard count of the sharded run.
     pub shards: usize,
-    /// Sequential (one-shard) wall clock, milliseconds: the median of
+    /// Sequential (one-shard) wall clock, milliseconds: the fastest of
     /// five runs.
     pub sequential_ms: f64,
-    /// Sharded wall clock, milliseconds: the median of five runs.
+    /// Sharded wall clock, milliseconds: the fastest of five runs.
     pub sharded_ms: f64,
     /// `sequential_ms / sharded_ms`.
     pub speedup: f64,
@@ -321,7 +321,7 @@ fn time_ms<T>(f: impl FnOnce() -> T) -> (f64, T) {
 }
 
 /// Runs the sweep: for each batch size a sequential baseline, then one
-/// sharded point per shard count, each timed as the median of five runs.
+/// sharded point per shard count, each timed as the fastest of five runs.
 ///
 /// # Panics
 ///
@@ -332,13 +332,13 @@ pub fn bench_serve(batch_sizes: &[usize], shard_counts: &[usize]) -> ServeReport
     let mut points = Vec::new();
     for &count in batch_sizes {
         let requests = serve_workload(count);
-        let (sequential_ms, sequential) = crate::median_ms(|| {
+        let (sequential_ms, sequential) = crate::fastest_ms(|| {
             BatchServer::new(Parallelism::Sequential).serve(&requests, None, &mut NoopRecorder)
         });
         assert_eq!(sequential.err_count(), 0, "the benchmark workload must solve cleanly");
         let checksum = checksum_output(&sequential);
         for &shards in shard_counts {
-            let (sharded_ms, sharded) = crate::median_ms(|| {
+            let (sharded_ms, sharded) = crate::fastest_ms(|| {
                 BatchServer::new(Parallelism::Fixed(shards)).serve(&requests, None, &mut NoopRecorder)
             });
             assert_eq!(

@@ -232,7 +232,7 @@ impl SubstrateCache {
         backend: CostBackend,
         recorder: &mut dyn Recorder,
     ) -> Result<&dyn CostProvider, NetError> {
-        self.lookup(graph, backend, false, recorder)
+        self.lookup(graph, topology_fingerprint(graph), backend, false, recorder)
     }
 
     /// Like [`SubstrateCache::get_or_build`], but a landmark miss first
@@ -261,17 +261,38 @@ impl SubstrateCache {
         backend: CostBackend,
         recorder: &mut dyn Recorder,
     ) -> Result<&dyn CostProvider, NetError> {
-        self.lookup(graph, backend, true, recorder)
+        self.lookup(graph, topology_fingerprint(graph), backend, true, recorder)
+    }
+
+    /// [`SubstrateCache::get_or_update`] when `update` is set, otherwise
+    /// [`SubstrateCache::get_or_build`], for a caller that already holds
+    /// `fingerprint = topology_fingerprint(graph)`: the graph is hashed
+    /// once, not again inside the cache.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`SubstrateCache::get_or_build`].
+    pub fn get_fingerprinted(
+        &mut self,
+        graph: &Graph,
+        fingerprint: u64,
+        backend: CostBackend,
+        update: bool,
+        recorder: &mut dyn Recorder,
+    ) -> Result<&dyn CostProvider, NetError> {
+        debug_assert_eq!(fingerprint, topology_fingerprint(graph), "stale fingerprint");
+        self.lookup(graph, fingerprint, backend, update, recorder)
     }
 
     fn lookup(
         &mut self,
         graph: &Graph,
+        fingerprint: u64,
         backend: CostBackend,
         repair: bool,
         recorder: &mut dyn Recorder,
     ) -> Result<&dyn CostProvider, NetError> {
-        let key = (topology_fingerprint(graph), backend);
+        let key = (fingerprint, backend);
         let metrics = backend.metrics();
         // `contains_key` rather than `get`: a held borrow would block the
         // insert below, and the probe keeps the hit path allocation-free.
@@ -647,6 +668,22 @@ mod tests {
         assert_eq!(reg.gauge_value("cache.landmark_bytes"), Some(oracle_bytes));
         assert_eq!(cache.bytes() as f64, 4.0 * 4.0 * 8.0 + oracle_bytes);
         assert_eq!((cache.hits(), cache.misses()), (3, 2), "whole-cache counters sum both");
+    }
+
+    #[test]
+    fn fingerprinted_lookups_share_entries_and_counters_with_the_plain_ones() {
+        let g = topology::ring(10, 1.0).unwrap();
+        let fingerprint = topology_fingerprint(&g);
+        let mut reg = MetricsRegistry::new();
+        let mut cache = SubstrateCache::new();
+        for backend in [DENSE, landmark(4, 1)] {
+            cache.get_fingerprinted(&g, fingerprint, backend, false, &mut reg).unwrap();
+            cache.get_or_build(&g, backend, &mut reg).unwrap();
+            cache.get_fingerprinted(&g, fingerprint, backend, true, &mut reg).unwrap();
+        }
+        assert_eq!((reg.counter("cache.miss"), reg.counter("cache.hit")), (1, 2));
+        assert_eq!((reg.counter("cache.landmark_miss"), reg.counter("cache.landmark_hit")), (1, 2));
+        assert_eq!((cache.len(), cache.hits(), cache.misses()), (2, 4, 2));
     }
 
     #[test]

@@ -167,17 +167,15 @@ impl ServeSpec {
             ServeSpec::Ring { .. } => return self.ring_request(),
         };
         let graph = topology.build(backend)?;
-        let costs = if oracle_update {
-            cache.get_or_update(&graph, backend, recorder)
-        } else {
-            cache.get_or_build(&graph, backend, recorder)
-        }
-        .map_err(crate::run::net_error)?;
         // Warm-start keys come off the built graph, so structurally
         // identical topologies written differently (a `ring` shape vs the
         // same ring as a link list) share chains, and a changed topology
         // rotates the keys, invalidating session seeds from the old network.
+        // The cache keys its entries by the same fingerprint.
         let fingerprint = fap_cache::topology_fingerprint(&graph);
+        let costs = cache
+            .get_fingerprinted(&graph, fingerprint, backend, oracle_update, recorder)
+            .map_err(crate::run::net_error)?;
         match self {
             ServeSpec::SingleFile { scenario } => {
                 let problem = problem_of_with_costs(scenario, costs)?;

@@ -346,6 +346,126 @@ impl<D: DelayModel> AllocationProblem for SingleFileProblem<D> {
         }
         Ok(())
     }
+
+    /// One sweep: each node's arrival and its `T`, `T′` (and `T″`) are
+    /// computed once, with the expressions and summation order of
+    /// `utility`, `marginal_utilities` and `curvatures`, so the results
+    /// are the same bits. On an error `g` and `h` are unspecified.
+    fn evaluate(&self, x: &[f64], g: &mut [f64], h: Option<&mut [f64]>) -> Result<f64, EconError> {
+        let n = self.dimension();
+        check_dimension(n, x)?;
+        let got = if g.len() != n { g.len() } else { h.as_deref().map_or(n, <[f64]>::len) };
+        if got != n {
+            // A wrong-length output fails after the utility pass, as it
+            // does through the separate calls.
+            self.utility(x)?;
+            return Err(EconError::DimensionMismatch { expected: n, got });
+        }
+        match h {
+            Some(h) => self.evaluate_blocks::<true>(x, g, h),
+            None => self.evaluate_blocks::<false>(x, g, &mut []),
+        }
+    }
+
+    /// The candidate fill and the utility sum in one sweep. On an error
+    /// `cand` is unspecified.
+    fn utility_along(
+        &self,
+        x: &[f64],
+        d: &[f64],
+        scale: f64,
+        cand: &mut [f64],
+    ) -> Result<f64, EconError> {
+        check_dimension(x.len(), d)?;
+        check_dimension(x.len(), cand)?;
+        check_dimension(self.dimension(), cand)?;
+        let (l, k) = (self.total_rate, self.k);
+        let mut cost = 0.0;
+        let mut terms = [0.0; BLOCK];
+        for start in (0..x.len()).step_by(BLOCK) {
+            let end = (start + BLOCK).min(x.len());
+            let (xs, ds, cs) = (&x[start..end], &d[start..end], &mut cand[start..end]);
+            let (costs, delays) = (&self.access_costs[start..end], &self.delays[start..end]);
+            let terms = &mut terms[..xs.len()];
+            let mut stable = true;
+            for j in 0..xs.len() {
+                let ci = xs[j] + ds[j] * scale;
+                cs[j] = ci;
+                let a = l * ci;
+                stable &= a.is_finite() & (a < delays[j].capacity());
+                terms[j] = (costs[j] + k * delays[j].response_time_unchecked(a)) * ci;
+            }
+            if !stable {
+                self.check_arrivals(start, cs)?;
+            }
+            for &term in terms.iter() {
+                cost += term;
+            }
+        }
+        Ok(-cost)
+    }
+}
+
+/// Nodes per block of the fused sweeps. A block's per-node terms are
+/// computed without branches into a stack buffer, so the divisions can
+/// run in vector lanes, and then added to the running sum in index order.
+/// A block flagged unstable is walked again through
+/// [`SingleFileProblem::arrival`], whose first error is the answer; the
+/// flag only has to be raised for every node `arrival` refuses.
+const BLOCK: usize = 64;
+
+impl<D: DelayModel> SingleFileProblem<D> {
+    /// The blocks of [`AllocationProblem::evaluate`], with `h` written only
+    /// when `CURVATURE` (it is empty otherwise).
+    fn evaluate_blocks<const CURVATURE: bool>(
+        &self,
+        x: &[f64],
+        g: &mut [f64],
+        h: &mut [f64],
+    ) -> Result<f64, EconError> {
+        let (l, k) = (self.total_rate, self.k);
+        let mut cost = 0.0;
+        let mut terms = [0.0; BLOCK];
+        for start in (0..x.len()).step_by(BLOCK) {
+            let end = (start + BLOCK).min(x.len());
+            let (xs, gs) = (&x[start..end], &mut g[start..end]);
+            let hs = if CURVATURE { &mut h[start..end] } else { &mut [] };
+            let (costs, delays) = (&self.access_costs[start..end], &self.delays[start..end]);
+            let terms = &mut terms[..xs.len()];
+            let mut stable = true;
+            for j in 0..xs.len() {
+                let xi = xs[j];
+                let a = l * xi;
+                stable &= a.is_finite() & (a < delays[j].capacity());
+                let t = delays[j].response_time_unchecked(a);
+                let dt = delays[j].d_response_time_unchecked(a);
+                terms[j] = (costs[j] + k * t) * xi;
+                let dc = costs[j] + k * t + k * l * xi * dt;
+                gs[j] = -dc;
+                if CURVATURE {
+                    let d2t = delays[j].d2_response_time_unchecked(a);
+                    let d2c = 2.0 * k * l * dt + k * l * l * xi * d2t;
+                    hs[j] = -d2c;
+                }
+            }
+            if !stable {
+                self.check_arrivals(start, xs)?;
+            }
+            for &term in terms.iter() {
+                cost += term;
+            }
+        }
+        Ok(-cost)
+    }
+
+    /// [`SingleFileProblem::arrival`]'s check on the nodes from `offset`
+    /// on: the error of the first unstable one.
+    fn check_arrivals(&self, offset: usize, xs: &[f64]) -> Result<(), EconError> {
+        for (j, &xi) in xs.iter().enumerate() {
+            self.arrival(offset + j, xi)?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -596,6 +716,152 @@ mod tests {
                 let fd = (p.utility(&xp).unwrap() - p.utility(&xm).unwrap()) / (2.0 * h);
                 prop_assert!((g[i] - fd).abs() < 1e-4);
             }
+        }
+
+        /// The fused sweeps return the separate passes' bits, or the same
+        /// error for the same node: on M/M/1 and M/G/1 problems of one to
+        /// three sweep blocks, at points with transiently negative entries
+        /// and with overloaded nodes.
+        #[test]
+        fn fused_sweeps_match_the_separate_passes(seed in 0u64..4096, n in 1usize..200) {
+            let (mm1, mg1, x, d, scale) = fused_case(seed, n);
+            check_fused(&mm1, &x, &d, scale)?;
+            check_fused(&mg1, &x, &d, scale)?;
+        }
+    }
+
+    /// The trait's default `evaluate` and `utility_along`: the path every
+    /// problem without fused sweeps takes.
+    struct Separate<'a, P>(&'a P);
+
+    impl<P: AllocationProblem> AllocationProblem for Separate<'_, P> {
+        fn dimension(&self) -> usize {
+            self.0.dimension()
+        }
+        fn utility(&self, x: &[f64]) -> Result<f64, EconError> {
+            self.0.utility(x)
+        }
+        fn marginal_utilities(&self, x: &[f64], out: &mut [f64]) -> Result<(), EconError> {
+            self.0.marginal_utilities(x, out)
+        }
+        fn curvatures(&self, x: &[f64], out: &mut [f64]) -> Result<(), EconError> {
+            self.0.curvatures(x, out)
+        }
+    }
+
+    /// A seeded problem pair (same costs and rates, M/M/1 and M/G/1), a
+    /// point, a direction and a scale. Entries run from −0.3 to 1.3 of the
+    /// load that saturates a node, so some seeds overload a node and some
+    /// cross zero.
+    fn fused_case(
+        seed: u64,
+        n: usize,
+    ) -> (SingleFileProblem, SingleFileProblem<Mg1Delay>, Vec<f64>, Vec<f64>, f64) {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let costs: Vec<f64> = (0..n).map(|_| 4.0 * unit()).collect();
+        let lambda = 0.5 + 2.0 * unit();
+        let mus: Vec<f64> = (0..n).map(|_| lambda * (0.2 + unit())).collect();
+        let total_mu: f64 = mus.iter().sum();
+        let lambda = lambda.min(0.9 * total_mu);
+        let k = 2.0 * unit();
+        let mm1 = SingleFileProblem::from_parts(
+            costs.clone(),
+            lambda,
+            mus.iter().map(|&mu| Mm1Delay::new(mu).unwrap()).collect(),
+            k,
+        )
+        .unwrap();
+        let mg1 = SingleFileProblem::from_parts(
+            costs,
+            lambda,
+            mus.iter().map(|&mu| Mg1Delay::new(mu, 3.0 * unit()).unwrap()).collect(),
+            k,
+        )
+        .unwrap();
+        // Most points stay stable; a quarter reach past capacity somewhere.
+        let reach = if unit() < 0.25 { 1.3 } else { 0.95 };
+        let x: Vec<f64> =
+            mus.iter().map(|mu| mu / lambda * (reach * unit() - 0.3 * unit())).collect();
+        let d: Vec<f64> = (0..n).map(|_| unit() - 0.5).collect();
+        (mm1, mg1, x, d, 2.0 * unit())
+    }
+
+    fn check_fused<D: DelayModel>(
+        p: &SingleFileProblem<D>,
+        x: &[f64],
+        d: &[f64],
+        scale: f64,
+    ) -> Result<(), TestCaseError> {
+        let n = x.len();
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let same = |a: Result<f64, EconError>, b: Result<f64, EconError>| match (a, b) {
+            (Ok(a), Ok(b)) => a.to_bits() == b.to_bits(),
+            (Err(a), Err(b)) => a.to_string() == b.to_string(),
+            _ => false,
+        };
+        for curvature in [false, true] {
+            let (mut g, mut h) = (vec![0.0; n], vec![0.0; n]);
+            let (mut g0, mut h0) = (vec![0.0; n], vec![0.0; n]);
+            let fused = p.evaluate(x, &mut g, curvature.then_some(&mut h[..]));
+            let separate = Separate(p).evaluate(x, &mut g0, curvature.then_some(&mut h0[..]));
+            let ok = fused.is_ok();
+            prop_assert!(same(fused, separate), "evaluate (curvature {curvature})");
+            if ok {
+                prop_assert_eq!(bits(&g), bits(&g0));
+                prop_assert_eq!(bits(&h), bits(&h0));
+            }
+        }
+        let (mut cand, mut cand0) = (vec![0.0; n], vec![0.0; n]);
+        let fused = p.utility_along(x, d, scale, &mut cand);
+        let separate = Separate(p).utility_along(x, d, scale, &mut cand0);
+        let ok = fused.is_ok();
+        prop_assert!(same(fused, separate), "utility_along");
+        if ok {
+            prop_assert_eq!(bits(&cand), bits(&cand0));
+        }
+        // Wrong-length outputs fail as the separate calls do.
+        let mut short = vec![0.0; n + 1];
+        let mut g = vec![0.0; n];
+        prop_assert!(same(
+            p.evaluate(x, &mut short, None),
+            Separate(p).evaluate(x, &mut short.clone(), None)
+        ));
+        prop_assert!(same(
+            p.evaluate(x, &mut g, Some(&mut short)),
+            Separate(p).evaluate(x, &mut g.clone(), Some(&mut short.clone()))
+        ));
+        prop_assert!(same(
+            p.utility_along(x, d, scale, &mut short),
+            Separate(p).utility_along(x, d, scale, &mut short.clone())
+        ));
+        Ok(())
+    }
+
+    #[test]
+    fn fused_and_default_paths_solve_bit_identically() {
+        let graph = topology::random_connected(150, 0.05, 1.0..4.0, 3).unwrap();
+        let pattern = AccessPattern::random(150, 0.05..0.3, 3).unwrap();
+        let p = SingleFileProblem::mm1(&graph, &pattern, pattern.total_rate() / 30.0, 1.5).unwrap();
+        let x0: Vec<f64> = (0..150).map(|i| ((i % 7) + 1) as f64).collect();
+        let total: f64 = x0.iter().sum();
+        let x0: Vec<f64> = x0.iter().map(|v| v / total).collect();
+        for step in [StepSize::Fixed(0.002), StepSize::Dynamic { safety: 0.9, max: 1.0 }] {
+            let solver = ResourceDirectedOptimizer::new(step).with_epsilon(1e-9);
+            let fused = solver.run(&p, &x0, &mut NoopRecorder).unwrap();
+            let separate = solver.run(&Separate(&p), &x0, &mut NoopRecorder).unwrap();
+            assert!(fused.iterations > 10, "{} iterations", fused.iterations);
+            assert_eq!(fused.final_utility.to_bits(), separate.final_utility.to_bits());
+            assert_eq!(
+                fused.allocation.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                separate.allocation.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
+            assert_eq!(fused, separate);
         }
     }
 }

@@ -15,6 +15,12 @@ use crate::error::EconError;
 /// Curvatures (`∂²U/∂x_i²`) default to a central finite difference of the
 /// marginals; problems with closed forms should override
 /// [`AllocationProblem::curvatures`] (the file-allocation problem does).
+///
+/// The optimizers read a problem through two fused entry points,
+/// [`AllocationProblem::evaluate`] and [`AllocationProblem::utility_along`].
+/// Their defaults are built from the three methods above; a problem whose
+/// passes redo the same per-agent work (the file-allocation problem's
+/// M/M/1 divisions) overrides them with single sweeps.
 pub trait AllocationProblem {
     /// Number of agents `N`.
     fn dimension(&self) -> usize;
@@ -66,6 +72,55 @@ pub trait AllocationProblem {
             out[i] = (gp[i] - gm[i]) / (2.0 * h);
         }
         Ok(())
+    }
+
+    /// Returns `U(x)` and writes `∂U/∂x_i` into `g` and, when `h` is given,
+    /// `∂²U/∂x_i²` into it: everything one iterate of the resource-directed
+    /// engine reads.
+    ///
+    /// The default makes the three separate calls in the order `utility`,
+    /// `marginal_utilities`, `curvatures`. Problems whose three passes share
+    /// per-agent work should override it with one sweep that returns the
+    /// same bits and the same error.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`AllocationProblem::utility`].
+    fn evaluate(&self, x: &[f64], g: &mut [f64], h: Option<&mut [f64]>) -> Result<f64, EconError> {
+        let utility = self.utility(x)?;
+        self.marginal_utilities(x, g)?;
+        if let Some(h) = h {
+            self.curvatures(x, h)?;
+        }
+        Ok(utility)
+    }
+
+    /// Writes the candidate `x + scale·d` into `cand` and returns its
+    /// utility: one trial of the engine's backtracking line search.
+    ///
+    /// The default fills `cand` and then calls [`AllocationProblem::utility`].
+    /// An override may fold the fill into its utility sweep; it must return
+    /// the same bits and the same error, and `cand` holds the whole candidate
+    /// whenever the call succeeds.
+    ///
+    /// # Errors
+    ///
+    /// [`EconError::DimensionMismatch`] when `d` or `cand` differs in length
+    /// from `x`, otherwise the conditions of [`AllocationProblem::utility`]
+    /// at the candidate.
+    fn utility_along(
+        &self,
+        x: &[f64],
+        d: &[f64],
+        scale: f64,
+        cand: &mut [f64],
+    ) -> Result<f64, EconError> {
+        check_dimension(x.len(), d)?;
+        check_dimension(x.len(), cand)?;
+        for ((c, xi), di) in cand.iter_mut().zip(x).zip(d) {
+            *c = xi + di * scale;
+        }
+        self.utility(cand)
     }
 
     /// The cost `−U(x)`, for problems naturally phrased as minimization

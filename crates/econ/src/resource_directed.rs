@@ -270,11 +270,8 @@ impl Engine {
         let mut iterations = 0usize;
 
         loop {
-            let utility = problem.utility(x)?;
-            problem.marginal_utilities(x, g)?;
-            if needs_curvature {
-                problem.curvatures(x, h)?;
-            }
+            // One sweep for U, ∇U and (when the step reads it) ∇²U.
+            let utility = problem.evaluate(x, g, needs_curvature.then_some(h.as_mut_slice()))?;
             if self.weight_mode == WeightMode::InverseCurvature {
                 for (w, hi) in weights.iter_mut().zip(&*h) {
                     // Concave utilities have h ≤ 0; floor |h| to keep the
@@ -299,8 +296,9 @@ impl Engine {
             }
 
             // Telemetry. Iteration/virtual time is the iteration counter;
-            // derived measurements (norms) are computed only when a real
-            // sink is attached, so the NoopRecorder path does no extra work.
+            // the `iter` event's derived measurements (two O(N) norms) are
+            // computed only for a sink that keeps events, so the
+            // NoopRecorder and registry paths do no extra work.
             recorder.set_time(iterations as u64);
             if recorder.is_enabled() {
                 let active_count = step.active_count();
@@ -311,18 +309,20 @@ impl Engine {
                 }
                 recorder.observe("econ.active_set_size", active_count as f64);
                 recorder.gauge("econ.alpha", alpha);
-                recorder.emit(
-                    "iter",
-                    &[
-                        ("iteration", Value::U64(iterations as u64)),
-                        ("utility", Value::F64(utility)),
-                        ("spread", Value::F64(spread)),
-                        ("alpha", Value::F64(alpha)),
-                        ("grad_norm", Value::F64(l2_norm(g))),
-                        ("step_norm", Value::F64(l2_norm(step.deltas()))),
-                        ("active", Value::U64(active_count as u64)),
-                    ],
-                );
+                if recorder.keeps_events() {
+                    recorder.emit(
+                        "iter",
+                        &[
+                            ("iteration", Value::U64(iterations as u64)),
+                            ("utility", Value::F64(utility)),
+                            ("spread", Value::F64(spread)),
+                            ("alpha", Value::F64(alpha)),
+                            ("grad_norm", Value::F64(l2_norm(g))),
+                            ("step_norm", Value::F64(l2_norm(step.deltas()))),
+                            ("active", Value::U64(active_count as u64)),
+                        ],
+                    );
+                }
             }
 
             // Termination: the paper's ε-criterion on active marginals, plus
@@ -383,10 +383,7 @@ impl Engine {
             if matches!(self.step, StepSize::Dynamic { .. }) {
                 let mut scale = 1.0f64;
                 loop {
-                    candidate.clear();
-                    candidate
-                        .extend(x.iter().zip(step.deltas()).map(|(xi, d)| xi + d * scale));
-                    match problem.utility(candidate) {
+                    match problem.utility_along(x, step.deltas(), scale, candidate) {
                         Ok(u) if u >= utility => {
                             std::mem::swap(x, candidate);
                             break;
@@ -593,6 +590,128 @@ mod tests {
 
     fn quad() -> SeparableQuadratic {
         SeparableQuadratic::new(vec![1.0, 2.0, 4.0], vec![0.5, 0.4, 0.3], 1.0).unwrap()
+    }
+
+    /// `U = −Σ (c_i + 1/(μ_i − x_i))·x_i`, a queueing utility with the
+    /// file-allocation problem's shape, whose `evaluate` and
+    /// `utility_along` are single sweeps.
+    struct Queues {
+        c: Vec<f64>,
+        mu: Vec<f64>,
+    }
+
+    impl Queues {
+        /// The slack `μ_i − x_i`, or the error of an overloaded node.
+        fn slack(&self, i: usize, xi: f64) -> Result<f64, EconError> {
+            let d = self.mu[i] - xi;
+            if d > 0.0 {
+                Ok(d)
+            } else {
+                Err(EconError::Model(format!("node {i} overloaded at {xi}")))
+            }
+        }
+    }
+
+    impl AllocationProblem for Queues {
+        fn dimension(&self) -> usize {
+            self.c.len()
+        }
+        fn utility(&self, x: &[f64]) -> Result<f64, EconError> {
+            let mut cost = 0.0;
+            for (i, &xi) in x.iter().enumerate() {
+                cost += (self.c[i] + 1.0 / self.slack(i, xi)?) * xi;
+            }
+            Ok(-cost)
+        }
+        fn marginal_utilities(&self, x: &[f64], out: &mut [f64]) -> Result<(), EconError> {
+            for (i, &xi) in x.iter().enumerate() {
+                let d = self.slack(i, xi)?;
+                out[i] = -(self.c[i] + 1.0 / d + xi / (d * d));
+            }
+            Ok(())
+        }
+        fn curvatures(&self, x: &[f64], out: &mut [f64]) -> Result<(), EconError> {
+            for (i, &xi) in x.iter().enumerate() {
+                let d = self.slack(i, xi)?;
+                out[i] = -(2.0 / (d * d) + 2.0 * xi / (d * d * d));
+            }
+            Ok(())
+        }
+        fn evaluate(
+            &self,
+            x: &[f64],
+            g: &mut [f64],
+            mut h: Option<&mut [f64]>,
+        ) -> Result<f64, EconError> {
+            let mut cost = 0.0;
+            for (i, &xi) in x.iter().enumerate() {
+                let d = self.slack(i, xi)?;
+                cost += (self.c[i] + 1.0 / d) * xi;
+                g[i] = -(self.c[i] + 1.0 / d + xi / (d * d));
+                if let Some(h) = h.as_deref_mut() {
+                    h[i] = -(2.0 / (d * d) + 2.0 * xi / (d * d * d));
+                }
+            }
+            Ok(-cost)
+        }
+        fn utility_along(
+            &self,
+            x: &[f64],
+            d: &[f64],
+            scale: f64,
+            cand: &mut [f64],
+        ) -> Result<f64, EconError> {
+            let mut cost = 0.0;
+            for i in 0..x.len() {
+                cand[i] = x[i] + d[i] * scale;
+                cost += (self.c[i] + 1.0 / self.slack(i, cand[i])?) * cand[i];
+            }
+            Ok(-cost)
+        }
+    }
+
+    /// The trait's default `evaluate` and `utility_along` over `Queues`.
+    struct Defaults<'a>(&'a Queues);
+
+    impl AllocationProblem for Defaults<'_> {
+        fn dimension(&self) -> usize {
+            self.0.dimension()
+        }
+        fn utility(&self, x: &[f64]) -> Result<f64, EconError> {
+            self.0.utility(x)
+        }
+        fn marginal_utilities(&self, x: &[f64], out: &mut [f64]) -> Result<(), EconError> {
+            self.0.marginal_utilities(x, out)
+        }
+        fn curvatures(&self, x: &[f64], out: &mut [f64]) -> Result<(), EconError> {
+            self.0.curvatures(x, out)
+        }
+    }
+
+    #[test]
+    fn fused_and_default_evaluation_paths_give_identical_solutions() {
+        let n = 40;
+        let p = Queues {
+            c: (0..n).map(|i| (i * 7 % 11) as f64 * 0.3).collect(),
+            mu: (0..n).map(|i| 0.06 + (i % 5) as f64 * 0.02).collect(),
+        };
+        let x0 = vec![1.0 / n as f64; n];
+        for step in [StepSize::Fixed(0.002), StepSize::Dynamic { safety: 0.9, max: 1.0 }] {
+            let solver = ResourceDirectedOptimizer::new(step)
+                .with_epsilon(1e-10)
+                .with_recorded_allocations();
+            let fused = solver.run(&p, &x0, &mut NoopRecorder).unwrap();
+            let default = solver.run(&Defaults(&p), &x0, &mut NoopRecorder).unwrap();
+            assert!(fused.converged && fused.iterations > 5, "{:?}", fused.termination);
+            let bits = |s: &Solution| {
+                let mut bits: Vec<u64> = s.allocation.iter().map(|v| v.to_bits()).collect();
+                bits.push(s.final_utility.to_bits());
+                bits.extend(s.trace.records().iter().map(|r| r.utility.to_bits()));
+                bits
+            };
+            assert_eq!(bits(&fused), bits(&default));
+            assert_eq!(fused, default);
+        }
     }
 
     #[test]

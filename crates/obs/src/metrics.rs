@@ -482,6 +482,10 @@ impl Recorder for MetricsRegistry {
         MetricsRegistry::merge_sketch(self, name, other);
     }
 
+    fn keeps_events(&self) -> bool {
+        false
+    }
+
     fn emit(&mut self, _name: &'static str, _fields: &[(&'static str, Value)]) {}
 
     fn set_time(&mut self, _tick: u64) {}

@@ -60,6 +60,14 @@ pub trait Recorder {
     /// without sketches ignore this.
     fn merge_sketch(&mut self, _name: &'static str, _other: &QuantileSketch) {}
 
+    /// Whether this sink keeps the events [`Recorder::emit`] hands it
+    /// (other than span events, which [`Recorder::trace_enabled`] gates).
+    /// Instrumented code may skip building an event's fields when it does
+    /// not; counters, gauges and histograms are unaffected.
+    fn keeps_events(&self) -> bool {
+        self.is_enabled()
+    }
+
     /// Emits a structured event.
     fn emit(&mut self, _name: &'static str, _fields: &[(&'static str, Value)]) {}
 
@@ -186,6 +194,10 @@ impl Recorder for Tee<'_> {
         self.b.merge_sketch(name, other);
     }
 
+    fn keeps_events(&self) -> bool {
+        self.a.keeps_events() || self.b.keeps_events()
+    }
+
     fn emit(&mut self, name: &'static str, fields: &[(&'static str, Value)]) {
         self.a.emit(name, fields);
         self.b.emit(name, fields);
@@ -273,6 +285,20 @@ mod tests {
             assert_eq!(sketch.relative_accuracy(), 0.02);
             assert_eq!(sketch.max(), 9.0);
         }
+    }
+
+    #[test]
+    fn only_event_keeping_sinks_ask_for_event_fields() {
+        let mut registry = MetricsRegistry::new();
+        let mut flight = crate::FlightRecorder::default();
+        let mut telemetry = crate::Telemetry::manual();
+        assert!(!NoopRecorder.keeps_events());
+        assert!(!registry.keeps_events());
+        assert!(!flight.keeps_events());
+        assert!(telemetry.keeps_events());
+        assert!(crate::JsonlSink::new(Vec::new()).keeps_events());
+        assert!(!Tee::new(&mut registry, &mut flight).keeps_events());
+        assert!(Tee::new(&mut registry, &mut telemetry).keeps_events());
     }
 
     #[test]

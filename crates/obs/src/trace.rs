@@ -464,6 +464,11 @@ impl Recorder for FlightRecorder {
         true
     }
 
+    /// Only span events reach the flight recorder's traces.
+    fn keeps_events(&self) -> bool {
+        false
+    }
+
     fn reserve_span_ids(&mut self, count: u64) -> u64 {
         let first = self.next_span_id;
         self.next_span_id += count;

@@ -330,7 +330,9 @@ fn a_backlog_past_the_clock_range_saturates_instead_of_wrapping() {
 
 /// A drift line is priced from its fields before anything is built: a
 /// zero, tiny, oversized or overflowing `nodes` or `epochs` gets its own
-/// `error` line, and the session goes on to serve the next envelope. A
+/// `error` line, and the session goes on to serve the next envelope. So
+/// does a 256-node ring, which the default fixed step would overload at
+/// epoch 0. A
 /// `threads` field names nothing the loop has, so it changes no byte of
 /// the answer.
 #[test]
@@ -338,6 +340,7 @@ fn oversized_drift_lines_are_refused_and_the_session_goes_on() {
     let refused = [
         ("nodes", "0", "nodes must be at least 2"),
         ("nodes", "1", "nodes must be at least 2"),
+        ("nodes", "256", "capacity share"),
         ("nodes", "8193", "dense budget"),
         ("nodes", "4611686018427387904", "dense budget"),
         ("nodes", "18446744073709551615", "dense budget"),
