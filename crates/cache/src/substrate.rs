@@ -235,13 +235,16 @@ impl SubstrateCache {
         self.lookup(graph, topology_fingerprint(graph), backend, false, recorder)
     }
 
-    /// Like [`SubstrateCache::get_or_build`], but a landmark miss first
-    /// tries to repair a cached oracle across a small topology edit.
+    /// [`SubstrateCache::get_or_build`] for a caller that already holds
+    /// `fingerprint = topology_fingerprint(graph)` (the graph is hashed
+    /// once, not again inside the cache); with `update` set, a landmark
+    /// miss first tries to repair a cached oracle across a small topology
+    /// edit.
     ///
-    /// The cache looks for its newest entry with the same backend whose
-    /// stored graph diffs against `graph` as a recognized small delta — a
-    /// bounded set of edge re-pricings, one node join, or one node leave
-    /// — and repairs that oracle in place with
+    /// The repair looks for the cache's newest entry with the same backend
+    /// whose stored graph diffs against `graph` as a recognized small delta
+    /// — a bounded set of edge re-pricings, one node join, or one node
+    /// leave — and repairs that oracle in place with
     /// [`LandmarkOracle::apply_deltas`], re-keying it under the new
     /// fingerprint. The repaired oracle is bit-identical to
     /// [`LandmarkOracle::with_landmarks`] on the edited topology with the
@@ -251,23 +254,6 @@ impl SubstrateCache {
     /// disconnecting edit) drop the stale entry and rebuild. Dense lookups
     /// behave exactly as in [`SubstrateCache::get_or_build`]: every cost
     /// can move under one edge edit.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SubstrateCache::get_or_build`].
-    pub fn get_or_update(
-        &mut self,
-        graph: &Graph,
-        backend: CostBackend,
-        recorder: &mut dyn Recorder,
-    ) -> Result<&dyn CostProvider, NetError> {
-        self.lookup(graph, topology_fingerprint(graph), backend, true, recorder)
-    }
-
-    /// [`SubstrateCache::get_or_update`] when `update` is set, otherwise
-    /// [`SubstrateCache::get_or_build`], for a caller that already holds
-    /// `fingerprint = topology_fingerprint(graph)`: the graph is hashed
-    /// once, not again inside the cache.
     ///
     /// # Errors
     ///
@@ -536,7 +522,9 @@ mod tests {
     }
 
     fn update(cache: &mut SubstrateCache, graph: &Graph, backend: CostBackend) {
-        cache.get_or_update(graph, backend, &mut NoopRecorder).unwrap();
+        cache
+            .get_fingerprinted(graph, topology_fingerprint(graph), backend, true, &mut NoopRecorder)
+            .unwrap();
     }
 
     /// Whether `(graph, backend)` is resident, without touching counters.
@@ -842,7 +830,8 @@ mod tests {
         edited.set_link_cost(u, v, old_cost * 3.0).unwrap();
 
         let mut reg = MetricsRegistry::new();
-        cache.get_or_update(&edited, backend, &mut reg).unwrap();
+        let fingerprint = topology_fingerprint(&edited);
+        cache.get_fingerprinted(&edited, fingerprint, backend, true, &mut reg).unwrap();
         assert_eq!(cache.incremental_updates(), 1);
         assert_eq!(reg.counter("cache.landmark_incremental"), 1);
         assert_eq!((cache.hits(), cache.misses()), (0, 1), "no rebuild, no hit");

@@ -143,10 +143,10 @@ impl ServeSpec {
     /// what the cache held.
     ///
     /// With `oracle_update` on (`--oracle-update`), landmark substrates go
-    /// through [`SubstrateCache::get_or_update`], so a cached oracle
-    /// survives a small topology edit (edge re-price, node join/leave) as
-    /// a dirty-frontier repair instead of a cold rebuild — which is what
-    /// keeps a `WarmMode::Session` daemon warm across drift.
+    /// through [`SubstrateCache::get_fingerprinted`] with `update` set, so
+    /// a cached oracle survives a small topology edit (edge re-price, node
+    /// join/leave) as a dirty-frontier repair instead of a cold rebuild —
+    /// which is what keeps a `WarmMode::Session` daemon warm across drift.
     ///
     /// # Errors
     ///

@@ -32,9 +32,9 @@ use crate::serve::ServeSpec;
 /// cache (hits and misses land in the session's `cache.*` metrics).
 ///
 /// With `oracle_update` on (`--oracle-update`), landmark substrates
-/// resolve through [`SubstrateCache::get_or_update`], so a cached oracle
-/// survives a small topology edit between batches as a dirty-frontier
-/// repair instead of a cold rebuild.
+/// resolve through [`SubstrateCache::get_fingerprinted`] with `update`
+/// set, so a cached oracle survives a small topology edit between batches
+/// as a dirty-frontier repair instead of a cold rebuild.
 pub fn spec_parser_with(oracle_update: bool) -> impl BatchParser {
     move |batch: &Value, cache: &mut SubstrateCache, recorder: &mut dyn Recorder| {
         let specs = Vec::<ServeSpec>::deserialize_value(batch)

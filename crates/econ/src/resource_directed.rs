@@ -108,6 +108,8 @@ pub enum Termination {
     /// The dynamic-step safeguard could not find any improving step along
     /// the (boundary-clamped) reallocation direction — the iterate is
     /// direction-stationary but the ε-criterion did not certify optimality.
+    /// A fixed step stalls the same way when no halving of it keeps the
+    /// next iterate inside the model's domain.
     Stalled,
 }
 
@@ -269,9 +271,10 @@ impl Engine {
         let mut previous_cost: Option<f64> = None;
         let mut iterations = 0usize;
 
+        // One sweep for U, ∇U and (when the step reads it) ∇²U; each later
+        // iterate is evaluated as it is accepted, below.
+        let mut utility = problem.evaluate(x, g, needs_curvature.then_some(h.as_mut_slice()))?;
         loop {
-            // One sweep for U, ∇U and (when the step reads it) ∇²U.
-            let utility = problem.evaluate(x, g, needs_curvature.then_some(h.as_mut_slice()))?;
             if self.weight_mode == WeightMode::InverseCurvature {
                 for (w, hi) in weights.iter_mut().zip(&*h) {
                     // Concave utilities have h ≤ 0; floor |h| to keep the
@@ -379,41 +382,49 @@ impl Engine {
             // Apply the step. The dynamic policy's per-iteration bound is
             // derived for the *unclamped* step; when boundary clamping
             // redirects it, the bound can overshoot and cycle, so safeguard
-            // with utility backtracking (halve until the step improves).
-            if matches!(self.step, StepSize::Dynamic { .. }) {
-                let mut scale = 1.0f64;
+            // with utility backtracking (halve until the step improves). The
+            // fixed step is taken whole unless the next iterate leaves the
+            // model's domain (a queue at or past capacity): then it is
+            // halved until the model accepts it. A run that never leaves the
+            // domain takes exactly the paper's steps.
+            let mut scale = 1.0f64;
+            let next = if matches!(self.step, StepSize::Dynamic { .. }) {
                 loop {
                     match problem.utility_along(x, step.deltas(), scale, candidate) {
                         Ok(u) if u >= utility => {
-                            std::mem::swap(x, candidate);
-                            break;
+                            let curvature = needs_curvature.then_some(h.as_mut_slice());
+                            break Some(problem.evaluate(candidate, g, curvature)?);
                         }
                         _ if scale > 1e-9 => scale *= 0.5,
-                        _ => {
-                            emit_run_end(
-                                recorder,
-                                iterations,
-                                Termination::Stalled,
-                                false,
-                                utility,
-                                spread,
-                            );
-                            return Ok(Solution {
-                                allocation: x.clone(),
-                                iterations,
-                                termination: Termination::Stalled,
-                                converged: false,
-                                final_utility: utility,
-                                trace,
-                            });
-                        }
+                        _ => break None,
                     }
                 }
             } else {
-                for (xi, d) in x.iter_mut().zip(step.deltas()) {
-                    *xi += d;
+                loop {
+                    for ((c, xi), d) in candidate.iter_mut().zip(&*x).zip(step.deltas()) {
+                        *c = xi + d * scale;
+                    }
+                    let curvature = needs_curvature.then_some(h.as_mut_slice());
+                    match problem.evaluate(candidate, g, curvature) {
+                        Ok(u) => break Some(u),
+                        Err(_) if scale > 1e-9 => scale *= 0.5,
+                        Err(_) => break None,
+                    }
                 }
-            }
+            };
+            let Some(next) = next else {
+                emit_run_end(recorder, iterations, Termination::Stalled, false, utility, spread);
+                return Ok(Solution {
+                    allocation: x.clone(),
+                    iterations,
+                    termination: Termination::Stalled,
+                    converged: false,
+                    final_utility: utility,
+                    trace,
+                });
+            };
+            std::mem::swap(x, candidate);
+            utility = next;
             iterations += 1;
         }
     }
@@ -711,6 +722,29 @@ mod tests {
             };
             assert_eq!(bits(&fused), bits(&default));
             assert_eq!(fused, default);
+        }
+    }
+
+    #[test]
+    fn a_fixed_step_past_capacity_is_halved_until_the_model_accepts_it() {
+        // From a crowded node 0 the full step of α = 0.04 hands nodes 1-3
+        // about 2.4 each, far past their capacity 0.6.
+        let p = Queues { c: vec![0.0, 0.0, 2.0, 2.0], mu: vec![0.6; 4] };
+        let x0 = [0.55, 0.15, 0.15, 0.15];
+        let mut g = [0.0; 4];
+        p.marginal_utilities(&x0, &mut g).unwrap();
+        let mean = g.iter().sum::<f64>() / 4.0;
+        let full: Vec<f64> = x0.iter().zip(&g).map(|(x, gi)| x + 0.04 * (gi - mean)).collect();
+        assert!(p.utility(&full).is_err(), "{full:?}");
+
+        let s = ResourceDirectedOptimizer::new(StepSize::Fixed(0.04))
+            .with_epsilon(1e-9)
+            .with_recorded_allocations()
+            .run(&p, &x0, &mut NoopRecorder)
+            .unwrap();
+        assert!(s.converged, "{:?} after {}", s.termination, s.iterations);
+        for x in s.trace.recorded_allocations() {
+            assert!(x.iter().zip(&p.mu).all(|(xi, mu)| xi < mu), "{x:?}");
         }
     }
 

@@ -186,29 +186,13 @@ impl Default for DriftConfig {
 impl DriftConfig {
     /// Validates the parameters and prices the run before anything is
     /// built: the ring's `nodes²` cost matrix against
-    /// [`DEFAULT_DENSE_ELEMENT_BUDGET`], the `epochs` per-epoch records
-    /// against [`SUBSTRATE_BYTE_LIMIT`], in checked arithmetic, and the
-    /// fixed step against the ring's capacity.
-    ///
-    /// The tracker's fixed step has no guard against an iterate crossing a
-    /// node's capacity, so the ring may be only as large as the step allows.
-    /// The first step from the even split moves node `i` by
-    /// `α·(C̄ − C_i)` plus released mass (the queueing marginals are equal
-    /// there), and the access costs of a unit-link ring spread over at most
-    /// its hop diameter `⌊n/2⌋`. The run is admitted only while that pull,
-    /// `α·⌊n/2⌋`, stays below `μ/λ̂`, the share at which a node saturates
-    /// at the trajectory's peak total rate `λ̂` (each base rate lies below
-    /// 0.5 and each scenario's factor peaks at a closed-form value). With
-    /// the default α = 0.05 and μ = 6 that admits diurnal rings of up to 17
-    /// nodes; larger rings need a smaller α.
+    /// [`DEFAULT_DENSE_ELEMENT_BUDGET`] and the `epochs` per-epoch records
+    /// against [`SUBSTRATE_BYTE_LIMIT`], in checked arithmetic.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::InvalidParameter`] describing the first
     /// violation.
-    // The negated comparison refuses a NaN capacity share too (a NaN
-    // diurnal amplitude).
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn validate(&self) -> Result<(), RuntimeError> {
         let invalid = |msg: String| Err(RuntimeError::InvalidParameter(msg));
         let n = self.nodes;
@@ -255,36 +239,7 @@ impl DriftConfig {
                 )));
             }
         }
-        let peak = self.peak_total_rate();
-        let (pull, share) = (self.alpha * (n / 2) as f64, self.mu / peak);
-        if !(pull < share) {
-            return invalid(format!(
-                "nodes {n}: one fixed step of alpha {} can pull alpha*floor(n/2) = {pull} of the \
-                 file onto one node, not below its capacity share mu/peak rate = {share} at the \
-                 trajectory's peak total rate {peak}; use alpha below {} or a smaller ring",
-                self.alpha,
-                share / (n / 2) as f64
-            ));
-        }
         Ok(())
-    }
-
-    /// An upper bound on the trajectory's total access rate `Σ λ_i` over
-    /// every epoch: each base rate lies below 0.5 and each scenario's
-    /// factor peaks at `1 + |amplitude|` on every node, `factor` on the
-    /// hot node or the top half, and 1 under churn.
-    fn peak_total_rate(&self) -> f64 {
-        let n = self.nodes as f64;
-        let factors = match self.scenario {
-            DriftScenario::Diurnal { amplitude, .. } => n * (1.0 + amplitude.abs()),
-            DriftScenario::FlashCrowd { factor, .. } => n - 1.0 + factor.max(1.0),
-            DriftScenario::Step { factor, .. } => {
-                let top = (self.nodes - self.nodes / 2) as f64;
-                n - top + top * factor.max(1.0)
-            }
-            DriftScenario::NodeChurn { .. } => n,
-        };
-        0.5 * factors
     }
 
     /// The access-rate vector of `epoch` for an `n`-node system — the
@@ -742,35 +697,6 @@ mod tests {
     }
 
     #[test]
-    fn rings_too_large_for_the_fixed_step_are_refused() {
-        // 256 nodes at the default step: one step could pull 6.4 of the
-        // file onto a node whose capacity share is 6/192 (the run would
-        // overload a node at epoch 0).
-        let message = refusal(|c| c.nodes = 256);
-        assert!(
-            message.contains("capacity share") && message.contains("use alpha below"),
-            "{message}"
-        );
-        // The message's bound admits the ring.
-        let mut c = config(DriftScenario::Step { at: 1, factor: 2.0 });
-        c.nodes = 256;
-        c.alpha = 6.0 / 192.0 / 128.0 * 0.99;
-        assert!(c.validate().is_ok());
-        // Every preset at the default step on the largest ring it admits
-        // tracks all its epochs.
-        for label in ["diurnal", "flash-crowd", "step", "node-churn"] {
-            let mut c = config(DriftScenario::preset(label, 12).unwrap());
-            c.nodes = (2..=64)
-                .rev()
-                .find(|&n| DriftConfig { nodes: n, ..c.clone() }.validate().is_ok())
-                .unwrap();
-            assert!(c.nodes >= 16, "{label}: {}", c.nodes);
-            let report = DriftRun::new(c).unwrap().run(&mut NoopRecorder).unwrap();
-            assert_eq!(report.epochs.len(), 12, "{label}");
-        }
-    }
-
-    #[test]
     fn invalid_configs_are_rejected() {
         assert!(refusal(|c| c.epochs = 0).contains("epochs must be positive"));
         assert!(refusal(|c| c.alpha = 0.0).contains("alpha"));
@@ -788,11 +714,9 @@ mod tests {
         assert!(refusal(|c| c.nodes = usize::MAX).contains("dense budget"));
         assert!(refusal(|c| c.epochs = 1 << 62).contains("-byte limit"));
         assert!(refusal(|c| c.epochs = usize::MAX).contains("-byte limit"));
-        // The largest ring the dense budget admits is priced, not refused,
-        // once the step is small enough for it.
+        // The largest ring the dense budget admits is priced, not refused.
         let mut c = config(DriftScenario::Step { at: 1, factor: 2.0 });
         c.nodes = 8192;
-        c.alpha = 1e-7;
         assert!(c.validate().is_ok());
         // Presets take any epoch count without overflow.
         assert!(DriftScenario::preset("node-churn", usize::MAX).is_some());

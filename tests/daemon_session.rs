@@ -330,9 +330,7 @@ fn a_backlog_past_the_clock_range_saturates_instead_of_wrapping() {
 
 /// A drift line is priced from its fields before anything is built: a
 /// zero, tiny, oversized or overflowing `nodes` or `epochs` gets its own
-/// `error` line, and the session goes on to serve the next envelope. So
-/// does a 256-node ring, which the default fixed step would overload at
-/// epoch 0. A
+/// `error` line, and the session goes on to serve the next envelope. A
 /// `threads` field names nothing the loop has, so it changes no byte of
 /// the answer.
 #[test]
@@ -340,7 +338,6 @@ fn oversized_drift_lines_are_refused_and_the_session_goes_on() {
     let refused = [
         ("nodes", "0", "nodes must be at least 2"),
         ("nodes", "1", "nodes must be at least 2"),
-        ("nodes", "256", "capacity share"),
         ("nodes", "8193", "dense budget"),
         ("nodes", "4611686018427387904", "dense budget"),
         ("nodes", "18446744073709551615", "dense budget"),
@@ -372,4 +369,17 @@ fn oversized_drift_lines_are_refused_and_the_session_goes_on() {
     let batch = lines[refused.len() + 2];
     assert!(batch.contains("\"kind\":\"batch\"") && field(batch, "ok") > 0, "{batch}");
     assert!(lines.last().unwrap().contains("\"completed\":1"), "{}", lines.last().unwrap());
+}
+
+/// A 256-node ring tracks its epochs: the default fixed step would carry
+/// a node past its capacity on the first epoch, and the engine halves
+/// that step instead of failing the run.
+#[test]
+fn a_drift_ring_too_wide_for_the_whole_fixed_step_still_tracks() {
+    let input = "{\"cmd\":\"drift\",\"scenario\":\"flash-crowd\",\"nodes\":256,\"epochs\":2}\n";
+    let (out, telemetry) = run_session(input, &golden_config());
+    let line = out.lines().next().unwrap_or_default();
+    assert!(line.starts_with("{\"kind\":\"drift\""), "{out}");
+    assert!(line.contains("\"nodes\":256,\"epochs\":2"), "{line}");
+    assert_eq!(telemetry.registry().counter("served.errors"), 0);
 }
