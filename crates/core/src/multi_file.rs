@@ -19,7 +19,7 @@
 use fap_batch::Matrix;
 use serde::{Deserialize, Serialize};
 
-use fap_econ::projection::{compute_step_into, BoundaryRule, StepWorkspace};
+use fap_econ::projection::{clamp_step_into, StepWorkspace};
 use fap_econ::EconError;
 use fap_net::{AccessPattern, Graph};
 use fap_obs::{Recorder, Value};
@@ -41,20 +41,17 @@ pub struct MultiFileProblem {
 
 /// Reusable buffers for [`MultiFileProblem::solve_with_scratch`].
 ///
-/// Holds the iterate, per-node delay terms, one gradient buffer and one
-/// step workspace per file, so each file's clamp step carries its own
-/// active set from iteration to iteration; once warmed to the problem's
-/// `M × N` shape, every solver iteration runs without heap allocation.
+/// Holds the iterate, its gradient, per-node cost partials and one step
+/// workspace per file, so each file's clamp step carries its own active
+/// set from iteration to iteration; once warmed to the problem's `M × N`
+/// shape, every solver iteration runs without heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct MultiFileScratch {
     x: Matrix,
-    delay: Vec<f64>,
-    coup: Vec<f64>,
+    /// The coupled gradient `−∂C/∂x_i^j`, one row per file.
+    grad: Matrix,
     node_cost: Vec<f64>,
-    weights: Vec<f64>,
     cost_series: Vec<f64>,
-    /// The gradient of the file being stepped.
-    grad: Vec<f64>,
     /// One step workspace per file; its deltas are the file's step.
     steps: Vec<StepWorkspace>,
     seed: Matrix,
@@ -110,14 +107,9 @@ impl MultiFileScratch {
     /// capacities cover the shape.
     fn ensure(&mut self, m: usize, n: usize, max_iterations: usize) {
         self.x.reset(m, n);
-        self.delay.clear();
-        self.delay.resize(n, 0.0);
-        self.coup.clear();
-        self.coup.resize(n, 0.0);
+        self.grad.reset(m, n);
         self.node_cost.clear();
         self.node_cost.resize(n, 0.0);
-        self.weights.clear();
-        self.weights.resize(n, 1.0);
         self.cost_series.clear();
         // One entry per iteration plus the final evaluation.
         self.cost_series.reserve(max_iterations + 2);
@@ -341,7 +333,9 @@ impl MultiFileProblem {
     /// Telemetry goes into `recorder`: the `core.iterations` counter, one
     /// `core.iter` event per iteration (cost and marginal spread) and a
     /// final `core.run_end` event. Virtual time is set to the iteration
-    /// count. Events are only built when `recorder.is_enabled()`, so a
+    /// count. Nothing is recorded unless `recorder.is_enabled()`, and the
+    /// per-iteration events are only built for a sink that keeps them
+    /// (`recorder.keeps_events()`), so a
     /// [`NoopRecorder`](fap_obs::NoopRecorder) costs nothing, and the
     /// solution is bit-identical with any recorder.
     ///
@@ -349,7 +343,8 @@ impl MultiFileProblem {
     ///
     /// Returns [`CoreError::InvalidParameter`] for bad `alpha`/`epsilon` or
     /// an infeasible start, and [`CoreError::Econ`] if an iterate becomes
-    /// unstable.
+    /// unstable or its cost is not finite (a delay weight so large that
+    /// the cost overflows).
     pub fn solve(
         &self,
         initial: &[Vec<f64>],
@@ -398,18 +393,7 @@ impl MultiFileProblem {
         let m = self.file_count();
         let n = self.node_count();
         scratch.ensure(m, n, max_iterations);
-        let MultiFileScratch {
-            x,
-            delay,
-            coup,
-            node_cost,
-            weights,
-            cost_series,
-            grad,
-            steps,
-            seed,
-            has_seed,
-        } = scratch;
+        let MultiFileScratch { x, grad, node_cost, cost_series, steps, seed, has_seed } = scratch;
         let steps = &mut steps[..m];
         for (j, xj) in initial.iter().enumerate() {
             x.row_mut(j).copy_from_slice(xj);
@@ -431,29 +415,45 @@ impl MultiFileProblem {
 
         loop {
             recorder.set_time(iterations as u64);
-            // Node pass: loads, delay terms and per-node cost partials.
-            self.node_pass(x, delay, coup, node_cost)?;
-            // Sum node partials in index order.
-            let cost: f64 = node_cost.iter().sum();
+            // Node pass: loads, the cost and every file's gradient row.
+            let cost = self.node_pass(x, grad, node_cost)?;
+            if !cost.is_finite() {
+                return Err(CoreError::Econ(EconError::Model(format!(
+                    "cost {cost} at iteration {iterations} is not finite"
+                ))));
+            }
             cost_series.push(cost);
 
-            // File pass: per-file gradient, §5.2 step, spread and
-            // complementary slackness. A file has settled when its active
-            // marginals agree within ε *and* every excluded node sits at the
-            // boundary with no incentive to rejoin (the same condition the
-            // single-file engine checks).
-            let (spread, kkt_ok) =
-                self.file_pass(x, delay, coup, weights, alpha, epsilon, steps, grad);
+            // File pass: each file's §5.2 step, whose sweeps also fold in
+            // the free marginals' spread and mean. A file has settled when
+            // its active marginals agree within ε *and* every excluded node
+            // sits at the boundary with no incentive to rejoin (the same
+            // condition the single-file engine checks). The slackness
+            // sweep runs only while every spread so far is below ε, since
+            // a wider one decides the iteration alone.
+            let mut spread = 0.0f64;
+            let mut kkt_ok = true;
+            for (j, ws) in steps.iter_mut().enumerate() {
+                let (xj, gj) = (x.row(j), grad.row(j));
+                let free = clamp_step_into(xj, gj, 1.0, alpha, ws);
+                spread = spread.max(free.spread);
+                if kkt_ok && spread < epsilon && free.count > 0 {
+                    let bound = free.mean + epsilon;
+                    kkt_ok = (0..n).all(|i| ws.active()[i] || !(xj[i] > 1e-6 || gj[i] > bound));
+                }
+            }
             if enabled {
                 recorder.incr("core.iterations", 1);
-                recorder.emit(
-                    "core.iter",
-                    &[
-                        ("iteration", Value::U64(iterations as u64)),
-                        ("cost", Value::F64(cost)),
-                        ("spread", Value::F64(spread)),
-                    ],
-                );
+                if recorder.keeps_events() {
+                    recorder.emit(
+                        "core.iter",
+                        &[
+                            ("iteration", Value::U64(iterations as u64)),
+                            ("cost", Value::F64(cost)),
+                            ("spread", Value::F64(spread)),
+                        ],
+                    );
+                }
             }
 
             let converged = spread < epsilon && kkt_ok;
@@ -485,23 +485,29 @@ impl MultiFileProblem {
         }
     }
 
-    /// Computes, for every node `i`, the delay term `k·T_i`, the
-    /// queue-coupling factor `(Σ_m x_i^m)·k·T_i′` and the node's cost
-    /// partial `Σ_j (C_i^j + k·T_i)·x_i^j`, accumulating over files in
-    /// file-index order. Stops at the first node at or over capacity.
+    /// Computes, for every node `i`, the load `Λ_i`, the delay term
+    /// `k·T_i` and the queue-coupling factor `(Σ_m x_i^m)·k·T_i′`, and from
+    /// them the node's cost partial `Σ_j (C_i^j + k·T_i)·x_i^j` (into
+    /// `node_cost`) and every file's gradient entry
+    /// `−(C_i^j + k·T_i + λ^j·(Σ_m x_i^m)·k·T_i′)`, accumulating over files
+    /// in file-index order. Returns the cost, the node partials summed in
+    /// index order. Stops at the first node at or over capacity.
     fn node_pass(
         &self,
         x: &Matrix,
-        delay: &mut [f64],
-        coup: &mut [f64],
+        grad: &mut Matrix,
         node_cost: &mut [f64],
-    ) -> Result<(), CoreError> {
-        let m = self.file_count();
-        for i in 0..delay.len() {
+    ) -> Result<f64, CoreError> {
+        let (m, n) = (self.file_count(), self.node_count());
+        // `M × N` row-major: file `j`'s entry for node `i` sits at `j·N + i`.
+        let x = &x.as_slice()[..m * n];
+        let costs = &self.access_costs.as_slice()[..m * n];
+        let grad = &mut grad.as_mut_slice()[..m * n];
+        for i in 0..n {
             let mut load = 0.0;
             let mut colsum = 0.0;
             for j in 0..m {
-                let v = x.get(j, i);
+                let v = x[j * n + i];
                 load += self.rates[j] * v;
                 colsum += v;
             }
@@ -514,69 +520,17 @@ impl MultiFileProblem {
             let d = self.mus[i] - load;
             let t = 1.0 / d;
             let dt = 1.0 / (d * d);
-            delay[i] = self.k * t;
-            coup[i] = colsum * self.k * dt;
+            let delay = self.k * t;
+            let coup = colsum * self.k * dt;
             let mut partial = 0.0;
             for j in 0..m {
-                partial += (self.access_costs.get(j, i) + self.k * t) * x.get(j, i);
+                let c = costs[j * n + i];
+                partial += (c + delay) * x[j * n + i];
+                grad[j * n + i] = -(c + delay + self.rates[j] * coup);
             }
             node_cost[i] = partial;
         }
-        Ok(())
-    }
-
-    /// Computes, for every file `j`, the coupled gradient (into `g`) and
-    /// the §5.2 clamp-to-zero step (into the file's workspace `steps[j]`).
-    /// Returns the largest active marginal spread over the files and
-    /// whether every file meets complementary slackness, both folded in
-    /// file-index order. Infallible: capacity was checked by the node pass.
-    #[allow(clippy::too_many_arguments)]
-    fn file_pass(
-        &self,
-        x: &Matrix,
-        delay: &[f64],
-        coup: &[f64],
-        weights: &[f64],
-        alpha: f64,
-        epsilon: f64,
-        steps: &mut [StepWorkspace],
-        g: &mut Vec<f64>,
-    ) -> (f64, bool) {
-        let n = self.node_count();
-        let mut max_spread = 0.0f64;
-        let mut all_kkt = true;
-        for (j, ws) in steps.iter_mut().enumerate() {
-            let rate = self.rates[j];
-            let xj = x.row(j);
-            g.clear();
-            g.extend((0..n).map(|i| -(self.access_costs.get(j, i) + delay[i] + rate * coup[i])));
-            compute_step_into(xj, g, weights, alpha, BoundaryRule::ClampToZero, ws);
-
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            let mut sum = 0.0;
-            let mut count = 0usize;
-            for (gi, is_active) in g.iter().zip(ws.active()) {
-                if *is_active {
-                    lo = lo.min(*gi);
-                    hi = hi.max(*gi);
-                    sum += *gi;
-                    count += 1;
-                }
-            }
-            max_spread = max_spread.max(if hi > lo { hi - lo } else { 0.0 });
-            let mut kkt = true;
-            if count > 0 {
-                let avg = sum / count as f64;
-                for ((&xi, &gi), &is_active) in xj.iter().zip(g.iter()).zip(ws.active()) {
-                    if !is_active && (xi > 1e-6 || gi > avg + epsilon) {
-                        kkt = false;
-                    }
-                }
-            }
-            all_kkt &= kkt;
-        }
-        (max_spread, all_kkt)
+        Ok(node_cost.iter().sum())
     }
 
     fn check_shape(&self, x: &[Vec<f64>]) -> Result<(), CoreError> {
@@ -596,9 +550,11 @@ impl MultiFileProblem {
 mod tests {
     use super::*;
     use crate::single::SingleFileProblem;
+    use fap_econ::projection::{compute_step_into, BoundaryRule};
     use fap_econ::AllocationProblem;
     use fap_net::topology;
     use fap_obs::NoopRecorder;
+    use proptest::prelude::*;
 
     fn ring4() -> Graph {
         topology::ring(4, 1.0).unwrap()
@@ -832,5 +788,300 @@ mod tests {
         assert!(solve(&good, 0.1, 0.0).is_err());
         assert!(solve(&[vec![0.5; 4]], 0.1, 1e-6).is_err()); // sums to 2
         assert!(solve(&[vec![0.25; 3]], 0.1, 1e-6).is_err()); // wrong shape
+    }
+
+    /// Kept and dropped carried active sets over an oracle solve's steps.
+    #[derive(Debug, Default)]
+    struct CarryTally {
+        kept: usize,
+        dropped: usize,
+    }
+
+    /// The iteration as separate passes, the oracle for the fused one: a
+    /// node pass writes the delay terms, coupling factors and cost
+    /// partials, then [`file_pass`] sweeps each file's gradient, steps it
+    /// through `compute_step_into` with a buffer of unit weights, and sweeps
+    /// the free set's spread and sum and then the slackness condition.
+    fn solve_two_pass(
+        p: &MultiFileProblem,
+        initial: &[Vec<f64>],
+        seed: Option<&[Vec<f64>]>,
+        alpha: f64,
+        epsilon: f64,
+        max_iterations: usize,
+        tally: &mut CarryTally,
+    ) -> Result<MultiFileSolution, CoreError> {
+        let (m, n) = (p.file_count(), p.node_count());
+        let mut x = Matrix::from_rows(initial);
+        if let Some(seed) = seed.filter(|s| s.len() == m && s.iter().all(|r| r.len() == n)) {
+            x = Matrix::from_rows(seed);
+            for j in 0..m {
+                fap_econ::projection::project_onto_simplex(x.row_mut(j), 1.0);
+            }
+        }
+        let (mut delay, mut coup, mut node_cost) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        let weights = vec![1.0; n];
+        let mut g = Vec::new();
+        let mut steps = vec![StepWorkspace::new(); m];
+        let mut cost_series = Vec::new();
+        let mut iterations = 0;
+        loop {
+            for i in 0..n {
+                let (mut load, mut colsum) = (0.0, 0.0);
+                for j in 0..m {
+                    load += p.rates[j] * x.get(j, i);
+                    colsum += x.get(j, i);
+                }
+                if load >= p.mus[i] {
+                    return Err(CoreError::Econ(EconError::Model(format!(
+                        "node {i} loaded at {load} ≥ capacity {}",
+                        p.mus[i]
+                    ))));
+                }
+                let d = p.mus[i] - load;
+                let (t, dt) = (1.0 / d, 1.0 / (d * d));
+                delay[i] = p.k * t;
+                coup[i] = colsum * p.k * dt;
+                let mut partial = 0.0;
+                for j in 0..m {
+                    partial += (p.access_costs.get(j, i) + p.k * t) * x.get(j, i);
+                }
+                node_cost[i] = partial;
+            }
+            let cost: f64 = node_cost.iter().sum();
+            if !cost.is_finite() {
+                return Err(CoreError::Econ(EconError::Model(format!(
+                    "cost {cost} at iteration {iterations} is not finite"
+                ))));
+            }
+            cost_series.push(cost);
+            let carried: Vec<bool> = steps
+                .iter()
+                .map(|ws| ws.active().len() == n && (1..n).contains(&ws.active_count()))
+                .collect();
+            let (spread, kkt_ok) =
+                file_pass(p, &x, &delay, &coup, &weights, alpha, epsilon, &mut steps, &mut g);
+            for (ws, carried) in steps.iter().zip(carried) {
+                if carried {
+                    if ws.passes() == 1 {
+                        tally.kept += 1;
+                    } else {
+                        tally.dropped += 1;
+                    }
+                }
+            }
+            let converged = spread < epsilon && kkt_ok;
+            if converged || iterations >= max_iterations {
+                return Ok(MultiFileSolution {
+                    allocations: x.to_nested(),
+                    iterations,
+                    converged,
+                    final_cost: cost,
+                    cost_series,
+                });
+            }
+            for (j, step) in steps.iter().enumerate() {
+                for (xi, d) in x.row_mut(j).iter_mut().zip(step.deltas()) {
+                    *xi += d;
+                }
+            }
+            iterations += 1;
+        }
+    }
+
+    /// Computes, for every file `j`, the coupled gradient (into `g`) and
+    /// the §5.2 clamp-to-zero step (into the file's workspace `steps[j]`).
+    /// Returns the largest active marginal spread over the files and
+    /// whether every file meets complementary slackness, both folded in
+    /// file-index order.
+    #[allow(clippy::too_many_arguments)]
+    fn file_pass(
+        p: &MultiFileProblem,
+        x: &Matrix,
+        delay: &[f64],
+        coup: &[f64],
+        weights: &[f64],
+        alpha: f64,
+        epsilon: f64,
+        steps: &mut [StepWorkspace],
+        g: &mut Vec<f64>,
+    ) -> (f64, bool) {
+        let n = p.node_count();
+        let mut max_spread = 0.0f64;
+        let mut all_kkt = true;
+        for (j, ws) in steps.iter_mut().enumerate() {
+            let rate = p.rates[j];
+            let xj = x.row(j);
+            g.clear();
+            g.extend((0..n).map(|i| -(p.access_costs.get(j, i) + delay[i] + rate * coup[i])));
+            compute_step_into(xj, g, weights, alpha, BoundaryRule::ClampToZero, ws);
+
+            let mut lo = f64::INFINITY;
+            let mut hi = f64::NEG_INFINITY;
+            let mut sum = 0.0;
+            let mut count = 0usize;
+            for (gi, is_active) in g.iter().zip(ws.active()) {
+                if *is_active {
+                    lo = lo.min(*gi);
+                    hi = hi.max(*gi);
+                    sum += *gi;
+                    count += 1;
+                }
+            }
+            max_spread = max_spread.max(if hi > lo { hi - lo } else { 0.0 });
+            let mut kkt = true;
+            if count > 0 {
+                let avg = sum / count as f64;
+                for ((&xi, &gi), &is_active) in xj.iter().zip(g.iter()).zip(ws.active()) {
+                    if !is_active && (xi > 1e-6 || gi > avg + epsilon) {
+                        kkt = false;
+                    }
+                }
+            }
+            all_kkt &= kkt;
+        }
+        (max_spread, all_kkt)
+    }
+
+    /// One seeded solve: a problem of `m` files on `n` nodes, a start, an
+    /// optional warm seed and the solve's parameters. Files favour a few
+    /// cheap nodes strongly enough that their optima pin others to zero;
+    /// some starts put a file on one node whose capacity it overloads, a
+    /// few delay weights are so large that the cost overflows, and some
+    /// seeds are of the wrong shape or off the simplex.
+    struct MultiCase {
+        problem: MultiFileProblem,
+        initial: Vec<Vec<f64>>,
+        seed: Option<Vec<Vec<f64>>>,
+        alpha: f64,
+        epsilon: f64,
+        max_iterations: usize,
+    }
+
+    fn multi_case(seed: u64, m: usize, n: usize) -> MultiCase {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut access_costs = Matrix::with_cols(n);
+        for _ in 0..m {
+            let spread = 1.0 + 8.0 * unit();
+            let row: Vec<f64> = (0..n).map(|_| spread * unit() * unit()).collect();
+            access_costs.push_row(&row);
+        }
+        let rates: Vec<f64> = (0..m).map(|_| 0.05 + 0.5 * unit()).collect();
+        let offered: f64 = rates.iter().sum();
+        let raw: Vec<f64> = (0..n).map(|_| 0.2 + unit()).collect();
+        let raw_sum: f64 = raw.iter().sum();
+        let headroom = 1.5 + 3.0 * unit();
+        let mus: Vec<f64> = raw.iter().map(|r| r / raw_sum * offered * headroom).collect();
+        let k = if unit() < 0.05 { 1e308 } else { 0.05 + 2.0 * unit() };
+        // A row on one node, or a blend of the capacity-proportional row
+        // (which overloads no node) with a sparse random one.
+        let total_mu: f64 = mus.iter().sum();
+        let simplex_row = |unit: &mut dyn FnMut() -> f64, concentrated: bool| {
+            if concentrated {
+                let at = (unit() * n as f64) as usize % n;
+                return (0..n).map(|i| if i == at { 1.0 } else { 0.0 }).collect();
+            }
+            let mut row: Vec<f64> = (0..n).map(|_| (2.0 * unit() - 0.6).max(0.0)).collect();
+            let sum: f64 = row.iter().sum();
+            let blend = if sum > 0.0 { 0.4 * unit() } else { 0.0 };
+            for (v, mu) in row.iter_mut().zip(&mus) {
+                *v = (1.0 - blend) * mu / total_mu + if sum > 0.0 { blend * *v / sum } else { 0.0 };
+            }
+            let sum: f64 = row.iter().sum();
+            row.iter_mut().for_each(|v| *v /= sum);
+            row
+        };
+        let concentrated = unit() < 0.1;
+        let initial: Vec<Vec<f64>> = (0..m).map(|_| simplex_row(&mut unit, concentrated)).collect();
+        let seed = match unit() {
+            u if u < 0.3 => {
+                let rows: Vec<Vec<f64>> = (0..m).map(|_| simplex_row(&mut unit, false)).collect();
+                // Off the simplex by drift, and by negative entries.
+                Some(rows.into_iter().map(|r| r.iter().map(|v| v * 1.01 - 1e-3).collect()).collect())
+            }
+            u if u < 0.4 => Some(vec![vec![1.0 / (n + 1) as f64; n + 1]; m]),
+            _ => None,
+        };
+        MultiCase {
+            problem: MultiFileProblem { access_costs, rates, mus, k },
+            initial,
+            seed,
+            alpha: 0.001 + 0.04 * unit() * unit(),
+            epsilon: 10f64.powf(-3.0 - 4.0 * unit()),
+            max_iterations: 50 + (unit() * 2000.0) as usize,
+        }
+    }
+
+    /// Runs `case` through the fused product solve and the two-pass oracle.
+    fn run_case(
+        case: &MultiCase,
+        tally: &mut CarryTally,
+    ) -> (Result<MultiFileSolution, CoreError>, Result<MultiFileSolution, CoreError>) {
+        let MultiCase { problem, initial, seed, alpha, epsilon, max_iterations } = case;
+        let mut scratch = MultiFileScratch::new();
+        if let Some(seed) = seed {
+            scratch.start_from(seed);
+        }
+        let fused = problem.solve_with_scratch(
+            initial,
+            *alpha,
+            *epsilon,
+            *max_iterations,
+            &mut scratch,
+            &mut NoopRecorder,
+        );
+        let oracle = solve_two_pass(
+            problem,
+            initial,
+            seed.as_deref(),
+            *alpha,
+            *epsilon,
+            *max_iterations,
+            tally,
+        );
+        (fused, oracle)
+    }
+
+    #[test]
+    fn seeded_cases_keep_and_drop_carried_sets_and_reach_every_outcome() {
+        let mut tally = CarryTally::default();
+        let (mut converged, mut capped, mut overloaded, mut overflowed) = (0, 0, 0, 0);
+        for seed in 0..200 {
+            let case = multi_case(seed, 1 + seed as usize % 6, 2 + seed as usize % 39);
+            let (fused, oracle) = run_case(&case, &mut tally);
+            assert_eq!(format!("{fused:?}"), format!("{oracle:?}"), "seed {seed}");
+            match fused {
+                Ok(s) if s.converged => converged += 1,
+                Ok(_) => capped += 1,
+                Err(e) if e.to_string().contains("capacity") => overloaded += 1,
+                Err(_) => overflowed += 1,
+            }
+        }
+        let outcomes = [converged, capped, overloaded, overflowed];
+        assert!(outcomes.iter().all(|c| *c > 0), "{outcomes:?} {tally:?}");
+        assert!(tally.kept > tally.dropped && tally.dropped > 0, "{tally:?}");
+    }
+
+    proptest! {
+        /// The fused pass returns the two-pass oracle's whole solution bit
+        /// for bit (the `Debug` text of every float is exact and tells
+        /// `-0.0` from `0.0`), or the same error: cold and warm starts,
+        /// wrong-shape seeds, overloaded starts and overflowing costs.
+        #[test]
+        fn fused_file_pass_matches_the_two_pass_oracle(
+            seed in 0u64..1 << 40,
+            m in 1usize..7,
+            n in 2usize..41,
+        ) {
+            let case = multi_case(seed, m, n);
+            let (fused, oracle) = run_case(&case, &mut CarryTally::default());
+            prop_assert_eq!(format!("{fused:?}"), format!("{oracle:?}"));
+        }
     }
 }

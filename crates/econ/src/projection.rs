@@ -166,13 +166,13 @@ impl StepWorkspace {
         StepOutcome { deltas: self.deltas.clone(), active: self.active.clone(), scale: self.scale }
     }
 
-    /// Resizes the buffers for `n` agents: all deltas zero, all agents
-    /// active (unless `keep_active` keeps the carried set), scale 1, no
-    /// passes, nothing carried. Allocation-free once capacity covers `n`;
+    /// Resizes the buffers for `n` agents: all agents active (unless
+    /// `keep_active` keeps the carried set), scale 1, no passes, nothing
+    /// carried. Allocation-free once capacity covers `n`;
     /// the key and free-list buffers grow on the first step that predicts a
     /// clamp cascade.
     fn reset(&mut self, n: usize, keep_active: bool) {
-        self.deltas.clear();
+        // Every rule writes every delta, so only the length is reset.
         self.deltas.resize(n, 0.0);
         if !keep_active {
             self.active.clear();
@@ -290,14 +290,15 @@ pub fn compute_step_into(
         "weights must be positive and finite"
     );
 
-    // The carried set is tried only where it can pay off: a clamp step of
-    // the same length under uniform weights after a step that pinned.
-    let carried = rule == BoundaryRule::ClampToZero
-        && workspace.carry
-        && workspace.active.len() == n
-        && weights.iter().all(|w| *w == weights[0]);
-    workspace.reset(n, carried);
-    let StepWorkspace { deltas, active, scale, keys, order, passes, carry, .. } = workspace;
+    if rule == BoundaryRule::ClampToZero {
+        match weights.first().filter(|&&w0| weights.iter().all(|w| *w == w0)) {
+            Some(&w) => clamp_into(x, marginals, w, alpha, workspace),
+            None => clamp_into(x, marginals, Unequal(weights), alpha, workspace),
+        };
+        return;
+    }
+    workspace.reset(n, false);
+    let StepWorkspace { deltas, active, scale, .. } = workspace;
     match rule {
         BoundaryRule::Unconstrained => {
             raw_deltas_into(marginals, weights, active, alpha, deltas);
@@ -321,42 +322,140 @@ pub fn compute_step_into(
         BoundaryRule::FreezeActiveSet => {
             freeze_active_set_into(x, marginals, weights, alpha, deltas, active);
         }
-        BoundaryRule::ClampToZero => {
-            let held = carried
-                .then(|| try_carried_set(x, marginals, weights[0], alpha, deltas, active))
-                .flatten();
-            let (free, _rounds) = match held {
-                Some(free) => {
-                    *passes = 1;
-                    (free, 0)
-                }
-                None => {
-                    if carried {
-                        active.fill(true);
-                    }
-                    let (clamp_passes, rounds, free) = clamp_to_zero_into(
-                        x, marginals, weights, alpha, deltas, active, keys, order,
-                    );
-                    // A dropped carried set cost one pass.
-                    *passes = clamp_passes + usize::from(carried);
-                    (free, rounds)
-                }
-            };
-            *carry = 0 < free && free < n;
-            #[cfg(test)]
-            {
-                workspace.rounds = _rounds;
-                workspace.carry_rejected = carried && held.is_none();
-            }
-        }
+        BoundaryRule::ClampToZero => unreachable!("clamp steps return above"),
     }
+}
+
+/// The final free set `A` of a clamp-to-zero step, summarized by the sweep
+/// that computed the step's average (see [`clamp_step_into`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FreeSet {
+    /// Number of free agents `|A|`.
+    pub count: usize,
+    /// The step's average marginal `Σ_A w·g_i / Σ_A w`, summed in index
+    /// order: bit for bit the plain mean `Σ_A g_i / |A|` when `w = 1`, and
+    /// 0 when `A` is empty.
+    pub mean: f64,
+    /// `max_A g_i − min_A g_i`, or 0 when that is not positive.
+    pub spread: f64,
+}
+
+impl FreeSet {
+    fn new(count: usize, mean: f64, lo: f64, hi: f64) -> Self {
+        FreeSet { count, mean, spread: if hi > lo { hi - lo } else { 0.0 } }
+    }
+}
+
+/// The [`BoundaryRule::ClampToZero`] step under the uniform weight
+/// `weight`, into a reusable [`StepWorkspace`]: [`compute_step_into`] with
+/// every weight equal to `weight` runs exactly this. Returns the step's
+/// final free set, folded into the sweep that computed its average, so a
+/// caller that needs the free agents' marginal spread or mean reads them
+/// without another pass.
+///
+/// # Panics
+///
+/// Panics if the slice lengths differ or `alpha` or `weight` is not
+/// positive and finite.
+pub fn clamp_step_into(
+    x: &[f64],
+    marginals: &[f64],
+    weight: f64,
+    alpha: f64,
+    workspace: &mut StepWorkspace,
+) -> FreeSet {
+    assert_eq!(marginals.len(), x.len(), "marginals length mismatch");
+    assert!(alpha.is_finite() && alpha > 0.0, "alpha must be positive and finite");
+    assert!(weight.is_finite() && weight > 0.0, "weights must be positive and finite");
+    clamp_into(x, marginals, weight, alpha, workspace)
+}
+
+/// Step weights as the clamp loop reads them: one weight shared by every
+/// agent (`f64`), or per-agent weights that are not all equal.
+trait Weights: Copy {
+    fn at(self, i: usize) -> f64;
+    /// The shared weight, when there is one.
+    fn uniform(self) -> Option<f64>;
+}
+
+impl Weights for f64 {
+    #[inline]
+    fn at(self, _: usize) -> f64 {
+        self
+    }
+
+    fn uniform(self) -> Option<f64> {
+        Some(self)
+    }
+}
+
+/// Per-agent weights that [`compute_step_into`] found unequal.
+#[derive(Clone, Copy)]
+struct Unequal<'a>(&'a [f64]);
+
+impl Weights for Unequal<'_> {
+    #[inline]
+    fn at(self, i: usize) -> f64 {
+        self.0[i]
+    }
+
+    fn uniform(self) -> Option<f64> {
+        None
+    }
+}
+
+/// The clamp-to-zero step into `workspace`. A uniform-weight step of the
+/// same length as the last one, which pinned some agents but not all,
+/// first tries that step's final active set ([`try_carried_set`]); the
+/// cascade from all-active ([`clamp_to_zero_into`]) settles every other
+/// step.
+fn clamp_into<W: Weights>(
+    x: &[f64],
+    marginals: &[f64],
+    weights: W,
+    alpha: f64,
+    workspace: &mut StepWorkspace,
+) -> FreeSet {
+    let n = x.len();
+    let uniform = weights.uniform();
+    let carried = uniform.is_some() && workspace.carry && workspace.active.len() == n;
+    workspace.reset(n, carried);
+    let StepWorkspace { deltas, active, keys, order, passes, carry, .. } = workspace;
+    let held = match uniform {
+        Some(w) if carried => try_carried_set(x, marginals, w, alpha, deltas, active),
+        _ => None,
+    };
+    let (free, _rounds) = match held {
+        Some(free) => {
+            *passes = 1;
+            (free, 0)
+        }
+        None => {
+            if carried {
+                active.fill(true);
+            }
+            let (clamp_passes, rounds, free) =
+                clamp_to_zero_into(x, marginals, weights, alpha, deltas, active, keys, order);
+            // A dropped carried set cost one pass.
+            *passes = clamp_passes + usize::from(carried);
+            (free, rounds)
+        }
+    };
+    *carry = 0 < free.count && free.count < n;
+    #[cfg(test)]
+    {
+        workspace.rounds = _rounds;
+        workspace.carry_rejected = carried && held.is_none();
+    }
+    free
 }
 
 /// Violators are pinned exactly to zero (`Δx_v = −x_v`), releasing their
 /// mass; the free agents share the released mass equally on top of their
 /// zero-sum raw step. `active` enters all-true and tracks the not-yet-pinned
 /// set; the return value is the number of passes, the number of threshold
-/// rounds the prediction ran (0 without one) and the final free count.
+/// rounds the prediction ran (0 without one) and the final free set, whose
+/// spread the first sweep folds in beside its sums.
 ///
 /// Each pass pins one violator (the lowest marginal, the first of equals)
 /// and recomputes every delta in two sweeps: one accumulates the free
@@ -382,41 +481,44 @@ pub fn compute_step_into(
 /// own. With unequal weights, where the keys do not order the pins, the
 /// loop does all the pinning.
 #[allow(clippy::too_many_arguments)]
-fn clamp_to_zero_into(
+fn clamp_to_zero_into<W: Weights>(
     x: &[f64],
     marginals: &[f64],
-    weights: &[f64],
+    weights: W,
     alpha: f64,
     deltas: &mut [f64],
     active: &mut [bool],
     keys: &mut Vec<f64>,
     order: &mut Vec<usize>,
-) -> (usize, usize, usize) {
+) -> (usize, usize, FreeSet) {
     let n = x.len();
     let (mut passes, mut rounds, mut predicted) = (0, 0, false);
     loop {
         passes += 1;
         // `-0.0` is where `Iterator::sum::<f64>` starts.
         let (mut free_count, mut num, mut den, mut released) = (0usize, 0.0, 0.0, -0.0);
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
         for i in 0..n {
             if active[i] {
                 free_count += 1;
-                num += weights[i] * marginals[i];
-                den += weights[i];
+                num += weights.at(i) * marginals[i];
+                den += weights.at(i);
+                lo = lo.min(marginals[i]);
+                hi = hi.max(marginals[i]);
             } else {
                 released += x[i];
             }
         }
         if free_count == 0 {
             deltas.fill(0.0);
-            return (passes, rounds, 0);
+            return (passes, rounds, FreeSet::new(0, 0.0, lo, hi));
         }
         let avg = if den == 0.0 { 0.0 } else { num / den };
         let share = released / free_count as f64;
         let (mut violators, mut violator) = (0, None::<usize>);
         for i in 0..n {
             if active[i] {
-                deltas[i] = alpha * weights[i] * (marginals[i] - avg) + share;
+                deltas[i] = alpha * weights.at(i) * (marginals[i] - avg) + share;
                 if x[i] + deltas[i] < 0.0 {
                     violators += 1;
                     if violator.is_none_or(|v| marginals[i].total_cmp(&marginals[v]).is_lt()) {
@@ -427,15 +529,16 @@ fn clamp_to_zero_into(
                 deltas[i] = -x[i];
             }
         }
-        let Some(v) = violator else { return (passes, rounds, free_count) };
+        let Some(v) = violator else {
+            return (passes, rounds, FreeSet::new(free_count, avg, lo, hi));
+        };
         active[v] = false;
         // The prediction pays off once the cascade is known to pin a
         // second agent; a single pin is settled by the next pass.
         if !predicted && (violators > 1 || passes > 1) {
             predicted = true;
-            if weights.iter().all(|w| *w == weights[0]) {
-                let c = alpha * weights[0];
-                rounds = pin_predicted(x, marginals, c, active, keys, order, MAX_ROUNDS);
+            if let Some(w) = weights.uniform() {
+                rounds = pin_predicted(x, marginals, alpha * w, active, keys, order, MAX_ROUNDS);
             }
         }
     }
@@ -447,7 +550,7 @@ fn clamp_to_zero_into(
 /// agent's `x_i + Δ_i` and every pinned agent's `θ_F − k_i` exceed the
 /// prediction's margin `1e-9·(Σ|x| + c·max|g|)` (see [`pin_predicted`]),
 /// where `c = α·w` and `θ_F = c·avg − share` is `F`'s threshold. Returns
-/// `|F|` when kept; `None` leaves `deltas` to be rewritten.
+/// `F` summarized when kept; `None` leaves `deltas` to be rewritten.
 ///
 /// A kept set gives the loop's own step. Write `k_i = x_i + c·g_i` and
 /// `S = Σ x`, so that `θ_A = (Σ_{i∈A} k_i − S)/|A|` for any nonempty free
@@ -478,41 +581,43 @@ fn try_carried_set(
     alpha: f64,
     deltas: &mut [f64],
     active: &[bool],
-) -> Option<usize> {
-    let n = x.len();
+) -> Option<FreeSet> {
     let c = alpha * w;
     // The loop's first sweep, plus the margin's sums.
     let (mut free_count, mut num, mut den, mut released) = (0usize, 0.0, 0.0, -0.0);
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
     let (mut abs_x, mut g_max) = (0.0, 0.0f64);
-    for i in 0..n {
-        if active[i] {
+    for ((&xi, &gi), &free) in x.iter().zip(marginals).zip(active) {
+        if free {
             free_count += 1;
-            num += w * marginals[i];
+            num += w * gi;
             den += w;
+            lo = lo.min(gi);
+            hi = hi.max(gi);
         } else {
-            released += x[i];
+            released += xi;
         }
-        abs_x += x[i].abs();
-        g_max = g_max.max(marginals[i].abs());
+        abs_x += xi.abs();
+        g_max = g_max.max(gi.abs());
     }
     let avg = if den == 0.0 { 0.0 } else { num / den };
     let share = released / free_count as f64;
     let margin = 1e-9 * (abs_x + c * g_max);
     let theta = c * avg - share;
-    for i in 0..n {
-        if active[i] {
-            deltas[i] = alpha * w * (marginals[i] - avg) + share;
-            if !(x[i] + deltas[i] >= margin) {
+    for (((&xi, &gi), &free), delta) in x.iter().zip(marginals).zip(active).zip(deltas) {
+        if free {
+            *delta = alpha * w * (gi - avg) + share;
+            if !(xi + *delta >= margin) {
                 return None;
             }
         } else {
-            deltas[i] = -x[i];
-            if !(x[i] + c * marginals[i] < theta - margin) {
+            *delta = -xi;
+            if !(xi + c * gi < theta - margin) {
                 return None;
             }
         }
     }
-    Some(free_count)
+    Some(FreeSet::new(free_count, avg, lo, hi))
 }
 
 /// Pins the agents whose key `x_i + c·g_i` lies clearly below the final
@@ -899,7 +1004,26 @@ mod tests {
         let (deltas, active, passes) = clamp_oracle(x, g, w, alpha);
         let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let fresh = compute_step(x, g, w, alpha, BoundaryRule::ClampToZero);
+        let mut uniform = ws.clone();
         compute_step_into(x, g, w, alpha, BoundaryRule::ClampToZero, ws);
+        if w.iter().all(|wi| *wi == w[0]) && !x.is_empty() {
+            // The uniform-weight entry takes the same step from the same
+            // carried state, and its summary is the final free set's own.
+            let free = clamp_step_into(x, g, w[0], alpha, &mut uniform);
+            let same = bits(uniform.deltas()) == bits(ws.deltas())
+                && uniform.active() == ws.active()
+                && (uniform.passes, uniform.carry) == (ws.passes, ws.carry);
+            if !same {
+                return Err("the uniform-weight entry differs from compute_step_into".into());
+            }
+            let expected = free_set_of(g, w[0], &active);
+            if free.count != expected.count
+                || free.mean.to_bits() != expected.mean.to_bits()
+                || free.spread.to_bits() != expected.spread.to_bits()
+            {
+                return Err(format!("free set {free:?}, expected {expected:?}"));
+            }
+        }
         let runs = [
             ("compute_step", &fresh.deltas[..], &fresh.active[..]),
             ("workspace", ws.deltas(), ws.active()),
@@ -914,6 +1038,17 @@ mod tests {
             return Err(format!("{} passes with the prediction, {passes} without", ws.passes()));
         }
         Ok(())
+    }
+
+    /// The free set `active` summarized from separate sweeps: its size,
+    /// its average marginal under the uniform weight `w`, and its spread.
+    fn free_set_of(g: &[f64], w: f64, active: &[bool]) -> FreeSet {
+        let free: Vec<f64> = (0..g.len()).filter(|&i| active[i]).map(|i| g[i]).collect();
+        let num = free.iter().fold(0.0, |sum, gi| sum + w * gi);
+        let den = free.iter().fold(0.0, |sum, _| sum + w);
+        let lo = free.iter().fold(f64::INFINITY, |m, gi| m.min(*gi));
+        let hi = free.iter().fold(f64::NEG_INFINITY, |m, gi| m.max(*gi));
+        FreeSet::new(free.len(), if den == 0.0 { 0.0 } else { num / den }, lo, hi)
     }
 
     #[test]

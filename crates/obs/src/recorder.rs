@@ -288,20 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn only_event_keeping_sinks_ask_for_event_fields() {
-        let mut registry = MetricsRegistry::new();
-        let mut flight = crate::FlightRecorder::default();
-        let mut telemetry = crate::Telemetry::manual();
-        assert!(!NoopRecorder.keeps_events());
-        assert!(!registry.keeps_events());
-        assert!(!flight.keeps_events());
-        assert!(telemetry.keeps_events());
-        assert!(crate::JsonlSink::new(Vec::new()).keeps_events());
-        assert!(!Tee::new(&mut registry, &mut flight).keeps_events());
-        assert!(Tee::new(&mut registry, &mut telemetry).keeps_events());
-    }
-
-    #[test]
     fn tee_of_noops_is_disabled() {
         let mut a = NoopRecorder;
         let mut b = NoopRecorder;

@@ -16,7 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use fap_econ::projection::{compute_step_into, BoundaryRule, StepWorkspace};
+use fap_econ::projection::{clamp_step_into, StepWorkspace};
 use fap_econ::OscillationDetector;
 use fap_obs::{Recorder, Value};
 
@@ -164,7 +164,6 @@ impl RingSolver {
         ring.check_allocation(initial)?;
 
         let n = ring.node_count();
-        let weights = vec![1.0; n];
         let mut x = initial.to_vec();
         let mut alpha = self.alpha;
         let mut detector =
@@ -191,20 +190,23 @@ impl RingSolver {
             }
 
             // Telemetry on iteration/virtual time; gated behind
-            // `is_enabled` so the NoopRecorder path does no extra work.
+            // `is_enabled` so the NoopRecorder path does no extra work, and
+            // the `iter` event is built only for a sink that keeps it.
             recorder.set_time(iterations as u64);
             if recorder.is_enabled() {
                 recorder.incr("ring.iterations", 1);
                 recorder.gauge("ring.alpha", alpha);
-                recorder.emit(
-                    "iter",
-                    &[
-                        ("iteration", Value::U64(iterations as u64)),
-                        ("cost", Value::F64(cost)),
-                        ("alpha", Value::F64(alpha)),
-                        ("best_cost", Value::F64(best_cost)),
-                    ],
-                );
+                if recorder.keeps_events() {
+                    recorder.emit(
+                        "iter",
+                        &[
+                            ("iteration", Value::U64(iterations as u64)),
+                            ("cost", Value::F64(cost)),
+                            ("alpha", Value::F64(alpha)),
+                            ("best_cost", Value::F64(best_cost)),
+                        ],
+                    );
+                }
             }
 
             let halted = previous.is_some_and(|p| (cost - p).abs() < self.cost_delta_tolerance);
@@ -240,7 +242,7 @@ impl RingSolver {
             marginal_costs_into(ring, &x, self.fd_step, &mut gradient)?;
             g_util.clear();
             g_util.extend(gradient.grad.iter().map(|g| -g));
-            compute_step_into(&x, &g_util, &weights, alpha, BoundaryRule::ClampToZero, &mut step);
+            clamp_step_into(&x, &g_util, 1.0, alpha, &mut step);
             for (xi, d) in x.iter_mut().zip(step.deltas()) {
                 *xi += d;
             }

@@ -371,6 +371,30 @@ fn oversized_drift_lines_are_refused_and_the_session_goes_on() {
     assert!(lines.last().unwrap().contains("\"completed\":1"), "{}", lines.last().unwrap());
 }
 
+/// A multi-file spec whose finite delay weight overflows the cost gets an
+/// `error` response instead of aborting the daemon while its batch line
+/// is rendered (JSON has no infinity), and the next envelope is answered.
+#[test]
+fn a_multi_file_cost_overflow_is_an_error_response_and_the_session_goes_on() {
+    let overflowing = concat!(
+        r#"{"at":0,"batch":[{"type":"multi_file","topology":{"type":"ring","n":4,"link_cost":1.0},"#,
+        r#""lambdas":[[0.25,0.25,0.25,0.25],[0.25,0.25,0.25,0.25]],"mus":[0.6],"k":1e308,"#,
+        r#""alpha":0.1,"epsilon":0.000001,"max_iterations":10}]}"#,
+    );
+    let specs = serde_json::to_string(&example_specs()).unwrap();
+    let input = format!(
+        "{overflowing}\n{{\"at\":1000000,\"batch\":{specs}}}\n{{\"cmd\":\"shutdown\"}}\n"
+    );
+    let (out, _) = run_session(&input, &golden_config());
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 3, "{out}");
+    assert!(lines[0].contains("\"kind\":\"batch\""), "{}", lines[0]);
+    assert_eq!((field(lines[0], "ok"), field(lines[0], "err")), (0, 1), "{}", lines[0]);
+    assert!(lines[0].contains("\"responses\":[{\"error\":") && lines[0].contains("not finite"));
+    assert!(lines[1].contains("\"kind\":\"batch\"") && field(lines[1], "ok") > 0, "{}", lines[1]);
+    assert!(lines[2].contains("\"kind\":\"status\""), "{}", lines[2]);
+}
+
 /// A 256-node ring tracks its epochs: the default fixed step would carry
 /// a node past its capacity on the first epoch, and the engine halves
 /// that step instead of failing the run.

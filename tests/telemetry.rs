@@ -6,8 +6,16 @@
 //! `fap run --metrics-out` and `fap sim --metrics-out` (via `fap-cli`) and
 //! compare whole JSONL exports as strings.
 
+use std::collections::BTreeMap;
+
+use fap::core::{MultiFileProblem, SingleFileProblem};
+use fap::econ::{ResourceDirectedOptimizer, StepSize};
+use fap::net::{topology, AccessPattern};
 use fap::obs::jsonl::{parse_line, Scalar};
-use fap::obs::{JsonlSink, NoopRecorder, Telemetry};
+use fap::obs::{
+    FlightRecorder, JsonlSink, MetricsRegistry, NoopRecorder, Recorder, Tee, Telemetry, Value,
+};
+use fap::ring::{RingSolver, VirtualRing};
 use fap::runtime::ChaosPlan;
 use fap_cli::{chaos_sim, solve, summarize, Scenario};
 
@@ -125,4 +133,92 @@ fn virtual_time_stamps_events_with_rounds() {
         }
     }
     assert!(checked > 0, "the export must contain round events");
+}
+
+/// A metrics-only sink that counts the events handed to it, keeping them
+/// or not as `keeps` says.
+#[derive(Default)]
+struct EventTally {
+    keeps: bool,
+    registry: MetricsRegistry,
+    events: BTreeMap<&'static str, usize>,
+}
+
+impl Recorder for EventTally {
+    fn is_enabled(&self) -> bool {
+        true
+    }
+    fn set_time(&mut self, tick: u64) {
+        self.registry.set_time(tick);
+    }
+    fn incr(&mut self, name: &'static str, delta: u64) {
+        self.registry.incr(name, delta);
+    }
+    fn gauge(&mut self, name: &'static str, value: f64) {
+        self.registry.gauge(name, value);
+    }
+    fn observe(&mut self, name: &'static str, value: f64) {
+        self.registry.observe(name, value);
+    }
+    fn keeps_events(&self) -> bool {
+        self.keeps
+    }
+    fn emit(&mut self, name: &'static str, _fields: &[(&'static str, Value)]) {
+        *self.events.entry(name).or_default() += 1;
+    }
+}
+
+#[test]
+fn only_event_keeping_sinks_ask_for_event_fields() {
+    let mut registry = MetricsRegistry::new();
+    let mut flight = FlightRecorder::default();
+    let mut telemetry = Telemetry::manual();
+    assert!(!NoopRecorder.keeps_events());
+    assert!(!registry.keeps_events());
+    assert!(!flight.keeps_events());
+    assert!(telemetry.keeps_events());
+    assert!(JsonlSink::new(Vec::new()).keeps_events());
+    assert!(!Tee::new(&mut registry, &mut flight).keeps_events());
+    assert!(Tee::new(&mut registry, &mut telemetry).keeps_events());
+
+    // The solvers build their per-iteration events only for a sink that
+    // keeps them, and record the same metrics either way.
+    let single = |rec: &mut dyn Recorder| {
+        let graph = topology::ring(5, 1.0).unwrap();
+        let pattern = AccessPattern::uniform(5, 1.0).unwrap();
+        let p = SingleFileProblem::mm1(&graph, &pattern, 1.5, 1.0).unwrap();
+        let start = [1.0, 0.0, 0.0, 0.0, 0.0];
+        ResourceDirectedOptimizer::new(StepSize::Fixed(0.05)).run(&p, &start, rec).unwrap();
+    };
+    let multi = |rec: &mut dyn Recorder| {
+        let graph = topology::ring(4, 1.0).unwrap();
+        let pattern = AccessPattern::uniform(4, 0.5).unwrap();
+        let p = MultiFileProblem::mm1(&graph, &[pattern.clone(), pattern], 1.5, 1.0).unwrap();
+        let start = [vec![1.0, 0.0, 0.0, 0.0], vec![0.0, 0.5, 0.5, 0.0]];
+        p.solve(&start, 0.05, 1e-6, 2_000, rec).unwrap();
+    };
+    let ring = |rec: &mut dyn Recorder| {
+        let ring =
+            VirtualRing::new(vec![4.0, 1.0, 1.0, 1.0], vec![0.25; 4], vec![1.5; 4], 2.0, 1.0)
+                .unwrap();
+        RingSolver::new(0.1).solve(&ring, &[2.0, 0.0, 0.0, 0.0], rec).unwrap();
+    };
+    check_per_iteration_events("iter", "econ.iterations", &single);
+    check_per_iteration_events("core.iter", "core.iterations", &multi);
+    check_per_iteration_events("iter", "ring.iterations", &ring);
+}
+
+/// Runs `run` into a sink that keeps events and one that does not: the
+/// first gets one `event` per `counter` increment, the second none, and
+/// both record the same metrics.
+fn check_per_iteration_events(event: &str, counter: &str, run: &dyn Fn(&mut dyn Recorder)) {
+    let mut kept = EventTally { keeps: true, ..EventTally::default() };
+    let mut dropped = EventTally::default();
+    run(&mut kept);
+    run(&mut dropped);
+    let iterations = kept.registry.counter(counter);
+    assert!(iterations > 1, "{counter}");
+    assert_eq!(kept.events.get(event), Some(&(iterations as usize)), "{event}");
+    assert_eq!(dropped.events.get(event), None, "{event} built for a metrics-only sink");
+    assert_eq!(format!("{:?}", kept.registry), format!("{:?}", dropped.registry));
 }
