@@ -14,6 +14,7 @@ use fap_runtime::{DriftConfig, DriftReport, DriftRun, DriftScenario};
 use serde::{Deserialize, Serialize};
 
 pub use crate::scale::CheckOutcome;
+use crate::scale::TIMING_TOLERANCE;
 
 /// The regret gate: tracked regret must stay within this fraction of the
 /// static-allocation regret on the diurnal scenario.
@@ -151,11 +152,7 @@ pub fn bench_drift(scenarios: &[String], nodes: usize, epochs: usize, seed: u64)
 /// [`REGRET_GATE`] are hard gates — the control loop is deterministic on
 /// any machine. Host CPU count and wall-clock timings only produce
 /// advisories.
-pub fn check_against(
-    committed: &DriftBenchReport,
-    fresh: &DriftBenchReport,
-    timing_tolerance: f64,
-) -> CheckOutcome {
+pub fn check_against(committed: &DriftBenchReport, fresh: &DriftBenchReport) -> CheckOutcome {
     let mut outcome = CheckOutcome::default();
     if committed.nodes != fresh.nodes
         || committed.epochs != fresh.epochs
@@ -236,9 +233,9 @@ pub fn check_against(
                 new.regret_ratio
             ));
         }
-        if new.run_ms > old.run_ms * timing_tolerance {
+        if new.run_ms > old.run_ms * TIMING_TOLERANCE {
             outcome.advisories.push(format!(
-                "{label}: run timing {:.2} ms exceeds {timing_tolerance}× committed {:.2} ms",
+                "{label}: run timing {:.2} ms exceeds {TIMING_TOLERANCE}× committed {:.2} ms",
                 new.run_ms, old.run_ms
             ));
         }
@@ -281,7 +278,7 @@ mod tests {
         let committed = small_grid();
         let mut fresh = small_grid();
         fresh.points[0].run_ms = committed.points[0].run_ms * 100.0 + 1.0;
-        let outcome = check_against(&committed, &fresh, 1.5);
+        let outcome = check_against(&committed, &fresh);
         assert!(outcome.is_pass(), "failures: {:?}", outcome.hard_failures);
         assert!(outcome.advisories.iter().any(|a| a.contains("run timing")));
     }
@@ -292,23 +289,23 @@ mod tests {
 
         let mut fresh = committed.clone();
         fresh.points[1].tracked_regret += 1e-9;
-        let outcome = check_against(&committed, &fresh, f64::INFINITY);
+        let outcome = check_against(&committed, &fresh);
         assert!(!outcome.is_pass());
         assert!(outcome.hard_failures.iter().any(|f| f.contains("tracked regret diverged")));
 
         let mut fresh = committed.clone();
         fresh.points[2].total_copies += 1;
-        let outcome = check_against(&committed, &fresh, f64::INFINITY);
+        let outcome = check_against(&committed, &fresh);
         assert!(outcome.hard_failures.iter().any(|f| f.contains("virtual counts diverged")));
 
         let mut fresh = committed.clone();
         fresh.points[0].regret_ratio = REGRET_GATE * 2.0;
-        let outcome = check_against(&committed, &fresh, f64::INFINITY);
+        let outcome = check_against(&committed, &fresh);
         assert!(outcome.hard_failures.iter().any(|f| f.contains("exceeds the")));
 
         let mut regridded = committed.clone();
         regridded.epochs += 1;
-        let outcome = check_against(&committed, &regridded, f64::INFINITY);
+        let outcome = check_against(&committed, &regridded);
         assert!(outcome.hard_failures.iter().any(|f| f.contains("grid mismatch")));
     }
 }

@@ -113,8 +113,7 @@ pub struct SparsePoint {
     pub n: usize,
     /// Landmark count `K` ([`sparse_landmarks`]).
     pub landmarks: usize,
-    /// Cluster-tree depth the solve ran at ([`sparse_levels`] unless
-    /// overridden with `--hier-levels`).
+    /// Cluster-tree depth the solve ran at ([`sparse_levels`]).
     #[serde(default = "default_one")]
     pub levels: usize,
     /// Oracle build wall clock (K Dijkstra runs), milliseconds.
@@ -268,37 +267,25 @@ fn checksum_sparse(allocation: &[f64], cost: f64) -> f64 {
         + cost
 }
 
-/// Runs the sparse sweep with the default hierarchy depth policy
-/// ([`sparse_levels`]); see [`bench_sparse_with`].
-///
-/// # Panics
-///
-/// Same conditions as [`bench_sparse_with`].
-pub fn bench_sparse(ns: &[usize]) -> Vec<SparsePoint> {
-    bench_sparse_with(ns, None)
-}
-
 /// Runs the sparse sweep: for each `n` a batched landmark-oracle build
 /// ([`LandmarkOracle::build_parallel`] with [`SPARSE_BATCH`]), a
-/// hierarchical solve at `levels_override.unwrap_or(sparse_levels(n))`
-/// tree levels, and a single-edge incremental oracle repair. The
-/// dense-reference gap is measured while the dense matrix still fits
-/// (`n ≤` [`SPARSE_GAP_LIMIT`]); at those sizes the build is also re-run
-/// at one and two worker threads and must match the timed build bit for
-/// bit (the parallel reduction's determinism contract).
-///
-/// # Panics
+/// hierarchical solve at [`sparse_levels`]`(n)` tree levels, and a
+/// single-edge incremental oracle repair. The dense-reference gap is
+/// measured while the dense matrix still fits (`n ≤` [`SPARSE_GAP_LIMIT`]);
+/// at those sizes the build is also re-run at one and two worker threads
+/// and must match the timed build bit for bit (the parallel reduction's
+/// determinism contract).
 ///
 /// Panics when a gate fails: a measured gap above [`SPARSE_GAP_BOUND`],
 /// a substrate footprint at or above [`SPARSE_BYTE_LIMIT`], a
 /// thread-count-dependent build, or a single-edge repair costing more
 /// than 10% of a full rebuild in virtual work.
-pub fn bench_sparse_with(ns: &[usize], levels_override: Option<usize>) -> Vec<SparsePoint> {
+fn sparse_points(ns: &[usize]) -> Vec<SparsePoint> {
     let mut points = Vec::new();
     for &n in ns {
         let mut graph = scale_graph(n);
         let landmarks = sparse_landmarks(n);
-        let levels = levels_override.unwrap_or_else(|| sparse_levels(n)).max(1);
+        let levels = sparse_levels(n);
         let (pattern, mu) = sparse_workload(n);
         let mus = vec![mu; n];
         let (build_ms, mut oracle) = time_ms(|| {
@@ -422,36 +409,22 @@ fn time_ms<T>(f: impl FnOnce() -> T) -> (f64, T) {
 /// Runs the sweep: for each `n` an all-pairs point, for each `(n, m)` a
 /// multi-file point of exactly `iterations` solver steps (ε is set far below
 /// attainability so every run pays the same iteration count), and for each
-/// `sparse_ns` entry a [`bench_sparse`] point.
+/// `sparse_ns` entry a sparse point: a landmark-oracle build, a
+/// hierarchical solve at [`sparse_levels`]`(n)` tree levels and a
+/// single-edge incremental oracle repair.
 ///
 /// # Panics
 ///
 /// Panics if a parallel all-pairs matrix differs bitwise from the
-/// sequential one, or if a sparse point violates its gap or memory gate.
+/// sequential one, or if a sparse point fails one of its gates: utility
+/// gap, memory, thread-count determinism of the oracle build, or repair
+/// budget.
 pub fn bench_scale(
     ns: &[usize],
     ms: &[usize],
     sparse_ns: &[usize],
     iterations: usize,
     parallelism: Parallelism,
-) -> ScaleReport {
-    bench_scale_configured(ns, ms, sparse_ns, iterations, parallelism, None)
-}
-
-/// [`bench_scale`] with the sparse sweep's hierarchy depth overridable
-/// (`fap bench-scale --hier-levels <L>`); `None` applies the per-size
-/// default policy ([`sparse_levels`]).
-///
-/// # Panics
-///
-/// Same conditions as [`bench_scale`].
-pub fn bench_scale_configured(
-    ns: &[usize],
-    ms: &[usize],
-    sparse_ns: &[usize],
-    iterations: usize,
-    parallelism: Parallelism,
-    levels_override: Option<usize>,
 ) -> ScaleReport {
     let mut points = Vec::new();
     for &n in ns {
@@ -512,7 +485,7 @@ pub fn bench_scale_configured(
         gap_bound: SPARSE_GAP_BOUND,
         iterations,
         points,
-        sparse_points: bench_sparse_with(sparse_ns, levels_override),
+        sparse_points: sparse_points(sparse_ns),
     }
 }
 
@@ -538,6 +511,11 @@ impl CheckOutcome {
     }
 }
 
+/// How many times slower than its committed value a fresh wall-clock
+/// timing may run before `check_against` reports an advisory (every bench
+/// grid's check shares it).
+pub(crate) const TIMING_TOLERANCE: f64 = 1.5;
+
 /// Compares a `fresh` run against the `committed` report.
 ///
 /// Grid shape (`ns`, `ms`, `sparse_ns`, `iterations`), point identity
@@ -546,14 +524,9 @@ impl CheckOutcome {
 /// within the committed `gap_bound`. The sparse path is approximate by
 /// contract, so its checksums only produce advisories when they drift.
 /// Thread counts and wall-clock timings are likewise advisories: a fresh
-/// timing more than `timing_tolerance` times the committed one is flagged,
-/// since the committed numbers came from a different (possibly slower or
-/// faster) machine.
-pub fn check_against(
-    committed: &ScaleReport,
-    fresh: &ScaleReport,
-    timing_tolerance: f64,
-) -> CheckOutcome {
+/// timing more than 1.5× the committed one is flagged, since the committed
+/// numbers came from a different (possibly slower or faster) machine.
+pub fn check_against(committed: &ScaleReport, fresh: &ScaleReport) -> CheckOutcome {
     let mut outcome = CheckOutcome::default();
     if committed.ns != fresh.ns || committed.ms != fresh.ms {
         outcome.hard_failures.push(format!(
@@ -660,9 +633,9 @@ pub fn check_against(
             ("solve", old.solve_ms, new.solve_ms),
             ("update", old.update_ms, new.update_ms),
         ] {
-            if was > 0.0 && now > was * timing_tolerance {
+            if was > 0.0 && now > was * TIMING_TOLERANCE {
                 outcome.advisories.push(format!(
-                    "{label}: {stage} timing {now:.2} ms exceeds {timing_tolerance}× committed {was:.2} ms"
+                    "{label}: {stage} timing {now:.2} ms exceeds {TIMING_TOLERANCE}× committed {was:.2} ms"
                 ));
             }
         }
@@ -690,9 +663,9 @@ pub fn check_against(
             ("parallel", old.parallel_ms, new.parallel_ms),
         ] {
             let (Some(was), Some(now)) = (was, now) else { continue };
-            if now > was * timing_tolerance {
+            if now > was * TIMING_TOLERANCE {
                 outcome.advisories.push(format!(
-                    "{label}: {stage} timing {now:.2} ms exceeds {timing_tolerance}× committed {was:.2} ms"
+                    "{label}: {stage} timing {now:.2} ms exceeds {TIMING_TOLERANCE}× committed {was:.2} ms"
                 ));
             }
         }
@@ -743,28 +716,25 @@ mod tests {
 
     #[test]
     fn sparse_points_measure_and_gate_the_incremental_repair() {
-        let p = &bench_sparse_with(&[64], None)[0];
+        let p = &sparse_points(&[64])[0];
         assert_eq!((p.levels, p.landmarks), (1, 64));
         assert_eq!(p.rebuild_work, 64 * 64);
         assert!(p.update_work > 0, "the repair visits at least the dirty frontier");
         assert!(p.update_work * 10 <= p.rebuild_work);
-        // A depth override is recorded on the point.
-        assert_eq!(bench_sparse_with(&[64], Some(2))[0].levels, 2);
     }
 
     #[test]
     fn check_gates_the_incremental_repair_budget() {
-        let committed =
-            bench_scale_configured(&[], &[], &[64], 2, Parallelism::Fixed(2), None);
+        let committed = bench_scale(&[], &[], &[64], 2, Parallelism::Fixed(2));
         let mut fresh = committed.clone();
         fresh.sparse_points[0].update_work = fresh.sparse_points[0].rebuild_work;
-        let outcome = check_against(&committed, &fresh, f64::INFINITY);
+        let outcome = check_against(&committed, &fresh);
         assert!(outcome
             .hard_failures
             .iter()
             .any(|f| f.contains("incremental repair")));
         // An unchanged rerun passes the work gates.
-        let outcome = check_against(&committed, &committed.clone(), f64::INFINITY);
+        let outcome = check_against(&committed, &committed.clone());
         assert!(outcome.is_pass(), "failures: {:?}", outcome.hard_failures);
     }
 
@@ -774,7 +744,7 @@ mod tests {
         let fresh = bench_scale(&[12], &[1], &[], 2, Parallelism::Fixed(3));
         // Timings differ run to run; with an infinite tolerance the only
         // gates left are the deterministic ones, which must all hold.
-        let outcome = check_against(&committed, &fresh, f64::INFINITY);
+        let outcome = check_against(&committed, &fresh);
         assert!(outcome.is_pass(), "failures: {:?}", outcome.hard_failures);
         // Thread count differs → advisory, never a failure.
         assert!(outcome.advisories.iter().any(|a| a.contains("thread count")));
@@ -785,13 +755,13 @@ mod tests {
         let committed = bench_scale(&[12], &[1], &[], 2, Parallelism::Fixed(2));
         let mut fresh = committed.clone();
         fresh.points[0].checksum += 1.0;
-        let outcome = check_against(&committed, &fresh, f64::INFINITY);
+        let outcome = check_against(&committed, &fresh);
         assert!(!outcome.is_pass());
         assert!(outcome.hard_failures[0].contains("checksum diverged"));
 
         let mut regridded = committed.clone();
         regridded.ns = vec![13];
-        let outcome = check_against(&committed, &regridded, f64::INFINITY);
+        let outcome = check_against(&committed, &regridded);
         assert!(outcome.hard_failures.iter().any(|f| f.contains("grid mismatch")));
     }
 
@@ -800,7 +770,7 @@ mod tests {
         let committed = bench_scale(&[12], &[1], &[], 2, Parallelism::Fixed(2));
         let mut fresh = committed.clone();
         fresh.points[0].sequential_ms = committed.points[0].sequential_ms * 100.0 + 1.0;
-        let outcome = check_against(&committed, &fresh, 1.5);
+        let outcome = check_against(&committed, &fresh);
         assert!(outcome.is_pass(), "slow timing must not fail the check");
         assert!(outcome.advisories.iter().any(|a| a.contains("sequential timing")));
     }

@@ -19,12 +19,13 @@ use fap_batch::Parallelism;
 use fap_cache::{CostBackend, SubstrateCache};
 use fap_core::{MultiFileProblem, SingleFileProblem};
 use fap_net::{topology, AccessPattern, Graph};
-use fap_obs::NoopRecorder;
+use fap_obs::{MetricsRegistry, NoopRecorder};
 use fap_ring::VirtualRing;
-use fap_serve::{BatchServer, ServeOutput, ServeRequest, ServeResponse};
+use fap_serve::{BatchServer, ServeError, ServeRequest, ServeResponse, WarmMode};
 use serde::{Deserialize, Serialize};
 
 pub use crate::scale::CheckOutcome;
+use crate::scale::TIMING_TOLERANCE;
 
 /// One measured grid point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -263,27 +264,26 @@ fn bench_cache(count: usize) -> CachePoint {
 /// warm sharding stays bit-identical to warm sequential.
 fn bench_warm(count: usize, shard_counts: &[usize]) -> WarmPoint {
     let requests = perturbed_workload(count);
-    let cold = BatchServer::new(Parallelism::Sequential).serve(&requests, None, &mut NoopRecorder);
-    assert_eq!(cold.err_count(), 0, "the perturbed workload must solve cleanly");
-    let warm = BatchServer::new(Parallelism::Sequential)
-        .with_warm_start(true)
-        .serve(&requests, None, &mut NoopRecorder);
+    let (cold, cold_metrics) =
+        serve_recorded(&mut BatchServer::new(Parallelism::Sequential, WarmMode::Off), &requests);
+    assert!(cold.iter().all(Result::is_ok), "the perturbed workload must solve cleanly");
+    let (warm, warm_metrics) =
+        serve_recorded(&mut BatchServer::new(Parallelism::Sequential, WarmMode::Batch), &requests);
     for &shards in shard_counts {
-        let sharded = BatchServer::new(Parallelism::Fixed(shards))
-            .with_warm_start(true)
-            .serve(&requests, None, &mut NoopRecorder);
+        let sharded = BatchServer::new(Parallelism::Fixed(shards), WarmMode::Batch)
+            .serve(&requests, &mut NoopRecorder);
         assert_eq!(
-            warm.responses, sharded.responses,
+            warm, sharded,
             "warm sharded serving diverged at requests = {count}, shards = {shards}"
         );
     }
     let point = WarmPoint {
         requests: count,
-        cold_iterations: cold.aggregate.counter("econ.iterations"),
-        warm_iterations: warm.aggregate.counter("econ.iterations"),
-        warm_starts: warm.aggregate.counter("serve.warm_starts"),
-        iters_saved: warm.aggregate.counter("econ.warm_start_iters_saved"),
-        checksum: checksum_output(&warm),
+        cold_iterations: cold_metrics.counter("econ.iterations"),
+        warm_iterations: warm_metrics.counter("econ.iterations"),
+        warm_starts: warm_metrics.counter("serve.warm_starts"),
+        iters_saved: warm_metrics.counter("econ.warm_start_iters_saved"),
+        checksum: checksum_responses(&warm),
     };
     assert!(
         point.iters_saved > 0,
@@ -293,9 +293,19 @@ fn bench_warm(count: usize, shard_counts: &[usize]) -> WarmPoint {
     point
 }
 
-fn checksum_output(output: &ServeOutput) -> f64 {
-    output
-        .responses
+/// Serves `requests` through `server`; returns the responses and
+/// everything the batch recorded.
+fn serve_recorded(
+    server: &mut BatchServer,
+    requests: &[ServeRequest],
+) -> (Vec<Result<ServeResponse, ServeError>>, MetricsRegistry) {
+    let mut metrics = MetricsRegistry::new();
+    let responses = server.serve(requests, &mut metrics);
+    (responses, metrics)
+}
+
+fn checksum_responses(responses: &[Result<ServeResponse, ServeError>]) -> f64 {
+    responses
         .iter()
         .map(|r| match r {
             Ok(ServeResponse::SingleFile(s)) => {
@@ -321,34 +331,39 @@ fn time_ms<T>(f: impl FnOnce() -> T) -> (f64, T) {
 }
 
 /// Runs the sweep: for each batch size a sequential baseline, then one
-/// sharded point per shard count, each timed as the fastest of five runs.
+/// sharded point per shard count, each timed as the fastest of five runs
+/// through one server (the daemon's steady state: worker scratch is kept
+/// from run to run).
 ///
 /// # Panics
 ///
 /// Panics if any sharded response vector differs bitwise from its
-/// sequential counterpart, or if the merged aggregate counters depend on
-/// the shard count — the serving determinism contract.
+/// sequential counterpart, or if the merged counters depend on the shard
+/// count — the serving determinism contract.
 pub fn bench_serve(batch_sizes: &[usize], shard_counts: &[usize]) -> ServeReport {
     let mut points = Vec::new();
     for &count in batch_sizes {
         let requests = serve_workload(count);
-        let (sequential_ms, sequential) = crate::fastest_ms(|| {
-            BatchServer::new(Parallelism::Sequential).serve(&requests, None, &mut NoopRecorder)
-        });
-        assert_eq!(sequential.err_count(), 0, "the benchmark workload must solve cleanly");
-        let checksum = checksum_output(&sequential);
+        let mut server = BatchServer::new(Parallelism::Sequential, WarmMode::Off);
+        let (sequential_ms, (sequential, sequential_metrics)) =
+            crate::fastest_ms(|| serve_recorded(&mut server, &requests));
+        assert!(
+            sequential.iter().all(Result::is_ok),
+            "the benchmark workload must solve cleanly"
+        );
+        let checksum = checksum_responses(&sequential);
         for &shards in shard_counts {
-            let (sharded_ms, sharded) = crate::fastest_ms(|| {
-                BatchServer::new(Parallelism::Fixed(shards)).serve(&requests, None, &mut NoopRecorder)
-            });
+            let mut server = BatchServer::new(Parallelism::Fixed(shards), WarmMode::Off);
+            let (sharded_ms, (sharded, sharded_metrics)) =
+                crate::fastest_ms(|| serve_recorded(&mut server, &requests));
             assert_eq!(
-                sequential.responses, sharded.responses,
+                sequential, sharded,
                 "sharded serving diverged at requests = {count}, shards = {shards}"
             );
             assert_eq!(
-                sequential.aggregate.counter("serve.requests"),
-                sharded.aggregate.counter("serve.requests"),
-                "aggregate fan-in diverged at requests = {count}, shards = {shards}"
+                sequential_metrics.counter("serve.requests"),
+                sharded_metrics.counter("serve.requests"),
+                "metric fan-in diverged at requests = {count}, shards = {shards}"
             );
             points.push(ServePoint {
                 requests: count,
@@ -381,11 +396,7 @@ pub fn bench_serve(batch_sizes: &[usize], shard_counts: &[usize]) -> ServeReport
 /// [`f64::to_bits`]) are hard gates. Thread count and wall-clock timings
 /// only produce advisories, since the committed numbers came from a
 /// different (possibly slower, possibly single-core) machine.
-pub fn check_against(
-    committed: &ServeReport,
-    fresh: &ServeReport,
-    timing_tolerance: f64,
-) -> CheckOutcome {
+pub fn check_against(committed: &ServeReport, fresh: &ServeReport) -> CheckOutcome {
     let mut outcome = CheckOutcome::default();
     if committed.batch_sizes != fresh.batch_sizes || committed.shard_counts != fresh.shard_counts
     {
@@ -436,9 +447,9 @@ pub fn check_against(
             ("sequential", old.sequential_ms, new.sequential_ms),
             ("sharded", old.sharded_ms, new.sharded_ms),
         ] {
-            if now > was * timing_tolerance {
+            if now > was * TIMING_TOLERANCE {
                 outcome.advisories.push(format!(
-                    "{label}: {stage} timing {now:.2} ms exceeds {timing_tolerance}× committed {was:.2} ms"
+                    "{label}: {stage} timing {now:.2} ms exceeds {TIMING_TOLERANCE}× committed {was:.2} ms"
                 ));
             }
         }
@@ -459,9 +470,9 @@ pub fn check_against(
                 old.hits, old.misses, old.requests, new.hits, new.misses, new.requests
             ));
         }
-        if new.build_cached_ms > old.build_cached_ms * timing_tolerance {
+        if new.build_cached_ms > old.build_cached_ms * TIMING_TOLERANCE {
             outcome.advisories.push(format!(
-                "{label}: cached build {:.3} ms exceeds {timing_tolerance}× committed {:.3} ms",
+                "{label}: cached build {:.3} ms exceeds {TIMING_TOLERANCE}× committed {:.3} ms",
                 new.build_cached_ms, old.build_cached_ms
             ));
         }
@@ -564,13 +575,13 @@ mod tests {
         let committed = bench_serve(&[6], &[2]);
         let mut fresh = committed.clone();
         fresh.warm_points[0].iters_saved += 1;
-        let outcome = check_against(&committed, &fresh, f64::INFINITY);
+        let outcome = check_against(&committed, &fresh);
         assert!(!outcome.is_pass());
         assert!(outcome.hard_failures.iter().any(|f| f.contains("iteration counts diverged")));
 
         let mut fresh = committed.clone();
         fresh.cache_points[0].hits += 1;
-        let outcome = check_against(&committed, &fresh, f64::INFINITY);
+        let outcome = check_against(&committed, &fresh);
         assert!(!outcome.is_pass());
         assert!(outcome.hard_failures.iter().any(|f| f.contains("hit/miss diverged")));
     }
@@ -579,7 +590,7 @@ mod tests {
     fn check_passes_on_a_rerun_of_the_same_grid() {
         let committed = bench_serve(&[5], &[2]);
         let fresh = bench_serve(&[5], &[2]);
-        let outcome = check_against(&committed, &fresh, f64::INFINITY);
+        let outcome = check_against(&committed, &fresh);
         assert!(outcome.is_pass(), "failures: {:?}", outcome.hard_failures);
     }
 
@@ -588,13 +599,13 @@ mod tests {
         let committed = bench_serve(&[5], &[2]);
         let mut fresh = committed.clone();
         fresh.points[0].checksum += 1.0;
-        let outcome = check_against(&committed, &fresh, f64::INFINITY);
+        let outcome = check_against(&committed, &fresh);
         assert!(!outcome.is_pass());
         assert!(outcome.hard_failures[0].contains("checksum diverged"));
 
         let mut regridded = committed.clone();
         regridded.shard_counts = vec![7];
-        let outcome = check_against(&committed, &regridded, f64::INFINITY);
+        let outcome = check_against(&committed, &regridded);
         assert!(outcome.hard_failures.iter().any(|f| f.contains("grid mismatch")));
     }
 
@@ -603,7 +614,7 @@ mod tests {
         let committed = bench_serve(&[5], &[2]);
         let mut fresh = committed.clone();
         fresh.points[0].sharded_ms = committed.points[0].sharded_ms * 100.0 + 1.0;
-        let outcome = check_against(&committed, &fresh, 1.5);
+        let outcome = check_against(&committed, &fresh);
         assert!(outcome.is_pass(), "slow timing must not fail the check");
         assert!(outcome.advisories.iter().any(|a| a.contains("sharded timing")));
     }

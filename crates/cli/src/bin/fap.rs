@@ -97,6 +97,23 @@ fn failed(message: impl std::fmt::Display) -> Failure {
     Failure::Run(message.to_string())
 }
 
+/// Parses the `[--check] [file.json]` arguments of `bench-serve` and
+/// `bench-drift`: whether `--check` was given, and the file (`default`
+/// when none is named). Any other `--` argument, or a second file, is a
+/// usage error, so that a typo never runs the sweep and writes over a file.
+fn check_and_path<'a>(args: &'a [String], default: &'a str) -> Result<(bool, &'a str), Failure> {
+    let mut check = false;
+    let mut path = None;
+    for arg in args {
+        match arg.as_str() {
+            "--check" => check = true,
+            _ if path.is_none() && !arg.starts_with("--") => path = Some(arg.as_str()),
+            other => return Err(format!("unexpected argument '{other}'").into()),
+        }
+    }
+    Ok((check, path.unwrap_or(default)))
+}
+
 const USAGE: &str = "usage:
   fap solve <scenario.json> [--metrics-out <path.jsonl>] [--metrics-summary]
   fap run   <scenario.json> [--metrics-out <path.jsonl>] [--metrics-summary]
@@ -118,7 +135,7 @@ const USAGE: &str = "usage:
   fap trace --folded <metrics.jsonl>
   fap trace --diff <a.jsonl> <b.jsonl>
   fap sweep-k <scenario.json> <k1,k2,...>
-  fap bench-scale [out.json] [--hier-levels <l>] [--sparse-max-n <n>]
+  fap bench-scale [out.json] [--sparse-max-n <n>]
   fap bench-scale --check [committed.json] [--sparse-max-n <n>]
   fap bench-serve [out.json]
   fap bench-serve --check [committed.json]
@@ -601,22 +618,12 @@ fn run(args: &[String]) -> Result<(), Failure> {
             }
             ("bench-scale", rest) => {
                 let mut check = false;
-                let mut hier_levels: Option<usize> = None;
                 let mut sparse_max_n: Option<usize> = None;
                 let mut path: Option<&String> = None;
                 let mut iter = rest.iter();
                 while let Some(arg) = iter.next() {
                     match arg.as_str() {
                         "--check" => check = true,
-                        "--hier-levels" => {
-                            let l = iter.next().ok_or("--hier-levels requires a depth")?;
-                            let l: usize =
-                                l.parse().map_err(|e| format!("bad depth '{l}': {e}"))?;
-                            if l == 0 {
-                                return Err("--hier-levels must be at least 1".into());
-                            }
-                            hier_levels = Some(l);
-                        }
                         "--sparse-max-n" => {
                             let n =
                                 iter.next().ok_or("--sparse-max-n requires a node count")?;
@@ -643,15 +650,14 @@ fn run(args: &[String]) -> Result<(), Failure> {
                         committed.sparse_ns.retain(|&n| n <= cap);
                         committed.sparse_points.retain(|p| p.n <= cap);
                     }
-                    let fresh = fap_bench::scale::bench_scale_configured(
+                    let fresh = fap_bench::scale::bench_scale(
                         &committed.ns,
                         &committed.ms,
                         &committed.sparse_ns,
                         committed.iterations,
                         fap_batch::Parallelism::Auto,
-                        hier_levels,
                     );
-                    let outcome = fap_bench::scale::check_against(&committed, &fresh, 1.5);
+                    let outcome = fap_bench::scale::check_against(&committed, &fresh);
                     for advisory in &outcome.advisories {
                         println!("advisory: {advisory}");
                     }
@@ -675,13 +681,12 @@ fn run(args: &[String]) -> Result<(), Failure> {
                 if let Some(cap) = sparse_max_n {
                     sparse_ns.retain(|&n| n <= cap);
                 }
-                let report = fap_bench::scale::bench_scale_configured(
+                let report = fap_bench::scale::bench_scale(
                     &[64, 256, 1024],
                     &[1, 16, 128],
                     &sparse_ns,
                     25,
                     fap_batch::Parallelism::Auto,
-                    hier_levels,
                 );
                 let json =
                     serde_json::to_string_pretty(&report).map_err(failed)?;
@@ -717,43 +722,42 @@ fn run(args: &[String]) -> Result<(), Failure> {
                 }
                 Ok(())
             }
-            ("bench-serve", [first, rest @ ..]) if first == "--check" && rest.len() <= 1 => {
-                let path = rest.first().map_or("BENCH_serve.json", String::as_str);
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| failed(format!("reading {path}: {e}")))?;
-                let committed: fap_bench::serve::ServeReport =
-                    serde_json::from_str(&text)
-                        .map_err(|e| failed(format!("parsing {path}: {e}")))?;
-                let fresh = fap_bench::serve::bench_serve(
-                    &committed.batch_sizes,
-                    &committed.shard_counts,
-                );
-                let outcome = fap_bench::serve::check_against(&committed, &fresh, 1.5);
-                for advisory in &outcome.advisories {
-                    println!("advisory: {advisory}");
-                }
-                if outcome.is_pass() {
-                    println!(
-                        "bench-serve check passed: {} points bit-identical to {path}",
-                        committed.points.len()
+            ("bench-serve", rest) => {
+                let (check, path) = check_and_path(rest, "BENCH_serve.json")?;
+                if check {
+                    let text = std::fs::read_to_string(path)
+                        .map_err(|e| failed(format!("reading {path}: {e}")))?;
+                    let committed: fap_bench::serve::ServeReport =
+                        serde_json::from_str(&text)
+                            .map_err(|e| failed(format!("parsing {path}: {e}")))?;
+                    let fresh = fap_bench::serve::bench_serve(
+                        &committed.batch_sizes,
+                        &committed.shard_counts,
                     );
-                    Ok(())
-                } else {
-                    Err(failed(format!(
-                        "bench-serve check failed:\n  {}",
-                        outcome.hard_failures.join("\n  ")
-                    )))
+                    let outcome = fap_bench::serve::check_against(&committed, &fresh);
+                    for advisory in &outcome.advisories {
+                        println!("advisory: {advisory}");
+                    }
+                    return if outcome.is_pass() {
+                        println!(
+                            "bench-serve check passed: {} points bit-identical to {path}",
+                            committed.points.len()
+                        );
+                        Ok(())
+                    } else {
+                        Err(failed(format!(
+                            "bench-serve check failed:\n  {}",
+                            outcome.hard_failures.join("\n  ")
+                        )))
+                    };
                 }
-            }
-            ("bench-serve", rest) if rest.len() <= 1 => {
-                let out = rest.first().map_or("BENCH_serve.json", String::as_str);
                 let report = fap_bench::serve::bench_serve(&[12, 48, 192], &[1, 2, 4, 8]);
                 let json =
                     serde_json::to_string_pretty(&report).map_err(failed)?;
-                std::fs::write(out, format!("{json}\n"))
-                    .map_err(|e| failed(format!("writing {out}: {e}")))?;
+                std::fs::write(path, format!("{json}\n"))
+                    .map_err(|e| failed(format!("writing {path}: {e}")))?;
                 println!(
-                    "{} threads; wrote {} points to {out}",
+                    "{} threads; wrote {} points to {path}",
                     report.threads,
                     report.points.len()
                 );
@@ -779,39 +783,38 @@ fn run(args: &[String]) -> Result<(), Failure> {
                 }
                 Ok(())
             }
-            ("bench-drift", [first, rest @ ..]) if first == "--check" && rest.len() <= 1 => {
-                let path = rest.first().map_or("BENCH_drift.json", String::as_str);
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| failed(format!("reading {path}: {e}")))?;
-                let committed: fap_bench::drift::DriftBenchReport =
-                    serde_json::from_str(&text)
-                        .map_err(|e| failed(format!("parsing {path}: {e}")))?;
-                let fresh = fap_bench::drift::bench_drift(
-                    &committed.scenarios,
-                    committed.nodes,
-                    committed.epochs,
-                    committed.seed,
-                );
-                let outcome = fap_bench::drift::check_against(&committed, &fresh, 1.5);
-                for advisory in &outcome.advisories {
-                    println!("advisory: {advisory}");
-                }
-                if outcome.is_pass() {
-                    println!(
-                        "bench-drift check passed: {} scenarios bit-identical to {path}, \
-                         diurnal regret gate held",
-                        committed.points.len()
+            ("bench-drift", rest) => {
+                let (check, path) = check_and_path(rest, "BENCH_drift.json")?;
+                if check {
+                    let text = std::fs::read_to_string(path)
+                        .map_err(|e| failed(format!("reading {path}: {e}")))?;
+                    let committed: fap_bench::drift::DriftBenchReport =
+                        serde_json::from_str(&text)
+                            .map_err(|e| failed(format!("parsing {path}: {e}")))?;
+                    let fresh = fap_bench::drift::bench_drift(
+                        &committed.scenarios,
+                        committed.nodes,
+                        committed.epochs,
+                        committed.seed,
                     );
-                    Ok(())
-                } else {
-                    Err(failed(format!(
-                        "bench-drift check failed:\n  {}",
-                        outcome.hard_failures.join("\n  ")
-                    )))
+                    let outcome = fap_bench::drift::check_against(&committed, &fresh);
+                    for advisory in &outcome.advisories {
+                        println!("advisory: {advisory}");
+                    }
+                    return if outcome.is_pass() {
+                        println!(
+                            "bench-drift check passed: {} scenarios bit-identical to {path}, \
+                             diurnal regret gate held",
+                            committed.points.len()
+                        );
+                        Ok(())
+                    } else {
+                        Err(failed(format!(
+                            "bench-drift check failed:\n  {}",
+                            outcome.hard_failures.join("\n  ")
+                        )))
+                    };
                 }
-            }
-            ("bench-drift", rest) if rest.len() <= 1 => {
-                let out = rest.first().map_or("BENCH_drift.json", String::as_str);
                 let report = fap_bench::drift::bench_drift(
                     &fap_bench::drift::default_scenarios(),
                     8,
@@ -820,10 +823,10 @@ fn run(args: &[String]) -> Result<(), Failure> {
                 );
                 let json =
                     serde_json::to_string_pretty(&report).map_err(failed)?;
-                std::fs::write(out, format!("{json}\n"))
-                    .map_err(|e| failed(format!("writing {out}: {e}")))?;
+                std::fs::write(path, format!("{json}\n"))
+                    .map_err(|e| failed(format!("writing {path}: {e}")))?;
                 println!(
-                    "{} host CPUs; wrote {} scenario points ({} nodes, {} epochs) to {out}",
+                    "{} host CPUs; wrote {} scenario points ({} nodes, {} epochs) to {path}",
                     report.host_threads,
                     report.points.len(),
                     report.nodes,

@@ -342,7 +342,7 @@ mod tests {
     use super::*;
     use fap_batch::Parallelism;
     use fap_obs::{NoopRecorder, Telemetry};
-    use fap_serve::{BatchServer, ServeOutput};
+    use fap_serve::{BatchServer, ServeError, ServeResponse, WarmMode};
 
     use crate::served::serve_once;
 
@@ -353,23 +353,20 @@ mod tests {
     }
 
     /// The reference both serving commands are pinned to: every spec
-    /// built through one cache and served by [`BatchServer::serve`] with
-    /// no seed store.
-    fn reference(specs: &[ServeSpec], warm_start: bool) -> ServeOutput {
+    /// built through one cache and served by a fresh [`BatchServer`].
+    fn reference(specs: &[ServeSpec], warm: WarmMode) -> Vec<Result<ServeResponse, ServeError>> {
         let mut cache = SubstrateCache::new();
         let requests: Vec<ServeRequest> = specs
             .iter()
             .map(|spec| spec.to_request_cached_with(&mut cache, false, &mut NoopRecorder).unwrap())
             .collect();
-        BatchServer::new(Parallelism::Sequential)
-            .with_warm_start(warm_start)
-            .serve(&requests, None, &mut NoopRecorder)
+        BatchServer::new(Parallelism::Sequential, warm).serve(&requests, &mut NoopRecorder)
     }
 
-    /// The `"responses":[...]` fragment a batch line embeds for `output`.
-    fn responses_fragment(output: &ServeOutput) -> String {
+    /// The `"responses":[...]` fragment a batch line embeds for `responses`.
+    fn responses_fragment(responses: &[Result<ServeResponse, ServeError>]) -> String {
         let rendered: Vec<serde::Value> =
-            output.responses.iter().map(|r| r.as_ref().unwrap().serialize_value()).collect();
+            responses.iter().map(|r| r.as_ref().unwrap().serialize_value()).collect();
         format!("\"responses\":{}", serde_json::to_string(&serde::Value::Array(rendered)).unwrap())
     }
 
@@ -393,7 +390,7 @@ mod tests {
         let (line, telemetry) = serve_line(&specs, Parallelism::Fixed(2), false);
         assert!(line.starts_with("{\"id\":0,\"kind\":\"batch\""), "{line}");
         assert!(line.contains("\"ok\":3,\"err\":0"), "{line}");
-        assert!(line.contains(&responses_fragment(&reference(&specs, false))), "{line}");
+        assert!(line.contains(&responses_fragment(&reference(&specs, WarmMode::Off))), "{line}");
         assert_eq!(telemetry.registry().counter("serve.requests"), 3);
         assert_eq!(telemetry.registry().counter("served.batches"), 1);
     }
@@ -413,8 +410,8 @@ mod tests {
     fn single_file_spec_matches_fap_solve() {
         let scenario = Scenario::example();
         let solve = crate::run::solve(&scenario, &mut NoopRecorder).unwrap();
-        let output = reference(&[ServeSpec::SingleFile { scenario }], false);
-        match output.responses[0].as_ref().unwrap() {
+        let output = reference(&[ServeSpec::SingleFile { scenario }], WarmMode::Off);
+        match output[0].as_ref().unwrap() {
             fap_serve::ServeResponse::SingleFile(s) => {
                 assert_eq!(s.allocation, solve.allocation);
                 assert_eq!(s.iterations, solve.iterations);
@@ -460,8 +457,8 @@ mod tests {
         let mut specs = example_specs();
         specs.extend(example_specs());
         let direct: Vec<ServeRequest> = specs.iter().map(|s| fresh_request(s).unwrap()).collect();
-        let uncached =
-            BatchServer::new(Parallelism::Sequential).serve(&direct, None, &mut NoopRecorder);
+        let uncached = BatchServer::new(Parallelism::Sequential, WarmMode::Off)
+            .serve(&direct, &mut NoopRecorder);
         let (cached, _) = serve_line(&specs, Parallelism::Sequential, false);
         assert!(cached.contains(&responses_fragment(&uncached)), "{cached}");
     }
@@ -569,10 +566,11 @@ mod tests {
             warm_registry.counter("econ.iterations") < cold_registry.counter("econ.iterations")
         );
         // The lines embed the reference responses of each warm setting.
-        let (cold_output, warm_output) = (reference(&specs, false), reference(&specs, true));
+        let (cold_output, warm_output) =
+            (reference(&specs, WarmMode::Off), reference(&specs, WarmMode::Batch));
         assert!(cold.contains(&responses_fragment(&cold_output)), "{cold}");
         assert!(warm.contains(&responses_fragment(&warm_output)), "{warm}");
-        for (w, c) in warm_output.responses.iter().zip(&cold_output.responses) {
+        for (w, c) in warm_output.iter().zip(&cold_output) {
             let (w, c) = (w.as_ref().unwrap(), c.as_ref().unwrap());
             assert!(w.converged());
             assert!(w.iterations() <= c.iterations());

@@ -218,18 +218,16 @@ mod tests {
     #[test]
     fn daemon_batch_responses_match_one_shot_serve() {
         // `fap served` in the default (batch) warm mode must embed exactly
-        // the responses a warm `BatchServer::serve` with no seed store
-        // produces for the same specs.
+        // the responses a fresh batch-mode `BatchServer::serve` produces
+        // for the same specs.
         let mut cache = SubstrateCache::new();
         let requests: Vec<ServeRequest> = crate::serve::example_specs()
             .iter()
             .map(|spec| spec.to_request_cached_with(&mut cache, false, &mut NoopRecorder).unwrap())
             .collect();
-        let oneshot = BatchServer::new(Parallelism::Auto)
-            .with_warm_start(true)
-            .serve(&requests, None, &mut NoopRecorder);
+        let oneshot = BatchServer::new(Parallelism::Auto, WarmMode::Batch)
+            .serve(&requests, &mut NoopRecorder);
         let rendered: Vec<Value> = oneshot
-            .responses
             .iter()
             .map(|r| r.as_ref().unwrap().serialize_value())
             .collect();

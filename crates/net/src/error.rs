@@ -89,8 +89,7 @@ impl fmt::Display for NetError {
                     f,
                     "dense {nodes}x{nodes} cost matrix needs {elements} elements \
                      (~{need} bytes vs the {have}-byte budget of {budget} elements); \
-                     use a sparse backend (landmark oracle, with --hier-levels for a \
-                     multi-level cluster hierarchy) instead"
+                     use the sparse landmark oracle (--cost-backend landmark) instead"
                 )
             }
         }
@@ -114,13 +113,12 @@ mod tests {
     }
 
     #[test]
-    fn too_large_reports_bytes_and_the_multilevel_flag() {
+    fn too_large_reports_bytes_and_the_backend_flag() {
         let e = NetError::TooLarge { nodes: 3, elements: 9, budget: 4 };
         let msg = e.to_string();
         assert!(msg.contains("~72 bytes"), "{msg}");
         assert!(msg.contains("32-byte budget"), "{msg}");
-        assert!(msg.contains("landmark"), "{msg}");
-        assert!(msg.contains("--hier-levels"), "{msg}");
+        assert!(msg.contains("--cost-backend landmark"), "{msg}");
     }
 
     #[test]

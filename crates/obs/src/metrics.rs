@@ -385,8 +385,8 @@ impl MetricsRegistry {
     /// registration order, so the replay is deterministic.
     ///
     /// This is the fan-in primitive of the serving layer: per-shard
-    /// registries are replayed, shard by shard in index order, into a
-    /// [`Tee`](crate::Tee) of the aggregate registry and any caller sink.
+    /// registries are replayed, shard by shard in index order, into the
+    /// caller's recorder.
     pub fn replay_into(&self, sink: &mut dyn Recorder) {
         for (name, value) in &self.counters {
             sink.incr(name, *value);

@@ -18,35 +18,42 @@
 //!   shard count, even though the task-to-worker assignment is timing
 //!   dependent (pinned by the tests here and by
 //!   `tests/serve_equivalence.rs`).
-//! * **Warm-start chains.** With [`BatchServer::with_warm_start`], requests
-//!   of the same family and shape are grouped into chains solved
-//!   sequentially inside one task; each converged answer seeds the next
-//!   solve through [`OptimizerScratch::start_from`] /
-//!   [`MultiFileScratch::start_from`] (re-projected onto the simplex, so
-//!   feasibility is exact). Because the chain — not the request — is the
-//!   scheduling unit, the seed sequence is shard-count-independent and the
-//!   warm responses are bit-identical to a warm sequential run. Savings
-//!   are visible as `serve.warm_starts` and `econ.warm_start_iters_saved`
-//!   (iterations below the chain's cold baseline).
-//! * **Session seeds.** A [`SessionSeeds`] store handed to
-//!   [`BatchServer::serve`] extends warm-start chains *across batches*: it
-//!   keeps each chain's last converged allocation and arms the matching
-//!   chain head in the next batch — the warm state the `fap served`
-//!   daemon keeps alive between requests. An empty store is
-//!   bit-identical to the plain warm path.
-//! * **Allocation-free steady state.** Each worker owns one
-//!   [`OptimizerScratch`] and one [`MultiFileScratch`] reused across every
-//!   task it executes, the same scratch discipline the batch engine
-//!   established.
-//! * **Per-shard metrics, one aggregate.** Each worker records through the
-//!   solver entry points into its own [`MetricsRegistry`]
+//! * **One server per session.** A [`BatchServer`] is built once, with
+//!   its [`WarmMode`], and serves batch after batch; [`BatchServer::serve`]
+//!   returns only the submission-order responses. Everything that lives
+//!   for the session lives inside it: one worker per worker slot and, in
+//!   [`WarmMode::Session`], the cross-batch seed store.
+//! * **Warm-start chains.** With [`WarmMode::Batch`] or
+//!   [`WarmMode::Session`], requests of the same family and shape are
+//!   grouped into chains solved sequentially inside one task; each
+//!   converged answer seeds the next solve through
+//!   [`OptimizerScratch::start_from`] / [`MultiFileScratch::start_from`]
+//!   (re-projected onto the simplex, so feasibility is exact). Because the
+//!   chain — not the request — is the scheduling unit, the seed sequence is
+//!   shard-count-independent and the warm responses are bit-identical to a
+//!   warm sequential run. Savings are visible as `serve.warm_starts` and
+//!   `econ.warm_start_iters_saved` (iterations below the chain's cold
+//!   baseline).
+//! * **Session seeds.** In [`WarmMode::Session`] the server keeps each
+//!   chain's last converged allocation and arms the matching chain head in
+//!   the next batch — the warm state `fap served --warm session` keeps
+//!   alive between requests. A session server's first batch is
+//!   bit-identical to a [`WarmMode::Batch`] one.
+//! * **Allocation-free steady state.** Each worker slot owns one
+//!   [`OptimizerScratch`] and one [`MultiFileScratch`], created with the
+//!   slot and reused across every task it executes in every batch, so
+//!   scratch grows only when a shape outgrows what the slot served before.
+//!   Which slot runs a task, and what it ran before, never shows in a
+//!   response: each task disarms both scratches on entry and exit, and
+//!   reused scratch is pinned bit-identical to fresh scratch.
+//! * **Per-shard metrics, one fan-in.** Each worker records through the
+//!   solver entry points into its own [`MetricsRegistry`] for the batch
 //!   (a registry keeps counters/gauges/histograms and drops events). After
-//!   the join, shard registries are replayed in shard order through a
-//!   [`Tee`] into the aggregate snapshot and any caller-provided recorder —
-//!   counters add and histograms merge bucket-wise, so those aggregate
-//!   metrics are independent of the shard count *and* of which worker
-//!   solved what; per-shard registry contents and last-write gauges depend
-//!   on which worker took which task and are advisory only.
+//!   the join, the registries are replayed in worker order into the
+//!   caller's recorder — counters add and histograms merge bucket-wise, so
+//!   the merged metrics are independent of the shard count *and* of which
+//!   worker solved what; last-write gauges depend on which worker took
+//!   which task and are advisory only.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,8 +71,7 @@ use fap_econ::{
     AllocationProblem, OptimizerScratch, ResourceDirectedOptimizer, Solution, StepSize,
 };
 use fap_obs::{
-    emit_span, emit_span_end, emit_span_start, MetricsRegistry, Recorder, Tee,
-    TraceContext,
+    emit_span, emit_span_end, emit_span_start, MetricsRegistry, Recorder, TraceContext,
 };
 use fap_ring::{RingSolver, RingSolution, VirtualRing};
 
@@ -180,95 +186,60 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Everything one batch produced: responses in submission order, the
-/// per-shard metric registries, and their fan-in.
-#[derive(Debug)]
-pub struct ServeOutput {
-    /// One entry per request, in submission order.
-    pub responses: Vec<Result<ServeResponse, ServeError>>,
-    /// One registry per shard (worker), in worker order.
-    pub shard_metrics: Vec<MetricsRegistry>,
-    /// The shard registries merged in shard order: counters added,
-    /// histograms folded bucket-wise, plus the `serve.shards` gauge.
-    pub aggregate: MetricsRegistry,
+/// How warm-start state carries between requests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum WarmMode {
+    /// Serve every request cold (no chaining at all).
+    Off,
+    /// Chain requests of the same family and shape within each batch only
+    /// (`fap serve --warm-start`). The default.
+    #[default]
+    Batch,
+    /// Chain within batches *and* seed each chain's head from the last
+    /// converged allocation of its key in an earlier batch.
+    Session,
 }
 
-/// A converged allocation retained across batches to seed the next solve
-/// of the same warm-start chain — the unit of the `fap served` daemon's
-/// cross-batch warm state.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SessionSeed {
+impl WarmMode {
+    /// Parses `off` / `batch` / `session`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the offending string for anything else.
+    pub fn parse(text: &str) -> Result<Self, String> {
+        match text {
+            "off" => Ok(WarmMode::Off),
+            "batch" => Ok(WarmMode::Batch),
+            "session" => Ok(WarmMode::Session),
+            other => Err(format!("unknown warm mode '{other}' (expected off|batch|session)")),
+        }
+    }
+}
+
+/// A converged allocation kept across batches ([`WarmMode::Session`]) to
+/// seed the next chain head of the same warm key. Seeds only ever alter a
+/// starting iterate — never a problem — so a stale seed costs iterations,
+/// not correctness.
+#[derive(Debug, Clone)]
+enum Seed {
     /// A §4 single-file allocation (`Σ x_i = 1`).
     SingleFile(Vec<f64>),
     /// Per-file §5.2 multi-file allocations.
     MultiFile(Vec<Vec<f64>>),
 }
 
-/// Warm-start seeds that outlive a single batch, keyed by the same
-/// structural chain key [`BatchServer::serve`] groups
-/// requests by. An empty seed store makes a session batch behave exactly
-/// like a plain warm batch; afterwards the store holds each chain's last
-/// converged allocation, so the *next* batch's chain heads start seeded
-/// (visible as `serve.warm_starts` counted for chain heads, which a
-/// single-batch run never does).
-///
-/// Seeds only ever alter a starting iterate — never a problem — so stale
-/// or mismatched seeds cost iterations, not correctness.
-#[derive(Debug, Clone, Default)]
-pub struct SessionSeeds {
-    seeds: HashMap<u64, SessionSeed, FnvBuildHasher>,
-}
-
-impl SessionSeeds {
-    /// An empty seed store.
-    pub fn new() -> Self {
-        SessionSeeds::default()
-    }
-
-    /// Number of chains currently holding a seed.
-    pub fn len(&self) -> usize {
-        self.seeds.len()
-    }
-
-    /// Whether no chain has converged yet.
-    pub fn is_empty(&self) -> bool {
-        self.seeds.is_empty()
-    }
-
-    /// Forgets every seed (the daemon's `warm=batch` mode between batches).
-    pub fn clear(&mut self) {
-        self.seeds.clear();
-    }
-
-    fn get(&self, key: u64) -> Option<&SessionSeed> {
-        self.seeds.get(&key)
-    }
-
-    fn insert(&mut self, key: u64, seed: SessionSeed) {
-        self.seeds.insert(key, seed);
-    }
-}
-
-impl ServeOutput {
-    /// Number of requests that solved successfully.
-    pub fn ok_count(&self) -> usize {
-        self.responses.iter().filter(|r| r.is_ok()).count()
-    }
-
-    /// Number of requests that failed.
-    pub fn err_count(&self) -> usize {
-        self.responses.len() - self.ok_count()
-    }
-}
-
-/// The sharded batcher.
+/// The sharded batcher, built once per session: it owns the warm-start
+/// policy, one worker per worker slot (its solver scratch grows to the
+/// largest shape served and is never rebuilt), and, in
+/// [`WarmMode::Session`], the seed store that carries warm state from one
+/// batch to the next.
 ///
 /// # Example
 ///
 /// ```
 /// use fap_batch::Parallelism;
-/// use fap_obs::NoopRecorder;
-/// use fap_serve::{BatchServer, ServeRequest};
+/// use fap_obs::MetricsRegistry;
+/// use fap_serve::{BatchServer, ServeRequest, WarmMode};
 /// use fap_ring::VirtualRing;
 ///
 /// let ring = VirtualRing::new(vec![1.0; 4], vec![0.25; 4], vec![1.5; 4], 2.0, 1.0)?;
@@ -281,88 +252,98 @@ impl ServeOutput {
 ///         max_iterations: 3_000,
 ///     })
 ///     .collect();
-/// let output = BatchServer::new(Parallelism::Fixed(2)).serve(&requests, None, &mut NoopRecorder);
-/// assert_eq!(output.ok_count(), 6);
-/// assert_eq!(output.aggregate.counter("serve.requests"), 6);
+/// let mut server = BatchServer::new(Parallelism::Fixed(2), WarmMode::Off);
+/// let mut metrics = MetricsRegistry::new();
+/// let responses = server.serve(&requests, &mut metrics);
+/// assert!(responses.iter().all(Result::is_ok));
+/// assert_eq!(metrics.counter("serve.requests"), 6);
 /// # Ok::<(), fap_ring::RingError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BatchServer {
     parallelism: Parallelism,
-    warm_start: bool,
+    warm: WarmMode,
+    /// One worker per slot, created the first time a batch needs that many.
+    workers: Vec<ShardWorker>,
+    /// Each chain's last converged allocation ([`WarmMode::Session`] only).
+    seeds: HashMap<u64, Seed, FnvBuildHasher>,
+}
+
+/// A clone keeps the configuration and the seed store; its workers start
+/// with fresh scratch. Scratch never reaches a response, so a clone serves
+/// every batch bit-identically to the server it was cloned from.
+impl Clone for BatchServer {
+    fn clone(&self) -> Self {
+        BatchServer {
+            parallelism: self.parallelism,
+            warm: self.warm,
+            workers: Vec::new(),
+            seeds: self.seeds.clone(),
+        }
+    }
 }
 
 impl BatchServer {
     /// A server sharding batches per `parallelism`
     /// ([`Parallelism::Sequential`] = one shard, [`Parallelism::Auto`] =
     /// one per core, [`Parallelism::Fixed`] = exactly that many, always
-    /// clamped to the batch's task count). Warm starts are off by default, so a
-    /// plain server reproduces the cold per-request solves bit-for-bit.
-    pub fn new(parallelism: Parallelism) -> Self {
-        BatchServer { parallelism, warm_start: false }
-    }
-
-    /// Enables (or disables) warm-start chaining: requests of the same
-    /// family and shape — same variant, dimensions, α and ε — are grouped
-    /// into chains, each chain solved in submission order inside one
-    /// scheduling task with every converged answer seeding the next solve.
+    /// clamped to the batch's task count) under the warm-start policy
+    /// `warm`. [`WarmMode::Off`] reproduces the cold per-request solves
+    /// bit-for-bit.
     ///
+    /// With chaining on, requests of the same family and shape — same
+    /// variant, dimensions, α, ε and topology fingerprint — are grouped into
+    /// chains, each chain solved in submission order inside one scheduling
+    /// task with every converged answer seeding the next solve.
     /// Warm-started responses converge to the same fixed point but
     /// typically in far fewer iterations for perturbed-workload streams,
     /// so their iteration counts (and last float bits) differ from cold
     /// responses; the warm output is instead bit-identical across *shard
     /// counts*, which is the determinism contract that matters for
-    /// serving. Seeds only ever alter the starting iterate — never the
-    /// problem — so a chain that accidentally mixes unrelated requests of
-    /// identical shape still solves every one of them correctly.
-    #[must_use]
-    pub fn with_warm_start(mut self, enabled: bool) -> Self {
-        self.warm_start = enabled;
-        self
+    /// serving.
+    pub fn new(parallelism: Parallelism, warm: WarmMode) -> Self {
+        BatchServer {
+            parallelism,
+            warm,
+            workers: Vec::new(),
+            seeds: HashMap::with_hasher(FnvBuildHasher),
+        }
     }
 
-    /// Whether warm-start chaining is enabled.
-    pub fn warm_start(&self) -> bool {
-        self.warm_start
+    /// Number of warm chains holding a cross-batch seed (always 0 outside
+    /// [`WarmMode::Session`]).
+    pub fn seed_count(&self) -> usize {
+        self.seeds.len()
     }
 
-    /// Solves every request across the shard pool.
+    /// Solves every request across the shard pool and returns one result
+    /// per request, in submission order.
     ///
-    /// Responses come back in submission order and are bit-identical to
-    /// solving the same requests sequentially (with the same warm-start
-    /// setting), whatever the shard count. The batch runs on
-    /// `parallelism.threads_for(tasks)` workers, where a task is one
+    /// Responses are bit-identical to solving the same requests on a
+    /// [`Parallelism::Sequential`] server holding the same seeds, whatever
+    /// the shard count and whatever the workers ran before. The batch runs
+    /// on `parallelism.threads_for(tasks)` workers, where a task is one
     /// request (or one warm-start chain); a single worker is the calling
-    /// thread. Each shard records into its own
-    /// [`MetricsRegistry`]; afterwards the registries are replayed in
-    /// shard order through a [`Tee`] into both the aggregate snapshot and
-    /// `recorder` (pass [`NoopRecorder`](fap_obs::NoopRecorder) to keep
-    /// only the aggregate), so a caller-side sink sees the same merged
-    /// metrics the aggregate holds.
+    /// thread. Each worker records into its own [`MetricsRegistry`]; after
+    /// the join the registries are replayed in worker order into
+    /// `recorder`, followed by the `serve.shards` gauge.
     ///
-    /// `seeds` carries warm state *across batches*: with warm-start
-    /// chaining enabled, chain heads are seeded from the store (the
-    /// previous batches' converged allocations) and each chain's last
-    /// converged answer is written back after the join. With chaining
-    /// disabled the store is ignored. Responses are bit-identical across
-    /// shard counts for a fixed store, and a run with an empty store is
-    /// bit-identical to a run with `None`.
+    /// In [`WarmMode::Session`], chain heads are seeded from the previous
+    /// batches' converged allocations and each chain's last converged
+    /// answer is kept for the next batch. A session server's first batch is
+    /// bit-identical to a [`WarmMode::Batch`] one.
     pub fn serve(
-        &self,
+        &mut self,
         requests: &[ServeRequest],
-        seeds: Option<&mut SessionSeeds>,
         recorder: &mut dyn Recorder,
-    ) -> ServeOutput {
+    ) -> Vec<Result<ServeResponse, ServeError>> {
         let (order, tasks, keys) = self.plan_tasks(requests);
-        // Chain-head seeds are snapshotted per task before any worker
-        // spawns; workers read the snapshot immutably, so scheduling can
-        // never race the seed store.
-        let task_seeds: Vec<Option<SessionSeed>> = match &seeds {
-            Some(store) if self.warm_start => {
-                keys.iter().map(|k| k.and_then(|k| store.get(k).cloned())).collect()
-            }
-            _ => vec![None; tasks.len()],
-        };
+        let BatchServer { parallelism, warm, workers, seeds } = self;
+        let chained = *warm != WarmMode::Off;
+        let session = *warm == WarmMode::Session;
+        // Workers read the seed store immutably; the write-back waits for
+        // the join, so scheduling can never race it.
+        let seeds_in = &*seeds;
         // Workers claim tasks in plan order from one cursor until it runs
         // past the end. Which worker gets which task is timing-dependent;
         // the solved bits are not, because each task is self-contained.
@@ -370,32 +351,32 @@ impl BatchServer {
         // built before any worker starts, results come back through the
         // join), and each index is still claimed exactly once.
         let cursor = AtomicUsize::new(0);
-        let run_worker = || {
+        let run_worker = |worker: &mut ShardWorker| {
             let mut registry = MetricsRegistry::new();
-            let mut worker = ShardWorker::new();
-            let mut out = Vec::new();
             loop {
                 let task = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(&(start, end)) = tasks.get(task) else { break };
-                worker.run_task(
-                    requests,
-                    &order[start..end],
-                    self.warm_start,
-                    task_seeds[task].as_ref(),
-                    &mut registry,
-                    &mut out,
-                );
+                let seed = if session { keys[task].and_then(|k| seeds_in.get(&k)) } else { None };
+                worker.run_task(requests, &order[start..end], chained, seed, &mut registry);
             }
-            (registry, out)
+            registry
         };
         // At most one worker per task: a one-task batch (say, one warm
         // chain) runs on the calling thread and spawns nothing.
-        let workers = self.parallelism.threads_for(tasks.len());
-        let worker_outputs: Vec<(MetricsRegistry, TaskOutput)> = if workers <= 1 {
-            vec![run_worker()]
+        let count = parallelism.threads_for(tasks.len());
+        if workers.len() < count {
+            workers.resize_with(count, ShardWorker::new);
+        }
+        let workers = &mut workers[..count];
+        let registries: Vec<MetricsRegistry> = if count <= 1 {
+            vec![run_worker(&mut workers[0])]
         } else {
+            let run_worker = &run_worker;
             std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(run_worker)).collect();
+                let handles: Vec<_> = workers
+                    .iter_mut()
+                    .map(|worker| scope.spawn(move || run_worker(worker)))
+                    .collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("serve shard worker panicked"))
@@ -404,25 +385,17 @@ impl BatchServer {
         };
         let mut responses: Vec<Option<Result<ServeResponse, ServeError>>> =
             vec![None; requests.len()];
-        let mut shard_metrics = Vec::with_capacity(worker_outputs.len());
-        for (registry, out) in worker_outputs {
-            for (index, result) in out {
+        for worker in workers.iter_mut() {
+            for (index, result) in worker.out.drain(..) {
                 responses[index] = Some(result);
             }
-            shard_metrics.push(registry);
         }
-
-        // Fan-in: replay each shard registry, in shard order, into both
-        // the aggregate and the caller's recorder through one Tee — the
-        // counters and histograms of the merge are shard-count-independent
-        // because counter addition and histogram folding commute.
-        let mut aggregate = MetricsRegistry::new();
-        for shard in &shard_metrics {
-            let mut tee = Tee::new(&mut aggregate, recorder);
-            shard.replay_into(&mut tee);
+        // Fan-in: counter addition and histogram folding commute, so the
+        // merged counters and histograms are shard-count-independent.
+        for registry in &registries {
+            registry.replay_into(recorder);
         }
-        aggregate.gauge("serve.shards", shard_metrics.len() as f64);
-        recorder.gauge("serve.shards", shard_metrics.len() as f64);
+        recorder.gauge("serve.shards", count as f64);
 
         let responses: Vec<Result<ServeResponse, ServeError>> = responses
             .into_iter()
@@ -442,47 +415,41 @@ impl BatchServer {
         // responses: each keyed chain stores its *last* converged answer.
         // Chain keys are disjoint across tasks, so the write order is
         // immaterial and the stored seeds are shard-count-independent.
-        if let Some(store) = seeds {
-            if self.warm_start {
-                for (task, &(start, end)) in tasks.iter().enumerate() {
-                    let Some(key) = keys[task] else { continue };
-                    for &index in order[start..end].iter().rev() {
-                        let Ok(response) = &responses[index] else { continue };
-                        if !response.converged() {
-                            continue;
+        if session {
+            for (task, &(start, end)) in tasks.iter().enumerate() {
+                let Some(key) = keys[task] else { continue };
+                let last = order[start..end].iter().rev().find_map(|&index| {
+                    match &responses[index] {
+                        Ok(ServeResponse::SingleFile(s)) if s.converged => {
+                            Some(Seed::SingleFile(s.allocation.clone()))
                         }
-                        let seed = match response {
-                            ServeResponse::SingleFile(s) => {
-                                SessionSeed::SingleFile(s.allocation.clone())
-                            }
-                            ServeResponse::MultiFile(s) => {
-                                SessionSeed::MultiFile(s.allocations.clone())
-                            }
-                            ServeResponse::Ring(_) => continue,
-                        };
-                        store.insert(key, seed);
-                        break;
+                        Ok(ServeResponse::MultiFile(s)) if s.converged => {
+                            Some(Seed::MultiFile(s.allocations.clone()))
+                        }
+                        _ => None,
                     }
+                });
+                if let Some(seed) = last {
+                    seeds.insert(key, seed);
                 }
             }
         }
-        ServeOutput { responses, shard_metrics, aggregate }
+        responses
     }
 
     /// Plans the batch into scheduling tasks. Returns `(order, tasks,
     /// keys)`: `order` is a permutation of the request indices, each task
     /// is a `(start, end)` range into it, and `keys[t]` is task `t`'s
     /// warm-start chain key (`None` for keyless singletons). Cold mode
-    /// emits one singleton task per request in submission order (so
-    /// execution matches the historical chunked scheduler exactly); warm
-    /// mode groups same-key requests into chains in first-appearance order,
+    /// emits one singleton task per request in submission order; warm
+    /// modes group same-key requests into chains in first-appearance order,
     /// keyless (ring) requests staying singletons.
     #[allow(clippy::type_complexity)]
     fn plan_tasks(
         &self,
         requests: &[ServeRequest],
     ) -> (Vec<usize>, Vec<(usize, usize)>, Vec<Option<u64>>) {
-        if !self.warm_start {
+        if self.warm == WarmMode::Off {
             let order: Vec<usize> = (0..requests.len()).collect();
             let tasks = (0..requests.len()).map(|i| (i, i + 1)).collect();
             let keys = vec![None; requests.len()];
@@ -563,10 +530,6 @@ fn emit_batch_spans(
     emit_span_end(recorder, "serve.batch", batch, base + total, total);
 }
 
-/// A worker's collected `(request index, result)` pairs, scattered back to
-/// submission-order slots after the join.
-type TaskOutput = Vec<(usize, Result<ServeResponse, ServeError>)>;
-
 /// The warm-start chain key of a request: requests with the same key are
 /// seeded from each other's converged answers. The key covers the family
 /// tag, the problem dimensions, the solver parameters (α, ε) and — when
@@ -605,26 +568,35 @@ fn warm_key(request: &ServeRequest) -> Option<u64> {
     Some(h.finish64())
 }
 
-/// One shard's solver state: the scratch buffers reused across every
-/// request the shard's worker takes, so the steady state allocates only
-/// what the returned solutions themselves need.
+/// One worker slot's state, kept for the server's lifetime: the scratch
+/// buffers reused across every request the slot takes in every batch, so
+/// the steady state allocates only what the returned solutions themselves
+/// need.
+#[derive(Debug)]
 struct ShardWorker {
     econ_scratch: OptimizerScratch,
     multi_scratch: MultiFileScratch,
+    /// The current batch's `(request index, result)` pairs, drained into
+    /// submission-order slots after the join.
+    out: Vec<(usize, Result<ServeResponse, ServeError>)>,
 }
 
 impl ShardWorker {
     fn new() -> Self {
-        ShardWorker { econ_scratch: OptimizerScratch::new(), multi_scratch: MultiFileScratch::new() }
+        ShardWorker {
+            econ_scratch: OptimizerScratch::new(),
+            multi_scratch: MultiFileScratch::new(),
+            out: Vec::new(),
+        }
     }
 
     /// Executes one scheduling task — a single request, or a warm-start
     /// chain of same-key requests solved in submission order, each
     /// converged answer seeding the next solve. Seeds never cross a task
-    /// boundary *within a batch*: both scratches are disarmed on entry and
-    /// exit, so a task's outputs depend only on its own contents — and on
-    /// the optional cross-batch `seed`, which is part of those contents
-    /// (snapshotted per task before scheduling). That is the property the
+    /// boundary: both scratches are disarmed on entry and exit, so a task's
+    /// outputs depend only on its own contents — and on the optional
+    /// cross-batch `seed`, which is part of those contents — never on which
+    /// slot runs it or what that slot ran before. That is the property the
     /// shared-cursor scheduler's determinism rests on.
     ///
     /// A session `seed` arms the matching scratch before the chain head, so
@@ -637,18 +609,15 @@ impl ShardWorker {
         requests: &[ServeRequest],
         chain: &[usize],
         warm: bool,
-        seed: Option<&SessionSeed>,
+        seed: Option<&Seed>,
         registry: &mut MetricsRegistry,
-        out: &mut TaskOutput,
     ) {
         self.econ_scratch.clear_warm_start();
         self.multi_scratch.clear_warm_start();
-        if warm {
-            match seed {
-                Some(SessionSeed::SingleFile(x)) => self.econ_scratch.start_from(x),
-                Some(SessionSeed::MultiFile(xs)) => self.multi_scratch.start_from(xs),
-                None => {}
-            }
+        match seed {
+            Some(Seed::SingleFile(x)) => self.econ_scratch.start_from(x),
+            Some(Seed::MultiFile(xs)) => self.multi_scratch.start_from(xs),
+            None => {}
         }
         let mut baseline: Option<usize> = None;
         for (pos, &index) in chain.iter().enumerate() {
@@ -687,7 +656,7 @@ impl ShardWorker {
                     }
                 }
             }
-            out.push((index, result));
+            self.out.push((index, result));
         }
         self.econ_scratch.clear_warm_start();
         self.multi_scratch.clear_warm_start();
@@ -797,17 +766,37 @@ mod tests {
         requests
     }
 
+    type Responses = Vec<Result<ServeResponse, ServeError>>;
+
+    /// Serves `requests` on a fresh server; returns the responses and
+    /// everything the batch recorded.
+    fn serve_once(
+        parallelism: Parallelism,
+        warm: WarmMode,
+        requests: &[ServeRequest],
+    ) -> (Responses, MetricsRegistry) {
+        let mut metrics = MetricsRegistry::new();
+        let responses = BatchServer::new(parallelism, warm).serve(requests, &mut metrics);
+        (responses, metrics)
+    }
+
+    fn cold(parallelism: Parallelism, requests: &[ServeRequest]) -> Responses {
+        BatchServer::new(parallelism, WarmMode::Off).serve(requests, &mut NoopRecorder)
+    }
+
+    fn errors(responses: &Responses) -> usize {
+        responses.iter().filter(|r| r.is_err()).count()
+    }
+
     #[test]
     fn every_shard_count_matches_the_sequential_solve() {
         let requests = mixed_batch();
-        let sequential =
-            BatchServer::new(Parallelism::Sequential).serve(&requests, None, &mut NoopRecorder);
-        assert_eq!(sequential.err_count(), 0);
+        let sequential = cold(Parallelism::Sequential, &requests);
+        assert_eq!(errors(&sequential), 0);
         for shards in [2, 3, 8, 64] {
-            let sharded = BatchServer::new(Parallelism::Fixed(shards))
-                .serve(&requests, None, &mut NoopRecorder);
             assert_eq!(
-                sequential.responses, sharded.responses,
+                sequential,
+                cold(Parallelism::Fixed(shards), &requests),
                 "{shards} shards must be bit-identical to sequential"
             );
         }
@@ -815,23 +804,18 @@ mod tests {
 
     #[test]
     fn shard_count_clamps_to_the_task_count() {
-        let server = BatchServer::new(Parallelism::Fixed(64));
-        let output = server.serve(&[ring_request(), ring_request()], None, &mut NoopRecorder);
-        assert_eq!(output.shard_metrics.len(), 2);
+        let (_, metrics) =
+            serve_once(Parallelism::Fixed(64), WarmMode::Off, &[ring_request(), ring_request()]);
+        assert_eq!(metrics.gauge_value("serve.shards"), Some(2.0));
     }
 
     #[test]
     fn one_warm_chain_runs_on_the_calling_thread_alone() {
         let chain: Vec<ServeRequest> = (0..3).map(|i| single_file_request(10 + i)).collect();
-        let sequential = BatchServer::new(Parallelism::Sequential)
-            .with_warm_start(true)
-            .serve(&chain, None, &mut NoopRecorder);
-        let output = BatchServer::new(Parallelism::Fixed(4))
-            .with_warm_start(true)
-            .serve(&chain, None, &mut NoopRecorder);
-        assert_eq!(output.aggregate.gauge_value("serve.shards"), Some(1.0));
-        assert_eq!(output.shard_metrics.len(), 1);
-        assert_eq!(sequential.responses, output.responses);
+        let (sequential, _) = serve_once(Parallelism::Sequential, WarmMode::Batch, &chain);
+        let (responses, metrics) = serve_once(Parallelism::Fixed(4), WarmMode::Batch, &chain);
+        assert_eq!(metrics.gauge_value("serve.shards"), Some(1.0));
+        assert_eq!(sequential, responses);
     }
 
     #[test]
@@ -840,62 +824,41 @@ mod tests {
         let mut requests: Vec<ServeRequest> =
             (0..3).map(|i| single_file_request(10 + i)).collect();
         requests.push(ring_request());
-        let output = BatchServer::new(Parallelism::Fixed(8))
-            .with_warm_start(true)
-            .serve(&requests, None, &mut NoopRecorder);
-        assert_eq!(output.aggregate.gauge_value("serve.shards"), Some(2.0));
-        assert_eq!(output.shard_metrics.len(), 2);
+        let (_, metrics) = serve_once(Parallelism::Fixed(8), WarmMode::Batch, &requests);
+        assert_eq!(metrics.gauge_value("serve.shards"), Some(2.0));
     }
 
     #[test]
-    fn aggregate_counters_are_shard_count_independent() {
+    fn merged_counters_are_shard_count_independent() {
         let requests = mixed_batch();
-        let sequential =
-            BatchServer::new(Parallelism::Sequential).serve(&requests, None, &mut NoopRecorder);
-        let sharded =
-            BatchServer::new(Parallelism::Fixed(4)).serve(&requests, None, &mut NoopRecorder);
+        let (_, sequential) = serve_once(Parallelism::Sequential, WarmMode::Off, &requests);
+        let (_, sharded) = serve_once(Parallelism::Fixed(4), WarmMode::Off, &requests);
         for counter in
             ["serve.requests", "econ.iterations", "core.iterations", "ring.iterations"]
         {
-            assert!(sequential.aggregate.counter(counter) > 0, "{counter} never recorded");
+            assert!(sequential.counter(counter) > 0, "{counter} never recorded");
             assert_eq!(
-                sequential.aggregate.counter(counter),
-                sharded.aggregate.counter(counter),
+                sequential.counter(counter),
+                sharded.counter(counter),
                 "{counter} must not depend on the shard count"
             );
         }
-        fn iters(o: &ServeOutput) -> &fap_obs::Histogram {
-            o.aggregate.histogram("serve.request_iterations").unwrap()
-        }
-        assert_eq!(iters(&sequential).count(), requests.len() as u64);
+        let iters = |m: &MetricsRegistry| m.histogram("serve.request_iterations").cloned();
+        assert_eq!(iters(&sequential).unwrap().count(), requests.len() as u64);
         assert_eq!(iters(&sequential), iters(&sharded));
-    }
-
-    #[test]
-    fn aggregate_is_the_sum_of_the_shards() {
-        let requests = mixed_batch();
-        let output =
-            BatchServer::new(Parallelism::Fixed(3)).serve(&requests, None, &mut NoopRecorder);
-        assert_eq!(output.shard_metrics.len(), 3);
-        let shard_sum: u64 =
-            output.shard_metrics.iter().map(|r| r.counter("serve.requests")).sum();
-        assert_eq!(shard_sum, requests.len() as u64);
-        assert_eq!(output.aggregate.counter("serve.requests"), shard_sum);
-        assert_eq!(output.aggregate.gauge_value("serve.shards"), Some(3.0));
+        assert_eq!(sharded.gauge_value("serve.shards"), Some(4.0));
     }
 
     #[test]
     fn caller_recorder_sees_the_merged_metrics() {
         let requests = mixed_batch();
         let mut tele = fap_obs::Telemetry::manual();
-        let output = BatchServer::new(Parallelism::Fixed(2)).serve(&requests, None, &mut tele);
-        assert_eq!(
-            tele.registry().counter("serve.requests"),
-            output.aggregate.counter("serve.requests")
-        );
+        BatchServer::new(Parallelism::Fixed(2), WarmMode::Off).serve(&requests, &mut tele);
+        let (_, sequential) = serve_once(Parallelism::Sequential, WarmMode::Off, &requests);
+        assert_eq!(tele.registry().counter("serve.requests"), requests.len() as u64);
         assert_eq!(
             tele.registry().counter("econ.iterations"),
-            output.aggregate.counter("econ.iterations")
+            sequential.counter("econ.iterations")
         );
         assert_eq!(tele.registry().gauge_value("serve.shards"), Some(2.0));
     }
@@ -909,24 +872,21 @@ mod tests {
         } else {
             panic!("expected a single-file request at index 3");
         }
-        let output =
-            BatchServer::new(Parallelism::Fixed(3)).serve(&requests, None, &mut NoopRecorder);
-        assert_eq!(output.err_count(), 1);
-        assert!(output.responses[3].is_err());
-        assert_eq!(output.aggregate.counter("serve.errors"), 1);
+        let (responses, metrics) = serve_once(Parallelism::Fixed(3), WarmMode::Off, &requests);
+        assert_eq!(errors(&responses), 1);
+        assert!(responses[3].is_err());
+        assert_eq!(metrics.counter("serve.errors"), 1);
         // And the rest still match an all-good sequential solve of the
         // same (mutated) batch.
-        let sequential =
-            BatchServer::new(Parallelism::Sequential).serve(&requests, None, &mut NoopRecorder);
-        assert_eq!(sequential.responses, output.responses);
+        assert_eq!(cold(Parallelism::Sequential, &requests), responses);
     }
 
     #[test]
     fn empty_batch_is_fine() {
-        let output = BatchServer::new(Parallelism::Auto).serve(&[], None, &mut NoopRecorder);
-        assert!(output.responses.is_empty());
-        assert_eq!(output.shard_metrics.len(), 1);
-        assert_eq!(output.aggregate.counter("serve.requests"), 0);
+        let (responses, metrics) = serve_once(Parallelism::Auto, WarmMode::Batch, &[]);
+        assert!(responses.is_empty());
+        assert_eq!(metrics.gauge_value("serve.shards"), Some(1.0));
+        assert_eq!(metrics.counter("serve.requests"), 0);
     }
 
     #[test]
@@ -950,7 +910,8 @@ mod tests {
     #[test]
     fn cold_planning_is_one_singleton_task_per_request() {
         let requests = mixed_batch();
-        let (order, tasks, keys) = BatchServer::new(Parallelism::Auto).plan_tasks(&requests);
+        let (order, tasks, keys) =
+            BatchServer::new(Parallelism::Auto, WarmMode::Off).plan_tasks(&requests);
         assert_eq!(order, (0..requests.len()).collect::<Vec<_>>());
         assert_eq!(tasks, (0..requests.len()).map(|i| (i, i + 1)).collect::<Vec<_>>());
         assert!(keys.iter().all(Option::is_none), "cold tasks are keyless");
@@ -959,30 +920,28 @@ mod tests {
     #[test]
     fn warm_planning_chains_same_key_requests_in_first_appearance_order() {
         let requests = mixed_batch();
-        let server = BatchServer::new(Parallelism::Auto).with_warm_start(true);
-        let (order, tasks, keys) = server.plan_tasks(&requests);
-        // Submission order: single, multi, ring, repeated three times.
-        // Singles chain, multis chain, each ring stays a singleton.
-        assert_eq!(order, vec![0, 3, 6, 1, 4, 7, 2, 5, 8]);
-        assert_eq!(tasks, vec![(0, 3), (3, 6), (6, 7), (7, 8), (8, 9)]);
-        assert_eq!(keys[0], warm_key(&requests[0]));
-        assert_eq!(keys[1], warm_key(&requests[1]));
-        assert_eq!(&keys[2..], &[None, None, None], "ring singletons stay keyless");
+        for warm in [WarmMode::Batch, WarmMode::Session] {
+            let (order, tasks, keys) =
+                BatchServer::new(Parallelism::Auto, warm).plan_tasks(&requests);
+            // Submission order: single, multi, ring, repeated three times.
+            // Singles chain, multis chain, each ring stays a singleton.
+            assert_eq!(order, vec![0, 3, 6, 1, 4, 7, 2, 5, 8]);
+            assert_eq!(tasks, vec![(0, 3), (3, 6), (6, 7), (7, 8), (8, 9)]);
+            assert_eq!(keys[0], warm_key(&requests[0]));
+            assert_eq!(keys[1], warm_key(&requests[1]));
+            assert_eq!(&keys[2..], &[None, None, None], "ring singletons stay keyless");
+        }
     }
 
     #[test]
     fn warm_responses_are_bit_identical_across_every_shard_count() {
         let requests = mixed_batch();
-        let warm_sequential = BatchServer::new(Parallelism::Sequential)
-            .with_warm_start(true)
-            .serve(&requests, None, &mut NoopRecorder);
-        assert_eq!(warm_sequential.err_count(), 0);
+        let (warm_sequential, _) = serve_once(Parallelism::Sequential, WarmMode::Batch, &requests);
+        assert_eq!(errors(&warm_sequential), 0);
         for shards in [1, 2, 4, 8] {
-            let sharded = BatchServer::new(Parallelism::Fixed(shards))
-                .with_warm_start(true)
-                .serve(&requests, None, &mut NoopRecorder);
+            let (sharded, _) = serve_once(Parallelism::Fixed(shards), WarmMode::Batch, &requests);
             assert_eq!(
-                warm_sequential.responses, sharded.responses,
+                warm_sequential, sharded,
                 "{shards} warm shards must be bit-identical to a warm sequential run"
             );
         }
@@ -1011,29 +970,26 @@ mod tests {
                 }
             })
             .collect();
-        let cold =
-            BatchServer::new(Parallelism::Sequential).serve(&requests, None, &mut NoopRecorder);
-        let warm = BatchServer::new(Parallelism::Sequential)
-            .with_warm_start(true)
-            .serve(&requests, None, &mut NoopRecorder);
-        assert_eq!(warm.err_count(), 0);
+        let (cold, cold_metrics) = serve_once(Parallelism::Sequential, WarmMode::Off, &requests);
+        let (warm, warm_metrics) = serve_once(Parallelism::Sequential, WarmMode::Batch, &requests);
+        assert_eq!(errors(&warm), 0);
         // Every request after the chain head runs seeded.
-        assert_eq!(warm.aggregate.counter("serve.warm_starts"), requests.len() as u64 - 1);
+        assert_eq!(warm_metrics.counter("serve.warm_starts"), requests.len() as u64 - 1);
         assert_eq!(
-            warm.aggregate.counter("econ.warm_starts"),
-            warm.aggregate.counter("serve.warm_starts"),
+            warm_metrics.counter("econ.warm_starts"),
+            warm_metrics.counter("serve.warm_starts"),
             "the serve-side and engine-side warm counts must agree"
         );
         assert!(
-            warm.aggregate.counter("econ.warm_start_iters_saved") > 0,
+            warm_metrics.counter("econ.warm_start_iters_saved") > 0,
             "seeding from a converged neighbour must save iterations"
         );
         assert!(
-            warm.aggregate.counter("econ.iterations") < cold.aggregate.counter("econ.iterations"),
+            warm_metrics.counter("econ.iterations") < cold_metrics.counter("econ.iterations"),
             "the warm batch must run fewer total iterations than the cold one"
         );
         // Warm answers land on the same optimum the cold solves found.
-        for (w, c) in warm.responses.iter().zip(&cold.responses) {
+        for (w, c) in warm.iter().zip(&cold) {
             let (ServeResponse::SingleFile(w), ServeResponse::SingleFile(c)) =
                 (w.as_ref().unwrap(), c.as_ref().unwrap())
             else {
@@ -1052,15 +1008,11 @@ mod tests {
     #[test]
     fn the_first_request_in_a_chain_is_never_seeded() {
         let requests = vec![single_file_request(42)];
-        let warm = BatchServer::new(Parallelism::Sequential)
-            .with_warm_start(true)
-            .serve(&requests, None, &mut NoopRecorder);
-        assert_eq!(warm.aggregate.counter("serve.warm_starts"), 0);
-        assert_eq!(warm.aggregate.counter("econ.warm_starts"), 0);
+        let (warm, metrics) = serve_once(Parallelism::Sequential, WarmMode::Batch, &requests);
+        assert_eq!(metrics.counter("serve.warm_starts"), 0);
+        assert_eq!(metrics.counter("econ.warm_starts"), 0);
         // And a singleton chain matches the cold server bit for bit.
-        let cold =
-            BatchServer::new(Parallelism::Sequential).serve(&requests, None, &mut NoopRecorder);
-        assert_eq!(warm.responses, cold.responses);
+        assert_eq!(warm, cold(Parallelism::Sequential, &requests));
     }
 
     /// A perturbed-workload stream split into two batches — the daemon's
@@ -1087,36 +1039,35 @@ mod tests {
     }
 
     #[test]
-    fn an_empty_seed_store_matches_the_plain_warm_path_and_fills_up() {
+    fn a_session_server_matches_the_batch_mode_at_first_and_keeps_seeds() {
         let requests = perturbed_stream(0);
-        let server = BatchServer::new(Parallelism::Sequential).with_warm_start(true);
-        let plain = server.serve(&requests, None, &mut NoopRecorder);
-        let mut seeds = SessionSeeds::new();
-        let session = server.serve(&requests, Some(&mut seeds), &mut NoopRecorder);
-        assert_eq!(plain.responses, session.responses);
-        assert_eq!(seeds.len(), 1, "one single-file chain converged into one seed");
+        let (batch, _) = serve_once(Parallelism::Sequential, WarmMode::Batch, &requests);
+        let mut session = BatchServer::new(Parallelism::Sequential, WarmMode::Session);
+        assert_eq!(session.seed_count(), 0);
+        assert_eq!(batch, session.serve(&requests, &mut NoopRecorder));
+        assert_eq!(session.seed_count(), 1, "one single-file chain converged into one seed");
     }
 
     #[test]
     fn session_seeds_warm_the_next_batch_including_its_chain_head() {
-        let server = BatchServer::new(Parallelism::Sequential).with_warm_start(true);
-        let mut seeds = SessionSeeds::new();
-        let first = server.serve(&perturbed_stream(0), Some(&mut seeds), &mut NoopRecorder);
+        let mut server = BatchServer::new(Parallelism::Sequential, WarmMode::Session);
+        let mut first = MetricsRegistry::new();
+        server.serve(&perturbed_stream(0), &mut first);
         // Batch 1: the chain head is cold, the other three are seeded.
-        assert_eq!(first.aggregate.counter("serve.warm_starts"), 3);
+        assert_eq!(first.counter("serve.warm_starts"), 3);
         let second_requests = perturbed_stream(1);
-        let second = server.serve(&second_requests, Some(&mut seeds), &mut NoopRecorder);
+        let mut second = MetricsRegistry::new();
+        let responses = server.serve(&second_requests, &mut second);
         // Batch 2: even the head starts from batch 1's converged tail.
-        assert_eq!(second.aggregate.counter("serve.warm_starts"), 4);
+        assert_eq!(second.counter("serve.warm_starts"), 4);
         // Seeding changed iterates, never optima: compare against cold.
-        let cold = BatchServer::new(Parallelism::Sequential)
-            .serve(&second_requests, None, &mut NoopRecorder);
+        let (cold, cold_metrics) =
+            serve_once(Parallelism::Sequential, WarmMode::Off, &second_requests);
         assert!(
-            second.aggregate.counter("econ.iterations")
-                < cold.aggregate.counter("econ.iterations"),
+            second.counter("econ.iterations") < cold_metrics.counter("econ.iterations"),
             "cross-batch seeds must save iterations"
         );
-        for (s, c) in second.responses.iter().zip(&cold.responses) {
+        for (s, c) in responses.iter().zip(&cold) {
             let (ServeResponse::SingleFile(s), ServeResponse::SingleFile(c)) =
                 (s.as_ref().unwrap(), c.as_ref().unwrap())
             else {
@@ -1183,80 +1134,77 @@ mod tests {
 
     #[test]
     fn session_seeds_survive_lambda_drift_but_not_topology_changes() {
-        let server = BatchServer::new(Parallelism::Sequential).with_warm_start(true);
+        let mut server = BatchServer::new(Parallelism::Sequential, WarmMode::Session);
         let ring = topology::ring(5, 1.0).unwrap();
         let mesh = topology::full_mesh(5, 1.0).unwrap();
         // Distinct stand-in fingerprints (the spec layer derives real ones
         // from the graph; the serving layer only compares them).
         let (ring_fp, mesh_fp) = (1, 2);
+        let warm_starts = |server: &mut BatchServer, batch: &[ServeRequest]| {
+            let mut metrics = MetricsRegistry::new();
+            let responses = server.serve(batch, &mut metrics);
+            (responses, metrics.counter("serve.warm_starts"))
+        };
 
-        let mut seeds = SessionSeeds::new();
-        let batch = fingerprinted_stream(0, &ring, ring_fp);
-        let first = server.serve(&batch, Some(&mut seeds), &mut NoopRecorder);
-        assert_eq!(first.aggregate.counter("serve.warm_starts"), 3, "cold head");
+        let (_, first) = warm_starts(&mut server, &fingerprinted_stream(0, &ring, ring_fp));
+        assert_eq!(first, 3, "cold head");
         // λ-only drift on the same topology: the next batch's head is
         // seeded from the previous batch's tail.
-        let batch = fingerprinted_stream(1, &ring, ring_fp);
-        let second = server.serve(&batch, Some(&mut seeds), &mut NoopRecorder);
-        assert_eq!(
-            second.aggregate.counter("serve.warm_starts"),
-            4,
-            "a mid-session λ-only change must reuse session seeds"
-        );
+        let (_, second) = warm_starts(&mut server, &fingerprinted_stream(1, &ring, ring_fp));
+        assert_eq!(second, 4, "a mid-session λ-only change must reuse session seeds");
         // A topology change — same dimension and solver parameters, so
         // the old structural key would have collided — must run its head
         // cold instead of starting from the ring's optimum.
         let batch = fingerprinted_stream(2, &mesh, mesh_fp);
-        let third = server.serve(&batch, Some(&mut seeds), &mut NoopRecorder);
-        assert_eq!(
-            third.aggregate.counter("serve.warm_starts"),
-            3,
-            "a mid-session topology change must invalidate session seeds"
-        );
-        // And the mesh responses equal a fresh no-seed serve: the ring
+        let (third, third_starts) = warm_starts(&mut server, &batch);
+        assert_eq!(third_starts, 3, "a mid-session topology change must invalidate session seeds");
+        // And the mesh responses equal a fresh session server's: the ring
         // seeds were never consulted.
-        let mut fresh = SessionSeeds::new();
-        let batch = fingerprinted_stream(2, &mesh, mesh_fp);
-        let fresh_third = server.serve(&batch, Some(&mut fresh), &mut NoopRecorder);
-        assert_eq!(third.responses, fresh_third.responses);
+        let mut fresh = BatchServer::new(Parallelism::Sequential, WarmMode::Session);
+        assert_eq!(third, fresh.serve(&batch, &mut NoopRecorder));
     }
 
     #[test]
     fn session_responses_are_bit_identical_across_shard_counts() {
         let batches = [perturbed_stream(0), mixed_batch(), perturbed_stream(1)];
-        let mut reference_seeds = SessionSeeds::new();
-        let reference: Vec<_> = batches
-            .iter()
-            .map(|batch| {
-                BatchServer::new(Parallelism::Sequential)
-                    .with_warm_start(true)
-                    .serve(batch, Some(&mut reference_seeds), &mut NoopRecorder)
-                    .responses
-            })
-            .collect();
+        let mut sequential = BatchServer::new(Parallelism::Sequential, WarmMode::Session);
+        let reference: Vec<Responses> =
+            batches.iter().map(|batch| sequential.serve(batch, &mut NoopRecorder)).collect();
         for shards in [2, 4, 8] {
-            let server = BatchServer::new(Parallelism::Fixed(shards)).with_warm_start(true);
-            let mut seeds = SessionSeeds::new();
+            let mut server = BatchServer::new(Parallelism::Fixed(shards), WarmMode::Session);
             for (batch, expected) in batches.iter().zip(&reference) {
-                let output = server.serve(batch, Some(&mut seeds), &mut NoopRecorder);
                 assert_eq!(
-                    expected, &output.responses,
+                    expected,
+                    &server.serve(batch, &mut NoopRecorder),
                     "{shards}-shard session must match the sequential session"
                 );
             }
+            assert_eq!(server.seed_count(), sequential.seed_count());
         }
     }
 
     #[test]
-    fn seeds_are_inert_without_warm_start() {
+    fn only_session_mode_keeps_seeds() {
         let requests = perturbed_stream(0);
-        let server = BatchServer::new(Parallelism::Sequential); // cold
-        let mut seeds = SessionSeeds::new();
-        let session = server.serve(&requests, Some(&mut seeds), &mut NoopRecorder);
-        let plain = server.serve(&requests, None, &mut NoopRecorder);
-        assert_eq!(plain.responses, session.responses);
-        assert!(seeds.is_empty(), "a cold server must never write seeds");
-        assert_eq!(session.aggregate.counter("serve.warm_starts"), 0);
+        for warm in [WarmMode::Off, WarmMode::Batch] {
+            let mut server = BatchServer::new(Parallelism::Sequential, warm);
+            let first = server.serve(&requests, &mut NoopRecorder);
+            let mut metrics = MetricsRegistry::new();
+            let second = server.serve(&requests, &mut metrics);
+            assert_eq!(first, second, "{warm:?} batches must not carry state");
+            assert_eq!(server.seed_count(), 0, "{warm:?} must never keep seeds");
+            let expected = if warm == WarmMode::Off { 0 } else { requests.len() as u64 - 1 };
+            assert_eq!(metrics.counter("serve.warm_starts"), expected);
+        }
+    }
+
+    #[test]
+    fn warm_mode_parses() {
+        assert_eq!(WarmMode::parse("off").unwrap(), WarmMode::Off);
+        assert_eq!(WarmMode::parse("batch").unwrap(), WarmMode::Batch);
+        assert_eq!(WarmMode::parse("session").unwrap(), WarmMode::Session);
+        assert!(WarmMode::parse("warmish").is_err());
+        assert_eq!(WarmMode::default(), WarmMode::Batch);
     }
 
     /// Renders only the event stream (no registry trailer), which is the
@@ -1272,15 +1220,14 @@ mod tests {
     #[test]
     fn tracing_changes_no_response_bits_at_any_shard_count() {
         let requests = mixed_batch();
-        let plain =
-            BatchServer::new(Parallelism::Sequential).serve(&requests, None, &mut NoopRecorder);
+        let plain = cold(Parallelism::Sequential, &requests);
         let mut reference_spans: Option<String> = None;
         for shards in [1, 2, 3, 4, 8, 64] {
             let mut traced = fap_obs::Telemetry::manual().with_tracing(true);
-            let output = BatchServer::new(Parallelism::Fixed(shards))
-                .serve(&requests, None, &mut traced);
+            let responses = BatchServer::new(Parallelism::Fixed(shards), WarmMode::Off)
+                .serve(&requests, &mut traced);
             assert_eq!(
-                plain.responses, output.responses,
+                plain, responses,
                 "tracing at {shards} shards must not change the solved bits"
             );
             let spans = events_jsonl(&traced);
@@ -1304,9 +1251,8 @@ mod tests {
         let mut reference: Option<String> = None;
         for shards in [1, 2, 4, 8] {
             let mut traced = fap_obs::Telemetry::manual().with_tracing(true);
-            BatchServer::new(Parallelism::Fixed(shards))
-                .with_warm_start(true)
-                .serve(&requests, None, &mut traced);
+            BatchServer::new(Parallelism::Fixed(shards), WarmMode::Batch)
+                .serve(&requests, &mut traced);
             let spans = events_jsonl(&traced);
             match &reference {
                 None => reference = Some(spans),
@@ -1318,9 +1264,8 @@ mod tests {
         // replay into a flight recorder and check the self-time partition.
         let mut fr = fap_obs::FlightRecorder::default();
         let mut tele = fap_obs::Telemetry::manual().with_tracing(true);
-        BatchServer::new(Parallelism::Sequential)
-            .with_warm_start(true)
-            .serve(&requests, None, &mut Tee::new(&mut tele, &mut fr));
+        BatchServer::new(Parallelism::Sequential, WarmMode::Batch)
+            .serve(&requests, &mut fap_obs::Tee::new(&mut tele, &mut fr));
         assert_eq!(fr.completed_traces(), 1, "one batch, one root trace");
         let root = fr.recent().next().unwrap();
         assert_eq!(root.name, "serve.batch");
@@ -1341,7 +1286,7 @@ mod tests {
         let root_id = tele.reserve_span_ids(1);
         let root = TraceContext::root(root_id);
         tele.set_current_trace(Some(root));
-        BatchServer::new(Parallelism::Sequential).serve(&requests, None, &mut tele);
+        BatchServer::new(Parallelism::Sequential, WarmMode::Off).serve(&requests, &mut tele);
         let batch_start = tele
             .events()
             .iter()
@@ -1362,16 +1307,12 @@ mod tests {
         if let ServeRequest::SingleFile { initial, .. } = &mut requests[1] {
             *initial = vec![0.9; 5]; // infeasible: validation rejects it
         }
-        let warm_sequential = BatchServer::new(Parallelism::Sequential)
-            .with_warm_start(true)
-            .serve(&requests, None, &mut NoopRecorder);
-        assert_eq!(warm_sequential.err_count(), 1);
-        assert!(warm_sequential.responses[1].is_err());
+        let (warm_sequential, _) = serve_once(Parallelism::Sequential, WarmMode::Batch, &requests);
+        assert_eq!(errors(&warm_sequential), 1);
+        assert!(warm_sequential[1].is_err());
         for shards in [2, 4] {
-            let sharded = BatchServer::new(Parallelism::Fixed(shards))
-                .with_warm_start(true)
-                .serve(&requests, None, &mut NoopRecorder);
-            assert_eq!(warm_sequential.responses, sharded.responses);
+            let (sharded, _) = serve_once(Parallelism::Fixed(shards), WarmMode::Batch, &requests);
+            assert_eq!(warm_sequential, sharded);
         }
     }
 }

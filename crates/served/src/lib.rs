@@ -11,12 +11,12 @@
 //!   `cache.hit` (dense matrix) or `cache.landmark_hit` (landmark oracle)
 //!   in every later batch (both kinds bounded together by an optional
 //!   byte budget, oldest entries evicted first);
-//! * warm-start state persists per [`WarmMode`]: `batch` (the default)
-//!   chains within each batch only (what `fap serve --warm-start` runs),
-//!   `session` additionally carries each chain's converged allocation
-//!   across batches through [`SessionSeeds`], and `off` serves cold;
-//! * the [`BatchServer`] (workers sharing one task cursor) is constructed
-//!   once and reused.
+//! * the one [`BatchServer`] persists, and with it everything that lives
+//!   for the session: its worker slots' solver scratch and its warm-start
+//!   policy, a [`WarmMode`] — `batch` (the default) chains within each
+//!   batch only (what `fap serve --warm-start` runs), `session`
+//!   additionally carries each chain's converged allocation across
+//!   batches in the server's seed store, and `off` serves cold.
 //!
 //! ## The virtual clock and admission control
 //!
@@ -70,8 +70,8 @@
 //! clock and admission control.
 //!
 //! The *content* of a batch line's `responses` is bit-identical to a
-//! [`BatchServer::serve`] call on the same requests with no seed store and
-//! the same warm flag: a cached cost matrix is the same bits Dijkstra
+//! [`BatchServer::serve`] call on the same requests by a fresh server of
+//! the same [`WarmMode`]: a cached cost matrix is the same bits Dijkstra
 //! would recompute, and `batch` warm mode arms no cross-batch seeds.
 //!
 //! Batch syntax is pluggable through [`BatchParser`], so this crate stays
@@ -116,37 +116,9 @@ use fap_queue::{
     AdmissionController, QueueError, DEFAULT_ADMISSION_WARMUP, DEFAULT_ADMISSION_WINDOW,
 };
 use fap_runtime::Reactor;
-use fap_serve::{BatchServer, ServeError, ServeRequest, ServeResponse, SessionSeeds};
+use fap_serve::{BatchServer, ServeError, ServeRequest, ServeResponse};
 
-/// How warm-start state behaves across the daemon's lifetime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WarmMode {
-    /// Serve every batch cold (no chaining at all).
-    Off,
-    /// Chain within each batch only (`fap serve --warm-start`). The
-    /// default.
-    #[default]
-    Batch,
-    /// Chain within batches *and* seed each chain's head from the previous
-    /// batch's converged tail ([`SessionSeeds`]).
-    Session,
-}
-
-impl WarmMode {
-    /// Parses `off` / `batch` / `session`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the offending string for anything else.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        match text {
-            "off" => Ok(WarmMode::Off),
-            "batch" => Ok(WarmMode::Batch),
-            "session" => Ok(WarmMode::Session),
-            other => Err(format!("unknown warm mode '{other}' (expected off|batch|session)")),
-        }
-    }
-}
+pub use fap_serve::WarmMode;
 
 /// Turns one envelope's `batch` value into solver-level requests. The
 /// daemon resolves batch *syntax* through this trait so the wire format
@@ -271,10 +243,10 @@ struct Completion {
 #[derive(Debug)]
 pub struct Daemon<P> {
     parser: P,
+    /// The batch server, built once: it owns the warm-start policy, the
+    /// worker scratch and the cross-batch seeds.
     server: BatchServer,
-    warm: WarmMode,
     cache: SubstrateCache,
-    seeds: SessionSeeds,
     admission: AdmissionController,
     bound: Option<f64>,
     reactor: Reactor<Completion>,
@@ -313,11 +285,8 @@ impl<P: BatchParser> Daemon<P> {
         cache.set_byte_limit(config.cache_bytes);
         Ok(Daemon {
             parser,
-            server: BatchServer::new(config.shards)
-                .with_warm_start(config.warm != WarmMode::Off),
-            warm: config.warm,
+            server: BatchServer::new(config.shards, config.warm),
             cache,
-            seeds: SessionSeeds::new(),
             admission,
             bound: config.admission_bound,
             reactor: Reactor::new(),
@@ -676,14 +645,13 @@ impl<P: BatchParser> Daemon<P> {
                 // the recorder's current tick.
                 recorder.set_time(started as u64);
                 recorder.set_current_trace(Some(trace));
-                let seeds = (self.warm == WarmMode::Session).then_some(&mut self.seeds);
-                let output = self.server.serve(&requests, seeds, recorder);
+                let responses = self.server.serve(&requests, recorder);
                 recorder.set_current_trace(None);
-                let iterations: usize = output
-                    .responses
+                let iterations: usize = responses
                     .iter()
                     .filter_map(|r| r.as_ref().ok().map(|x| x.iterations()))
                     .sum();
+                let ok = responses.iter().filter(|r| r.is_ok()).count();
                 let duration = iterations.max(1);
                 let completed = started.saturating_add(duration);
                 let line = render(&[
@@ -693,9 +661,9 @@ impl<P: BatchParser> Daemon<P> {
                     ("started", &started),
                     ("completed", &completed),
                     ("wait", &wait),
-                    ("ok", &output.ok_count()),
-                    ("err", &output.err_count()),
-                    ("responses", &Responses(&output.responses)),
+                    ("ok", &ok),
+                    ("err", &(responses.len() - ok)),
+                    ("responses", &Responses(&responses)),
                 ]);
                 (duration, line)
             }
@@ -750,7 +718,7 @@ impl<P: BatchParser> Daemon<P> {
             ("backlog", &self.backlog.len()),
             ("completed", &self.completed),
             ("shed", &self.shed),
-            ("seeds", &self.seeds.len()),
+            ("seeds", &self.server.seed_count()),
             ("cache_entries", &self.cache.len()),
             ("cache_hits", &self.cache.hits()),
             ("cache_misses", &self.cache.misses()),
@@ -1193,11 +1161,10 @@ mod tests {
         let requests =
             seed_parser()(&Value::Array(vec![Value::Int(1), Value::Int(2)]), &mut cache, &mut fap_obs::NoopRecorder)
                 .unwrap();
-        let oneshot = BatchServer::new(Parallelism::Auto)
-            .with_warm_start(true)
-            .serve(&requests, None, &mut fap_obs::NoopRecorder);
+        let oneshot = BatchServer::new(Parallelism::Auto, WarmMode::Batch)
+            .serve(&requests, &mut fap_obs::NoopRecorder);
         let expected: Vec<Value> =
-            oneshot.responses.iter().map(|r| r.as_ref().unwrap().serialize_value()).collect();
+            oneshot.iter().map(|r| r.as_ref().unwrap().serialize_value()).collect();
         let expected_json =
             serde_json::to_string(&Value::Array(expected)).unwrap();
 
@@ -1357,13 +1324,5 @@ mod tests {
         assert!(bytes <= 2500, "cache_bytes {bytes} over the 2500-byte budget: {status}");
         assert!(status.contains("\"cache_entries\":1"), "{status}");
         assert_eq!(registry.counter("cache.evictions"), 1);
-    }
-
-    #[test]
-    fn warm_mode_parses() {
-        assert_eq!(WarmMode::parse("off").unwrap(), WarmMode::Off);
-        assert_eq!(WarmMode::parse("batch").unwrap(), WarmMode::Batch);
-        assert_eq!(WarmMode::parse("session").unwrap(), WarmMode::Session);
-        assert!(WarmMode::parse("warmish").is_err());
     }
 }

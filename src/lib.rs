@@ -46,16 +46,19 @@
 //!   the solvers, the chaos simulator and the parallel kernels via the
 //!   [`Recorder`](fap_obs::Recorder) trait (the no-op recorder preserves
 //!   the zero-allocation and bit-identity guarantees);
-//! * [`serve`] — the sharded batch-serving layer: many independent
-//!   scenarios solved by a scoped-thread worker pool that takes tasks from
-//!   one shared cursor, with per-worker scratch reuse, optional warm-started solves seeded from the
-//!   previous same-shape request, submission-order results bit-identical to
-//!   sequential solves, and per-shard metric registries fanned into one
-//!   aggregate snapshot;
+//! * [`serve`] — the sharded batch-serving layer: one
+//!   [`BatchServer`](fap_serve::BatchServer) per session solves batch after
+//!   batch of independent scenarios on a scoped-thread worker pool that
+//!   takes tasks from one shared cursor. The server owns everything that
+//!   lives across batches — its worker slots' solver scratch, its
+//!   [`WarmMode`](fap_serve::WarmMode) and the session's warm-start seeds
+//!   — and returns submission-order results bit-identical to sequential
+//!   solves, with per-shard metric registries replayed into the caller's
+//!   recorder;
 //! * [`served`] — the persistent serving daemon: a newline-delimited JSON
 //!   protocol over a deterministic virtual clock, M/M/c admission control
 //!   fitted from measured rates with 429-style load shedding, and warm
-//!   state (substrate cache, session seeds) kept alive across batches.
+//!   state (substrate cache, batch server) kept alive across batches.
 //!
 //! # Quickstart
 //!
@@ -113,8 +116,6 @@ pub mod prelude {
         ChaosPlan, DriftConfig, DriftReport, DriftRun, DriftScenario, ExchangeScheme,
         MessageCounting, SimReport, SimRun,
     };
-    pub use fap_serve::{
-        BatchServer, ServeOutput, ServeRequest, ServeResponse, SessionSeeds,
-    };
-    pub use fap_served::{Daemon, DaemonConfig, DaemonStatus, WarmMode};
+    pub use fap_serve::{BatchServer, ServeRequest, ServeResponse, WarmMode};
+    pub use fap_served::{Daemon, DaemonConfig, DaemonStatus};
 }

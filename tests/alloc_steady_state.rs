@@ -406,7 +406,7 @@ fn rendering_a_response_allocates_nothing_per_iteration_record() {
     // more allocations than a 60-record one — never one per record.
     use fap::core::SingleFileProblem;
     use fap::obs::NoopRecorder;
-    use fap::serve::{BatchServer, ServeRequest};
+    use fap::serve::{BatchServer, ServeRequest, WarmMode};
 
     let graph = topology::ring(6, 1.0).expect("valid ring");
     let pattern = AccessPattern::random(6, 0.1..0.5, 3).expect("valid pattern");
@@ -421,9 +421,9 @@ fn rendering_a_response_allocates_nothing_per_iteration_record() {
             max_iterations,
             topology: None,
         };
-        let mut output =
-            BatchServer::new(Parallelism::Sequential).serve(&[request], None, &mut NoopRecorder);
-        let response = output.responses.pop().expect("one response").expect("stable solve");
+        let mut responses = BatchServer::new(Parallelism::Sequential, WarmMode::Off)
+            .serve(&[request], &mut NoopRecorder);
+        let response = responses.pop().expect("one response").expect("stable solve");
         assert_eq!(response.iterations(), max_iterations);
         response
     };
@@ -450,6 +450,79 @@ fn rendering_a_response_allocates_nothing_per_iteration_record() {
     assert!(
         long_allocs <= short_allocs + extra_doublings,
         "per-record allocations: 600 iters cost {long_allocs} allocs, 60 iters cost {short_allocs}"
+    );
+}
+
+#[test]
+fn a_server_keeps_its_worker_scratch_across_batches() {
+    // The server owns its worker slots for its whole life: the first batch
+    // sizes each slot's scratch and a second serve of the same batch
+    // reuses it, so the second serve saves at least the bytes the two
+    // solves spend sizing fresh scratch. Only the responses, the plan and
+    // the per-batch metrics are allocated again.
+    use fap::core::SingleFileProblem;
+    use fap::econ::{OptimizerScratch, ResourceDirectedOptimizer, StepSize};
+    use fap::serve::{BatchServer, ServeRequest, WarmMode};
+
+    let graph = topology::ring(32, 1.0).expect("valid ring");
+    let pattern = AccessPattern::random(32, 0.01..0.05, 5).expect("valid pattern");
+    let patterns: Vec<AccessPattern> = (0..4)
+        .map(|j| AccessPattern::random(32, 0.01..0.05, 11 + j).expect("valid pattern"))
+        .collect();
+    let single = SingleFileProblem::mm1(&graph, &pattern, 4.0, 1.0).expect("valid");
+    let multi = MultiFileProblem::mm1(&graph, &patterns, 4.0, 1.0).expect("valid");
+    let (x0, xs0) = (vec![1.0 / 32.0; 32], vec![vec![1.0 / 32.0; 32]; 4]);
+    let (alpha, epsilon, max_iterations) = (0.05, 1e-6, 200);
+
+    // What sizing fresh scratch costs: the first of two solves through one
+    // scratch, less the second.
+    let optimizer = ResourceDirectedOptimizer::new(StepSize::Fixed(alpha))
+        .with_epsilon(epsilon)
+        .with_max_iterations(max_iterations);
+    let mut econ = OptimizerScratch::new();
+    let mut solve_single = || {
+        optimizer.run_with_scratch(&single, &x0, &mut econ, &mut NoopRecorder).expect("solves")
+    };
+    let (fresh_single, _) = counted_bytes(&mut solve_single);
+    let (warm_single, _) = counted_bytes(&mut solve_single);
+    let mut core = MultiFileScratch::new();
+    let mut solve_multi = || {
+        multi
+            .solve_with_scratch(&xs0, alpha, epsilon, max_iterations, &mut core, &mut NoopRecorder)
+            .expect("solves")
+    };
+    let (fresh_multi, _) = counted_bytes(&mut solve_multi);
+    let (warm_multi, _) = counted_bytes(&mut solve_multi);
+    let scratch_bytes = (fresh_single - warm_single) + (fresh_multi - warm_multi);
+    assert!(scratch_bytes > 0, "fresh scratch must cost something to size");
+
+    let requests = vec![
+        ServeRequest::SingleFile {
+            problem: single.clone(),
+            initial: x0.clone(),
+            alpha,
+            epsilon,
+            max_iterations,
+            topology: None,
+        },
+        ServeRequest::MultiFile {
+            problem: multi.clone(),
+            initial: xs0.clone(),
+            alpha,
+            epsilon,
+            max_iterations,
+            topology: None,
+        },
+    ];
+    let mut server = BatchServer::new(Parallelism::Sequential, WarmMode::Batch);
+    let (first_bytes, first) = counted_bytes(|| server.serve(&requests, &mut NoopRecorder));
+    let (second_bytes, second) = counted_bytes(|| server.serve(&requests, &mut NoopRecorder));
+    assert!(first.iter().all(Result::is_ok), "the batch must solve");
+    assert_eq!(first, second, "reused scratch must not change a response bit");
+    assert!(
+        second_bytes + scratch_bytes <= first_bytes,
+        "the second serve requested {second_bytes} bytes, the first {first_bytes}: \
+         it must save the {scratch_bytes} bytes of sizing fresh scratch"
     );
 }
 

@@ -182,9 +182,9 @@ fn warm_state_persists_across_batches() {
     );
 }
 
-/// The daemon's batch responses embed exactly what one warm
-/// `BatchServer::serve` call with no seed store produces for the same
-/// specs, and `fap serve --warm-start` prints that same batch line.
+/// The daemon's batch responses embed exactly what one `BatchServer::serve`
+/// call by a fresh batch-mode server produces for the same specs, and
+/// `fap serve --warm-start` prints that same batch line.
 #[test]
 fn daemon_responses_are_bit_identical_to_one_shot_serve() {
     let specs = example_specs();
@@ -193,11 +193,10 @@ fn daemon_responses_are_bit_identical_to_one_shot_serve() {
         .iter()
         .map(|spec| spec.to_request_cached_with(&mut cache, false, &mut NoopRecorder).unwrap())
         .collect();
-    let oneshot = BatchServer::new(Parallelism::Sequential)
-        .with_warm_start(true)
-        .serve(&requests, None, &mut NoopRecorder);
+    let oneshot = BatchServer::new(Parallelism::Sequential, WarmMode::Batch)
+        .serve(&requests, &mut NoopRecorder);
     let rendered: Vec<serde::Value> =
-        oneshot.responses.iter().map(|r| r.as_ref().unwrap().serialize_value()).collect();
+        oneshot.iter().map(|r| r.as_ref().unwrap().serialize_value()).collect();
     let expected = format!(
         "\"responses\":{}",
         serde_json::to_string(&serde::Value::Array(rendered)).unwrap()

@@ -11,7 +11,7 @@ use fap::batch::Parallelism;
 use fap::cache::SubstrateCache;
 use fap::obs::NoopRecorder;
 use fap::runtime::ChaosPlan;
-use fap::serve::{BatchServer, ServeRequest, ServeResponse};
+use fap::serve::{BatchServer, ServeRequest, ServeResponse, WarmMode};
 use fap_cli::serve::example_specs;
 use fap_cli::{chaos_sim, Scenario};
 use serde::Serialize;
@@ -42,11 +42,11 @@ fn every_serve_response_family_streams_as_its_tree() {
         .map(|spec| spec.to_request_cached_with(&mut cache, false, &mut NoopRecorder))
         .collect::<Result<_, _>>()
         .expect("example specs build");
-    let output = BatchServer::new(Parallelism::Sequential)
-        .with_warm_start(true)
-        .serve(&requests, None, &mut NoopRecorder);
-    let responses: Vec<ServeResponse> =
-        output.responses.into_iter().map(|r| r.expect("example specs solve")).collect();
+    let responses: Vec<ServeResponse> = BatchServer::new(Parallelism::Sequential, WarmMode::Batch)
+        .serve(&requests, &mut NoopRecorder)
+        .into_iter()
+        .map(|r| r.expect("example specs solve"))
+        .collect();
     assert!(matches!(
         responses.as_slice(),
         [ServeResponse::SingleFile(_), ServeResponse::MultiFile(_), ServeResponse::Ring(_)]

@@ -120,17 +120,16 @@ fn cached_warm_sharded_serving_matches_sequential() {
             }
         })
         .collect();
-    let warm_sequential = BatchServer::new(Parallelism::Sequential)
-        .with_warm_start(true)
-        .serve(&requests, None, &mut NoopRecorder);
-    assert_eq!(warm_sequential.err_count(), 0);
-    assert!(warm_sequential.aggregate.counter("serve.warm_starts") > 0);
+    let mut metrics = MetricsRegistry::new();
+    let warm_sequential =
+        BatchServer::new(Parallelism::Sequential, WarmMode::Batch).serve(&requests, &mut metrics);
+    assert!(warm_sequential.iter().all(Result::is_ok));
+    assert!(metrics.counter("serve.warm_starts") > 0);
     for shards in [1usize, 2, 4, 8] {
-        let sharded = BatchServer::new(Parallelism::Fixed(shards))
-            .with_warm_start(true)
-            .serve(&requests, None, &mut NoopRecorder);
+        let sharded = BatchServer::new(Parallelism::Fixed(shards), WarmMode::Batch)
+            .serve(&requests, &mut NoopRecorder);
         assert_eq!(
-            warm_sequential.responses, sharded.responses,
+            warm_sequential, sharded,
             "{shards} warm shards must match warm sequential bit for bit"
         );
     }
